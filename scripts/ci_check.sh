@@ -98,4 +98,13 @@ echo "== delegate churn under TCIO_CHECK=1, TCIO_DELEGATES=2 =="
 TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
   --output-on-failure -R 'DelegateChurnTest|DelegateQueueTest'
 
-echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled suite green)"
+# -- Release build ------------------------------------------------------------
+# The optimized build warns differently from the default RelWithDebInfo one
+# (GCC's -O3 flow warnings), and warnings are errors: build it and run the
+# suite on it so it cannot silently go red again.
+echo "== Release build + suite =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "$(nproc)"
+ctest --test-dir build-release --output-on-failure -j "$(nproc)"
+
+echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled and Release suites green)"

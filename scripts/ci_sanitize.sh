@@ -24,19 +24,17 @@ TCIO_FAULT_SEED=7 \
   -R 'TcioFault|FaultPlan|TcioCrash|CrashPlan|Journal|Liveness'
 
 # -- ThreadSanitizer ----------------------------------------------------------
-# The engine runs one OS thread per rank with a strict one-active-rank
-# handoff, and the delegate server core multiplexes 10k+ client queues over
-# it; TSan on the delegate and chaos suites checks that discipline where it
-# is busiest. Currently clean with no suppressions — if the engine handoff
-# ever needs one, drop it in scripts/tsan.supp and it is picked up here.
+# Every rank is an M:1 fiber on the thread that runs the job, with a strict
+# one-active-rank handoff, and the delegate server core multiplexes 10k+
+# client queues over it. The engine annotates each fiber switch for TSan
+# (and for ASan above), so TSan on the delegate and chaos suites checks that
+# discipline where it is busiest: every handoff is a happens-before edge, and
+# anything racing outside it is reported. Clean with no suppressions, and it
+# must stay that way.
 TSAN_BUILD=build-tsan
 cmake -B "$TSAN_BUILD" -S . -DTCIO_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" -j "$(nproc)" --target test_delegate test_chaos
-TSAN_OPTIONS="halt_on_error=1"
-if [ -f scripts/tsan.supp ]; then
-  TSAN_OPTIONS="$TSAN_OPTIONS suppressions=$(pwd)/scripts/tsan.supp"
-fi
 echo "== delegate + chaos suites under TSan =="
-TSAN_OPTIONS="$TSAN_OPTIONS" \
+TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" \
   -R 'Delegate|Chaos'

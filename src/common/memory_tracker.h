@@ -19,7 +19,7 @@ namespace tcio {
 
 /// Tracks one rank's simulated heap use against a budget.
 /// Not thread-safe by design: each rank owns exactly one tracker and only
-/// touches it from its own rank thread.
+/// touches it from its own rank body.
 class MemoryTracker {
  public:
   /// `budget` <= 0 means "unlimited" (used by correctness tests).

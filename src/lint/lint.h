@@ -20,10 +20,11 @@
 //   crash-unwind-swallow   a broad catch ((...) / std::exception / Error)
 //                          that can swallow RankCrashedError without
 //                          rethrowing or capturing it
-//   banned-api             wall-clock time anywhere; raw std::mutex /
-//                          sleeps outside src/sim; raw MPI_* outside
-//                          src/mpi (the simulation runs on virtual time and
-//                          owns its threading in exactly one place)
+//   banned-api             wall-clock time, raw std::mutex / threads /
+//                          sleeps anywhere; ucontext switches outside
+//                          src/sim; raw MPI_* outside src/mpi (the
+//                          simulation runs on virtual time, and its ranks
+//                          are fibers switched in exactly one place)
 //
 // Suppression: `// NOLINT-TCIO(rule): reason` on the finding's line or the
 // line directly above. The reason is mandatory — a bare suppression is

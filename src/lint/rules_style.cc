@@ -173,10 +173,10 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
            "raw MPI call '" + s + "' outside src/mpi — use tcio::mpi");
       continue;
     }
-    // Raw threading/sleep primitives: src/sim owns the one real-thread
-    // handoff; anywhere else they bypass virtual time and the engine's
-    // one-active-rank discipline.
-    if (in_sim) continue;
+    // Raw threading/sleep primitives are banned everywhere, src/sim
+    // included: every rank is a fiber on the one thread that runs the job,
+    // so a real lock, thread or sleep bypasses virtual time and the
+    // engine's one-active-rank discipline.
     const bool std_qualified =
         i >= 2 && is(t[i - 1], "::") && isIdent(t[i - 2], "std");
     if (std_qualified &&
@@ -184,16 +184,25 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
          s == "timed_mutex" || s == "condition_variable" || s == "thread" ||
          s == "jthread")) {
       flag(t[i].line, "raw std::" + s +
-                          " outside src/sim — rank scheduling and blocking "
-                          "belong to the engine");
+                          " — ranks are fibers on one thread; scheduling "
+                          "and blocking belong to the engine");
       continue;
     }
     if (s == "sleep_for" || s == "sleep_until" || s == "usleep" ||
         s == "nanosleep" ||
         (s == "sleep" && i + 1 < t.size() && is(t[i + 1], "("))) {
       flag(t[i].line, "real sleep '" + s +
-                          "' outside src/sim — advance simulated time "
-                          "instead (sim::Engine::advance)");
+                          "' — advance simulated time instead "
+                          "(sim::Engine::advance)");
+      continue;
+    }
+    // Context switching: src/sim owns the only one (the rank fibers). A
+    // switch anywhere else would run a rank outside the engine's schedule.
+    if (!in_sim && (s == "swapcontext" || s == "makecontext" ||
+                    s == "setcontext" || s == "getcontext")) {
+      flag(t[i].line, "raw context switch '" + s +
+                          "' outside src/sim — rank fibers belong to the "
+                          "engine");
     }
   }
 }

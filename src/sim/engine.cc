@@ -3,7 +3,15 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/fiber.h"
+
 namespace tcio::sim {
+namespace {
+
+// The rank whose fiber is running on this thread (Proc::current).
+thread_local Proc* t_current = nullptr;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Proc
@@ -11,13 +19,15 @@ namespace tcio::sim {
 
 int Proc::size() const { return engine_->numRanks(); }
 
-Proc::AtomicSection::AtomicSection(Proc& p) : lk_(p.engine_->lock_) {
-  p.engine_->gateLocked(lk_, p);
+Proc* Proc::current() { return t_current; }
+
+Proc::AtomicSection::AtomicSection(Proc& p) : p_(p) {
+  p.engine_->gate(p);
+  p.in_atomic_ = true;
 }
 
 void Proc::complete(Event& e, SimTime t) {
   Engine& eng = *engine_;
-  // The engine lock is held by this thread's enclosing AtomicSection.
   TCIO_CHECK_MSG(eng.active_ == rank_, "complete() outside atomic()");
   TCIO_CHECK_MSG(!e.ready_, "event completed twice");
   e.ready_ = true;
@@ -27,18 +37,17 @@ void Proc::complete(Event& e, SimTime t) {
     TCIO_CHECK(rec.state == Engine::State::kBlocked);
     rec.state = Engine::State::kGated;
     rec.wait_what = nullptr;
-    --eng.blocked_count_;
     Proc& pw = *eng.procs_[w];
     pw.now_ = std::max(pw.now_, t);
-    eng.gated_.insert({pw.now_, w});
+    eng.gated_.push({pw.now_, w});
   }
   e.waiters_.clear();
 }
 
 void Proc::wait(Event& e, const char* what) {
   Engine& eng = *engine_;
-  std::unique_lock<std::mutex> lk(eng.lock_);
-  eng.checkAbortLocked();
+  eng.checkAbort();
+  TCIO_CHECK_MSG(!in_atomic_, "wait() inside atomic()");
   if (e.ready_) {
     advanceTo(e.time_);
     return;
@@ -47,12 +56,8 @@ void Proc::wait(Event& e, const char* what) {
   Engine::RankRecord& rec = eng.records_[rank_];
   rec.state = Engine::State::kBlocked;
   rec.wait_what = what;
-  ++eng.blocked_count_;
   e.waiters_.push_back(rank_);
-  eng.releaseActiveLocked(rank_);
-  eng.dispatchLocked();
-  rec.cv.wait(lk, [&] { return eng.active_ == rank_ || eng.abort_; });
-  if (eng.abort_) throw Aborted{};
+  eng.yield(rank_);
   // complete() already advanced our clock and re-gated us; we are active now.
 }
 
@@ -78,105 +83,117 @@ Engine::~Engine() = default;
 void Engine::run(const std::function<void(Proc&)>& body) {
   TCIO_CHECK_MSG(!ran_, "Engine::run may only be called once");
   ran_ = true;
-
-  const int P = cfg_.num_ranks;
-  int init_count = 0;
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    threads.emplace_back([&, r] {
-      Proc& proc = *procs_[r];
-      // Startup: register at time 0 and wait to be scheduled. The last rank
-      // to register kicks off the first dispatch so the min-time pick sees
-      // the complete gated set.
-      {
-        std::unique_lock<std::mutex> lk(lock_);
-        gated_.insert({0.0, r});
-        if (++init_count == P) dispatchLocked();
-        records_[r].cv.wait(lk, [&] { return active_ == r || abort_; });
-        if (abort_) {
-          lk.unlock();
-          finishRank(r, /*was_active=*/false);
-          return;
-        }
-      }
-      try {
-        body(proc);
-        finishRank(r, /*was_active=*/true);
-      } catch (const Aborted&) {
-        finishRank(r, /*was_active=*/false);
-      } catch (...) {
-        std::unique_lock<std::mutex> lk(lock_);
-        failLocked(std::current_exception());
-        lk.unlock();
-        finishRank(r, /*was_active=*/false);
-      }
-    });
+  body_ = &body;
+  caller_ = std::make_unique<detail::Fiber>();
+  for (Rank r = 0; r < cfg_.num_ranks; ++r) {
+    records_[r].fiber =
+        std::make_unique<detail::Fiber>(&Engine::fiberMain, procs_[r].get());
+    gated_.push({0.0, r});
   }
-  for (auto& t : threads) t.join();
+  // Non-null when this job runs inside another engine's rank body.
+  Proc* const outer = t_current;
+  const auto resume = [&](Rank r) {
+    caller_->switchTo(*records_[r].fiber);
+    t_current = outer;
+    if (exited_ >= 0) {
+      records_[exited_].fiber.reset();
+      exited_ = -1;
+    }
+  };
+  // Ranks hand the turn to each other directly. Control comes back here
+  // only when a rank finishes (its stack can then be released) or when the
+  // job aborts.
+  for (Rank r = dispatchNext(); r >= 0; r = dispatchNext()) resume(r);
+  if (abort_) {
+    // Resume every parked rank once more: it throws Aborted where it is
+    // suspended, so the destructors on its stack run, and then exits.
+    for (Rank r = 0; r < cfg_.num_ranks; ++r) {
+      if (records_[r].state != State::kDone) resume(r);
+    }
+  }
+  for (const RankRecord& rec : records_) {
+    TCIO_CHECK_MSG(rec.state == State::kDone,
+                   "Engine::run returned with a rank still parked");
+  }
+  body_ = nullptr;
   if (failure_) std::rethrow_exception(failure_);
 }
 
-void Engine::finishRank(Rank r, bool was_active) {
-  std::unique_lock<std::mutex> lk(lock_);
-  RankRecord& rec = records_[r];
-  rec.state = State::kDone;
+void Engine::fiberMain(void* proc) {
+  Proc& p = *static_cast<Proc*>(proc);
+  p.engine_->rankMain(p);
+}
+
+void Engine::rankMain(Proc& p) {
+  const Rank r = p.rank_;
+  detail::Fiber& self = *records_[r].fiber;
+  self.started();
+  t_current = &p;
+  // A rank first entered only to unwind a failed job has nothing to run.
+  if (!abort_) {
+    try {
+      (*body_)(p);
+    } catch (const Aborted&) {
+      // Unwound after another rank's failure.
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+  finishRank(r);
+  exited_ = r;
+  self.exitTo(*caller_);
+}
+
+void Engine::finishRank(Rank r) {
+  records_[r].state = State::kDone;
   ++done_count_;
   final_times_[r] = procs_[r]->now_;
-  if (was_active) {
-    TCIO_CHECK(active_ == r);
-    releaseActiveLocked(r);
-    dispatchLocked();
-  } else if (active_ == r) {
-    // Failure path: the failing rank may still be marked active.
-    releaseActiveLocked(r);
-    if (!abort_) dispatchLocked();
-  }
+  if (active_ == r) active_ = -1;
 }
 
 SimTime Engine::makespan() const {
-  std::unique_lock<std::mutex> lk(lock_);
   SimTime m = 0;
   for (SimTime t : final_times_) m = std::max(m, t);
   return m;
 }
 
-void Engine::gateLocked(std::unique_lock<std::mutex>& lk, Proc& p) {
+void Engine::gate(Proc& p) {
   const Rank r = p.rank_;
-  checkAbortLocked();
+  checkAbort();
   TCIO_CHECK_MSG(active_ == r, "atomic() by a non-active rank");
+  TCIO_CHECK_MSG(!p.in_atomic_, "atomic() inside atomic()");
   ++event_count_;
   const GateKey key{p.now_, r};
   // Fast path: we are already the minimum runnable rank — keep running.
-  if (gated_.empty() || key < *gated_.begin()) return;
+  if (gated_.empty() || key < gated_.top()) return;
   // Hand off to the earlier rank and queue ourselves.
   records_[r].state = State::kGated;
-  gated_.insert(key);
-  releaseActiveLocked(r);
-  dispatchLocked();
-  records_[r].cv.wait(lk, [&] { return active_ == r || abort_; });
-  if (abort_) throw Aborted{};
+  gated_.push(key);
+  yield(r);
 }
 
-void Engine::releaseActiveLocked(Rank r) {
+void Engine::yield(Rank r) {
   TCIO_CHECK(active_ == r);
   active_ = -1;
+  const Rank next = dispatchNext();
+  // Nobody else can run: the job aborted, and the caller unwinds the ranks.
+  detail::Fiber& to = next >= 0 ? *records_[next].fiber : *caller_;
+  records_[r].fiber->switchTo(to);
+  t_current = procs_[r].get();
+  checkAbort();
 }
 
-void Engine::dispatchLocked() {
-  if (abort_) return;
+Rank Engine::dispatchNext() {
   TCIO_CHECK(active_ == -1);
+  if (abort_) return -1;
   if (!gated_.empty()) {
-    const auto it = gated_.begin();
-    const Rank r = it->second;
-    gated_.erase(it);
+    const Rank r = gated_.top().second;
+    gated_.pop();
     records_[r].state = State::kActive;
     active_ = r;
-    records_[r].cv.notify_one();
-    return;
+    return r;
   }
-  if (done_count_ == cfg_.num_ranks) return;  // everyone finished
+  if (done_count_ == cfg_.num_ranks) return -1;  // everyone finished
   // No runnable rank and somebody is still alive: they are all blocked.
   std::ostringstream os;
   os << "simulated deadlock: all live ranks are blocked —";
@@ -187,16 +204,16 @@ void Engine::dispatchLocked() {
          << ";";
     }
   }
-  failLocked(std::make_exception_ptr(DeadlockError(os.str())));
+  fail(std::make_exception_ptr(DeadlockError(os.str())));
+  return -1;
 }
 
-void Engine::failLocked(std::exception_ptr ep) {
+void Engine::fail(std::exception_ptr ep) {
   if (!failure_) failure_ = std::move(ep);
   abort_ = true;
-  for (auto& rec : records_) rec.cv.notify_all();
 }
 
-void Engine::checkAbortLocked() const {
+void Engine::checkAbort() const {
   if (abort_) throw Aborted{};
 }
 

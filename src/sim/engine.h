@@ -1,16 +1,21 @@
-// Deterministic discrete-event engine with one OS thread per simulated rank.
+// Deterministic discrete-event engine running every simulated rank as an M:1
+// fiber on the thread that calls `Engine::run`.
 //
 // Execution model
 // ---------------
-// Every simulated MPI rank runs as its own thread, but the engine admits
-// exactly one thread at a time ("the active rank"). All interaction with
-// shared simulation state (mailboxes, RMA windows, file-system queues, ...)
-// must happen inside `Proc::atomic(fn)`. `atomic` first *gates*: the calling
-// rank is suspended until it holds the minimum (virtual time, rank) key among
-// all runnable ranks. Because shared state is only ever touched inside a
-// gated section, every observable event executes in global virtual-time
-// order — a conservative discrete-event simulation that is bit-deterministic
-// regardless of OS scheduling.
+// Every simulated MPI rank runs its body on its own fiber: an mmap'd 8 MiB
+// stack, committed lazily as the rank touches it, with a PROT_NONE guard
+// region below it so a stack overflow faults (see sim/fiber.h). Exactly one
+// fiber runs at a time ("the active rank"), and it keeps running until it
+// calls into the engine and the engine hands the turn to another rank; a
+// handoff is a direct user-space context switch, with no lock, no condition
+// variable and no system call. All interaction with shared simulation state
+// (mailboxes, RMA windows, file-system queues, ...) must happen inside
+// `Proc::atomic(fn)`. `atomic` first *gates*: the calling rank is suspended
+// until it holds the minimum (virtual time, rank) key among all runnable
+// ranks. Because shared state is only ever touched inside a gated section,
+// every observable event executes in global virtual-time order — a
+// conservative discrete-event simulation that is bit-deterministic.
 //
 // Between engine calls a rank may freely run real computation and advance its
 // own clock with `advance()`; that is safe because local work cannot touch
@@ -23,17 +28,18 @@
 //
 // If every live rank ends up blocked, the engine raises `DeadlockError`
 // naming each rank's wait reason — simulated programs cannot hang silently.
+// After a failure, every parked rank is resumed once more so that it unwinds
+// (throwing `Aborted`) and the destructors on its stack run.
 #pragma once
 
-#include <condition_variable>
+#include <any>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <set>
+#include <queue>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -45,9 +51,13 @@ namespace tcio::sim {
 class Engine;
 class Proc;
 
+namespace detail {
+class Fiber;
+}
+
 /// One-shot completion token connecting a blocked rank to the rank that will
 /// unblock it. Owned by module data structures (message envelopes, lock
-/// requests, ...). All fields are engine-lock protected; user code only
+/// requests, ...). Fields are only touched by the active rank; user code only
 /// passes Events to Proc::wait / Proc::complete.
 class Event {
  public:
@@ -63,11 +73,15 @@ class Event {
 };
 
 /// Per-rank facade handed to the rank body. All members must be called from
-/// the owning rank's thread only.
+/// the owning rank's body only.
 class Proc {
  public:
   Rank rank() const { return rank_; }
   int size() const;
+
+  /// The rank whose body is running on the calling thread, or nullptr when
+  /// called outside every rank body.
+  static Proc* current();
 
   /// This rank's virtual clock, in seconds.
   SimTime now() const { return now_; }
@@ -84,8 +98,8 @@ class Proc {
   }
 
   /// Execute `fn` atomically at this rank's current virtual time, in global
-  /// virtual-time order. `fn` runs with the engine lock held; it must not
-  /// call atomic/wait itself. Returns fn's result.
+  /// virtual-time order. `fn` must not call atomic/wait itself. Returns fn's
+  /// result.
   template <typename F>
   auto atomic(F&& fn) -> decltype(fn()) {
     AtomicSection section(*this);
@@ -104,6 +118,11 @@ class Proc {
   /// Deterministic per-rank random stream.
   Rng& rng() { return rng_; }
 
+  /// One slot of rank-local storage for layers that have to find per-rank
+  /// state without a handle (the Program 1 C API binds its context here).
+  /// Empty at start; destroyed with the Engine.
+  std::any& rankLocal() { return rank_local_; }
+
   Engine& engine() { return *engine_; }
 
  private:
@@ -111,28 +130,31 @@ class Proc {
   Proc(Engine& engine, Rank rank, std::uint64_t seed)
       : engine_(&engine), rank_(rank), rng_(seed) {}
 
-  /// RAII helper: gates on construction (acquiring the engine lock and
-  /// waiting for virtual-time order), releases the lock on destruction.
+  /// RAII helper: gates on construction (waiting for virtual-time order) and
+  /// marks the rank as inside atomic() until destruction.
   class AtomicSection {
    public:
     explicit AtomicSection(Proc& p);
-    ~AtomicSection() = default;  // lk_ releases the engine lock
+    ~AtomicSection() { p_.in_atomic_ = false; }
     AtomicSection(const AtomicSection&) = delete;
     AtomicSection& operator=(const AtomicSection&) = delete;
 
    private:
-    std::unique_lock<std::mutex> lk_;
+    Proc& p_;
   };
 
   Engine* engine_;
   Rank rank_;
   SimTime now_ = 0;
+  bool in_atomic_ = false;
   Rng rng_;
+  std::any rank_local_;
 };
 
 /// The engine itself. Construct with the rank count, then `run(body)`;
-/// `body(proc)` is executed once per rank on its own thread. `run` returns
-/// when every rank finished and rethrows the first failure, if any.
+/// `body(proc)` is executed once per rank, each on its own fiber, all on the
+/// calling thread. `run` returns when every rank finished and rethrows the
+/// first failure, if any.
 class Engine {
  public:
   struct Config {
@@ -167,27 +189,32 @@ class Engine {
   struct RankRecord {
     State state = State::kGated;
     const char* wait_what = nullptr;
-    std::condition_variable cv;
+    /// Created by run(); released as soon as the rank is done.
+    std::unique_ptr<detail::Fiber> fiber;
   };
 
   using GateKey = std::pair<SimTime, Rank>;
 
-  // All of the below require lock_ held.
-  void gateLocked(std::unique_lock<std::mutex>& lk, Proc& p);
-  void finishRank(Rank r, bool was_active);
-  void releaseActiveLocked(Rank r);
-  void dispatchLocked();
-  void failLocked(std::exception_ptr ep);
-  void checkAbortLocked() const;
+  static void fiberMain(void* proc);
+  void rankMain(Proc& p);
+  void gate(Proc& p);
+  void yield(Rank r);
+  Rank dispatchNext();
+  void finishRank(Rank r);
+  void fail(std::exception_ptr ep);
+  void checkAbort() const;
 
   Config cfg_;
-  mutable std::mutex lock_;
   std::vector<RankRecord> records_;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::set<GateKey> gated_;
+  /// Runnable ranks, minimum (virtual time, rank) on top.
+  std::priority_queue<GateKey, std::vector<GateKey>, std::greater<>> gated_;
+  /// The context that called run(); ranks return to it when they finish.
+  std::unique_ptr<detail::Fiber> caller_;
+  const std::function<void(Proc&)>* body_ = nullptr;
   Rank active_ = -1;
+  Rank exited_ = -1;  // finished rank whose fiber the caller must release
   int done_count_ = 0;
-  int blocked_count_ = 0;
   bool abort_ = false;
   std::exception_ptr failure_;
   std::vector<SimTime> final_times_;
@@ -195,7 +222,7 @@ class Engine {
   bool ran_ = false;
 };
 
-/// Thrown into rank threads to unwind them after another rank failed. User
+/// Thrown into parked ranks to unwind them after another rank failed. User
 /// code should not catch it (catch-all handlers in rank bodies must rethrow).
 struct Aborted {};
 

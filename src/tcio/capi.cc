@@ -1,35 +1,41 @@
 #include "tcio/capi.h"
 
+#include <any>
+#include <utility>
+
 #include "common/error.h"
+#include "sim/engine.h"
 #include "tcio/file.h"
 
 namespace {
 
-struct ThreadContext {
+struct RankContext {
   tcio::mpi::Comm* comm = nullptr;
   tcio::fs::Filesystem* fsys = nullptr;
   tcio::core::TcioConfig cfg;
 };
 
-// One context per rank thread — the simulation hosts every rank in one
-// process, so process-global state would alias ranks.
-thread_local ThreadContext g_ctx;
-
-ThreadContext& ctx() {
-  TCIO_CHECK_MSG(g_ctx.comm != nullptr,
+// One context per simulated rank, kept in the rank's own Proc slot: every
+// rank of a job runs on one thread, so thread-local or process-global state
+// would alias ranks.
+RankContext& ctx() {
+  tcio::sim::Proc* proc = tcio::sim::Proc::current();
+  TCIO_CHECK_MSG(proc != nullptr, "the TCIO C API must be called by a rank");
+  auto* c = std::any_cast<RankContext>(&proc->rankLocal());
+  TCIO_CHECK_MSG(c != nullptr,
                  "tcio_set_context() must be called before tcio_open()");
-  return g_ctx;
+  return *c;
 }
 
 }  // namespace
 
 void tcio_set_context(tcio::mpi::Comm& comm, tcio::fs::Filesystem& fsys,
                       tcio::core::TcioConfig cfg) {
-  g_ctx = {&comm, &fsys, cfg};
+  comm.proc().rankLocal() = RankContext{&comm, &fsys, std::move(cfg)};
 }
 
 tcio_file* tcio_open(const char* fname, int mode) {
-  ThreadContext& c = ctx();
+  RankContext& c = ctx();
   return new tcio::core::File(*c.comm, *c.fsys, fname,
                               static_cast<unsigned>(mode), c.cfg);
 }

@@ -15,8 +15,9 @@
 // Because the simulated MPI job carries its communicator explicitly (there
 // is no process-global MPI_COMM_WORLD in a simulation hosting many ranks in
 // one process), a rank binds its communicator, file system, and TCIO
-// configuration to the calling thread once with tcio_set_context(); the
-// Program 1 calls then look exactly like the paper's.
+// configuration to itself once with tcio_set_context(); the Program 1 calls
+// then look exactly like the paper's. The binding belongs to the simulated
+// rank (all ranks of a job share one thread) and ends with the job.
 #pragma once
 
 #include "fs/filesystem.h"
@@ -43,7 +44,7 @@ constexpr int TCIO_RDWR = 3;
 constexpr int TCIO_CREATE = 4;   // fs::kCreate
 constexpr int TCIO_TRUNC = 8;    // fs::kTruncate
 
-/// Binds this rank thread's context; call once per rank before tcio_open.
+/// Binds the calling rank's context; call once per rank before tcio_open.
 void tcio_set_context(tcio::mpi::Comm& comm, tcio::fs::Filesystem& fsys,
                       tcio::core::TcioConfig cfg = {});
 

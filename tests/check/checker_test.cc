@@ -238,10 +238,10 @@ TEST(CheckerRmaTest, IdenticalOverlappingPutsAreBenign) {
     Window win = Window::create(comm, 64);
     if (comm.rank() != 0) win.lock(LockType::kShared, 0);
     comm.barrier();
-    if (comm.rank() != 0) {
-      const std::int32_t v = 1;  // same payload from both origins
-      win.put(0, 0, &v, sizeof(v));
-    }
+    // Same payload from both origins. The put source must outlive the
+    // epoch: the checker re-reads it at unlock.
+    const std::int32_t v = 1;
+    if (comm.rank() != 0) win.put(0, 0, &v, sizeof(v));
     comm.barrier();  // keep both epochs open across both puts
     if (comm.rank() != 0) win.unlock(0);
     comm.barrier();

@@ -1,5 +1,5 @@
-// GREEN fixture: banned-api. The approved counterparts — virtual time and
-// the simulated MPI layer — plus one reasoned waiver.
+// GREEN fixture: banned-api. The approved counterparts — virtual time, the
+// simulated MPI layer and engine-owned blocking — plus one reasoned waiver.
 
 namespace fixture {
 
@@ -8,6 +8,11 @@ void approved(sim::Engine& eng, mpi::Comm& comm) {
   comm.barrier();
   eng.advance(sim::micros(5));
   consume(t0);
+}
+
+// Blocking parks this rank's fiber in the engine, in virtual-time order.
+void awaitReply(sim::Proc& proc, sim::Event& reply) {
+  proc.wait(reply, "reply");
 }
 
 // A justified waiver: operator-facing tooling may read the host clock when

@@ -1,5 +1,6 @@
-// RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading and
-// real sleeps — all from a path outside src/sim and src/mpi.
+// RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading, real
+// sleeps and raw context switches — all from a path outside src/sim and
+// src/mpi.
 
 namespace fixture {
 
@@ -24,6 +25,10 @@ class Guarded {
 
 void waitABit() {
   std::this_thread::sleep_for(pollInterval());  // LINT-EXPECT[banned-api]
+}
+
+void hopToPeer(ucontext_t* self, ucontext_t* peer) {
+  swapcontext(self, peer);  // LINT-EXPECT[banned-api]
 }
 
 }  // namespace fixture

@@ -150,10 +150,17 @@ TEST(Suppression, WrongRuleDoesNotSilenceAnotherRulesFinding) {
 
 // --- banned-api path carve-outs ---------------------------------------------
 
-TEST(BannedApi, SimLayerMayUseRealThreadingPrimitives) {
+TEST(BannedApi, RealThreadingIsBannedEvenInsideSim) {
   const std::string src =
-      "void park() { std::mutex m; cv_.wait(lk); }\n";
-  EXPECT_TRUE(lintText("src/sim/engine.cc", src).empty());
+      "void park() { std::mutex m; std::condition_variable cv; }\n";
+  EXPECT_EQ(lintText("src/sim/engine.cc", src).size(), 2u);
+  EXPECT_EQ(lintText("src/tcio/file.cc", src).size(), 2u);
+}
+
+TEST(BannedApi, OnlySimMaySwitchContexts) {
+  const std::string src =
+      "void hop(ucontext_t* a, ucontext_t* b) { swapcontext(a, b); }\n";
+  EXPECT_TRUE(lintText("src/sim/fiber.cc", src).empty());
   EXPECT_FALSE(lintText("src/tcio/file.cc", src).empty());
 }
 

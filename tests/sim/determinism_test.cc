@@ -1,6 +1,6 @@
 // Property test: the engine is bit-deterministic — the same program produces
-// identical virtual times and event counts on every run, regardless of how
-// the OS schedules the rank threads.
+// identical virtual times and event counts on every run, regardless of what
+// else the host is doing.
 #include <gtest/gtest.h>
 
 #include <vector>

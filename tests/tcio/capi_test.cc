@@ -34,7 +34,7 @@ core::TcioConfig smallTcio() {
 
 TEST(CApiTest, OpenWithoutContextFails) {
   fs::Filesystem fsys(fsCfg());
-  // Run on a fresh thread (rank threads are fresh) without set_context.
+  // A fresh rank has no context until it calls set_context.
   EXPECT_THROW(mpi::runJob(job(1),
                            [&](mpi::Comm&) {
                              tcio_open("nocontext.dat",
@@ -177,6 +177,38 @@ TEST(CApiTest, TwoFilesConcurrently) {
   EXPECT_EQ(v, 2);
   fsys.peek("b.dat", 0, {reinterpret_cast<std::byte*>(&v), 4});
   EXPECT_EQ(v, 100);
+}
+
+TEST(CApiTest, ContextIsPerRankAcrossSuspensions) {
+  // Both ranks bind before either opens; the barrier suspends each rank in
+  // between, so a context shared by the thread would hand one rank's comm
+  // to the other.
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(2), [&](mpi::Comm& comm) {
+    tcio_set_context(comm, fsys, smallTcio());
+    comm.barrier();
+    tcio_file* fh = tcio_open("ranked.dat", TCIO_WRONLY | TCIO_CREATE);
+    EXPECT_EQ(&fh->comm(), &comm);
+    const std::int32_t v = 7 + comm.rank();
+    tcio_write_at(fh, comm.rank() * 4, &v, 1, mpi::Datatype::int32());
+    tcio_close(fh);
+  });
+  std::int32_t got[2] = {};
+  fsys.peek("ranked.dat", 0, {reinterpret_cast<std::byte*>(got), 8});
+  EXPECT_EQ(got[0], 7);
+  EXPECT_EQ(got[1], 8);
+}
+
+TEST(CApiTest, ContextEndsWithTheJob) {
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(1), [&](mpi::Comm& comm) {
+    tcio_set_context(comm, fsys, smallTcio());
+  });
+  EXPECT_THROW(mpi::runJob(job(1),
+                           [&](mpi::Comm&) {
+                             tcio_open("stale.dat", TCIO_WRONLY | TCIO_CREATE);
+                           }),
+               Error);
 }
 
 }  // namespace

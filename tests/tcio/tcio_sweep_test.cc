@@ -35,10 +35,18 @@ std::string paramName(const ::testing::TestParamInfo<SweepParam>& info) {
     case Pattern::kRandomDisjoint: pat = "random"; break;
     case Pattern::kStrided: pat = "strided"; break;
   }
-  return "P" + std::to_string(info.param.procs) + "_seg" +
-         std::to_string(info.param.segment) + (info.param.onesided ? "_1s" : "_2s") +
-         "_" + pat + (info.param.lazy ? "" : "_eager") +
-         (info.param.node_agg ? "_nodeagg" : "");
+  // Built with append(): GCC 12 at -O3 reports a false -Werror=restrict on
+  // the equivalent chain of operator+ temporaries.
+  std::string name = "P";
+  name.append(std::to_string(info.param.procs))
+      .append("_seg")
+      .append(std::to_string(info.param.segment))
+      .append(info.param.onesided ? "_1s" : "_2s")
+      .append("_")
+      .append(pat)
+      .append(info.param.lazy ? "" : "_eager")
+      .append(info.param.node_agg ? "_nodeagg" : "");
+  return name;
 }
 
 /// One write operation: (absolute offset, length, owning rank).

@@ -1,12 +1,14 @@
 #!/bin/bash
 # Correctness-checking CI tier: clang-tidy static analysis over src/ plus the
 # full test suite with the runtime checker attached (TCIO_CHECK=1, see
-# src/check/ and DESIGN.md §9). The clang-tidy pass is STRICT — findings fail
-# the job — when the pinned major version (TCIO_TIDY_VERSION) is what runs:
-# check sets drift across majors, so only the pinned toolchain's verdict is
-# authoritative. A runner with a different clang-tidy runs it advisory; a
-# runner with none skips the pass (the runtime tier below is always the
-# gate). TCIO_TIDY_STRICT=0/1 force-overrides the version-derived default.
+# src/check/ and DESIGN.md §9), with the integrity pipeline forced on
+# (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), and on a Release
+# build. The clang-tidy pass is STRICT — findings fail the job — when the
+# pinned major version (TCIO_TIDY_VERSION) is what runs: check sets drift
+# across majors, so only the pinned toolchain's verdict is authoritative. A
+# runner with a different clang-tidy runs it advisory; a runner with none
+# skips the pass (the runtime tier below is always the gate).
+# TCIO_TIDY_STRICT=0/1 force-overrides the version-derived default.
 #
 #   TCIO_CHECK_BUILD    build directory (default build-check)
 #   TCIO_TIDY_VERSION   pinned clang-tidy major version (default 18)
@@ -98,6 +100,15 @@ echo "== delegate churn under TCIO_CHECK=1, TCIO_DELEGATES=2 =="
 TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
   --output-on-failure -R 'DelegateChurnTest|DelegateQueueTest'
 
+# The whole suite again with the end-to-end integrity pipeline forced on, by
+# itself and with delegates resolved from the environment: the one owner-side
+# ledger (src/tcio/ledger.h) sits on every File and delegate integrity path.
+echo "== test suite under TCIO_INTEGRITY=1 =="
+TCIO_INTEGRITY=1 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+echo "== test suite under TCIO_INTEGRITY=1, TCIO_DELEGATES=2 =="
+TCIO_INTEGRITY=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
+  --output-on-failure -j "$(nproc)"
+
 # -- Release build ------------------------------------------------------------
 # The optimized build warns differently from the default RelWithDebInfo one
 # (GCC's -O3 flow warnings), and warnings are errors: build it and run the
@@ -107,4 +118,5 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$(nproc)"
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
-echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled and Release suites green)"
+echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled, integrity and" \
+  "Release suites green)"

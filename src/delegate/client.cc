@@ -77,7 +77,7 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
       const bool got = comm_->recvUntil(
           buf.data(), static_cast<Bytes>(buf.size()), delegate, kRepTag,
           comm_->proc().now() + s_->config().crash.liveness_window,
-          s_->config().crash.liveness_poll, &st);
+          core::kLivenessPoll, &st);
       if (!got) {
         suspect(delegate);
         return false;
@@ -256,7 +256,6 @@ void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
   // Chunk on the frame size and the descriptor extent cap; each chunk is one
   // admission-controlled request.
   const Bytes frame_bytes = s_->frameBytes();
-  const std::int64_t max_extents = s_->config().delegate.max_wire_extents;
   std::vector<WireExtent> chunk;
   Bytes chunk_bytes = 0;
   Bytes consumed = 0;
@@ -275,7 +274,7 @@ void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
                    "one extent must fit the staging frame — split it");
     if (!chunk.empty() &&
         (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= max_extents)) {
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
       flush_chunk();
     }
     chunk.push_back(e);
@@ -357,7 +356,6 @@ void Channel::finishGet(std::int64_t seq, std::byte* out) {
 void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                   std::byte* out) {
   const Bytes frame_bytes = s_->frameBytes();
-  const std::int64_t max_extents = s_->config().delegate.max_wire_extents;
   std::vector<WireExtent> chunk;
   Bytes chunk_bytes = 0;
   Bytes consumed = 0;
@@ -375,7 +373,7 @@ void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                    "one extent must fit the staging frame — split it");
     if (!chunk.empty() &&
         (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= max_extents)) {
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
       flush_chunk();
     }
     chunk.push_back(e);

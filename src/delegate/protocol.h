@@ -98,13 +98,14 @@ inline std::uint64_t fileKey(const std::string& name) {
   return h;
 }
 
-/// Upper bound of one descriptor message given the config (recv capacity).
-inline Bytes maxRequestBytes(const core::TcioConfig& cfg) {
-  return static_cast<Bytes>(sizeof(RequestHeader)) +
-         cfg.delegate.max_wire_extents *
-             static_cast<Bytes>(sizeof(WireExtent)) +
-         256;
-}
+/// Maximum extent descriptors per wire request; clients split larger
+/// submissions.
+inline constexpr std::int64_t kMaxWireExtents = 1024;
+
+/// Upper bound of one descriptor message (recv capacity).
+inline constexpr Bytes kMaxRequestBytes =
+    static_cast<Bytes>(sizeof(RequestHeader)) +
+    kMaxWireExtents * static_cast<Bytes>(sizeof(WireExtent)) + 256;
 
 /// Upper bound of one reply message (header + stats blob or error text;
 /// senders truncate to fit).

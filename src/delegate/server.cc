@@ -56,7 +56,7 @@ void Server::run() {
 
 void Server::drainArrivals(bool block) {
   std::vector<std::byte> buf(
-      static_cast<std::size_t>(maxRequestBytes(s_->config())));
+      static_cast<std::size_t>(kMaxRequestBytes));
   if (block) {
     const mpi::RecvStatus st = comm_->recv(
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);
@@ -117,7 +117,7 @@ void Server::handleArrival(const std::byte* buf, Bytes received) {
 }
 
 void Server::admitOrReject(Pending p) {
-  if (data_queued_ >= s_->queueWatermark() || free_frames_.empty()) {
+  if (data_queued_ >= s_->queueCapacity() || free_frames_.empty()) {
     ++stats_.rejections;
     reply(p.h.client, p.h.seq, ReplyKind::kBusy);
     return;
@@ -295,7 +295,7 @@ void Server::servePut(Pending& p) {
       }
       check += len;
     }
-    chargeChecksum(p.h.payload_bytes);
+    core::chargeChecksum(comm_->proc(), s_->config(), p.h.payload_bytes);
     if (!clean) {
       if (p.retries >= 1) {
         ++stats_.unrepairable;
@@ -332,21 +332,16 @@ void Server::servePut(Pending& p) {
     const Bytes len = e.end - e.begin;
     const std::span<const std::byte> payload{cursor,
                                              static_cast<std::size_t>(len)};
-    if (journaling) {
-      if (crash_plan_ != nullptr &&
-          crash_plan_->fires(CrashPoint::kMidJournal)) {
-        const std::int64_t frame_len = core::Journal::kHeaderBytes +
-                                       static_cast<std::int64_t>(len);
-        f.journal->append(g, e.begin, payload,
-                          crash_plan_->tornBytes(frame_len));
-        die();
-      }
-      f.journal->append(g, e.begin, payload);
+    if (journaling &&
+        !core::appendOrTear(*f.journal, crash_plan_.get(),
+                            CrashPoint::kMidJournal, g, e.begin, payload)) {
+      die();
     }
     std::memcpy(sb.data.data() + e.begin, cursor,
                 static_cast<std::size_t>(len));
     if (integrity_on_ && e.has_crc != 0) {
-      ledgerInsert(sb, e.begin, len, e.crc);
+      sb.ledger.absorb(e.begin, {sb.data.data() + e.begin, payload.size()},
+                       e.crc);
     }
     sb.extents.push_back({e.begin, e.end});
     ++sb.raw_extents;
@@ -417,7 +412,10 @@ void Server::serveGet(Pending& p) {
   if (!sb.loaded) loadSegment(f, g, sb);
   // Shard bytes are about to cross into the reply frame: re-verify the
   // segment's ledger first so corruption-at-rest never reaches a reader.
-  if (integrity_on_) verifySegment(f, g, sb);
+  if (integrity_on_) {
+    core::verifyOrRepair(sb.ledger, g, sb.data, ownWal(f), comm_->proc(),
+                         s_->config(), stats_, f.name);
+  }
   std::byte* dst = frameData(p.frame);
   Bytes total = 0;
   for (const WireExtent& e : p.extents) {
@@ -436,7 +434,7 @@ void Server::serveGet(Pending& p) {
   if (integrity_on_) {
     reply_crc = crc32({dst, static_cast<std::size_t>(total)});
     has_reply_crc = 1;
-    chargeChecksum(total);
+    core::chargeChecksum(comm_->proc(), s_->config(), total);
   }
   --data_queued_;  // queue slot freed; the frame is held until kGetAck
   p.frame = -1;    // ownership moved to the client — the error path must
@@ -450,31 +448,24 @@ void Server::serveClose(Pending& p) {
   ++f.closes;
   f.closers.push_back({p.h.client, p.h.seq});
   if (f.closes < f.opens) return;  // reply deferred until the drain
-  drainAndClose(f);
-  const Bytes local_max = [&] {
-    Bytes m = 0;
-    for (const auto& [g, sb] : f.segs) {
-      if (sb.extents.empty()) continue;
-      const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
-      m = std::max<Bytes>(m, g * s_->config().segment_size +
-                                 merged.back().end);
-    }
-    return m;
-  }();
+  const Bytes local_max = drainAndClose(f);
   for (const auto& [client, seq] : f.closers) {
     reply(client, seq, ReplyKind::kCloseDone, local_max);
   }
   f.closers.clear();
 }
 
-void Server::drainAndClose(FileState& f) {
+Bytes Server::drainAndClose(FileState& f) {
   check::Checker* ck = comm_->world().checker();
   Bytes local_max = 0;
   for (auto& [g, sb] : f.segs) {
     if (sb.extents.empty()) continue;
     // Last crossing before the store: scrub the whole shard segment against
     // its ledger so corruption-at-rest never reaches an OST.
-    if (integrity_on_) verifySegment(f, g, sb);
+    if (integrity_on_) {
+      core::verifyOrRepair(sb.ledger, g, sb.data, ownWal(f), comm_->proc(),
+                           s_->config(), stats_, f.name);
+    }
     const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
     const Offset base = g * s_->config().segment_size;
     for (const Extent& run : merged) {
@@ -496,6 +487,7 @@ void Server::drainAndClose(FileState& f) {
   if (ck != nullptr) {
     comm_->proc().atomic([&] { ck->onFileClosed(f.name, local_max, me_); });
   }
+  return local_max;
 }
 
 void Server::serveAdopt(Pending& p) {
@@ -545,7 +537,7 @@ void Server::adoptShard(int dead) {
     if (!f.drained) {
       // Replay into the shard buffers; the coming drain writes them out.
       // Each record is re-appended to this delegate's own WAL (generation
-      // bumped) so verifySegment's corruption repair can replay adopted
+      // bumped) so the ledger gate's corruption repair can replay adopted
       // bytes from the local journal. Chain durability does NOT depend on
       // these copies: serveAdopt's death-order scan re-replays the original
       // owners' journals at the next adopter, so a death right here — torn
@@ -562,25 +554,20 @@ void Server::adoptShard(int dead) {
         // double-drain the segment.
         if (r.gen > 0) continue;
         ++stats_.journal_records_replayed;
-        if (crash_plan_ != nullptr &&
-            crash_plan_->fires(CrashPoint::kMidRecovery)) {
-          // Cascade: the adopter dies mid-re-append. The copy tears in this
-          // WAL and the parse scan at the NEXT adopter drops it.
-          const std::int64_t frame_len =
-              core::Journal::kHeaderBytes +
-              static_cast<std::int64_t>(r.payload.size());
-          f.journal->append(r.seg, r.disp, r.payload,
-                            crash_plan_->tornBytes(frame_len), r.gen + 1);
+        // Cascade: an adopter dying mid-re-append tears the copy in this
+        // WAL, and the parse scan at the NEXT adopter drops it.
+        if (!core::appendOrTear(*f.journal, crash_plan_.get(),
+                                CrashPoint::kMidRecovery, r.seg, r.disp,
+                                r.payload, r.gen + 1)) {
           die();
         }
-        f.journal->append(r.seg, r.disp, r.payload, /*torn_prefix=*/-1,
-                          r.gen + 1);
         SegBuf& sb = segBuf(f, r.seg);
         std::memcpy(sb.data.data() + r.disp, r.payload.data(),
                     r.payload.size());
         if (integrity_on_) {
-          ledgerInsert(sb, r.disp, static_cast<Bytes>(r.payload.size()),
-                       crc32(r.payload));
+          sb.ledger.absorb(r.disp,
+                           {sb.data.data() + r.disp, r.payload.size()},
+                           crc32(r.payload));
         }
         sb.extents.push_back(
             {r.disp, r.disp + static_cast<Offset>(r.payload.size())});
@@ -647,111 +634,15 @@ void Server::serveShutdown(Pending& p) {
   shutdown_ = true;
 }
 
-// -- End-to-end integrity at the delegate (DESIGN.md §11) ---------------------
-
-void Server::chargeChecksum(Bytes n) {
-  comm_->proc().advance(static_cast<double>(n) /
-                        s_->config().integrity.checksum_bandwidth);
-}
-
-void Server::ledgerInsert(SegBuf& sb, Offset disp, Bytes len,
-                          std::uint32_t crc) {
-  const Offset end = disp + len;
-  // Evict any run whose envelope the new extent overlaps: last writer wins,
-  // and a run's streamed CRC cannot survive a partial rewrite anyway.
-  for (auto it = sb.ledger.begin(); it != sb.ledger.end();) {
-    const Offset b = it->first;
-    const LedgerEntry& ent = it->second;
-    const Offset ent_end =
-        b + static_cast<Offset>(ent.stride) * (ent.count - 1) + ent.len;
-    if (b < end && disp < ent_end) {
-      it = sb.ledger.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Coalesce with the predecessor run when the geometry fits exactly — the
-  // delegate-side mirror of File::digestLevel1: a contiguous neighbour
-  // extends a single piece, an equal-length piece at a constant stride joins
-  // the run, and the CRC streams over the just-applied (verified-clean)
-  // shard bytes. Must run after the extent's memcpy into sb.data.
-  const auto up = sb.ledger.upper_bound(disp);
-  if (up != sb.ledger.begin()) {
-    const auto prev = std::prev(up);
-    LedgerEntry& run = prev->second;
-    const std::span<const std::byte> bytes{sb.data.data() + disp,
-                                           static_cast<std::size_t>(len)};
-    if (run.count == 1 && run.stride == 0 &&
-        disp == prev->first + static_cast<Offset>(run.len)) {
-      run.len += len;
-      run.crc = crc32(bytes, run.crc);
-      return;
-    }
-    if (len == run.len) {
-      if (run.count == 1 && disp > prev->first &&
-          disp - prev->first <= 0xffffffff) {
-        run.stride = static_cast<std::uint32_t>(disp - prev->first);
-        run.count = 2;
-        run.crc = crc32(bytes, run.crc);
-        return;
-      }
-      if (run.count >= 2 &&
-          disp == prev->first + static_cast<Offset>(run.stride) *
-                                    static_cast<Offset>(run.count)) {
-        ++run.count;
-        run.crc = crc32(bytes, run.crc);
-        return;
-      }
-    }
-  }
-  sb.ledger[disp] = {len, /*stride=*/0, /*count=*/1, crc};
-}
-
-void Server::verifySegment(FileState& f, SegmentId g, SegBuf& sb) {
-  if (sb.ledger.empty()) return;
-  const auto clean = [&](bool count) {
-    bool ok = true;
-    Bytes checked = 0;
-    for (const auto& [disp, ent] : sb.ledger) {
-      if (count) ++stats_.crc_checks;
-      // Re-stream the CRC across the run's pieces in the order it was built.
-      std::uint32_t acc = 0;
-      for (std::uint32_t k = 0; k < ent.count; ++k) {
-        const Offset piece = disp + static_cast<Offset>(ent.stride) * k;
-        acc = crc32({sb.data.data() + piece,
-                     static_cast<std::size_t>(ent.len)},
-                    acc);
-        checked += ent.len;
-      }
-      if (acc != ent.crc) {
-        if (count) ++stats_.crc_mismatches;
-        ok = false;
-      }
-    }
-    chargeChecksum(checked);
-    return ok;
+core::WalSource Server::ownWal(FileState& f) {
+  if (f.journal == nullptr) return {};
+  // With integrity on, every acknowledged put was journaled first, so
+  // replaying the segment's records in append order reconstructs exactly
+  // the bytes the ledger digests were taken over.
+  return [this, &f] {
+    return std::vector<core::Journal::Parsed>{core::Journal::readAndParse(
+        client_, core::journalPath(f.name, me_))};
   };
-  if (clean(/*count=*/true)) return;
-  // Repair from this delegate's WAL: with integrity on, every acknowledged
-  // put was journaled first, so replaying the segment's records in append
-  // order reconstructs exactly the bytes the ledger digests were taken over.
-  if (f.journal == nullptr) {
-    ++stats_.unrepairable;
-    throw IntegrityError("delegate " + std::to_string(me_) + ": segment " +
-                         std::to_string(g) + " corrupt with no WAL to replay");
-  }
-  const core::Journal::Parsed parsed =
-      core::Journal::readAndParse(client_, core::journalPath(f.name, me_));
-  for (const core::Journal::Record& r : parsed.records) {
-    if (r.seg != g) continue;
-    std::memcpy(sb.data.data() + r.disp, r.payload.data(), r.payload.size());
-  }
-  if (!clean(/*count=*/false)) {
-    ++stats_.unrepairable;
-    throw IntegrityError("delegate " + std::to_string(me_) + ": segment " +
-                         std::to_string(g) + " still corrupt after WAL replay");
-  }
-  ++stats_.repaired;
 }
 
 std::byte* Server::frameData(std::int64_t frame) {

@@ -6,12 +6,11 @@
 //   * arrivals — descriptor messages are drained from the network (a
 //     blocking receive only when there is nothing serviceable, nonblocking
 //     probes otherwise) and pass *admission control*: a data request is
-//     admitted only while the total queued count is below the watermark and
-//     a staging frame is free; otherwise the client gets an immediate kBusy
-//     (DelegateBusyError) and retries with simulated-time backoff. Control
-//     requests (open/flush/close/adopt/shutdown) bypass admission — the
-//     watermark's headroom exists exactly so control traffic cannot be
-//     starved by a put storm.
+//     admitted only while the queued data-request count is below the queue
+//     capacity and a staging frame is free; otherwise the client gets an
+//     immediate kBusy (DelegateBusyError) and retries with simulated-time
+//     backoff. Control requests (open/flush/close/adopt/shutdown) bypass
+//     admission and are not counted, so a put storm cannot starve them.
 //   * service — queued requests are served with per-client round-robin
 //     fairness: one request per client per sweep, so a hot client cannot
 //     monopolize the delegate.
@@ -39,6 +38,7 @@
 #include "delegate/session.h"
 #include "fs/client.h"
 #include "tcio/journal.h"
+#include "tcio/ledger.h"
 
 namespace tcio::delegate {
 
@@ -63,28 +63,16 @@ class Server {
     int retries = 0;         // kPutRetry rounds already spent on this put
   };
 
-  /// One digest the shard ledger holds — a *run* of `count` equal-length
-  /// pieces at a constant `stride` from the keyed displacement (count == 1,
-  /// stride == 0: a single extent). Mirrors File::digestLevel1's coalescing
-  /// so fine-grained interleaved put streams (Fig. 5 patterns funneled
-  /// through a delegate) don't cost one ledger entry per element. `crc`
-  /// streams across the pieces in ascending order (integrity pipeline only).
-  struct LedgerEntry {
-    Bytes len = 0;             // bytes per piece
-    std::uint32_t stride = 0;  // piece-to-piece displacement (0: single)
-    std::uint32_t count = 1;   // pieces in the run
-    std::uint32_t crc = 0;     // streamed across the pieces
-  };
-
   /// Per-segment shard buffer (the delegate-owned slice of level 2).
   struct SegBuf {
     std::vector<std::byte> data;
     std::vector<Extent> extents;   // raw dirty extents, merged at drain
     std::int64_t raw_extents = 0;  // pre-merge count (batching stats)
     bool loaded = false;           // clean bytes faulted in from the FS
-    /// Verified per-extent digests keyed by displacement; last writer wins
-    /// (overlapped entries are dropped on insert). Empty with integrity off.
-    std::map<Offset, LedgerEntry> ledger;
+    /// Digests of the verified puts applied here, coalesced into runs at
+    /// insert time (SegmentLedger::absorb) so fine-grained interleaved put
+    /// streams don't cost one entry per element. Empty with integrity off.
+    core::SegmentLedger ledger;
   };
 
   struct FileState {
@@ -117,7 +105,9 @@ class Server {
   void serveClose(Pending& p);
   void serveAdopt(Pending& p);
   void serveShutdown(Pending& p);
-  void drainAndClose(FileState& f);
+  /// Writes the shard out and closes the file; returns the end of the
+  /// highest dirty extent (this delegate's share of the file size).
+  Bytes drainAndClose(FileState& f);
   void adoptShard(int dead);
 
   FileState& fileFor(std::uint64_t key);
@@ -131,16 +121,9 @@ class Server {
   /// Lazily registers the takeover remap for a segment this delegate serves
   /// but does not naturally own (checker integration).
   void noteAdoptedSegment(FileState& f, SegmentId g);
-
-  // End-to-end integrity at the delegate (DESIGN.md §11).
-  /// Records a verified extent digest; overlapped older entries are erased.
-  void ledgerInsert(SegBuf& sb, Offset disp, Bytes len, std::uint32_t crc);
-  /// Re-verifies every ledgered digest of `g`; on mismatch replays this
-  /// delegate's WAL for the segment and re-verifies. Throws IntegrityError
-  /// when no journal exists or the replayed bytes still mismatch.
-  void verifySegment(FileState& f, SegmentId g, SegBuf& sb);
-  /// Charges digest throughput (IntegrityConfig::checksum_bandwidth).
-  void chargeChecksum(Bytes n);
+  /// Repair source for the ledger gate (core::verifyOrRepair): this
+  /// delegate's own WAL of `f`, or none when nothing was journaled.
+  core::WalSource ownWal(FileState& f);
 
   Session* s_;
   mpi::Comm* comm_;

@@ -29,14 +29,12 @@ Session::Session(mpi::Comm& comm, fs::Filesystem& fsys, core::TcioConfig cfg)
                  "delegate mode: node-forwarding and crash tolerance cannot "
                  "be combined (forwarded puts are attributed to the leader, "
                  "so clients cannot resubmit them after a delegate death)");
-  frame_bytes_ = cfg_.delegate.frame_bytes > 0 ? cfg_.delegate.frame_bytes
-                                               : cfg_.segment_size;
   dead_.assign(static_cast<std::size_t>(num_delegates_), false);
   // Both collectives below must run on every session rank in this order.
   role_comm_ = std::make_unique<mpi::Comm>(
       comm.split(isDelegate() ? 0 : 1, /*key=*/0));
   const Bytes local = isDelegate()
-                          ? cfg_.delegate.queue_capacity * frame_bytes_
+                          ? cfg_.delegate.queue_capacity * frameBytes()
                           : 0;
   window_ = std::make_unique<mpi::Window>(mpi::Window::create(comm, local));
 }
@@ -104,7 +102,7 @@ const core::TcioDelegateStats& Session::finish() {
         got = comm_->recvUntil(buf.data(), static_cast<Bytes>(buf.size()), d,
                                kRepTag,
                                comm_->proc().now() + cfg_.crash.liveness_window,
-                               cfg_.crash.liveness_poll, &st);
+                               core::kLivenessPoll, &st);
       } else {
         st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), d,
                          kRepTag);

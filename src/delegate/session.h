@@ -10,7 +10,7 @@
 // open/put/get/flush/close descriptors into a bounded per-delegate request
 // queue and move payload through the delegate's RMA staging window
 // (protocol.h). At 10k+ clients this turns the file system's client
-// population from P into D while the queue's admission control (watermark ->
+// population from P into D while the queue's admission control (capacity ->
 // DelegateBusyError -> client backoff) bounds each delegate's memory.
 #pragma once
 
@@ -57,12 +57,9 @@ class Session {
   fs::Filesystem& filesystem() { return *fsys_; }
   const core::TcioConfig& config() const { return cfg_; }
   mpi::Window& window() { return *window_; }
-  Bytes frameBytes() const { return frame_bytes_; }
+  /// RMA staging-frame size per in-flight data request: one segment.
+  Bytes frameBytes() const { return cfg_.segment_size; }
   std::int64_t queueCapacity() const { return cfg_.delegate.queue_capacity; }
-  std::int64_t queueWatermark() const {
-    return cfg_.delegate.queue_watermark > 0 ? cfg_.delegate.queue_watermark
-                                             : cfg_.delegate.queue_capacity;
-  }
   bool crashEnabled() const { return cfg_.crash.enabled; }
 
   // -- Shard routing (agreed dead set included) -------------------------------
@@ -104,7 +101,6 @@ class Session {
   fs::Filesystem* fsys_;
   core::TcioConfig cfg_;
   int num_delegates_ = 0;
-  Bytes frame_bytes_ = 0;
   std::unique_ptr<mpi::Comm> role_comm_;
   std::unique_ptr<mpi::Window> window_;
   std::vector<bool> dead_;

@@ -283,30 +283,6 @@ void Window::getIndexed(Rank target, std::span<const GetBlock> blocks) {
   p.advanceTo(delivered);
 }
 
-void Window::accumulateBytes(
-    Rank target, Offset target_disp, const void* src, Bytes n,
-    const std::function<void(std::byte*, const std::byte*)>& combine) {
-  requireLocked(target);
-  sim::Proc& p = comm_->proc();
-  World& world = comm_->world();
-  comm_->chargeCopy(n);  // pack + target-side combine cost
-  SimTime free_at = 0;
-  p.atomic([&] {
-    const net::TransferTimes times = world.network().transfer(
-        p.now(), p.rank(), comm_->worldRank(target), n, /*rdma=*/true);
-    auto& mem = state_->mem[static_cast<std::size_t>(target)];
-    TCIO_CHECK_MSG(target_disp >= 0 &&
-                       target_disp + n <= static_cast<Bytes>(mem.size()),
-                   "accumulate outside window bounds");
-    combine(mem.data() + target_disp, static_cast<const std::byte*>(src));
-    held_[target].last_delivery =
-        std::max(held_[target].last_delivery, times.delivered);
-    free_at = times.sender_free;
-  });
-  ++rma_messages_;
-  p.advanceTo(free_at);
-}
-
 void Window::fence() {
   TCIO_CHECK_MSG(held_.empty(), "fence with passive locks held");
   comm_->barrier();

@@ -10,9 +10,7 @@
 // messages), so lock contention costs real simulated time.
 #pragma once
 
-#include <functional>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/types.h"
@@ -72,36 +70,6 @@ class Window {
   };
   void getIndexed(Rank target, std::span<const GetBlock> blocks);
 
-  /// MPI_Accumulate: element-wise combine of `count` values of T into the
-  /// target window at byte displacement `target_disp`, inside a lock epoch.
-  /// Unlike put, concurrent accumulates to the same location are
-  /// well-defined element-wise (MPI semantics), which is why shared-lock
-  /// reductions are legal.
-  enum class AccumulateOp { kSum, kMax, kMin, kReplace };
-  template <typename T>
-  void accumulate(Rank target, Offset target_disp, const T* src,
-                  std::int64_t count, AccumulateOp op) {
-    static_assert(std::is_arithmetic_v<T>);
-    accumulateBytes(target, target_disp, src,
-                    count * static_cast<Bytes>(sizeof(T)),
-                    [op, count](std::byte* acc_raw, const std::byte* in_raw) {
-                      auto* acc = reinterpret_cast<T*>(acc_raw);
-                      const auto* in = reinterpret_cast<const T*>(in_raw);
-                      for (std::int64_t i = 0; i < count; ++i) {
-                        switch (op) {
-                          case AccumulateOp::kSum: acc[i] += in[i]; break;
-                          case AccumulateOp::kMax:
-                            acc[i] = acc[i] < in[i] ? in[i] : acc[i];
-                            break;
-                          case AccumulateOp::kMin:
-                            acc[i] = in[i] < acc[i] ? in[i] : acc[i];
-                            break;
-                          case AccumulateOp::kReplace: acc[i] = in[i]; break;
-                        }
-                      }
-                    });
-  }
-
   /// Collective fence (MPI_Win_fence): barrier + epoch close. Provided for
   /// completeness and the one-sided-vs-fence ablation.
   void fence();
@@ -112,10 +80,6 @@ class Window {
 
  private:
   Window(Comm& comm, detail::WinState& state) : comm_(&comm), state_(&state) {}
-
-  void accumulateBytes(
-      Rank target, Offset target_disp, const void* src, Bytes n,
-      const std::function<void(std::byte*, const std::byte*)>& combine);
 
   void requireLocked(Rank target) const;
   detail::TargetLock& targetLock(Rank target);

@@ -47,16 +47,6 @@ struct TcioConfig {
   /// staged data is only exchanged at collective calls.
   bool node_aggregation = false;
 
-  /// Per-source-node partition of each leader's staging window. 0 = auto
-  /// (one full segment per node-local rank per round, plus header slack).
-  Bytes node_agg_slot_bytes = 0;
-
-  /// Rotate node-aggregation leadership round-robin across each node's ranks
-  /// at every exchange, so one rank's NIC/membus does not carry all staging
-  /// traffic for the whole job. Costs a staging window on every rank instead
-  /// of only on leaders; data and determinism are unaffected.
-  bool node_agg_rotate_leaders = true;
-
   // -- I/O delegate ranks (src/delegate/, DESIGN.md §10) ---------------------
 
   /// When D > 0, the first D ranks of a delegate::Session become asynchronous
@@ -69,20 +59,12 @@ struct TcioConfig {
 
   /// Tuning knobs for the delegate request-queue server core.
   struct DelegateConfig {
-    /// Bounded per-delegate request queue: total queued requests across all
-    /// clients at which admission stops (DelegateBusyError to the client).
+    /// Bounded per-delegate request queue: total queued data requests
+    /// across all clients at which admission stops (DelegateBusyError to the
+    /// client). Control requests bypass it. The delegate's staging window
+    /// holds this many one-segment frames; a request gets its frame at
+    /// admission, so rejected requests never move payload.
     std::int64_t queue_capacity = 64;
-    /// Admission watermark; 0 = use queue_capacity. Rejections begin here so
-    /// the queue keeps headroom for control traffic under bursty arrival.
-    std::int64_t queue_watermark = 0;
-    /// RMA staging-frame size per in-flight data request. 0 = auto (one
-    /// level-2 segment). The delegate's staging window holds queue_capacity
-    /// frames; a request gets its frame at admission, so rejected requests
-    /// never move payload.
-    Bytes frame_bytes = 0;
-    /// Maximum extent descriptors per wire request; clients split larger
-    /// submissions.
-    std::int64_t max_wire_extents = 1024;
   };
   DelegateConfig delegate;
 
@@ -115,8 +97,6 @@ struct TcioConfig {
     /// suspecting it. Must exceed the worst-case inter-rank skew at a
     /// collective point (straggler configs need more).
     SimTime liveness_window = 250.0e-3;
-    /// Failure-detector poll quantum inside the window.
-    SimTime liveness_poll = 2.0e-3;
   };
   CrashToleranceConfig crash;
 
@@ -124,17 +104,12 @@ struct TcioConfig {
   /// off one switch so a job opts into the whole pipeline at once: per-extent
   /// CRC32 digests at client put time, verification at every domain crossing
   /// (staging frame → window → store → journal), read-repair from the WAL or
-  /// an OST replica, and a background scrubber over owned segments.
+  /// an OST replica, a background scrubber over owned segments, and a final
+  /// scrub of every digested segment at close.
   struct IntegrityConfig {
     /// Tri-state: > 0 on; 0 defers to the TCIO_INTEGRITY environment
     /// variable; < 0 pinned off regardless of the environment.
     int enabled = 0;
-    /// Owned segments re-verified per collective call by the background
-    /// scrubber (round-robin cursor; 0 disables between-collective scrubs).
-    std::int64_t scrub_segments_per_collective = 2;
-    /// Verify every owned, digested segment once more at close, before the
-    /// drain writes it back.
-    bool scrub_at_close = true;
     /// Per-byte digest/verify throughput charged to virtual time (folded
     /// CRC32 runs near memory speed; see FsConfig::checksum_bandwidth).
     double checksum_bandwidth = 50.0e9;
@@ -150,6 +125,10 @@ struct TcioConfig {
   /// funnel). 0 disables.
   std::int64_t rma_fault_fallback_threshold = 0;
 };
+
+/// Failure-detector poll quantum inside a liveness window
+/// (CrashToleranceConfig::liveness_window).
+inline constexpr SimTime kLivenessPoll = 2.0e-3;
 
 /// Resolves IntegrityConfig::enabled's tri-state against TCIO_INTEGRITY.
 inline bool integrityEnabled(const TcioConfig& cfg) {

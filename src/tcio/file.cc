@@ -125,16 +125,7 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   }
   window_ = std::make_unique<mpi::Window>(mpi::Window::create(
       *comm_, flags_region_ + slotCount() * cfg_.segment_size));
-  if (cfg_.node_aggregation) {
-    node_map_ = std::make_unique<topo::NodeMap>(*comm_);
-    Bytes slot = cfg_.node_agg_slot_bytes;
-    if (slot == 0) {
-      slot = static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
-             4096;
-    }
-    node_agg_ = std::make_unique<topo::NodeAggregator>(
-        *node_map_, slot, cfg_.node_agg_rotate_leaders);
-  }
+  if (cfg_.node_aggregation) buildNodeAggregation();
   comm_->memory().allocate(cfg_.segment_size, "TCIO level-1 buffer");
   if (check::Checker* ck = comm_->world().checker()) {
     comm_->proc().atomic([&] {
@@ -228,7 +219,19 @@ void File::flushLevel1() {
   // Write-ahead: the journal records must be durable before the bytes move
   // to the level-2 window (a one-sided put into a rank that later dies takes
   // the window copy with it; the journal copy survives in *this* rank's log).
-  journalExtents(seg, extents);
+  // One device write per segment flush; a kMidJournal crash tears a record.
+  if (journal_ != nullptr) {
+    journal_->batchBegin();
+    for (const Extent& e : extents) {
+      if (!appendOrTear(*journal_, crash_plan_.get(), CrashPoint::kMidJournal,
+                        seg, e.begin,
+                        {level1_.data() + e.begin,
+                         static_cast<std::size_t>(e.size())})) {
+        die("mid journal append");
+      }
+    }
+    journal_->batchEnd();
+  }
   crashPoint(CrashPoint::kMidRma);
   // Silent-corruption injection, staging-frame site: flip one seeded bit in
   // the outgoing frame after the clean copies (digest + journal) are
@@ -798,7 +801,7 @@ void File::exchangeStagedWrites() {
     if (integrity_on_) {
       m.crc = crc32({bytes.data(), bytes.size()});
       m.has_crc = 1;
-      chargeChecksum(m.len);
+      chargeChecksum(comm_->proc(), cfg_, m.len);
     }
     const auto* raw = reinterpret_cast<const std::byte*>(&m);
     meta[owner].insert(meta[owner].end(), raw, raw + sizeof(m));
@@ -860,7 +863,7 @@ void File::exchangeStagedWrites() {
           // the owner ledger (client-time digests, exchanged separately) is
           // the authoritative detect-and-repair point at the next pass.
           ++stats_.integrity.crc_checks;
-          chargeChecksum(blocks[i].len);
+          chargeChecksum(comm_->proc(), cfg_, blocks[i].len);
           if (crc32({from, static_cast<std::size_t>(blocks[i].len)}) !=
               blocks[i].crc) {
             ++stats_.integrity.crc_mismatches;
@@ -910,7 +913,7 @@ void File::nodeExchangeStagedWrites() {
     if (integrity_on_) {
       m.crc = crc32({bytes.data(), bytes.size()});
       m.has_crc = 1;
-      chargeChecksum(m.len);
+      chargeChecksum(comm_->proc(), cfg_, m.len);
     }
     appendBytes(per_node[dn], &m, sizeof(m));
     appendBytes(per_node[dn], bytes.data(), bytes.size());
@@ -942,7 +945,7 @@ void File::nodeExchangeStagedWrites() {
               // Verify the rank -> source-leader hop before coalescing, so a
               // flip in one contribution cannot hide inside a merged run.
               ++stats_.integrity.crc_checks;
-              chargeChecksum(m.len);
+              chargeChecksum(comm_->proc(), cfg_, m.len);
               if (crc32({rb.data.data() + pos,
                          static_cast<std::size_t>(m.len)}) != m.crc) {
                 ++stats_.integrity.crc_mismatches;
@@ -981,7 +984,7 @@ void File::nodeExchangeStagedWrites() {
             }
             m.crc = c;
             m.has_crc = 1;
-            chargeChecksum(run);
+            chargeChecksum(comm_->proc(), cfg_, run);
           }
           appendBytes(out, &m, sizeof(m));
           for (std::size_t k = i; k < j; ++k) {
@@ -1021,7 +1024,7 @@ void File::nodeExchangeStagedWrites() {
               // count a mismatch and apply anyway (the owner ledger repairs
               // at the next verification pass).
               ++stats_.integrity.crc_checks;
-              chargeChecksum(m.len);
+              chargeChecksum(comm_->proc(), cfg_, m.len);
               if (crc32({rb.data.data() + pos,
                          static_cast<std::size_t>(m.len)}) != m.crc) {
                 ++stats_.integrity.crc_mismatches;
@@ -1321,7 +1324,7 @@ void File::close() {
       // Close-time scrub: every owned, digested segment is verified once
       // more while the journal still exists to repair it — the drain below
       // is the last hop before the bytes become the file's truth.
-      if (integrity_on_ && cfg_.integrity.scrub_at_close) {
+      if (integrity_on_) {
         ++stats_.integrity.scrub_passes;
         for (const auto& [g, slot] : ownedSlots()) {
           if (ledger_.find(g) != ledger_.end()) {
@@ -1429,6 +1432,16 @@ void File::drainToFs(Bytes file_size) {
 
 // -- Fault recovery -----------------------------------------------------------
 
+void File::buildNodeAggregation() {
+  // Header slack on top of one full segment per node-local rank per round.
+  constexpr Bytes kSlotSlack = 4096;
+  node_map_ = std::make_unique<topo::NodeMap>(*comm_);
+  node_agg_ = std::make_unique<topo::NodeAggregator>(
+      *node_map_,
+      static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
+          kSlotSlack);
+}
+
 void File::collectiveAgreeOnError(const mpi::CapturedError& err) {
   auto [code, what] = agreeAndRecover(err);
   if (code != mpi::CapturedError::kNone) mpi::throwTyped(code, what);
@@ -1517,26 +1530,6 @@ void File::crashPoint(CrashPoint point) {
   die("unknown crash point");
 }
 
-void File::journalExtents(SegmentId seg, const std::vector<Extent>& extents) {
-  if (journal_ == nullptr) return;
-  journal_->batchBegin();  // one device write per segment flush
-  for (const Extent& e : extents) {
-    const std::span<const std::byte> payload{
-        level1_.data() + e.begin, static_cast<std::size_t>(e.size())};
-    if (crash_plan_ != nullptr &&
-        crash_plan_->fires(CrashPoint::kMidJournal)) {
-      // Torn write: a deterministic prefix of the frame reaches the device,
-      // then the rank dies. Replay later drops the torn tail via CRC.
-      const std::int64_t frame =
-          Journal::kHeaderBytes + static_cast<std::int64_t>(payload.size());
-      journal_->append(seg, e.begin, payload, crash_plan_->tornBytes(frame));
-      die("mid journal append");
-    }
-    journal_->append(seg, e.begin, payload);
-  }
-  journal_->batchEnd();
-}
-
 std::pair<std::int32_t, std::string> File::agreeAndRecover(
     mpi::CapturedError err) {
   if (!cfg_.crash.enabled) {
@@ -1551,7 +1544,7 @@ std::pair<std::int32_t, std::string> File::agreeAndRecover(
   for (;;) {
     const mpi::LivenessOutcome out =
         mpi::agreeWithLiveness(*comm_, err, epoch_++, cfg_.crash.liveness_window,
-                               cfg_.crash.liveness_poll);
+                               kLivenessPoll);
     if (out.self_dead) {
       // Peers unanimously missed this rank inside the liveness window and
       // have already agreed it dead; rejoining would desynchronize them.
@@ -1703,15 +1696,7 @@ void File::handleDeaths(const std::vector<Rank>& dead_cur) {
   if (cfg_.node_aggregation) {
     node_agg_->close();
     node_agg_.reset();
-    node_map_ = std::make_unique<topo::NodeMap>(*comm_);
-    Bytes slot_bytes = cfg_.node_agg_slot_bytes;
-    if (slot_bytes == 0) {
-      slot_bytes =
-          static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
-          4096;
-    }
-    node_agg_ = std::make_unique<topo::NodeAggregator>(
-        *node_map_, slot_bytes, cfg_.node_agg_rotate_leaders);
+    buildNodeAggregation();
   }
   // 5) Replay: the new owner reconstructs each adopted segment from the
   //    journals. A dead rank's window memory is *never* read — a real
@@ -1775,8 +1760,8 @@ void File::replayOrphans(
           // The adopted segment joins this rank's checksum domain: the dead
           // owner's ledger died with it, so rebuild digests from the clean
           // journal payloads just replayed.
-          ledgerInsert(g, rec.disp, static_cast<Bytes>(rec.payload.size()), 0,
-                       1, crc32(rec.payload));
+          ledger_[g].insert({rec.disp, static_cast<Bytes>(rec.payload.size()),
+                             0, 1, crc32(rec.payload)});
         }
         any = true;
         ++stats_.degraded.journal_records_replayed;
@@ -1822,54 +1807,34 @@ void File::replayOrphans(
 
 // -- End-to-end data integrity (DESIGN.md §11) --------------------------------
 
-void File::chargeChecksum(Bytes n) {
-  if (n <= 0) return;
-  comm_->proc().advance(static_cast<double>(n) /
-                        cfg_.integrity.checksum_bandwidth);
-}
-
 void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
-  // One DigestRec per *run*, not per extent: a contiguous neighbour extends
-  // the piece, an equal-length neighbour at a constant stride joins the run,
-  // and the CRC streams across the pieces either way. Fine-grained
+  // One DigestRec per *run*, not per extent (extendRun): fine-grained
   // interleaved patterns (Fig. 5) would otherwise ship a 32-byte record for
   // every 4-byte element — more digest than data on the NIC.
   Bytes total = 0;
-  DigestRec run;
+  DigestRun run;
   bool open = false;
+  const auto ship = [&] {
+    pending_digests_.push_back({seg, run.disp,
+                                static_cast<std::uint32_t>(run.len),
+                                static_cast<std::uint32_t>(run.stride),
+                                static_cast<std::uint32_t>(run.count),
+                                run.crc});
+  };
   for (const Extent& e : extents) {
     const std::span<const std::byte> bytes{
         level1_.data() + e.begin, static_cast<std::size_t>(e.size())};
     total += e.size();
-    if (open && run.count == 1 && run.stride == 0 &&
-        e.begin == run.disp + static_cast<Offset>(run.len)) {
-      run.len += static_cast<std::uint32_t>(e.size());
+    if (open && extendRun(run, e.begin, e.size())) {
       run.crc = crc32(bytes, run.crc);
       continue;
     }
-    if (open && e.size() == static_cast<Bytes>(run.len)) {
-      if (run.count == 1 && e.begin > run.disp &&
-          e.begin - run.disp <= 0xffffffff) {
-        run.stride = static_cast<std::uint32_t>(e.begin - run.disp);
-        run.count = 2;
-        run.crc = crc32(bytes, run.crc);
-        continue;
-      }
-      if (run.count >= 2 &&
-          e.begin == run.disp + static_cast<Offset>(run.stride) *
-                                    static_cast<Offset>(run.count)) {
-        ++run.count;
-        run.crc = crc32(bytes, run.crc);
-        continue;
-      }
-    }
-    if (open) pending_digests_.push_back(run);
-    run = {seg, e.begin, static_cast<std::uint32_t>(e.size()), 0, 1,
-           crc32(bytes)};
+    if (open) ship();
+    run = {e.begin, e.size(), 0, 1, crc32(bytes)};
     open = true;
   }
-  if (open) pending_digests_.push_back(run);
-  chargeChecksum(total);
+  if (open) ship();
+  chargeChecksum(comm_->proc(), cfg_, total);
 }
 
 void File::exchangeDigests() {
@@ -1893,10 +1858,7 @@ void File::exchangeDigests() {
       const std::size_t n = blob.size() / sizeof(DigestRec);
       for (std::size_t i = 0; i < n; ++i) {
         if (ownerOf(recs[i].seg) == orig_rank_) {
-          ledgerInsert(recs[i].seg, recs[i].disp,
-                       static_cast<Bytes>(recs[i].len),
-                       static_cast<Offset>(recs[i].stride),
-                       static_cast<std::int64_t>(recs[i].count), recs[i].crc);
+          ledger_[recs[i].seg].insert(recs[i].run());
         }
       }
     }
@@ -1951,67 +1913,8 @@ void File::exchangeDigests() {
                    recvcounts, recvdispls);
   const auto* recs = reinterpret_cast<const DigestRec*>(recvbuf.data());
   for (std::size_t i = 0; i < recvbuf.size() / sizeof(DigestRec); ++i) {
-    ledgerInsert(recs[i].seg, recs[i].disp, static_cast<Bytes>(recs[i].len),
-                 static_cast<Offset>(recs[i].stride),
-                 static_cast<std::int64_t>(recs[i].count), recs[i].crc);
+    ledger_[recs[i].seg].insert(recs[i].run());
   }
-}
-
-namespace {
-
-/// True when any piece of run 1 intersects any piece of run 2 (two-pointer
-/// walk over the sorted piece starts).
-bool runsOverlap(Offset d1, Bytes l1, Offset s1, std::int64_t c1, Offset d2,
-                 Bytes l2, Offset s2, std::int64_t c2) {
-  std::int64_t i = 0;
-  std::int64_t j = 0;
-  while (i < c1 && j < c2) {
-    const Offset b1 = d1 + i * s1;
-    const Offset b2 = d2 + j * s2;
-    if (b1 < b2 + l2 && b2 < b1 + l1) return true;
-    if (b1 + l1 <= b2) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-void File::ledgerInsert(SegmentId seg, Offset disp, Bytes len, Offset stride,
-                        std::int64_t count, std::uint32_t crc) {
-  auto& entries = ledger_[seg];
-  // A new digest supersedes any older entry it actually touches — the same
-  // last-writer-wins order the byte-level puts resolved to in the window,
-  // and superseded WHOLE because a run's CRC is not splittable. Span overlap
-  // alone is not enough to evict: interleaved writers' strided runs cover
-  // interlocking spans whose pieces never intersect.
-  const Offset span_end = disp + (count - 1) * stride + len;
-  for (auto it = entries.begin(); it != entries.end();) {
-    const Offset b = it->first;
-    const LedgerEntry& e = it->second;
-    const Offset b_end = b + (e.count - 1) * e.stride + e.len;
-    if (b < span_end && disp < b_end &&
-        runsOverlap(disp, len, stride, count, b, e.len, e.stride, e.count)) {
-      it = entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  entries[disp] = {len, stride, count, crc};
-}
-
-std::uint32_t File::ledgerCrc(const std::byte* local, std::int64_t slot,
-                              Offset disp, const LedgerEntry& entry) const {
-  std::uint32_t c = 0;
-  for (std::int64_t k = 0; k < entry.count; ++k) {
-    c = crc32({local + dataDisp(slot, disp + k * entry.stride),
-               static_cast<std::size_t>(entry.len)},
-              c);
-  }
-  return c;
 }
 
 void File::verifySlot(SegmentId g, std::int64_t slot) {
@@ -2022,64 +1925,37 @@ void File::verifySlot(SegmentId g, std::int64_t slot) {
       local[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
     return;  // not resident — nothing the ledger describes is in the window
   }
-  Bytes total = 0;
-  bool mismatch = false;
-  for (const auto& [disp, entry] : it->second) {
-    ++stats_.integrity.crc_checks;
-    total += entry.len * entry.count;
-    if (ledgerCrc(local, slot, disp, entry) != entry.crc) {
-      ++stats_.integrity.crc_mismatches;
-      mismatch = true;
-    }
-  }
-  chargeChecksum(total);
-  if (mismatch) repairSegment(g, slot);
-}
-
-void File::repairSegment(SegmentId g, std::int64_t slot) {
-  if (journal_ == nullptr) {
-    ++stats_.integrity.unrepairable;
-    throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
-                         " failed its window CRC and no journal exists to "
-                         "repair it");
-  }
-  // Any rank may have contributed extents to this segment, so the repair
+  // Any rank may have contributed extents to this segment, so a repair
   // replays every rank's journal records for it, in rank order — costed
   // reads, same discipline as crash recovery.
-  std::byte* local = window_->localData();
-  for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
-    const Journal::Parsed log =
-        Journal::readAndParse(client_, journalPath(name_, r));
-    for (const Journal::Record& rec : log.records) {
-      if (rec.seg != g) continue;
-      std::memcpy(local + dataDisp(slot, rec.disp), rec.payload.data(),
-                  rec.payload.size());
-    }
+  WalSource wal;
+  if (journal_ != nullptr) {
+    wal = [&] {
+      std::vector<Journal::Parsed> logs;
+      for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
+        logs.push_back(Journal::readAndParse(client_, journalPath(name_, r)));
+      }
+      return logs;
+    };
   }
-  // The replay must reproduce every ledgered digest exactly; otherwise the
-  // corruption predates the clean copies and nothing can prove the bytes.
-  for (const auto& [disp, entry] : ledger_[g]) {
-    if (ledgerCrc(local, slot, disp, entry) != entry.crc) {
-      ++stats_.integrity.unrepairable;
-      throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
-                           " still fails its CRC after journal replay");
-    }
+  if (verifyOrRepair(it->second, g,
+                     {local + dataDisp(slot, 0),
+                      static_cast<std::size_t>(cfg_.segment_size)},
+                     wal, comm_->proc(), cfg_, stats_.integrity, name_)) {
+    local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
   }
-  ++stats_.integrity.repaired;
-  local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
 }
 
 void File::scrubTick(mpi::CapturedError& err) {
-  if (!integrity_on_ || cfg_.integrity.scrub_segments_per_collective <= 0) {
-    return;
-  }
+  constexpr std::int64_t kSegmentsPerCollective = 2;
+  if (!integrity_on_) return;
   if (err.set()) return;  // this collective already has a verdict to agree
   try {
     const auto owned = ownedSlots();
     if (owned.empty()) return;
     ++stats_.integrity.scrub_passes;
     const std::int64_t budget =
-        std::min(cfg_.integrity.scrub_segments_per_collective,
+        std::min(kSegmentsPerCollective,
                  static_cast<std::int64_t>(owned.size()));
     for (std::int64_t i = 0; i < budget; ++i) {
       const auto& [g, slot] = owned[static_cast<std::size_t>(
@@ -2106,9 +1982,9 @@ void File::maybeCorruptWindow() {
     const auto it = ledger_.find(g);
     if (it == ledger_.end() || it->second.empty()) continue;
     if (!corruption_->fires(CorruptSite::kWindow)) return;
-    const auto& [disp, entry] = *it->second.begin();
-    corruption_->flipBit({window_->localData() + dataDisp(slot, disp),
-                          static_cast<std::size_t>(entry.len)});
+    const DigestRun& run = it->second.front();
+    corruption_->flipBit({window_->localData() + dataDisp(slot, run.disp),
+                          static_cast<std::size_t>(run.len)});
     return;
   }
 }

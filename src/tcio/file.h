@@ -37,6 +37,7 @@
 #include "mpi/rma.h"
 #include "tcio/config.h"
 #include "tcio/journal.h"
+#include "tcio/ledger.h"
 #include "tcio/level1.h"
 #include "tcio/segment_map.h"
 #include "topo/node_aggregator.h"
@@ -309,11 +310,6 @@ class File {
   void crashPoint(CrashPoint point);
   [[noreturn]] void die(const char* where);
 
-  /// Appends one WAL record per merged level-1 extent ahead of the level-2
-  /// transfer (the kMidJournal crash point lives here: a rank dying
-  /// mid-append leaves a torn tail).
-  void journalExtents(SegmentId seg, const std::vector<Extent>& extents);
-
   /// Liveness-tracking agreement: runs epochs of mpi::agreeWithLiveness
   /// until the dead set stops growing, handling each batch of deaths
   /// (shrink, takeover, replay) as it is agreed. Returns the max-reduced
@@ -379,6 +375,10 @@ class File {
   void pwriteDegraded(Offset off, const std::byte* src, Bytes n);
   void preadDegraded(Offset off, std::byte* dst, Bytes n);
 
+  /// (Re)builds the node map and leader aggregator over the current
+  /// communicator.
+  void buildNodeAggregation();
+
   /// Copies the client/network recovery counters into stats_.degraded.
   void syncRecoveryStats();
 
@@ -397,16 +397,10 @@ class File {
     std::uint32_t stride = 0;  // spacing between piece starts (0: count == 1)
     std::uint32_t count = 1;   // pieces in the run
     std::uint32_t crc = 0;     // CRC32 over the pieces' bytes, concatenated
+
+    DigestRun run() const { return {disp, len, stride, count, crc}; }
   };
   static_assert(sizeof(DigestRec) == 32);
-
-  /// Owner-side digest ledger entry: one run of an owned segment.
-  struct LedgerEntry {
-    Bytes len = 0;            // bytes per piece
-    Offset stride = 0;        // spacing between piece starts (count > 1 only)
-    std::int64_t count = 1;   // pieces in the run
-    std::uint32_t crc = 0;    // CRC32 over the pieces, concatenated in order
-  };
 
   /// Records digests of the level-1 buffer's merged extents (client put
   /// time, before any hop can corrupt them), coalescing contiguous or
@@ -417,28 +411,14 @@ class File {
   /// (takeovers change ownership under the writers' feet). Aligned with the
   /// flush / fetch / close exchanges, so it works in every transfer mode.
   void exchangeDigests();
-  /// Folds one run into this owner's ledger. An older entry is superseded
-  /// whole when any of its pieces actually intersects the new run — CRCs are
-  /// not splittable, but interlocking strided runs from different writers
-  /// coexist because their pieces never touch.
-  void ledgerInsert(SegmentId seg, Offset disp, Bytes len, Offset stride,
-                    std::int64_t count, std::uint32_t crc);
-  /// Streams the CRC of `entry`'s pieces out of owned slot `slot`.
-  std::uint32_t ledgerCrc(const std::byte* local, std::int64_t slot,
-                          Offset disp, const LedgerEntry& entry) const;
-  /// Verifies every ledgered extent of owned slot `slot` (segment `g`)
-  /// against the window bytes; repairs from the WAL on mismatch; throws
-  /// IntegrityError when repair fails.
+  /// Runs the ledger gate (verifyOrRepair) over owned slot `slot`, holding
+  /// segment `g`, when the slot is resident; repairs replay every rank's
+  /// journal.
   void verifySlot(SegmentId g, std::int64_t slot);
-  /// WAL repair: re-applies every journaled record of segment `g` into the
-  /// window, then re-verifies the ledger. Throws IntegrityError on failure.
-  void repairSegment(SegmentId g, std::int64_t slot);
-  /// Background scrubber: verifies up to scrub_segments_per_collective owned
-  /// segments per call, round-robin. Failures land in `err` for the caller's
-  /// agreement round.
+  /// Background scrubber: verifies a fixed budget of owned segments per
+  /// call, round-robin. Failures land in `err` for the caller's agreement
+  /// round.
   void scrubTick(mpi::CapturedError& err);
-  /// Charges the virtual-time cost of a digest/verify pass over n bytes.
-  void chargeChecksum(Bytes n);
   /// Seeded kWindow corruption: flips one bit inside a ledgered extent of an
   /// owned slot (consumes the arm only when a candidate exists).
   void maybeCorruptWindow();
@@ -480,8 +460,7 @@ class File {
   bool integrity_on_ = false;
   std::unique_ptr<CorruptionPlan> corruption_;  // seeded, rank-salted
   std::vector<DigestRec> pending_digests_;      // since the last exchange
-  /// Owner-side ledger: segment -> (in-segment displacement -> entry).
-  std::map<SegmentId, std::map<Offset, LedgerEntry>> ledger_;
+  std::map<SegmentId, SegmentLedger> ledger_;  // owned segments' digests
   std::int64_t scrub_cursor_ = 0;  // round-robin over owned slots
 
   // -- Crash-tolerance state (inert unless cfg_.crash.enabled) ---------------

@@ -32,17 +32,13 @@ T readValue(const std::byte* p) {
 
 }  // namespace
 
-NodeAggregator::NodeAggregator(NodeMap& map, Bytes slot_bytes,
-                               bool rotate_leaders)
-    : map_(&map), slot_bytes_(slot_bytes), rotate_(rotate_leaders) {
+NodeAggregator::NodeAggregator(NodeMap& map, Bytes slot_bytes)
+    : map_(&map), slot_bytes_(slot_bytes) {
   TCIO_CHECK_MSG(slot_bytes_ > kSlotHeader,
                  "node-aggregation staging slot must exceed its header");
-  // Under rotation any rank may lead a round, so every rank needs a window.
-  const Bytes local = (rotate_ || map_->isLeader())
-                          ? static_cast<Bytes>(map_->numNodes()) * slot_bytes_
-                          : 0;
-  staging_ = std::make_unique<mpi::Window>(
-      mpi::Window::create(map_->comm(), local));
+  // Any rank may lead a round, so every rank needs a window.
+  staging_ = std::make_unique<mpi::Window>(mpi::Window::create(
+      map_->comm(), static_cast<Bytes>(map_->numNodes()) * slot_bytes_));
 }
 
 void NodeAggregator::close() {
@@ -159,7 +155,7 @@ std::vector<std::vector<NodeAggregator::RankBlob>> NodeAggregator::exchange(
   ++stats_.exchanges;
   // Advance the leadership round in lockstep (exchange is collective), so
   // every rank agrees on who leads each node before any traffic moves.
-  if (rotate_) ++round_;
+  ++round_;
 
   // Phase 1: funnel to the leader (membus traffic only).
   std::vector<std::vector<std::byte>> out = gatherToLeader(per_node);

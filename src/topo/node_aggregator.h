@@ -41,18 +41,17 @@ struct NodeAggStats {
 
 class NodeAggregator {
  public:
-  /// Collective over `map.comm()`: creates the leader staging window
-  /// (num_nodes * slot_bytes on leaders, nothing elsewhere). `slot_bytes`
-  /// is the per-source-node staging partition; payloads larger than a slot
-  /// move in multiple rounds.
+  /// Collective over `map.comm()`: creates the staging window (num_nodes *
+  /// slot_bytes on every rank). `slot_bytes` is the per-source-node staging
+  /// partition; payloads larger than a slot move in multiple rounds.
   ///
-  /// `rotate_leaders` rotates which rank of each node acts as leader: every
-  /// exchange() advances a round counter (collective, so lockstep on all
-  /// ranks) and round k's leader on node n is ranksOnNode(n)[k % size].
-  /// Without rotation one rank's NIC and membus carry ALL of its node's
-  /// staging traffic for the whole job. Rotation costs a staging window on
+  /// Leadership rotates: every exchange() advances a round counter
+  /// (collective, so lockstep on all ranks) and round k's leader on node n
+  /// is ranksOnNode(n)[k % size] — round 0's is the static leader. Without
+  /// rotation one rank's NIC and membus would carry ALL of its node's
+  /// staging traffic for the whole job; the price is a staging window on
   /// every rank (any rank may lead), not only on the static leaders.
-  NodeAggregator(NodeMap& map, Bytes slot_bytes, bool rotate_leaders = false);
+  NodeAggregator(NodeMap& map, Bytes slot_bytes);
 
   NodeAggregator(const NodeAggregator&) = delete;
   NodeAggregator& operator=(const NodeAggregator&) = delete;
@@ -96,12 +95,11 @@ class NodeAggregator {
   NodeMap& map() { return *map_; }
   Bytes slotBytes() const { return slot_bytes_; }
 
-  /// Rank leading node `n` in the current round (the static leader when
-  /// rotation is off). scatterToRanks() uses the round of the last
-  /// exchange(), so callers can keep leader-held data across the pair.
+  /// Rank leading node `n` in the current round. scatterToRanks() uses the
+  /// round of the last exchange(), so callers can keep leader-held data
+  /// across the pair.
   Rank activeLeaderOf(int n) const {
     const std::vector<Rank>& rs = map_->ranksOnNode(n);
-    if (!rotate_) return rs.front();
     return rs[static_cast<std::size_t>(round_ % static_cast<std::int64_t>(
                                                     rs.size()))];
   }
@@ -109,7 +107,6 @@ class NodeAggregator {
     return activeLeaderOf(map_->myNode()) == map_->comm().rank();
   }
   std::int64_t round() const { return round_; }
-  bool rotatesLeaders() const { return rotate_; }
 
  private:
   /// Gathers every node rank's per-destination payloads to the leader;
@@ -120,14 +117,12 @@ class NodeAggregator {
 
   /// Node rank of the active leader within this rank's node.
   Rank leaderNodeRank() const {
-    if (!rotate_) return 0;
     return static_cast<Rank>(round_ %
                              static_cast<std::int64_t>(map_->nodeSize()));
   }
 
   NodeMap* map_;
   Bytes slot_bytes_;
-  bool rotate_ = false;
   std::int64_t round_ = 0;
   std::unique_ptr<mpi::Window> staging_;
   NodeAggStats stats_;

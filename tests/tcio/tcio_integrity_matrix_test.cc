@@ -640,5 +640,51 @@ TEST(DelegateIntegrityTest, FineGrainedPutsCoalesceIntoLedgerRuns) {
   }
 }
 
+TEST(DelegateIntegrityTest, InterleavedWritersKeepEachOthersDigests) {
+  // Two clients interleave 64-byte pieces in one delegate segment: client 0
+  // lays down a strided run at 0/128/256, client 1 later fills 64/192/320.
+  // No piece of one writer intersects a piece of the other, so client 1's
+  // puts must not evict client 0's run — otherwise a flip in client 0's
+  // bytes reaches the file unverified.
+  fs::FsConfig fcfg;
+  fcfg.num_osts = 4;
+  fcfg.stripe_size = 1024;
+  fs::Filesystem fsys(fcfg);
+  core::TcioDelegateStats stats;
+  constexpr Bytes kPiece = 64;
+  mpi::runJob(delegateJob(), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegatedIntegrity(/*d=*/2);
+    // Delegate 0's first applied put (client 0's piece at 0) takes a flip.
+    cfg.faults.corruptions.push_back(
+        {/*rank=*/0, CorruptSite::kWindow, /*after=*/0});
+    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
+      DFile f(ch, "dinterleave.dat", fs::kRead | fs::kWrite | fs::kCreate);
+      if (c == 0) {
+        for (const Offset off : {0, 128, 256}) {
+          f.writeAt(off, clientBlock(0, off, kPiece));
+        }
+        f.flush();
+      }
+      s.clientComm().barrier();
+      if (c == 1) {
+        for (const Offset off : {64, 192, 320}) {
+          f.writeAt(off, clientBlock(1, off, kPiece));
+        }
+      }
+      f.close();
+    }, &stats);
+  });
+  for (const Offset off : {0, 64, 128, 192, 256, 320}) {
+    const int writer = (off / kPiece) % 2;
+    std::vector<std::byte> got(static_cast<std::size_t>(kPiece));
+    fsys.peek("dinterleave.dat", off, got);
+    EXPECT_EQ(got, clientBlock(writer, off, kPiece)) << "piece at " << off;
+  }
+  EXPECT_GE(stats.crc_mismatches, 1);
+  EXPECT_GE(stats.repaired, 1);
+  EXPECT_EQ(stats.unrepairable, 0);
+}
+
 }  // namespace
 }  // namespace tcio::delegate

@@ -79,12 +79,13 @@ TEST(NodeAggregatorTest, ExchangeRoutesFramesBetweenLeaders) {
     }
     const auto frames = agg.exchange(per_node);
     ASSERT_EQ(static_cast<int>(frames.size()), map.numNodes());
-    if (!map.isLeader()) {
+    if (!agg.isActiveLeader()) {
       for (const auto& fs : frames) EXPECT_TRUE(fs.empty());
       return;
     }
-    // Leader of node d holds, per source node s, one frame per rank of s in
-    // ascending rank order, with the payload that rank addressed to d.
+    // The round's leader of node d holds, per source node s, one frame per
+    // rank of s in ascending rank order, with the payload that rank
+    // addressed to d.
     const int d = map.myNode();
     for (int s = 0; s < map.numNodes(); ++s) {
       const std::vector<Rank>& srcs = map.ranksOnNode(s);
@@ -112,7 +113,7 @@ TEST(NodeAggregatorTest, PayloadsLargerThanSlotTakeMultipleRounds) {
     per_node[static_cast<std::size_t>(other)] =
         payloadFor(comm.rank(), other, 1000);
     const auto frames = agg.exchange(per_node);
-    if (map.isLeader()) {
+    if (agg.isActiveLeader()) {
       EXPECT_GT(agg.stats().rounds, 1);
       const auto& from_other = frames[static_cast<std::size_t>(other)];
       ASSERT_EQ(from_other.size(), 2u);  // both ranks of the other node
@@ -127,8 +128,10 @@ TEST(NodeAggregatorTest, ScatterToRanksDeliversPerRankBlobs) {
   runJob(cfg(6, 3), [](mpi::Comm& comm) {
     NodeMap map(comm);
     NodeAggregator agg(map, /*slot_bytes=*/1024);
+    // No exchange yet: round 0 is led by the node's static leader.
+    ASSERT_EQ(agg.isActiveLeader(), map.isLeader());
     std::vector<std::vector<std::byte>> per_rank;
-    if (map.isLeader()) {
+    if (agg.isActiveLeader()) {
       for (int q = 0; q < map.nodeSize(); ++q) {
         const Rank target = map.ranksOnNode(map.myNode())[
             static_cast<std::size_t>(q)];
@@ -143,8 +146,7 @@ TEST(NodeAggregatorTest, ScatterToRanksDeliversPerRankBlobs) {
 TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
   runJob(cfg(6, 3), [](mpi::Comm& comm) {
     NodeMap map(comm);
-    NodeAggregator agg(map, /*slot_bytes=*/4096, /*rotate_leaders=*/true);
-    ASSERT_TRUE(agg.rotatesLeaders());
+    NodeAggregator agg(map, /*slot_bytes=*/4096);
     std::vector<Rank> leaders_seen;
     for (int round = 1; round <= 3; ++round) {
       // The round counter advances at the start of each exchange, so the
@@ -195,7 +197,7 @@ TEST(NodeAggregatorTest, ScatterFollowsTheRotatedLeader) {
   // (where exchange() left the data), not from the node's static rank 0.
   runJob(cfg(6, 3), [](mpi::Comm& comm) {
     NodeMap map(comm);
-    NodeAggregator agg(map, /*slot_bytes=*/1024, /*rotate_leaders=*/true);
+    NodeAggregator agg(map, /*slot_bytes=*/1024);
     for (int round = 0; round < 3; ++round) {
       // Advance the rotation with a real exchange first.
       std::vector<std::vector<std::byte>> per_node(

@@ -1,9 +1,11 @@
 // Microbenchmarks (google-benchmark) of the simulated parallel file system:
 // per-request costs, cache effect, striping effect, lock ping-pong — the
-// FS-side constants behind the paper's arguments.
+// FS-side constants behind the paper's arguments — plus the host-side CRC-32
+// kernels that every integrity hop runs over the bytes it moves.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "common/crc32.h"
 #include "fs/client.h"
 #include "mpi/runtime.h"
 
@@ -107,6 +109,32 @@ void BM_StripingParallelism(benchmark::State& state) {
   state.counters["virtual_ms"] = virtual_cost * 1e3;
 }
 BENCHMARK(BM_StripingParallelism)->Arg(1)->Arg(4)->Arg(30);
+
+// Host throughput of each CRC-32 kernel (bytes/s is the kernel's GB/s);
+// hw=1 is the PCLMULQDQ kernel, skipped on CPUs without it.
+void BM_Crc32(benchmark::State& state) {
+  const bool hardware = state.range(1) != 0;
+  if (hardware && !detail::crc32HardwareAvailable()) {
+    state.SkipWithError("PCLMULQDQ kernel not supported on this CPU");
+    return;
+  }
+  const auto kernel =
+      hardware ? &detail::crc32Hardware : &detail::crc32Portable;
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel(buf, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)
+    ->ArgsProduct({{24, 4 << 10, 1 << 20}, {0, 1}})
+    ->ArgNames({"bytes", "hw"})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace tcio::bench

@@ -1,37 +1,33 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for checkpoint integrity.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace tcio {
 
-namespace detail {
-constexpr std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-inline constexpr std::array<std::uint32_t, 256> kCrcTable = makeCrcTable();
-}  // namespace detail
-
 /// Incremental CRC-32: pass the previous return value as `seed` to chain.
-constexpr std::uint32_t crc32(std::span<const std::byte> data,
-                              std::uint32_t seed = 0) {
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::byte b : data) {
-    c = detail::kCrcTable[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
+/// Runs the carry-less-multiply kernel where the CPU has one and the
+/// portable kernel otherwise; both give bit-identical values.
+std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+namespace detail {
+
+/// Slicing-by-16 table kernel; same contract as crc32(), on every CPU.
+std::uint32_t crc32Portable(std::span<const std::byte> data,
+                            std::uint32_t seed = 0);
+
+/// True when this CPU can run crc32Hardware() (x86-64 with PCLMULQDQ and
+/// SSE4.1).
+bool crc32HardwareAvailable();
+
+/// PCLMULQDQ folding kernel; same contract as crc32(). Spans too short to
+/// fold, and the unaligned head and tail, go through the portable kernel.
+/// Only call it when crc32HardwareAvailable() is true.
+std::uint32_t crc32Hardware(std::span<const std::byte> data,
+                            std::uint32_t seed = 0);
+
+}  // namespace detail
 
 }  // namespace tcio

@@ -22,6 +22,22 @@ const char* kOperators[] = {
     "&=", "|=", "^=",
 };
 
+/// Appends the header named by `directive` when it is an #include.
+void recordInclude(std::string_view directive, int line,
+                   std::vector<Include>* out) {
+  std::size_t k = directive.find_first_not_of(" \t", 1);  // past the '#'
+  if (k == std::string_view::npos ||
+      directive.compare(k, 7, "include") != 0) {
+    return;
+  }
+  k = directive.find_first_of("<\"", k + 7);
+  if (k == std::string_view::npos) return;
+  const std::size_t close = directive.find(directive[k] == '<' ? '>' : '"',
+                                           k + 1);
+  if (close == std::string_view::npos) return;
+  out->push_back({line, std::string(directive.substr(k + 1, close - k - 1))});
+}
+
 }  // namespace
 
 LexedFile lex(std::string_view src) {
@@ -68,9 +84,14 @@ LexedFile lex(std::string_view src) {
       continue;
     }
     // Preprocessor directive: skip the whole logical line (continuations
-    // included). Rules see source-level uses, not macro definitions.
+    // included). Rules see source-level uses, not macro definitions, plus
+    // the header each #include names. A trailing // comment is left to the
+    // comment scanner, so suppressions and fixture annotations work on
+    // directive lines too.
     if (c == '#') {
-      while (i < n && src[i] != '\n') {
+      const int at = line;
+      const std::size_t begin = i;
+      while (i < n && src[i] != '\n' && !(src[i] == '/' && peek(1) == '/')) {
         if (src[i] == '\\' && peek(1) == '\n') {
           ++line;
           i += 2;
@@ -78,6 +99,7 @@ LexedFile lex(std::string_view src) {
         }
         ++i;
       }
+      recordInclude(src.substr(begin, i - begin), at, &out.includes);
       continue;
     }
     // Raw string literal R"delim( ... )delim".

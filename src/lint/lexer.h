@@ -37,9 +37,15 @@ struct Comment {
   std::string text;   // contents without the // or /* */ fencing
 };
 
+struct Include {
+  int line = 0;        // line of the #include directive
+  std::string header;  // name between <> or "", e.g. "immintrin.h"
+};
+
 struct LexedFile {
   std::vector<Token> tokens;
   std::vector<Comment> comments;
+  std::vector<Include> includes;
 };
 
 /// Tokenizes `src`. Never fails: unterminated constructs lex as best-effort

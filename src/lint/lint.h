@@ -24,7 +24,9 @@
 //                          sleeps anywhere; ucontext switches outside
 //                          src/sim; raw MPI_* outside src/mpi (the
 //                          simulation runs on virtual time, and its ranks
-//                          are fibers switched in exactly one place)
+//                          are fibers switched in exactly one place); ISA
+//                          intrinsics headers and __builtin_cpu_* probes
+//                          outside src/common/crc32.cc
 //
 // Suppression: `// NOLINT-TCIO(rule): reason` on the finding's line or the
 // line directly above. The reason is mandatory — a bare suppression is

@@ -151,9 +151,21 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
   const std::vector<Token>& t = lf.tokens;
   const bool in_sim = pathUnder(path, "src/sim/");
   const bool in_mpi = pathUnder(path, "src/mpi/");
+  // ISA-specific code lives in one file, so a port to another architecture
+  // touches exactly one place.
+  const bool in_isa_kernel = path == "src/common/crc32.cc";
   const auto flag = [&](int line, const std::string& msg) {
     out->push_back({std::string(), line, "banned-api", msg});
   };
+  for (const Include& inc : lf.includes) {
+    const std::string_view h = inc.header;
+    if (!in_isa_kernel && (h.ends_with("intrin.h") || h == "cpuid.h" ||
+                           h == "arm_acle.h" || h == "arm_neon.h")) {
+      flag(inc.line, "ISA header <" + inc.header +
+                         "> outside src/common/crc32.cc — keep "
+                         "architecture-specific code in that one file");
+    }
+  }
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != Tok::kIdent) continue;
     const std::string& s = t[i].text;
@@ -203,6 +215,12 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
       flag(t[i].line, "raw context switch '" + s +
                           "' outside src/sim — rank fibers belong to the "
                           "engine");
+      continue;
+    }
+    if (!in_isa_kernel && s.rfind("__builtin_cpu_", 0) == 0) {
+      flag(t[i].line, "CPU feature probe '" + s +
+                          "' outside src/common/crc32.cc — keep "
+                          "architecture-specific code in that one file");
     }
   }
 }

@@ -1,6 +1,5 @@
 #include "mpiio/file.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -134,63 +133,6 @@ TwoPhaseStats MpioFile::readAtAll(Offset view_off, void* buf, Bytes n) {
   }
   return twoPhaseRead(*comm_, client_, file_, makeRequest(view_off, buf, n),
                       cfg_.cb_nodes);
-}
-
-void MpioFile::writeAtAllBegin(Offset view_off, const void* buf, Bytes n) {
-  TCIO_CHECK_MSG(!split_.active,
-                 "a split collective is already outstanding on this file");
-  split_ = {true, true, view_off, const_cast<void*>(buf), n};
-}
-
-TwoPhaseStats MpioFile::writeAtAllEnd() {
-  TCIO_CHECK_MSG(split_.active && split_.is_write,
-                 "writeAtAllEnd without a matching begin");
-  const PendingSplit s = split_;
-  split_ = {};
-  return writeAtAll(s.view_off, s.buf, s.n);
-}
-
-void MpioFile::readAtAllBegin(Offset view_off, void* buf, Bytes n) {
-  TCIO_CHECK_MSG(!split_.active,
-                 "a split collective is already outstanding on this file");
-  split_ = {true, false, view_off, buf, n};
-}
-
-TwoPhaseStats MpioFile::readAtAllEnd() {
-  TCIO_CHECK_MSG(split_.active && !split_.is_write,
-                 "readAtAllEnd without a matching begin");
-  const PendingSplit s = split_;
-  split_ = {};
-  return readAtAll(s.view_off, s.buf, s.n);
-}
-
-MpioConfig parseHints(const std::string& hints, MpioConfig base) {
-  MpioConfig cfg = base;
-  std::size_t pos = 0;
-  while (pos < hints.size()) {
-    const std::size_t end = std::min(hints.find(';', pos), hints.size());
-    const std::string item = hints.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    TCIO_CHECK_MSG(eq != std::string::npos, "malformed hint: " + item);
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "cb_nodes") {
-      cfg.cb_nodes = std::stoi(value);
-    } else if (key == "sieve_buffer" || key == "ind_rd_buffer_size") {
-      cfg.sieve_buffer = std::stoll(value);
-    } else if (key == "romio_ds_write" || key == "romio_ds_read" ||
-               key == "data_sieving") {
-      TCIO_CHECK_MSG(value == "enable" || value == "disable" ||
-                         value == "automatic",
-                     "bad data-sieving hint value: " + value);
-      if (value != "automatic") cfg.enable_data_sieving = (value == "enable");
-    } else {
-      throw Error("unknown MPI-IO hint: " + key);
-    }
-  }
-  return cfg;
 }
 
 void MpioFile::close() {

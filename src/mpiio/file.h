@@ -63,17 +63,6 @@ class MpioFile {
   TwoPhaseStats writeAtAll(Offset view_off, const void* buf, Bytes n);
   TwoPhaseStats readAtAll(Offset view_off, void* buf, Bytes n);
 
-  // -- Split collectives (MPI_File_write_all_begin / _end) -------------------
-  // The begin call registers the request locally and returns immediately;
-  // the matching end call runs the collective. The buffer must stay valid
-  // in between (MPI split-collective semantics); one split collective may
-  // be outstanding per file.
-
-  void writeAtAllBegin(Offset view_off, const void* buf, Bytes n);
-  TwoPhaseStats writeAtAllEnd();
-  void readAtAllBegin(Offset view_off, void* buf, Bytes n);
-  TwoPhaseStats readAtAllEnd();
-
   /// Collective close.
   void close();
 
@@ -96,20 +85,8 @@ class MpioFile {
   MpioConfig cfg_;
   FileView view_;
 
-  struct PendingSplit {
-    bool active = false;
-    bool is_write = false;
-    Offset view_off = 0;
-    void* buf = nullptr;
-    Bytes n = 0;
-  };
-  PendingSplit split_;
   /// Populated by setView when view_based is on.
   std::shared_ptr<const ViewCache> view_cache_;
 };
-
-/// Parses an MPI_Info-style hint string ("cb_nodes=4;romio_ds_write=disable;
-/// sieve_buffer=1048576") into an MpioConfig. Unknown keys throw.
-MpioConfig parseHints(const std::string& hints, MpioConfig base = {});
 
 }  // namespace tcio::io

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace tcio {
 namespace {
@@ -13,6 +16,101 @@ std::vector<std::byte> bytesOf(const char* s) {
   if (!out.empty()) std::memcpy(out.data(), s, out.size());
   return out;
 }
+
+/// Bit-at-a-time reference: the CRC-32 definition with no tables, so it
+/// shares nothing with either kernel under test.
+std::uint32_t oracle(std::span<const std::byte> data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::byte> randomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) b = static_cast<std::byte>(rng.next() & 0xFFu);
+  return out;
+}
+
+using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+
+struct KernelCase {
+  const char* name;
+  Kernel fn;
+  bool (*available)();
+};
+
+void PrintTo(const KernelCase& k, std::ostream* os) { *os << k.name; }
+
+class Crc32KernelTest : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available()) {
+      GTEST_SKIP() << GetParam().name << " kernel not supported on this CPU";
+    }
+  }
+  std::uint32_t run(std::span<const std::byte> data, std::uint32_t seed = 0) {
+    return GetParam().fn(data, seed);
+  }
+};
+
+TEST_P(Crc32KernelTest, EveryLengthAcrossFoldThresholdAndTails) {
+  // Covers short spans, the 64-byte fold threshold and every 16-byte tail.
+  const std::vector<std::byte> buf = randomBytes(1100, 11);
+  const std::span<const std::byte> all(buf);
+  for (std::size_t n = 0; n <= buf.size(); ++n) {
+    ASSERT_EQ(run(all.first(n)), oracle(all.first(n))) << "length " << n;
+  }
+}
+
+TEST_P(Crc32KernelTest, EveryStartMisalignment) {
+  // alignas(16) pins the base so offset k is exactly k bytes past a 16-byte
+  // boundary, exercising every head length before the aligned body.
+  alignas(16) std::array<std::byte, 16 + 700> buf{};
+  const std::vector<std::byte> src = randomBytes(buf.size(), 12);
+  std::memcpy(buf.data(), src.data(), buf.size());
+  for (std::size_t k = 0; k < 16; ++k) {
+    for (const std::size_t n : {std::size_t{63}, std::size_t{64},
+                                std::size_t{79}, std::size_t{80},
+                                std::size_t{700}}) {
+      const std::span<const std::byte> s(buf.data() + k, n);
+      ASSERT_EQ(run(s), oracle(s)) << "offset " << k << " length " << n;
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, ChainedRandomSeedsMatchOneShot) {
+  const std::vector<std::byte> buf = randomBytes(4096, 13);
+  Rng rng(14);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    const std::size_t cut = rng.next() % buf.size();
+    const std::span<const std::byte> all(buf);
+    const std::uint32_t chained =
+        run(all.subspan(cut), run(all.first(cut), seed));
+    ASSERT_EQ(chained, oracle(all, seed)) << "trial " << trial;
+  }
+}
+
+TEST_P(Crc32KernelTest, MegabyteBufferWithOddTail) {
+  const std::vector<std::byte> buf = randomBytes((1u << 20) + 13, 15);
+  EXPECT_EQ(run(buf), oracle(buf));
+}
+
+bool always() { return true; }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest,
+    ::testing::Values(
+        KernelCase{"portable", &detail::crc32Portable, &always},
+        KernelCase{"hardware", &detail::crc32Hardware,
+                   &detail::crc32HardwareAvailable}),
+    [](const ::testing::TestParamInfo<KernelCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Crc32Test, KnownVectors) {
   // Standard test vector: crc32("123456789") = 0xCBF43926.

@@ -1,5 +1,8 @@
 // GREEN fixture: banned-api. The approved counterparts — virtual time, the
-// simulated MPI layer and engine-owned blocking — plus one reasoned waiver.
+// simulated MPI layer, engine-owned blocking and the one CRC entry point —
+// plus one reasoned waiver. Near misses: ordinary headers and builtins.
+#include <cstring>  // memcpy, not an intrinsics header
+#include "common/crc32.h"
 
 namespace fixture {
 
@@ -20,6 +23,12 @@ void awaitReply(sim::Proc& proc, sim::Event& reply) {
 long hostSeconds() {
   // NOLINT-TCIO(banned-api): bench harness reports host wall time to the operator
   return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+
+// Checksums go through tcio::crc32, which picks the CPU kernel itself.
+std::uint32_t digest(std::span<const std::byte> bytes) {
+  if (__builtin_expect(bytes.empty(), 0)) return 0;
+  return tcio::crc32(bytes);
 }
 
 }  // namespace fixture

@@ -1,6 +1,8 @@
 // RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading, real
-// sleeps and raw context switches — all from a path outside src/sim and
-// src/mpi.
+// sleeps, raw context switches, ISA intrinsics headers and CPU feature
+// probes — all from a path outside src/sim, src/mpi and the CRC kernel.
+#include <immintrin.h>  // LINT-EXPECT[banned-api]
+#include <arm_acle.h>  // LINT-EXPECT[banned-api]
 
 namespace fixture {
 
@@ -29,6 +31,10 @@ void waitABit() {
 
 void hopToPeer(ucontext_t* self, ucontext_t* peer) {
   swapcontext(self, peer);  // LINT-EXPECT[banned-api]
+}
+
+bool hasCarrylessMultiply() {
+  return __builtin_cpu_supports("pclmul");  // LINT-EXPECT[banned-api]
 }
 
 }  // namespace fixture

@@ -164,6 +164,18 @@ TEST(BannedApi, OnlySimMaySwitchContexts) {
   EXPECT_FALSE(lintText("src/tcio/file.cc", src).empty());
 }
 
+TEST(BannedApi, OnlyTheCrcKernelMayUseIsaIntrinsics) {
+  const std::string src =
+      "#include <wmmintrin.h>\n"
+      "bool fast() { return __builtin_cpu_supports(\"pclmul\"); }\n";
+  EXPECT_TRUE(lintText("src/common/crc32.cc", src).empty());
+  const std::vector<Finding> fs = lintText("src/tcio/file.cc", src);
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_EQ(fs[0].line, 1);
+  EXPECT_EQ(fs[1].line, 2);
+  EXPECT_EQ(lintText("src/common/env.cc", "#include <cstring>\n").size(), 0u);
+}
+
 TEST(BannedApi, MpiLayerMayNameRawMpiSymbols) {
   const std::string src = "void shim() { MPI_Barrier(world_); }\n";
   EXPECT_TRUE(lintText("src/mpi/comm.cc", src).empty());

@@ -77,6 +77,32 @@ void BM_PutIndexedCoalescing(benchmark::State& state) {
 }
 BENCHMARK(BM_PutIndexedCoalescing)->Arg(1)->Arg(16)->Arg(256);
 
+/// Wall time of a P=96 job that creates one window of `range(0)` bytes per
+/// rank and frees it untouched. Host memory is allocated on first touch, so
+/// the cost must stay flat as the window grows; `host_bytes` counts the
+/// host memory live across all windows before the free.
+void BM_WindowCreateFree(benchmark::State& state) {
+  const Bytes size = state.range(0);
+  Bytes host = 0;
+  for (auto _ : state) {
+    mpi::runJob(paperJob(96), [&](mpi::Comm& comm, mpi::World& world) {
+      mpi::Window win = mpi::Window::create(comm, size);
+      comm.barrier();
+      if (comm.rank() == 0) {
+        host = comm.proc().atomic([&] { return world.windowHostBytes(); });
+      }
+      comm.memory().release(win.localSize());
+    });
+  }
+  state.counters["host_bytes"] = static_cast<double>(host);
+}
+BENCHMARK(BM_WindowCreateFree)
+    ->Arg(64 << 10)
+    ->Arg(1600 << 10)
+    ->Arg(16 << 20)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Raw engine throughput: wall time per simulation event.
 void BM_EngineEventThroughput(benchmark::State& state) {
   const int P = static_cast<int>(state.range(0));

@@ -281,6 +281,11 @@ void Checker::onEpochClose(const void* win, Rank origin_world,
   by_origin.erase(self);
 }
 
+void Checker::onWindowFreed(const void* win) {
+  epochs_.erase(epochs_.lower_bound({win, std::numeric_limits<Rank>::min()}),
+                epochs_.upper_bound({win, std::numeric_limits<Rank>::max()}));
+}
+
 void Checker::failOutsideEpoch(Rank origin_world, Rank target,
                                const char* site) {
   std::ostringstream os;

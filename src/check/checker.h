@@ -159,6 +159,10 @@ class Checker {
   void onEpochClose(const void* win, Rank origin_world, Rank target_world,
                     const char* site);
 
+  /// Forgets every epoch record of a freed window, so a later window that
+  /// reuses its address starts clean.
+  void onWindowFreed(const void* win);
+
   /// Rank-attributed diagnostic for a one-sided access outside any epoch
   /// (routed here from Window::requireLocked when the checker is enabled).
   [[noreturn]] void failOutsideEpoch(Rank origin_world, Rank target,

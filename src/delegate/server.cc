@@ -161,26 +161,26 @@ bool Server::hasServiceable() const {
 
 void Server::serviceOne() {
   // Round-robin over clients: one request per client per sweep, so a hot
-  // client cannot monopolize the delegate.
-  std::vector<int> clients;
-  clients.reserve(queues_.size());
-  for (const auto& [client, q] : queues_) {
-    if (!q.empty()) clients.push_back(client);
-  }
-  if (clients.empty()) return;
-  std::sort(clients.begin(), clients.end());
-  auto it = std::lower_bound(clients.begin(), clients.end(), rr_next_);
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    if (it == clients.end()) it = clients.begin();
-    const int c = *it++;
-    std::deque<Pending>& q = queues_[c];
-    if (!q.front().ready) continue;  // put awaiting its payload — skip client
-    Pending p = std::move(q.front());
-    q.pop_front();
-    rr_next_ = c + 1;
-    dispatch(p);
-    return;
-  }
+  // client cannot monopolize the delegate. `queues_` is ordered by client,
+  // so the sweep walks it from the cursor and wraps around once.
+  const auto start = queues_.lower_bound(rr_next_);
+  auto it = start;
+  do {
+    if (it == queues_.end()) {
+      it = queues_.begin();
+      if (it == start) return;
+    }
+    std::deque<Pending>& q = it->second;
+    // An empty queue, or a put awaiting its payload, skips the client.
+    if (!q.empty() && q.front().ready) {
+      Pending p = std::move(q.front());
+      q.pop_front();
+      rr_next_ = it->first + 1;
+      dispatch(p);
+      return;
+    }
+    ++it;
+  } while (it != start);
 }
 
 void Server::dispatch(Pending& p) {

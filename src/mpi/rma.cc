@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace tcio::mpi {
 
@@ -50,32 +51,40 @@ Window Window::create(Comm& comm, Bytes local_size) {
   detail::WinState* ws = nullptr;
   p.atomic([&] {
     ws = &comm.world().windowAt(comm.context(), seq, comm.size());
-    ws->mem[static_cast<std::size_t>(comm.rank())].resize(
-        static_cast<std::size_t>(local_size));
+    ws->mem[static_cast<std::size_t>(comm.rank())].size = local_size;
     ++ws->registered;
   });
+  // Registered: from here on the handle owns one release, also when the
+  // budget charge or the barrier throws.
+  Window win(comm, *ws);
   comm.memory().allocate(local_size, "RMA window (level-2 buffer)");
   comm.barrier();  // all ranks registered before any access
-  return Window(comm, *ws);
+  return win;
 }
 
-std::byte* Window::localData() {
-  return state_->mem[static_cast<std::size_t>(comm_->rank())].data();
+Window::Window(Window&& other) noexcept
+    : comm_(other.comm_),
+      world_(other.world_),
+      state_(std::exchange(other.state_, nullptr)),
+      held_(std::move(other.held_)),
+      lock_count_(other.lock_count_),
+      rma_messages_(other.rma_messages_) {}
+
+Window::~Window() {
+  if (state_ != nullptr) world_->releaseWindow(*state_);
 }
+
+std::byte* Window::localData() { return memOf(comm_->rank()).touch(); }
 
 Bytes Window::localSize() const {
-  return static_cast<Bytes>(
-      state_->mem[static_cast<std::size_t>(comm_->rank())].size());
+  return state_->mem[static_cast<std::size_t>(comm_->rank())].size;
 }
 
 void Window::resizeLocal(Bytes new_size) {
   TCIO_CHECK(new_size >= 0);
   const Bytes old_size = localSize();
   if (new_size == old_size) return;
-  comm_->proc().atomic([&] {
-    state_->mem[static_cast<std::size_t>(comm_->rank())].resize(
-        static_cast<std::size_t>(new_size));
-  });
+  comm_->proc().atomic([&] { memOf(comm_->rank()).resize(new_size); });
   if (new_size > old_size) {
     comm_->memory().allocate(new_size - old_size, "RMA window growth");
   } else {
@@ -231,14 +240,12 @@ void Window::putIndexed(Rank target, std::span<const PutBlock> blocks) {
     }
     const net::TransferTimes times = world.network().transfer(
         p.now(), p.rank(), comm_->worldRank(target), total, /*rdma=*/true);
-    auto& mem = state_->mem[static_cast<std::size_t>(target)];
+    detail::WinMem& mem = memOf(target);
     for (const PutBlock& b : blocks) {
-      TCIO_CHECK_MSG(b.target_disp >= 0 &&
-                         b.target_disp + b.len <=
-                             static_cast<Bytes>(mem.size()),
+      TCIO_CHECK_MSG(b.target_disp >= 0 && b.target_disp + b.len <= mem.size,
                      "put outside window bounds");
       if (b.len > 0) {
-        std::memcpy(mem.data() + b.target_disp, b.src,
+        std::memcpy(mem.touch() + b.target_disp, b.src,
                     static_cast<std::size_t>(b.len));
       }
     }
@@ -265,14 +272,12 @@ void Window::getIndexed(Rank target, std::span<const GetBlock> blocks) {
             .delivered;
     const net::TransferTimes times = world.network().transfer(
         req_arrived, comm_->worldRank(target), p.rank(), total, /*rdma=*/true);
-    const auto& mem = state_->mem[static_cast<std::size_t>(target)];
+    detail::WinMem& mem = memOf(target);
     for (const GetBlock& b : blocks) {
-      TCIO_CHECK_MSG(b.target_disp >= 0 &&
-                         b.target_disp + b.len <=
-                             static_cast<Bytes>(mem.size()),
+      TCIO_CHECK_MSG(b.target_disp >= 0 && b.target_disp + b.len <= mem.size,
                      "get outside window bounds");
       if (b.len > 0) {
-        std::memcpy(b.dst, mem.data() + b.target_disp,
+        std::memcpy(b.dst, mem.touch() + b.target_disp,
                     static_cast<std::size_t>(b.len));
       }
     }

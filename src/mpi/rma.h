@@ -20,14 +20,23 @@ namespace tcio::mpi {
 
 enum class LockType { kExclusive, kShared };
 
-/// Per-rank handle on a collectively created RMA window.
+/// Per-rank handle on a collectively created RMA window. It can be moved
+/// but not copied or assigned; the destructor releases the handle
+/// (MPI_Win_free), and the window's shared state and memory are freed when
+/// the last rank of the group releases.
 class Window {
  public:
   /// Collective: every rank contributes `local_size` bytes of window memory.
-  /// Must be called by all ranks in the same program order.
+  /// Must be called by all ranks in the same program order. The host bytes
+  /// of a rank's memory are allocated, zero-filled, when it is first touched
+  /// (localData(), a put or a get); the model charges `local_size` now.
   static Window create(Comm& comm, Bytes local_size);
 
-  /// This rank's window memory.
+  Window(Window&& other) noexcept;
+  Window& operator=(Window&&) = delete;
+  ~Window();
+
+  /// This rank's window memory (touches it).
   std::byte* localData();
   Bytes localSize() const;
 
@@ -79,13 +88,20 @@ class Window {
   std::int64_t oneSidedMessages() const { return rma_messages_; }
 
  private:
-  Window(Comm& comm, detail::WinState& state) : comm_(&comm), state_(&state) {}
+  Window(Comm& comm, detail::WinState& state)
+      : comm_(&comm), world_(&comm.world()), state_(&state) {}
 
   void requireLocked(Rank target) const;
   detail::TargetLock& targetLock(Rank target);
+  detail::WinMem& memOf(Rank r) {
+    return state_->mem[static_cast<std::size_t>(r)];
+  }
 
   Comm* comm_;
-  detail::WinState* state_;
+  /// Released through the World, not the Comm, so the handle may be
+  /// destroyed after the communicator it was created on.
+  World* world_;
+  detail::WinState* state_;  // null once moved from
   /// Targets this rank currently holds a lock on, with the max delivery time
   /// of epoch transfers (unlock must wait for them).
   struct Epoch {

@@ -83,11 +83,36 @@ struct TargetLock {
   std::vector<Rank> holders;
 };
 
-/// Shared state of one RMA window across all ranks.
+/// One rank's window memory. `size` is the logical size: it bounds every
+/// access and is what the model charges. The host bytes are allocated,
+/// zero-filled, on first touch, so a rank whose window is never written
+/// costs no host memory however large the window is.
+struct WinMem {
+  Bytes size = 0;
+  std::vector<std::byte> host;  // empty until touched, then `size` bytes
+
+  bool touched() const { return !host.empty(); }
+  std::byte* touch() {
+    if (!touched()) host.resize(static_cast<std::size_t>(size));
+    return host.data();
+  }
+  void resize(Bytes n) {
+    size = n;
+    if (touched()) host.resize(static_cast<std::size_t>(n));
+  }
+};
+
+/// Shared state of one RMA window across all ranks. Lives from the first
+/// rank's create until the last registered rank releases its handle
+/// (MPI_Win_free), so a crashed rank's memory outlives it while survivors
+/// still hold the window.
 struct WinState {
-  std::vector<std::vector<std::byte>> mem;  // per rank
-  std::vector<TargetLock> locks;            // per target rank
-  int registered = 0;                        // ranks that completed create
+  int context = 0;  // registry key: (context, seq)
+  std::size_t seq = 0;
+  std::vector<WinMem> mem;        // per rank
+  std::vector<TargetLock> locks;  // per target rank
+  int registered = 0;             // ranks that completed create
+  int released = 0;               // handles released so far
 };
 
 }  // namespace detail
@@ -128,10 +153,37 @@ class World {
     auto& slot = windows_[{context, seq}];
     if (slot == nullptr) {
       slot = std::make_unique<detail::WinState>();
+      slot->context = context;
+      slot->seq = seq;
       slot->mem.resize(static_cast<std::size_t>(group_size));
       slot->locks.resize(static_cast<std::size_t>(group_size));
     }
     return *slot;
+  }
+
+  /// Releases one rank's handle on `ws`; the last registered rank's release
+  /// frees the window. Needs no atomic section: it is called from handle
+  /// destructors, which also run while a failed job unwinds, and no rank
+  /// can observe the window once every handle is gone.
+  void releaseWindow(detail::WinState& ws) {
+    if (++ws.released < ws.registered) return;
+    if (checker_ != nullptr) checker_->onWindowFreed(&ws);
+    windows_.erase({ws.context, ws.seq});
+  }
+
+  /// Windows still registered (not yet freed by their last handle).
+  std::size_t liveWindows() const { return windows_.size(); }
+
+  /// Host bytes allocated across every live window and rank (only ranks
+  /// whose window memory was touched count).
+  Bytes windowHostBytes() const {
+    Bytes total = 0;
+    for (const auto& [key, ws] : windows_) {
+      for (const detail::WinMem& m : ws->mem) {
+        total += static_cast<Bytes>(m.host.size());
+      }
+    }
+    return total;
   }
 
   /// Allocates `n` fresh communicator context ids (called by one rank of a

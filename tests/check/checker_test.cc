@@ -277,6 +277,34 @@ TEST(CheckerRmaTest, HealthyEpochsPassAndAreCounted) {
   });
 }
 
+TEST(CheckerRmaTest, FreedWindowLeavesNoEpochRecords) {
+  // Windows are freed with their last handle, so the next window may reuse
+  // the freed state's address. Every other round drops the handles with an
+  // exclusive epoch still open, as a crashed rank's unwinding does; a stale
+  // record would then be reported as a conflicting grant in the next round.
+  constexpr int kRounds = 40;
+  mpi::JobConfig jc;
+  jc.num_ranks = 3;
+  mpi::runJob(jc, [&](Comm& comm, mpi::World& world) {
+    const Rank target = (comm.rank() + 1) % comm.size();
+    for (int round = 0; round < kRounds; ++round) {
+      {
+        Window win = Window::create(comm, 64);
+        const std::int64_t v = round;
+        win.lock(LockType::kExclusive, target);
+        win.put(target, 8 * comm.rank(), &v, sizeof(v));
+        if (round % 2 == 0) win.unlock(target);
+      }
+      comm.barrier();
+    }
+    if (comm.rank() == 0) {
+      EXPECT_EQ(world.checker()->stats().epochs_opened, kRounds * 3);
+      EXPECT_EQ(world.checker()->violations(), 0);
+      EXPECT_EQ(world.liveWindows(), 0u);
+    }
+  });
+}
+
 // -- Wait-for-graph deadlock detection ----------------------------------------
 
 TEST(CheckerDeadlockTest, RecvCycleReportedInsteadOfEngineTimeout) {

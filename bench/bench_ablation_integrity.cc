@@ -2,7 +2,7 @@
 // close-time scrub) vs checksums off, on the Fig. 5 interleaved pattern.
 //
 // Every hop digest is priced at hardware-folded CRC32 speed
-// (IntegrityConfig::checksum_bandwidth, ~50 GB/s), so the protection tax
+// (core::kChecksumBandwidth, 50 GB/s), so the protection tax
 // must stay in the noise next to disk and NIC time: the acceptance gate is
 // <= 5% virtual-time overhead on both the write and the read phase, in the
 // per-rank shuffle and the node-aggregated exchange alike.

@@ -22,6 +22,19 @@ TIDY_PIN=${TCIO_TIDY_VERSION:-18}
 STRICT=${TCIO_TIDY_STRICT:-auto}
 JOBS=${TCIO_TIDY_JOBS:-$(nproc)}
 
+# -- Source size gate ---------------------------------------------------------
+# No file under src/ may exceed 1,000 lines: core::File was split along its
+# seams (file.cc, file_exchange.cc, file_recovery.cc, file_integrity.cc),
+# and this keeps any unit from quietly regrowing past the limit.
+echo "== source size (<= 1000 lines per file under src/) =="
+oversize=$(find src -type f -exec wc -l {} + |
+  awk '$2 != "total" && $1 > 1000 {print "  " $2 ": " $1 " lines"}')
+if [ -n "$oversize" ]; then
+  echo "error: files under src/ over 1000 lines:" >&2
+  echo "$oversize" >&2
+  exit 1
+fi
+
 # Compile commands for clang-tidy + a checker-default build for the tests.
 cmake -B "$BUILD" -S . \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \

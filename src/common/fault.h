@@ -267,7 +267,6 @@ class FaultPlan {
 
   // -- Counters (tests, stats) ------------------------------------------------
 
-  std::int64_t fsRequestsSeen() const { return fs_requests_; }
   std::int64_t transientFaultsInjected() const { return transients_; }
   std::int64_t noSpaceFaultsInjected() const { return no_space_; }
   std::int64_t rmaDropsInjected() const { return rma_drops_; }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -26,7 +25,6 @@ class RunningStats {
   double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
-  double stddev() const { return std::sqrt(variance()); }
   double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }
 

@@ -19,6 +19,55 @@ constexpr int kMaxBusyAttempts = 1 << 20;
 
 std::uint64_t bit(int d) { return std::uint64_t{1} << d; }
 
+/// Splits `extents` into requests that fit one staging frame and the
+/// descriptor extent cap, in order: `send(chunk, offset, bytes)` per request,
+/// with the chunk's payload offset and size.
+template <typename Send>
+void forEachChunk(const std::vector<WireExtent>& extents, Bytes frame_bytes,
+                  Send&& send) {
+  std::vector<WireExtent> chunk;
+  Bytes chunk_bytes = 0;
+  Bytes consumed = 0;
+  const auto flush_chunk = [&] {
+    if (chunk.empty()) return;
+    send(std::move(chunk), consumed, chunk_bytes);
+    consumed += chunk_bytes;
+    chunk.clear();
+    chunk_bytes = 0;
+  };
+  for (const WireExtent& e : extents) {
+    const Bytes len = e.end - e.begin;
+    TCIO_CHECK_MSG(len <= frame_bytes,
+                   "one extent must fit the staging frame — split it");
+    if (!chunk.empty() &&
+        (chunk_bytes + len > frame_bytes ||
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
+      flush_chunk();
+    }
+    chunk.push_back(e);
+    chunk_bytes += len;
+  }
+  flush_chunk();
+}
+
+/// Splits [off, off + n) on segment boundaries: `piece(g, in_seg, done,
+/// take)` per segment touched, with `done` bytes of the range before it.
+template <typename Piece>
+void forEachSegmentPiece(Offset off, std::size_t n, Bytes seg_size,
+                         Piece&& piece) {
+  Offset pos = off;
+  std::size_t done = 0;
+  while (done < n) {
+    const SegmentId g = pos / seg_size;
+    const Offset in_seg = pos - g * seg_size;
+    const Bytes take =
+        std::min<Bytes>(seg_size - in_seg, static_cast<Bytes>(n - done));
+    piece(g, in_seg, done, take);
+    pos += take;
+    done += static_cast<std::size_t>(take);
+  }
+}
+
 }  // namespace
 
 Channel::Channel(Session& session)
@@ -35,6 +84,13 @@ Channel::Channel(Session& session)
 }
 
 // -- Wire helpers -------------------------------------------------------------
+
+void Channel::sendOp(const PendingOp& op, std::int64_t seq) {
+  RequestHeader h = requestHeader(op.op, comm_->rank(), seq, op.key);
+  h.payload_bytes = op.payload_bytes;
+  h.n_extents = static_cast<std::int32_t>(op.extents.size());
+  sendDescriptor(op.owner, h, op.extents);
+}
 
 void Channel::sendDescriptor(int delegate, const RequestHeader& h,
                              const std::vector<WireExtent>& extents,
@@ -110,11 +166,7 @@ void Channel::open(const std::string& name, unsigned flags) {
   const std::uint64_t key = fileKey(name);
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
-    RequestHeader h;
-    h.op = Op::kOpen;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
+    RequestHeader h = requestHeader(Op::kOpen, comm_->rank(), next_seq_++, key);
     h.name_len = static_cast<std::int32_t>(name.size());
     h.aux = static_cast<std::int64_t>(flags);
     sendDescriptor(d, h, {}, name);
@@ -155,16 +207,7 @@ std::int64_t Channel::postPut(std::uint64_t key,
   }
   op.deferred = (suspected_ & bit(op.owner)) != 0;
   const std::int64_t seq = next_seq_++;
-  if (!op.deferred) {
-    RequestHeader h;
-    h.op = Op::kPut;
-    h.client = comm_->rank();
-    h.seq = seq;
-    h.file_key = key;
-    h.payload_bytes = op.payload_bytes;
-    h.n_extents = static_cast<std::int32_t>(op.extents.size());
-    sendDescriptor(op.owner, h, op.extents);
-  }
+  if (!op.deferred) sendOp(op, seq);
   pending_.emplace(seq, std::move(op));
   return seq;
 }
@@ -188,14 +231,7 @@ bool Channel::awaitAdmission(PendingOp& op, std::int64_t seq,
     ++s_->client_busy_retries;
     comm_->proc().advance(
         sim::backoffDelay(busy_policy_, attempt, comm_->proc().rng()));
-    RequestHeader h;
-    h.op = op.op;
-    h.client = comm_->rank();
-    h.seq = seq;
-    h.file_key = op.key;
-    h.payload_bytes = op.payload_bytes;
-    h.n_extents = static_cast<std::int32_t>(op.extents.size());
-    sendDescriptor(op.owner, h, op.extents);
+    sendOp(op, seq);
   }
 }
 
@@ -222,11 +258,8 @@ bool Channel::finishPut(std::int64_t seq) {
   w.put(op.owner, frame * s_->frameBytes(), op.payload.data(),
         op.payload_bytes);
   w.unlock(op.owner);
-  RequestHeader h;
-  h.op = Op::kPutData;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = op.key;
+  const RequestHeader h =
+      requestHeader(Op::kPutData, comm_->rank(), seq, op.key);
   sendDescriptor(op.owner, h, {});
   ReplyMsg r;
   for (;;) {
@@ -253,34 +286,13 @@ bool Channel::finishPut(std::int64_t seq) {
 
 void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
                   std::vector<std::byte> payload) {
-  // Chunk on the frame size and the descriptor extent cap; each chunk is one
-  // admission-controlled request.
-  const Bytes frame_bytes = s_->frameBytes();
-  std::vector<WireExtent> chunk;
-  Bytes chunk_bytes = 0;
-  Bytes consumed = 0;
-  const auto flush_chunk = [&] {
-    if (chunk.empty()) return;
-    std::vector<std::byte> slice(
-        payload.begin() + consumed, payload.begin() + consumed + chunk_bytes);
-    consumed += chunk_bytes;
-    finishPut(postPut(key, std::move(chunk), std::move(slice)));
-    chunk.clear();
-    chunk_bytes = 0;
-  };
-  for (const WireExtent& e : extents) {
-    const Bytes len = e.end - e.begin;
-    TCIO_CHECK_MSG(len <= frame_bytes,
-                   "one extent must fit the staging frame — split it");
-    if (!chunk.empty() &&
-        (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
-      flush_chunk();
-    }
-    chunk.push_back(e);
-    chunk_bytes += len;
-  }
-  flush_chunk();
+  // Each chunk is one admission-controlled request.
+  forEachChunk(extents, s_->frameBytes(),
+               [&](std::vector<WireExtent> chunk, Bytes at, Bytes bytes) {
+                 std::vector<std::byte> slice(payload.begin() + at,
+                                              payload.begin() + at + bytes);
+                 finishPut(postPut(key, std::move(chunk), std::move(slice)));
+               });
 }
 
 // -- Gets ---------------------------------------------------------------------
@@ -299,14 +311,7 @@ std::int64_t Channel::postGet(std::uint64_t key,
                  "reading from a crashed delegate is not supported — "
                  "resolve failures (flush) before reading");
   const std::int64_t seq = next_seq_++;
-  RequestHeader h;
-  h.op = Op::kGet;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = key;
-  h.payload_bytes = payload_bytes;
-  h.n_extents = static_cast<std::int32_t>(op.extents.size());
-  sendDescriptor(op.owner, h, op.extents);
+  sendOp(op, seq);
   pending_.emplace(seq, std::move(op));
   return seq;
 }
@@ -344,42 +349,17 @@ void Channel::finishGet(std::int64_t seq, std::byte* out) {
       }
     }
   }
-  RequestHeader h;
-  h.op = Op::kGetAck;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = op.key;
+  RequestHeader h = requestHeader(Op::kGetAck, comm_->rank(), seq, op.key);
   h.aux = frame;
   sendDescriptor(op.owner, h, {});
 }
 
 void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                   std::byte* out) {
-  const Bytes frame_bytes = s_->frameBytes();
-  std::vector<WireExtent> chunk;
-  Bytes chunk_bytes = 0;
-  Bytes consumed = 0;
-  const auto flush_chunk = [&] {
-    if (chunk.empty()) return;
-    const Bytes bytes = chunk_bytes;
-    finishGet(postGet(key, std::move(chunk), bytes), out + consumed);
-    consumed += bytes;
-    chunk.clear();
-    chunk_bytes = 0;
-  };
-  for (const WireExtent& e : extents) {
-    const Bytes len = e.end - e.begin;
-    TCIO_CHECK_MSG(len <= frame_bytes,
-                   "one extent must fit the staging frame — split it");
-    if (!chunk.empty() &&
-        (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
-      flush_chunk();
-    }
-    chunk.push_back(e);
-    chunk_bytes += len;
-  }
-  flush_chunk();
+  forEachChunk(extents, s_->frameBytes(),
+               [&](std::vector<WireExtent> chunk, Bytes at, Bytes bytes) {
+                 finishGet(postGet(key, std::move(chunk), bytes), out + at);
+               });
 }
 
 // -- Flush / close ------------------------------------------------------------
@@ -388,11 +368,8 @@ void Channel::flushDelegates(std::uint64_t key) {
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
     if ((suspected_ & bit(d)) != 0) continue;
-    RequestHeader h;
-    h.op = Op::kFlush;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
+    const RequestHeader h =
+        requestHeader(Op::kFlush, comm_->rank(), next_seq_++, key);
     sendDescriptor(d, h, {});
     outstanding.emplace_back(d, h.seq);
   }
@@ -407,11 +384,8 @@ Bytes Channel::closeFile(std::uint64_t key) {
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
     if ((suspected_ & bit(d)) != 0) continue;
-    RequestHeader h;
-    h.op = Op::kClose;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
+    const RequestHeader h =
+        requestHeader(Op::kClose, comm_->rank(), next_seq_++, key);
     sendDescriptor(d, h, {});
     outstanding.emplace_back(d, h.seq);
   }
@@ -450,10 +424,7 @@ void Channel::resolveFailures() {
       }
       std::vector<std::pair<int, std::int64_t>> outstanding;
       for (int d = 0; d < s_->numDelegates(); ++d) {
-        RequestHeader h;
-        h.op = Op::kAdopt;
-        h.client = comm_->rank();
-        h.seq = next_seq_++;
+        RequestHeader h = requestHeader(Op::kAdopt, comm_->rank(), next_seq_++);
         h.n_extents = static_cast<std::int32_t>(dead_list.size());
         sendDescriptor(d, h, dead_list);
         if ((agreed_dead_ & bit(d)) == 0) outstanding.emplace_back(d, h.seq);
@@ -496,20 +467,13 @@ DFile::DFile(Channel& ch, std::string name, unsigned flags)
 
 void DFile::writeAt(Offset off, std::span<const std::byte> data) {
   TCIO_CHECK(!closed_);
-  const Bytes seg_size = s_->config().segment_size;
   local_max_ = std::max<Bytes>(local_max_,
                                off + static_cast<Bytes>(data.size()));
-  Offset pos = off;
-  std::size_t done = 0;
-  while (done < data.size()) {
-    const SegmentId g = pos / seg_size;
-    const Offset in_seg = pos - g * seg_size;
-    const Bytes take = std::min<Bytes>(
-        seg_size - in_seg, static_cast<Bytes>(data.size() - done));
-    putSpan(g, in_seg, data.subspan(done, static_cast<std::size_t>(take)));
-    pos += take;
-    done += static_cast<std::size_t>(take);
-  }
+  forEachSegmentPiece(
+      off, data.size(), s_->config().segment_size,
+      [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
+        putSpan(g, in_seg, data.subspan(done, static_cast<std::size_t>(take)));
+      });
 }
 
 void DFile::putSpan(SegmentId g, Offset begin_in_seg,
@@ -534,18 +498,11 @@ void DFile::readAt(Offset off, std::span<std::byte> out) {
   TCIO_CHECK_MSG(staged_.empty(),
                  "forwarding mode: flush() before readAt — staged writes "
                  "are not visible to the delegates yet");
-  const Bytes seg_size = s_->config().segment_size;
-  Offset pos = off;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const SegmentId g = pos / seg_size;
-    const Offset in_seg = pos - g * seg_size;
-    const Bytes take = std::min<Bytes>(
-        seg_size - in_seg, static_cast<Bytes>(out.size() - done));
-    ch_->get(key_, {{g, in_seg, in_seg + take}}, out.data() + done);
-    pos += take;
-    done += static_cast<std::size_t>(take);
-  }
+  forEachSegmentPiece(
+      off, out.size(), s_->config().segment_size,
+      [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
+        ch_->get(key_, {{g, in_seg, in_seg + take}}, out.data() + done);
+      });
 }
 
 void DFile::flush() {

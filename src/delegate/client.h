@@ -78,8 +78,6 @@ class Channel {
   /// new deaths. No-op outside crash mode.
   void resolveFailures();
 
-  bool anySuspected() const { return suspected_ != 0; }
-
  private:
   struct PendingOp {
     Op op = Op::kPut;
@@ -91,6 +89,9 @@ class Channel {
     bool deferred = false;
   };
 
+  /// Sends the descriptor of `op` (its op, key, payload size and extents)
+  /// under sequence number `seq` to its owner.
+  void sendOp(const PendingOp& op, std::int64_t seq);
   /// Serializes and sends one descriptor on kReqTag.
   void sendDescriptor(int delegate, const RequestHeader& h,
                       const std::vector<WireExtent>& extents,

@@ -77,6 +77,19 @@ struct RequestHeader {
   std::int64_t aux = 0;  // kOpen: fs::OpenFlags
 };
 
+/// A descriptor header from `client`; the op-specific fields (payload and
+/// extent counts, name length, aux) are the caller's to fill.
+inline RequestHeader requestHeader(Op op, std::int32_t client,
+                                   std::int64_t seq = 0,
+                                   std::uint64_t file_key = 0) {
+  RequestHeader h;
+  h.op = op;
+  h.client = client;
+  h.seq = seq;
+  h.file_key = file_key;
+  return h;
+}
+
 /// Fixed-size head of every reply. kShutdownDone appends a TcioDelegateStats
 /// blob; kError appends `value2` bytes of message text.
 struct ReplyMsg {

@@ -295,7 +295,7 @@ void Server::servePut(Pending& p) {
       }
       check += len;
     }
-    core::chargeChecksum(comm_->proc(), s_->config(), p.h.payload_bytes);
+    core::chargeChecksum(comm_->proc(), p.h.payload_bytes);
     if (!clean) {
       if (p.retries >= 1) {
         ++stats_.unrepairable;
@@ -414,7 +414,7 @@ void Server::serveGet(Pending& p) {
   // segment's ledger first so corruption-at-rest never reaches a reader.
   if (integrity_on_) {
     core::verifyOrRepair(sb.ledger, g, sb.data, ownWal(f), comm_->proc(),
-                         s_->config(), stats_, f.name);
+                         stats_, f.name);
   }
   std::byte* dst = frameData(p.frame);
   Bytes total = 0;
@@ -434,7 +434,7 @@ void Server::serveGet(Pending& p) {
   if (integrity_on_) {
     reply_crc = crc32({dst, static_cast<std::size_t>(total)});
     has_reply_crc = 1;
-    core::chargeChecksum(comm_->proc(), s_->config(), total);
+    core::chargeChecksum(comm_->proc(), total);
   }
   --data_queued_;  // queue slot freed; the frame is held until kGetAck
   p.frame = -1;    // ownership moved to the client — the error path must
@@ -464,7 +464,7 @@ Bytes Server::drainAndClose(FileState& f) {
     // its ledger so corruption-at-rest never reaches an OST.
     if (integrity_on_) {
       core::verifyOrRepair(sb.ledger, g, sb.data, ownWal(f), comm_->proc(),
-                           s_->config(), stats_, f.name);
+                           stats_, f.name);
     }
     const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
     const Offset base = g * s_->config().segment_size;

@@ -92,9 +92,7 @@ const core::TcioDelegateStats& Session::finish() {
     std::vector<std::byte> buf(static_cast<std::size_t>(maxReplyBytes()));
     for (int d = 0; d < num_delegates_; ++d) {
       if (isDead(d)) continue;
-      RequestHeader h;
-      h.op = Op::kShutdown;
-      h.client = comm_->rank();
+      const RequestHeader h = requestHeader(Op::kShutdown, comm_->rank());
       comm_->send(&h, sizeof(h), d, kReqTag);
       mpi::RecvStatus st;
       bool got;

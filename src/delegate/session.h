@@ -49,9 +49,6 @@ class Session {
 
   /// The session (full) communicator — descriptor/reply traffic runs here.
   mpi::Comm& comm() { return *comm_; }
-  /// This rank's role communicator: the client communicator on clients (all
-  /// DFile collectives run over it), the delegate communicator on delegates.
-  mpi::Comm& roleComm() { return *role_comm_; }
   mpi::Comm& clientComm();
 
   fs::Filesystem& filesystem() { return *fsys_; }

@@ -77,7 +77,6 @@ class FsClient {
   void installFaultPlan(const FaultConfig& cfg);
 
   void setRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retryPolicy() const { return retry_; }
   const RetryStats& retryStats() const { return retry_stats_; }
 
   Filesystem& filesystem() { return *fs_; }

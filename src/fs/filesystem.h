@@ -129,7 +129,6 @@ class Filesystem {
   /// wins; later calls are ignored so that ranks racing through a collective
   /// open share one schedule. Must be called inside an atomic section.
   void installFaultPlan(const FaultConfig& cfg);
-  const FaultPlan* faultPlan() const { return plan_.get(); }
 
   /// Legacy single-shot injector: the N-th subsequent write *call* throws
   /// TransientFsError (a FsError). Kept as a shim over the FaultPlan.
@@ -192,10 +191,6 @@ class Filesystem {
   /// Consults the plan for one MDS RPC; throws TransientFsError when the
   /// RPC faults (FsClient's open/close retry loops absorb it).
   void maybeMdsFault(FaultPlan::MdsVerb verb, const std::string& name);
-
-  /// True when the stored-block checksum domain is active (resolved once in
-  /// the constructor from FsConfig::integrity and TCIO_INTEGRITY).
-  bool integrityOn() const { return integrity_; }
 
   /// Moves remapped chunks back to their home OST once it has recovered
   /// (FaultPlan::ostRecovered). Called lazily from the costed paths; charges

@@ -315,6 +315,7 @@ bool isCollective(const std::string& s) {
       "allgather",      "allgatherv",      "alltoall",
       "alltoallv",      "agreeOnError",    "agreeWithLiveness",
       "exchangeDigests", "shrink",         "fence",
+      "sizedAlltoallv",
   };
   return kColl.count(s) > 0;
 }

@@ -611,4 +611,41 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
   }
 }
 
+SizedExchange sizedAlltoallv(
+    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst) {
+  const auto sp = static_cast<std::size_t>(comm.size());
+  TCIO_CHECK(per_dst.size() == sp);
+  // Step 1: every rank learns how many bytes arrive from each peer.
+  std::vector<Bytes> send_sizes(sp), recv_sizes(sp),
+      size_counts(sp, sizeof(Bytes));
+  std::vector<Offset> size_displs(sp);
+  for (std::size_t i = 0; i < sp; ++i) {
+    send_sizes[i] = static_cast<Bytes>(per_dst[i].size());
+    size_displs[i] = static_cast<Offset>(i * sizeof(Bytes));
+  }
+  comm.alltoallv(send_sizes.data(), size_counts, size_displs,
+                 recv_sizes.data(), size_counts, size_displs);
+  // Step 2: the bytes themselves.
+  SizedExchange out;
+  out.counts = std::move(recv_sizes);
+  out.displs.resize(sp);
+  std::vector<Offset> send_displs(sp);
+  Bytes send_total = 0, recv_total = 0;
+  for (std::size_t i = 0; i < sp; ++i) {
+    send_displs[i] = send_total;
+    send_total += send_sizes[i];
+    out.displs[i] = recv_total;
+    recv_total += out.counts[i];
+  }
+  std::vector<std::byte> sendbuf;
+  sendbuf.reserve(static_cast<std::size_t>(send_total));
+  for (const auto& v : per_dst) {
+    sendbuf.insert(sendbuf.end(), v.begin(), v.end());
+  }
+  out.data.resize(static_cast<std::size_t>(recv_total));
+  comm.alltoallv(sendbuf.data(), send_sizes, send_displs, out.data.data(),
+                 out.counts, out.displs);
+  return out;
+}
+
 }  // namespace tcio::mpi

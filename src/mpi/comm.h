@@ -242,4 +242,32 @@ class Comm {
   std::size_t win_seq_ = 0;
 };
 
+/// What sizedAlltoallv received: every source's bytes back to back in rank
+/// order, with per-source byte counts and starting displacements.
+struct SizedExchange {
+  std::vector<std::byte> data;
+  std::vector<Bytes> counts;
+  std::vector<Offset> displs;
+
+  std::span<const std::byte> from(std::size_t src) const {
+    return {data.data() + displs[src], static_cast<std::size_t>(counts[src])};
+  }
+  /// What `src` sent, read as packed records of trivially copyable `T`.
+  template <typename T>
+  std::vector<T> recordsFrom(std::size_t src) const {
+    const std::span<const std::byte> raw = from(src);
+    std::vector<T> out(raw.size() / sizeof(T));
+    if (!out.empty()) {
+      std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
+    }
+    return out;
+  }
+};
+
+/// Size-then-payload all-to-all, ROMIO's two-phase recipe: one alltoallv of
+/// per-destination byte counts, then one alltoallv of the bytes themselves.
+/// `per_dst[d]` goes to rank d of `comm`, the caller included. Collective.
+SizedExchange sizedAlltoallv(
+    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst);
+
 }  // namespace tcio::mpi

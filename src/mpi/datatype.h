@@ -29,7 +29,6 @@ class Datatype {
 
   // -- Basic types ----------------------------------------------------------
   static Datatype byte() { return basic(1, "byte"); }
-  static Datatype char8() { return basic(1, "char"); }
   static Datatype int16() { return basic(2, "int16"); }
   static Datatype int32() { return basic(4, "int32"); }
   static Datatype int64() { return basic(8, "int64"); }
@@ -108,7 +107,6 @@ class Datatype {
   static Datatype basic(Bytes n, const char* name);
   static Datatype fromSegments(std::vector<Extent> segs, std::string name);
 
-  std::shared_ptr<const State> stateChecked() const;
   std::shared_ptr<State> state_;
 };
 

@@ -67,7 +67,6 @@ Window::Window(Window&& other) noexcept
       world_(other.world_),
       state_(std::exchange(other.state_, nullptr)),
       held_(std::move(other.held_)),
-      lock_count_(other.lock_count_),
       rma_messages_(other.rma_messages_) {}
 
 Window::~Window() {
@@ -157,7 +156,6 @@ void Window::lock(LockType type, Rank target) {
     });
   }
   held_[target] = Epoch{type, 0.0};
-  ++lock_count_;
 }
 
 void Window::unlock(Rank target) {

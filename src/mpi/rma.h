@@ -84,7 +84,6 @@ class Window {
   void fence();
 
   // Stats for tests/benches.
-  std::int64_t lockAcquisitions() const { return lock_count_; }
   std::int64_t oneSidedMessages() const { return rma_messages_; }
 
  private:
@@ -109,7 +108,6 @@ class Window {
     SimTime last_delivery = 0;
   };
   std::unordered_map<Rank, Epoch> held_;
-  std::int64_t lock_count_ = 0;
   std::int64_t rma_messages_ = 0;
 };
 

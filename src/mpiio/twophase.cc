@@ -77,53 +77,6 @@ SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
   return split;
 }
 
-/// Exchanges per-destination byte counts, then the variable-size buffers.
-/// Returns the received bytes per source plus their starting displacements.
-struct Exchanged {
-  std::vector<std::byte> data;
-  std::vector<Bytes> counts;    // per source
-  std::vector<Offset> displs;   // per source
-};
-
-Exchanged exchangeWithPeers(mpi::Comm& comm,
-                   const std::vector<std::vector<std::byte>>& per_dst) {
-  const int P = comm.size();
-  const auto sp = static_cast<std::size_t>(P);
-  // Step 1: counts.
-  std::vector<Bytes> scounts(sp), rcounts(sp);
-  std::vector<Offset> sdispls(sp), rdispls(sp);
-  std::vector<Bytes> size_s(sp), size_r(sp);
-  for (std::size_t i = 0; i < sp; ++i) {
-    size_s[i] = static_cast<Bytes>(per_dst[i].size());
-    scounts[i] = sizeof(Bytes);
-    rcounts[i] = sizeof(Bytes);
-    sdispls[i] = static_cast<Offset>(i * sizeof(Bytes));
-    rdispls[i] = static_cast<Offset>(i * sizeof(Bytes));
-  }
-  comm.alltoallv(size_s.data(), scounts, sdispls, size_r.data(), rcounts,
-                 rdispls);
-  // Step 2: the payload itself.
-  Bytes send_total = 0, recv_total = 0;
-  std::vector<std::byte> sendbuf;
-  for (std::size_t i = 0; i < sp; ++i) {
-    scounts[i] = size_s[i];
-    sdispls[i] = send_total;
-    send_total += size_s[i];
-    rcounts[i] = size_r[i];
-    rdispls[i] = recv_total;
-    recv_total += size_r[i];
-  }
-  sendbuf.reserve(static_cast<std::size_t>(send_total));
-  for (const auto& v : per_dst) sendbuf.insert(sendbuf.end(), v.begin(), v.end());
-  Exchanged out;
-  out.data.resize(static_cast<std::size_t>(recv_total));
-  out.counts = std::move(rcounts);
-  out.displs = std::move(rdispls);
-  comm.alltoallv(sendbuf.data(), scounts, sdispls, out.data.data(),
-                 out.counts, out.displs);
-  return out;
-}
-
 std::vector<std::vector<std::byte>> metaToBytes(
     const std::vector<std::vector<BlockMeta>>& meta) {
   std::vector<std::vector<std::byte>> out(meta.size());
@@ -138,16 +91,11 @@ std::vector<std::vector<std::byte>> metaToBytes(
 
 /// Union of received block extents, merged (overlap tolerated: concurrent
 /// writers to the same byte are a user race, last-writer-wins here).
-std::vector<Extent> coverage(const Exchanged& meta, int P) {
+std::vector<Extent> coverage(const mpi::SizedExchange& meta, int P) {
   std::vector<Extent> runs;
-  for (int src = 0; src < P; ++src) {
-    const auto* blocks = reinterpret_cast<const BlockMeta*>(
-        meta.data.data() + meta.displs[static_cast<std::size_t>(src)]);
-    const std::size_t n =
-        static_cast<std::size_t>(meta.counts[static_cast<std::size_t>(src)]) /
-        sizeof(BlockMeta);
-    for (std::size_t i = 0; i < n; ++i) {
-      runs.push_back({blocks[i].off, blocks[i].off + blocks[i].len});
+  for (std::size_t src = 0; src < static_cast<std::size_t>(P); ++src) {
+    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(src)) {
+      runs.push_back({b.off, b.off + b.len});
     }
   }
   return mpi::normalizeOverlapping(std::move(runs));
@@ -169,8 +117,9 @@ TwoPhaseStats twoPhaseWrite(mpi::Comm& comm, fs::FsClient& fs,
   Bytes staged = 0;
   for (const auto& v : split.payload) staged += static_cast<Bytes>(v.size());
   comm.chargeCopy(staged);
-  const Exchanged meta = exchangeWithPeers(comm, metaToBytes(split.meta));
-  const Exchanged payload = exchangeWithPeers(comm, split.payload);
+  const mpi::SizedExchange meta =
+      mpi::sizedAlltoallv(comm, metaToBytes(split.meta));
+  const mpi::SizedExchange payload = mpi::sizedAlltoallv(comm, split.payload);
 
   // Phase 2: this rank, if an aggregator, assembles its region, writes it.
   const Extent region = dom.regionOf(dom.aggIndexOf(comm.rank()));
@@ -182,18 +131,13 @@ TwoPhaseStats twoPhaseWrite(mpi::Comm& comm, fs::FsClient& fs,
   Bytes overlaid = 0;
   for (int src = 0; src < P; ++src) {
     const auto s = static_cast<std::size_t>(src);
-    const auto* blocks =
-        reinterpret_cast<const BlockMeta*>(meta.data.data() + meta.displs[s]);
-    const std::size_t nblocks =
-        static_cast<std::size_t>(meta.counts[s]) / sizeof(BlockMeta);
-    const std::byte* src_payload = payload.data.data() + payload.displs[s];
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      TCIO_CHECK(blocks[i].off >= region.begin &&
-                 blocks[i].off + blocks[i].len <= region.end);
-      std::memcpy(buffer.data() + (blocks[i].off - region.begin), src_payload,
-                  static_cast<std::size_t>(blocks[i].len));
-      src_payload += blocks[i].len;
-      overlaid += blocks[i].len;
+    const std::byte* src_payload = payload.from(s).data();
+    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(s)) {
+      TCIO_CHECK(b.off >= region.begin && b.off + b.len <= region.end);
+      std::memcpy(buffer.data() + (b.off - region.begin), src_payload,
+                  static_cast<std::size_t>(b.len));
+      src_payload += b.len;
+      overlaid += b.len;
     }
   }
   comm.chargeCopy(overlaid);
@@ -217,7 +161,8 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   // Requests travel to aggregators.
   SplitRequest split =
       splitByAggregator(comm, dom, req, /*stage_payload=*/false);
-  const Exchanged meta = exchangeWithPeers(comm, metaToBytes(split.meta));
+  const mpi::SizedExchange meta =
+      mpi::sizedAlltoallv(comm, metaToBytes(split.meta));
 
   // Aggregator loads the union of requested runs in its region.
   const Extent region = dom.regionOf(dom.aggIndexOf(comm.rank()));
@@ -237,18 +182,14 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   Bytes served = 0;
   for (int src = 0; src < P; ++src) {
     const auto s = static_cast<std::size_t>(src);
-    const auto* blocks =
-        reinterpret_cast<const BlockMeta*>(meta.data.data() + meta.displs[s]);
-    const std::size_t nblocks =
-        static_cast<std::size_t>(meta.counts[s]) / sizeof(BlockMeta);
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      const std::byte* from = buffer.data() + (blocks[i].off - region.begin);
-      replies[s].insert(replies[s].end(), from, from + blocks[i].len);
-      served += blocks[i].len;
+    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(s)) {
+      const std::byte* from = buffer.data() + (b.off - region.begin);
+      replies[s].insert(replies[s].end(), from, from + b.len);
+      served += b.len;
     }
   }
   comm.chargeCopy(served);
-  const Exchanged back = exchangeWithPeers(comm, replies);
+  const mpi::SizedExchange back = mpi::sizedAlltoallv(comm, replies);
 
   // Scatter received bytes into the caller's payload, extent order. Pieces
   // from aggregator j arrive in the same ascending-offset order we asked in.

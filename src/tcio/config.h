@@ -110,9 +110,6 @@ struct TcioConfig {
     /// Tri-state: > 0 on; 0 defers to the TCIO_INTEGRITY environment
     /// variable; < 0 pinned off regardless of the environment.
     int enabled = 0;
-    /// Per-byte digest/verify throughput charged to virtual time (folded
-    /// CRC32 runs near memory speed; see FsConfig::checksum_bandwidth).
-    double checksum_bandwidth = 50.0e9;
   };
   IntegrityConfig integrity;
 

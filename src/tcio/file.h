@@ -24,6 +24,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,7 +225,6 @@ class File {
   Offset tell() const { return pointer_; }
   const TcioStats& stats() const { return stats_; }
   const TcioConfig& config() const { return cfg_; }
-  const SegmentMap& segmentMap() const { return map_; }
   /// The communicator collectives currently run over. With crash tolerance
   /// this is the *shrunk* communicator once peers have been declared dead;
   /// otherwise it is the communicator the file was opened on.
@@ -272,6 +272,16 @@ class File {
   /// are resident in level-2).
   void gatherPending(std::vector<PendingRead>& reads);
 
+  /// Collective: runs the staged exchange (node-aggregated or two-sided)
+  /// when this configuration stages writes; false on the one-sided path.
+  bool exchangeStaged();
+  /// Collective: moves every rank's buffered writes into level 2 — the staged
+  /// exchange, or else the one-sided level-1 flush under error agreement.
+  /// Crash mode skips the latter: it flushes level 1 in its liveness round.
+  void exchangeWrites();
+  /// Collective: flushes level 1 (local work + RMA) and agrees on the outcome.
+  void agreeLevel1Flush();
+
   /// Two-sided ablation: exchange staged writes via alltoallv (collective).
   void exchangeStagedWrites();
 
@@ -290,6 +300,14 @@ class File {
   /// caller-owned storage for the published bytes: a put source must stay
   /// valid until the caller closes the epoch (MPI origin-buffer rule).
   void ensureLoadedIndependent(SegmentId seg, std::vector<std::byte>& scratch);
+
+  /// noteTransfers owner meaning "each segment's ownerOf" (takeover overlay
+  /// included), as opposed to a rank the caller asserts owns them all.
+  static constexpr Rank kOverlayOwner = -1;
+  /// Tells the runtime checker (when on) that `segs` crossed `owner`'s
+  /// window at `site`; `dirty` also marks them as holding session writes.
+  void noteTransfers(const std::set<SegmentId>& segs, Rank owner,
+                     const char* site, bool dirty = false);
 
   /// Writes this rank's dirty slots to the file system.
   void drainToFs(Bytes file_size);
@@ -416,9 +434,15 @@ class File {
   /// journal.
   void verifySlot(SegmentId g, std::int64_t slot);
   /// Background scrubber: verifies a fixed budget of owned segments per
-  /// call, round-robin. Failures land in `err` for the caller's agreement
-  /// round.
-  void scrubTick(mpi::CapturedError& err);
+  /// call, round-robin.
+  void scrubTick();
+  /// Collective: one scrubTick under error agreement (no-op with integrity
+  /// off).
+  void scrubAndAgree();
+  /// Close-time scrub: verifies every owned, digested segment while the
+  /// journal still exists to repair it — the drain is the last hop before
+  /// the bytes become the file's truth. No-op with integrity off.
+  void scrubAll();
   /// Seeded kWindow corruption: flips one bit inside a ledgered extent of an
   /// owned slot (consumes the arm only when a candidate exists).
   void maybeCorruptWindow();

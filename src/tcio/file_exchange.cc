@@ -1,0 +1,685 @@
+// core::File data movement between the level-1 buffer, level 2 and readers:
+// the level-1 flush, the staged (two-sided and node-aggregated) write
+// exchanges, and the independent, collective and node-aggregated fetches.
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "tcio/file_internal.h"
+
+namespace tcio::core {
+
+namespace {
+
+/// Appends the header of one [i32 id][u64 len][bytes] reply frame.
+void appendFrameHeader(std::vector<std::byte>& out, std::int32_t id,
+                       std::uint64_t len) {
+  appendBytes(out, &id, sizeof(id));
+  appendBytes(out, &len, sizeof(len));
+}
+
+/// Calls `fn(id, bytes, len)` for each frame of a reply stream.
+template <typename Fn>
+void forEachFrame(std::span<const std::byte> stream, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    std::int32_t id = 0;
+    std::uint64_t len = 0;
+    TCIO_CHECK(pos + sizeof(id) + sizeof(len) <= stream.size());
+    std::memcpy(&id, stream.data() + pos, sizeof(id));
+    pos += sizeof(id);
+    std::memcpy(&len, stream.data() + pos, sizeof(len));
+    pos += sizeof(len);
+    TCIO_CHECK(pos + len <= stream.size());
+    fn(id, stream.data() + pos, len);
+    pos += static_cast<std::size_t>(len);
+  }
+}
+
+}  // namespace
+
+void File::flushLevel1() {
+  if (level1_.empty()) {
+    level1_.reset();
+    return;
+  }
+  ++stats_.level1_flushes;
+  const SegmentId seg = level1_.alignedSegment();
+  const std::vector<Extent> extents = level1_.mergedExtents();
+  // Per-extent digests are taken from the level-1 buffer before the journal
+  // append and the injection point below: the ledger and the journal both
+  // hold the clean view, so any later hop that mangles the bytes is
+  // detectable and repairable.
+  if (integrity_on_) digestLevel1(seg, extents);
+  // Write-ahead: the journal records must be durable before the bytes move
+  // to the level-2 window (a one-sided put into a rank that later dies takes
+  // the window copy with it; the journal copy survives in *this* rank's log).
+  // One device write per segment flush; a kMidJournal crash tears a record.
+  if (journal_ != nullptr) {
+    journal_->batchBegin();
+    for (const Extent& e : extents) {
+      if (!appendOrTear(*journal_, crash_plan_.get(), CrashPoint::kMidJournal,
+                        seg, e.begin,
+                        {level1_.data() + e.begin,
+                         static_cast<std::size_t>(e.size())})) {
+        die("mid journal append");
+      }
+    }
+    journal_->batchEnd();
+  }
+  crashPoint(CrashPoint::kMidRma);
+  // Silent-corruption injection, staging-frame site: flip one seeded bit in
+  // the outgoing frame after the clean copies (digest + journal) are
+  // secured — the corruption rides the RMA put / staged copy into level 2.
+  if (corruption_ != nullptr && !extents.empty() &&
+      corruption_->fires(CorruptSite::kStagingFrame)) {
+    const Extent& e = extents.front();
+    corruption_->flipBit(
+        {level1_.mutableData() + e.begin, static_cast<std::size_t>(e.size())});
+  }
+  const SimTime flush_begin = comm_->proc().now();
+  if (!twoSidedExchange() && !cfg_.node_aggregation) {
+    const Rank owner = ownerOf(seg);
+    const std::int64_t slot = slotOnOwner(seg);
+    if (check::Checker* ck = comm_->world().checker()) {
+      comm_->proc().atomic([&] {
+        ck->onSegmentTransfer(name_, seg, owner, "File::flushLevel1");
+        ck->noteDirty(name_, seg);
+      });
+    }
+    std::vector<mpi::Window::PutBlock> blocks;
+    blocks.reserve(extents.size() + 1);
+    blocks.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
+    for (const Extent& e : extents) {
+      blocks.push_back(
+          {dataDisp(slot, e.begin), level1_.data() + e.begin, e.size()});
+    }
+    // Shared lock: concurrent flushes from different ranks write disjoint
+    // bytes of the segment (their own blocks), which MPI permits under
+    // shared passive-target epochs — and it keeps flushes from convoying
+    // behind one another when every rank walks the segments in file order.
+    window_->lock(mpi::LockType::kShared, owner);
+    window_->putIndexed(owner, blocks);
+    window_->unlock(owner);
+    if (comm_->world().trace().enabled()) {
+      sim::Proc& p = comm_->proc();
+      Bytes n = 0;
+      for (const Extent& e : extents) n += e.size();
+      p.atomic([&] {
+        comm_->world().trace().record(p.rank(), flush_begin, p.now(),
+                                      "tcio.flush", n);
+      });
+    }
+  } else {
+    // Two-sided ablation / node aggregation: stage locally until the next
+    // collective exchange.
+    for (const Extent& e : extents) {
+      staged_.emplace_back(
+          map_.baseOf(seg) + e.begin,
+          std::vector<std::byte>(level1_.data() + e.begin,
+                                 level1_.data() + e.end));
+      staged_bytes_ += e.size();
+      comm_->memory().allocate(e.size(), "TCIO staged writes");
+    }
+    if (cfg_.node_aggregation &&
+        node_map_->nodeOf(curOf(ownerOf(seg))) != node_map_->myNode()) {
+      // The per-rank shuffle would have put one epoch for this flush on the
+      // NIC; the leader exchange replaces it.
+      ++stats_.internode_messages_saved;
+    }
+  }
+  level1_.reset();
+}
+
+void File::ensureLoadedIndependent(SegmentId seg,
+                                   std::vector<std::byte>& scratch) {
+  const Rank owner = ownerOf(seg);
+  const std::int64_t slot = slotOnOwner(seg);
+  std::byte flags[2];
+  window_->get(owner, flagsDisp(slot, 0), flags, kFlagBytes);
+  if (flags[kDirtyFlag] != std::byte{0} || flags[kLoadedFlag] != std::byte{0}) {
+    return;  // resident (session writes or a previous load)
+  }
+  // Load the segment from the file ourselves and publish it through the
+  // owner's window — pure one-sided, no remote progress needed. The bytes go
+  // through caller-owned scratch because a put source must stay untouched
+  // until the caller's unlock closes the epoch.
+  const Offset base = map_.baseOf(seg);
+  const Bytes fsize = client_.size(fsfile_);
+  const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
+  scratch.assign(static_cast<std::size_t>(len), std::byte{0});
+  if (len > 0) preadDegraded(base, scratch.data(), len);
+  if (check::Checker* ck = comm_->world().checker()) {
+    comm_->proc().atomic([&] {
+      ck->onSegmentTransfer(name_, seg, owner, "File::ensureLoadedIndependent");
+    });
+  }
+  std::vector<mpi::Window::PutBlock> blocks;
+  blocks.push_back({flagsDisp(slot, kLoadedFlag), &kFlagSet, 1});
+  if (len > 0) blocks.push_back({dataDisp(slot, 0), scratch.data(), len});
+  window_->putIndexed(owner, blocks);
+}
+
+void File::independentFetch(std::vector<PendingRead> reads) {
+  TCIO_CHECK_MSG(cfg_.use_onesided,
+                 "independent fetch requires one-sided mode");
+  if (reads.empty()) return;
+  ++stats_.independent_fetches;
+  // Group by segment; each segment is handled under one exclusive lock of
+  // its owner (exclusive because we may have to load-and-publish).
+  std::map<SegmentId, std::vector<PendingRead>> by_seg;
+  for (const PendingRead& r : reads) {
+    by_seg[map_.segmentOf(r.off)].push_back(r);
+  }
+  for (auto& [seg, group] : by_seg) {
+    const Rank owner = ownerOf(seg);
+    const std::int64_t slot = slotOnOwner(seg);
+    std::vector<mpi::Window::GetBlock> blocks;
+    blocks.reserve(group.size());
+    for (const PendingRead& r : group) {
+      blocks.push_back({dataDisp(slot, map_.dispOf(r.off)), r.dst, r.len});
+    }
+    if (check::Checker* ck = comm_->world().checker()) {
+      comm_->proc().atomic([&] {
+        ck->onSegmentTransfer(name_, seg, owner, "File::independentFetch");
+      });
+    }
+    // Fast path: under a shared lock, check residency and gather. Only a
+    // non-resident segment needs the exclusive load-and-publish epoch.
+    std::byte flags[2];
+    window_->lock(mpi::LockType::kShared, owner);
+    window_->get(owner, flagsDisp(slot, 0), flags, kFlagBytes);
+    const bool resident = flags[kDirtyFlag] != std::byte{0} ||
+                          flags[kLoadedFlag] != std::byte{0};
+    if (resident) {
+      window_->getIndexed(owner, blocks);
+      window_->unlock(owner);
+      continue;
+    }
+    window_->unlock(owner);
+    window_->lock(mpi::LockType::kExclusive, owner);
+    std::vector<std::byte> scratch;  // outlives the unlock below (put source)
+    ensureLoadedIndependent(seg, scratch);  // re-checks under the lock
+    window_->getIndexed(owner, blocks);
+    window_->unlock(owner);
+  }
+}
+
+void File::gatherPending(std::vector<PendingRead>& reads) {
+  check::Checker* ck = comm_->world().checker();
+  // One shared-lock epoch and one coalesced get per owner.
+  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
+  std::set<SegmentId> segs;
+  for (const PendingRead& r : reads) {
+    const SegmentId seg = map_.segmentOf(r.off);
+    by_owner[ownerOf(seg)].push_back(
+        {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
+    if (ck != nullptr) segs.insert(seg);
+  }
+  noteTransfers(segs, kOverlayOwner, "File::gatherPending");
+  for (auto& [owner, blocks] : by_owner) {
+    window_->lock(mpi::LockType::kShared, owner);
+    window_->getIndexed(owner, blocks);
+    window_->unlock(owner);
+  }
+}
+
+void File::collectiveFetch() {
+  ++stats_.collective_fetches;
+  maybeCorruptWindow();
+  const SimTime fetch_begin = comm_->proc().now();
+  // Liveness first (crash mode): a peer that died since the last collective
+  // (or dies in its own residue flush right here) must be agreed dead — and
+  // its segments taken over — before any plain collective below is entered,
+  // or the survivors hang in it. The residue flush carries crash points
+  // (kMidJournal/kMidRma); a rank killed by one unwinds, uncaptured.
+  if (cfg_.crash.enabled) agreeLevel1Flush();
+  exchangeWrites();
+  // Every writer's pending digests reach the segment owners before any data
+  // is served below (an allgatherv — collectively aligned: integrity is
+  // uniform across ranks, and in crash mode the agreement above already
+  // shrank the communicator around any dead peers).
+  exchangeDigests();
+  // Union of needed segments across ranks (segment ids span the original
+  // communicator's domain even after a crash shrink).
+  const std::int64_t total_segs =
+      cfg_.segments_per_rank * static_cast<std::int64_t>(orig_size_);
+  std::vector<std::uint64_t> bitmap(
+      static_cast<std::size_t>((total_segs + 63) / 64), 0);
+  for (const PendingRead& r : pending_reads_) {
+    // A pending piece never crosses a segment boundary (recordRead splits).
+    const SegmentId g = map_.segmentOf(r.off);
+    bitmap[static_cast<std::size_t>(g / 64)] |= 1ULL << (g % 64);
+  }
+  comm_->allreduce(bitmap.data(), static_cast<std::int64_t>(bitmap.size()),
+                   mpi::ReduceOp::kBitOr);
+  const auto needed = [&](SegmentId g) {
+    const std::uint64_t word = bitmap[static_cast<std::size_t>(g / 64)];
+    return (word & (1ULL << (g % 64))) != 0;
+  };
+  // Owners load their needed, non-resident segments with large file reads.
+  // The loads are purely local, so capture any FS failure and agree after
+  // the existing barrier (an aligned point for every rank).
+  if (check::Checker* ck = comm_->world().checker()) {
+    // Every slot this rank is about to load (or serve) must be one the
+    // checker's segment map assigns to it.
+    comm_->proc().atomic([&] {
+      for (const auto& [g, slot] : ownedSlots()) {
+        if (needed(g)) {
+          ck->onSegmentTransfer(name_, g, orig_rank_,
+                                "File::collectiveFetch(owner load)");
+        }
+      }
+    });
+  }
+  mpi::CapturedError load_err;
+  try {
+    const Bytes fsize = client_.size(fsfile_);
+    std::byte* local_win = window_->localData();
+    for (const auto& [g, slot] : ownedSlots()) {
+      if (!needed(g)) continue;
+      std::byte& dirty = local_win[flagsDisp(slot, kDirtyFlag)];
+      std::byte& loaded = local_win[flagsDisp(slot, kLoadedFlag)];
+      if (dirty != std::byte{0} || loaded != std::byte{0}) continue;
+      const Offset base = map_.baseOf(g);
+      const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
+      if (len > 0) {
+        preadDegraded(base, local_win + dataDisp(slot, 0), len);
+      }
+      loaded = kFlagSet;
+    }
+    // Integrity gate on the read path: every needed segment this rank owns
+    // is re-verified against its digest ledger *before* any byte of it is
+    // served to a reader — a corrupted window region is repaired from the
+    // journal (or surfaces as an agreed IntegrityError), never propagated
+    // into a user read buffer.
+    if (integrity_on_) {
+      for (const auto& [g, slot] : ownedSlots()) {
+        if (needed(g)) verifySlot(g, slot);
+      }
+    }
+  } catch (const std::exception& e) {
+    load_err.capture(e);
+  }
+  comm_->barrier();
+  collectiveAgreeOnError(load_err);
+  if (cfg_.node_aggregation) {
+    nodeAggregatedGather(pending_reads_);
+  } else if (!twoSidedExchange()) {
+    gatherPending(pending_reads_);
+  } else {
+    // Two-sided reply exchange: ship requests to owners, owners answer from
+    // their local windows.
+    const auto sp = static_cast<std::size_t>(comm_->size());
+    std::vector<std::vector<std::byte>> req_meta(sp);
+    for (const PendingRead& r : pending_reads_) {
+      const BlockMeta m{r.off, r.len};
+      appendBytes(req_meta[static_cast<std::size_t>(
+                      curOf(ownerOf(map_.segmentOf(r.off))))],
+                  &m, sizeof(m));
+    }
+    const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
+    // Answer each requester from the local window.
+    const std::byte* local = window_->localData();
+    std::vector<std::vector<std::byte>> replies(sp);
+    std::set<SegmentId> served_segs;
+    for (std::size_t s = 0; s < sp; ++s) {
+      for (const BlockMeta& b : got_meta.recordsFrom<BlockMeta>(s)) {
+        const SegmentId g = map_.segmentOf(b.off);
+        const std::byte* from =
+            local + dataDisp(slotOnOwner(g), map_.dispOf(b.off));
+        appendBytes(replies[s], from, static_cast<std::size_t>(b.len));
+        served_segs.insert(g);
+      }
+    }
+    // Requesters routed these reads here because this rank owns them.
+    noteTransfers(served_segs, orig_rank_,
+                  "File::collectiveFetch(two-sided reply)");
+    const mpi::SizedExchange payload = mpi::sizedAlltoallv(*comm_, replies);
+    // Scatter: replies from each owner arrive in my request order.
+    std::vector<Offset> cursor(payload.displs.begin(), payload.displs.end());
+    for (const PendingRead& r : pending_reads_) {
+      const auto owner =
+          static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
+      std::memcpy(r.dst, payload.data.data() + cursor[owner],
+                  static_cast<std::size_t>(r.len));
+      cursor[owner] += r.len;
+    }
+    comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
+  }
+  if (comm_->world().trace().enabled()) {
+    sim::Proc& p = comm_->proc();
+    Bytes n = 0;
+    for (const PendingRead& r : pending_reads_) n += r.len;
+    p.atomic([&] {
+      comm_->world().trace().record(p.rank(), fetch_begin, p.now(),
+                                    "tcio.fetch", n);
+    });
+  }
+  pending_reads_.clear();
+  pending_segment_ = -1;
+}
+
+void File::noteTransfers(const std::set<SegmentId>& segs, Rank owner,
+                         const char* site, bool dirty) {
+  check::Checker* ck = comm_->world().checker();
+  if (ck == nullptr || segs.empty()) return;
+  comm_->proc().atomic([&] {
+    for (const SegmentId g : segs) {
+      const Rank o = owner == kOverlayOwner ? ownerOf(g) : owner;
+      ck->onSegmentTransfer(name_, g, o, site);
+      if (dirty) ck->noteDirty(name_, g);
+    }
+  });
+}
+
+bool File::exchangeStaged() {
+  if (cfg_.node_aggregation) {
+    nodeExchangeStagedWrites();
+  } else if (twoSidedExchange()) {
+    exchangeStagedWrites();
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void File::exchangeWrites() {
+  if (exchangeStaged() || cfg_.crash.enabled) return;
+  // One-sided flush is local + RMA only: capture and agree so a faulted rank
+  // cannot strand its peers in the next collective.
+  agreeLevel1Flush();
+}
+
+void File::agreeLevel1Flush() {
+  collectiveAgreeOnError(captureLocal([&] { flushLevel1(); }));
+}
+
+void File::exchangeStagedWrites() {
+  flushLevel1();  // move any level-1 residue into the staging area
+  if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
+  const auto sp = static_cast<std::size_t>(comm_->size());
+  std::vector<std::vector<std::byte>> meta(sp), payload(sp);
+  for (const auto& [off, bytes] : staged_) {
+    const auto owner =
+        static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
+    const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
+    appendBytes(meta[owner], &m, sizeof(m));
+    appendBytes(payload[owner], bytes.data(), bytes.size());
+  }
+  const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, meta);
+  const mpi::SizedExchange got_payload = mpi::sizedAlltoallv(*comm_, payload);
+  // Apply received blocks into the local window. Purely local work: capture
+  // and agree (the segment-exchange agreement point) so a corrupt frame on
+  // one rank surfaces on all of them instead of desynchronizing the job.
+  const mpi::CapturedError err = captureLocal([&] {
+    std::byte* local = window_->localData();
+    std::set<SegmentId> applied_segs;
+    for (std::size_t s = 0; s < sp; ++s) {
+      const std::byte* from = got_payload.from(s).data();
+      for (const BlockMeta& b : got_meta.recordsFrom<BlockMeta>(s)) {
+        const SegmentId g = map_.segmentOf(b.off);
+        const std::int64_t slot = slotOnOwner(g);
+        checkHop(b, from, comm_->proc(), stats_.integrity);
+        std::memcpy(local + dataDisp(slot, map_.dispOf(b.off)), from,
+                    static_cast<std::size_t>(b.len));
+        from += b.len;
+        local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+        applied_segs.insert(g);
+      }
+    }
+    // Peers routed these blocks here because this rank owns the segments.
+    noteTransfers(applied_segs, orig_rank_, "File::exchangeStagedWrites",
+                  /*dirty=*/true);
+    comm_->chargeCopy(static_cast<Bytes>(got_payload.data.size()));
+  });
+  comm_->memory().release(staged_bytes_);
+  staged_.clear();
+  staged_bytes_ = 0;
+  collectiveAgreeOnError(err);
+}
+
+void File::nodeExchangeStagedWrites() {
+  flushLevel1();  // move any level-1 residue into the staging area
+  ++stats_.node_exchanges;
+  // Stage records addressed to the *node* hosting each block's owner:
+  // [BlockMeta][payload] back to back.
+  std::vector<std::vector<std::byte>> per_node(
+      static_cast<std::size_t>(node_map_->numNodes()));
+  for (const auto& [off, bytes] : staged_) {
+    const auto dn = static_cast<std::size_t>(
+        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
+    const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
+    appendBytes(per_node[dn], &m, sizeof(m));
+    appendBytes(per_node[dn], bytes.data(), bytes.size());
+  }
+  const std::int64_t puts_before = node_agg_->stats().internode_puts;
+  const Bytes membus_before = node_agg_->stats().intranode_bytes;
+  // Source-leader rewrite: merge adjacent same-segment extents contributed
+  // by the node's ranks into single records. On interleaved patterns the
+  // node's ranks own neighbouring stripes, so this collapses many tiny
+  // per-rank extents into few large ones before they pay the NIC.
+  const auto coalesce =
+      [this](int, const std::vector<topo::NodeAggregator::RankBlob>& blobs) {
+        struct Rec {
+          Offset off = 0;
+          Bytes len = 0;
+          const std::byte* src = nullptr;
+        };
+        std::vector<Rec> recs;
+        for (const auto& rb : blobs) {
+          forEachBlock(rb.data, [&](const BlockMeta& m, const std::byte* p) {
+            // Verify the rank -> source-leader hop before coalescing, so a
+            // flip in one contribution cannot hide inside a merged run.
+            checkHop(m, p, comm_->proc(), stats_.integrity);
+            recs.push_back({m.off, m.len, p});
+          });
+        }
+        std::stable_sort(recs.begin(), recs.end(),
+                         [](const Rec& a, const Rec& b) {
+                           return a.off < b.off;
+                         });
+        std::vector<std::byte> out;
+        out.reserve(recs.size() * sizeof(BlockMeta));
+        std::size_t i = 0;
+        while (i < recs.size()) {
+          // A merged run must stay inside one segment: its owner and slot
+          // are derived from the run's first offset at apply time.
+          std::size_t j = i + 1;
+          Bytes run = recs[i].len;
+          while (j < recs.size() &&
+                 recs[j].off == recs[j - 1].off + recs[j - 1].len &&
+                 map_.segmentOf(recs[j].off) == map_.segmentOf(recs[i].off)) {
+            run += recs[j].len;
+            ++j;
+          }
+          BlockMeta m{recs[i].off, run};
+          if (integrity_on_) {
+            // Re-digest the merged run (chained CRC over its pieces) so the
+            // leader -> destination hop is covered end to end.
+            std::uint32_t c = 0;
+            for (std::size_t k = i; k < j; ++k) {
+              c = crc32({recs[k].src, static_cast<std::size_t>(recs[k].len)},
+                        c);
+            }
+            m.crc = c;
+            m.has_crc = 1;
+            chargeChecksum(comm_->proc(), run);
+          }
+          appendBytes(out, &m, sizeof(m));
+          for (std::size_t k = i; k < j; ++k) {
+            appendBytes(out, recs[k].src, static_cast<std::size_t>(recs[k].len));
+          }
+          i = j;
+        }
+        return out;
+      };
+  const auto frames = node_agg_->exchange(per_node, coalesce);
+  // Destination leaders apply the received blocks into node-local owners'
+  // windows — membus epochs, one per owner. Leader-local work: capture and
+  // agree after the barrier below so a leader-side fault becomes the same
+  // typed error on every rank instead of a wedged job.
+  const mpi::CapturedError err = captureLocal([&] {
+    if (!node_agg_->isActiveLeader()) return;
+    std::map<Rank, std::vector<mpi::Window::PutBlock>> by_owner;
+    std::map<Rank, std::set<std::int64_t>> flagged;
+    std::set<SegmentId> applied_segs;
+    Bytes applied = 0;
+    for (const auto& from_node : frames) {
+      for (const auto& rb : from_node) {
+        forEachBlock(rb.data, [&](const BlockMeta& m, const std::byte* p) {
+          const SegmentId g = map_.segmentOf(m.off);
+          const Rank owner = ownerOf(g);  // window target: original rank
+          const std::int64_t slot = slotOnOwner(g);
+          // The inter-node NIC hop, verified at the destination leader.
+          checkHop(m, p, comm_->proc(), stats_.integrity);
+          auto& blocks = by_owner[owner];
+          if (flagged[owner].insert(slot).second) {
+            blocks.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
+          }
+          blocks.push_back({dataDisp(slot, map_.dispOf(m.off)), p, m.len});
+          applied += m.len;
+          applied_segs.insert(g);
+        });
+      }
+    }
+    noteTransfers(applied_segs, kOverlayOwner,
+                  "File::nodeExchangeStagedWrites", /*dirty=*/true);
+    for (auto& [owner, blocks] : by_owner) {
+      window_->lock(mpi::LockType::kShared, owner);
+      window_->putIndexed(owner, blocks);
+      window_->unlock(owner);
+    }
+    stats_.intranode_bytes += applied;
+  });
+  // The apply epochs above must land before any rank inspects or drains its
+  // window (owner loads in collectiveFetch, drainToFs at close).
+  comm_->barrier();
+  stats_.internode_messages_saved -=
+      node_agg_->stats().internode_puts - puts_before;
+  stats_.intranode_bytes +=
+      node_agg_->stats().intranode_bytes - membus_before;
+  comm_->memory().release(staged_bytes_);
+  staged_.clear();
+  staged_bytes_ = 0;
+  collectiveAgreeOnError(err);
+}
+
+void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
+  const int N = node_map_->numNodes();
+  const auto sn = static_cast<std::size_t>(N);
+  const Bytes membus_before = node_agg_->stats().intranode_bytes;
+  // Requests travel to the node hosting each block's owner. Replies come
+  // back in request order, so remember the order per serving node.
+  std::vector<std::vector<std::byte>> req(sn);
+  std::vector<std::vector<PendingRead*>> order(sn);
+  for (PendingRead& r : reads) {
+    const auto dn = static_cast<std::size_t>(
+        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(r.off)))));
+    const BlockMeta m{r.off, r.len};
+    appendBytes(req[dn], &m, sizeof(m));
+    order[dn].push_back(&r);
+  }
+  const auto requests = node_agg_->exchange(req);
+  // Serving leaders answer from node-local owners' windows. Reply streams
+  // are framed per requester: [i32 requester][u64 len][bytes].
+  std::vector<std::vector<std::byte>> replies(sn);
+  if (node_agg_->isActiveLeader()) {
+    // Pass 1: lay out reply streams (headers + payload space) so the get
+    // blocks can point into stable storage.
+    struct Slice {
+      std::size_t node = 0;
+      std::size_t at = 0;  // payload start within replies[node]
+    };
+    std::vector<std::pair<BlockMeta, Slice>> wanted;
+    for (std::size_t s = 0; s < sn; ++s) {
+      for (const auto& rb : requests[s]) {
+        const std::size_t nb = rb.data.size() / sizeof(BlockMeta);
+        TCIO_CHECK(rb.data.size() == nb * sizeof(BlockMeta));
+        Bytes total = 0;
+        std::vector<BlockMeta> metas(nb);
+        for (std::size_t i = 0; i < nb; ++i) {
+          std::memcpy(&metas[i], rb.data.data() + i * sizeof(BlockMeta),
+                      sizeof(BlockMeta));
+          total += metas[i].len;
+        }
+        auto& stream = replies[s];
+        appendFrameHeader(stream, rb.src, static_cast<std::uint64_t>(total));
+        std::size_t at = stream.size();
+        stream.resize(stream.size() + static_cast<std::size_t>(total));
+        for (const BlockMeta& m : metas) {
+          wanted.push_back({m, {s, at}});
+          at += static_cast<std::size_t>(m.len);
+        }
+      }
+    }
+    // Pass 2: one shared-lock membus epoch per node-local owner.
+    std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
+    std::set<SegmentId> served_segs;
+    Bytes served = 0;
+    for (const auto& [m, slice] : wanted) {
+      const SegmentId g = map_.segmentOf(m.off);
+      by_owner[ownerOf(g)].push_back(
+          {dataDisp(slotOnOwner(g), map_.dispOf(m.off)),
+           replies[slice.node].data() + slice.at, m.len});
+      served += m.len;
+      served_segs.insert(g);
+    }
+    noteTransfers(served_segs, kOverlayOwner, "File::nodeAggregatedGather");
+    for (auto& [owner, blocks] : by_owner) {
+      window_->lock(mpi::LockType::kShared, owner);
+      window_->getIndexed(owner, blocks);
+      window_->unlock(owner);
+    }
+    stats_.intranode_bytes += served;
+  }
+  const auto answers = node_agg_->exchange(replies);
+  // Leaders demux replies per requester; each fragment is wrapped
+  // [i32 serving node][u64 len][bytes] so the requester can route it to its
+  // per-node request list.
+  const std::vector<Rank>& members =
+      node_map_->ranksOnNode(node_map_->myNode());
+  std::vector<std::vector<std::byte>> per_rank(members.size());
+  if (node_agg_->isActiveLeader()) {
+    std::map<Rank, std::size_t> node_rank_of;
+    for (std::size_t q = 0; q < members.size(); ++q) {
+      node_rank_of[members[q]] = q;
+    }
+    for (std::size_t s = 0; s < sn; ++s) {
+      for (const auto& rb : answers[s]) {
+        forEachFrame(rb.data, [&](std::int32_t requester, const std::byte* p,
+                                  std::uint64_t len) {
+          auto& blob = per_rank[node_rank_of.at(requester)];
+          appendFrameHeader(blob, static_cast<std::int32_t>(s), len);
+          appendBytes(blob, p, static_cast<std::size_t>(len));
+        });
+      }
+    }
+  }
+  const std::vector<std::byte> mine =
+      node_agg_->scatterToRanks(std::move(per_rank));
+  // Route each serving node's answer bytes to the recorded reads in order.
+  std::vector<std::size_t> next(sn, 0);
+  forEachFrame(mine, [&](std::int32_t serving, const std::byte* p,
+                         std::uint64_t len) {
+    const auto s = static_cast<std::size_t>(serving);
+    std::uint64_t used = 0;
+    while (used < len) {
+      TCIO_CHECK_MSG(next[s] < order[s].size(),
+                     "node-aggregated reply exceeds recorded reads");
+      PendingRead* r = order[s][next[s]++];
+      TCIO_CHECK(used + static_cast<std::uint64_t>(r->len) <= len);
+      std::memcpy(r->dst, p + used, static_cast<std::size_t>(r->len));
+      used += static_cast<std::uint64_t>(r->len);
+    }
+    comm_->chargeCopy(static_cast<Bytes>(len));
+  });
+  for (std::size_t s = 0; s < sn; ++s) {
+    TCIO_CHECK_MSG(next[s] == order[s].size(),
+                   "node-aggregated gather left reads unanswered");
+  }
+  stats_.intranode_bytes +=
+      node_agg_->stats().intranode_bytes - membus_before;
+}
+
+}  // namespace tcio::core

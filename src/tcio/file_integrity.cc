@@ -1,0 +1,198 @@
+// core::File end-to-end data integrity (DESIGN.md §11): client-time digests,
+// the digest exchange to segment owners, the ledger gate and the scrubber.
+#include <algorithm>
+
+#include "tcio/file_internal.h"
+
+namespace tcio::core {
+
+void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
+  // One DigestRec per *run*, not per extent (extendRun): fine-grained
+  // interleaved patterns (Fig. 5) would otherwise ship a 32-byte record for
+  // every 4-byte element — more digest than data on the NIC.
+  Bytes total = 0;
+  DigestRun run;
+  bool open = false;
+  const auto ship = [&] {
+    pending_digests_.push_back({seg, run.disp,
+                                static_cast<std::uint32_t>(run.len),
+                                static_cast<std::uint32_t>(run.stride),
+                                static_cast<std::uint32_t>(run.count),
+                                run.crc});
+  };
+  for (const Extent& e : extents) {
+    const std::span<const std::byte> bytes{
+        level1_.data() + e.begin, static_cast<std::size_t>(e.size())};
+    total += e.size();
+    if (open && extendRun(run, e.begin, e.size())) {
+      run.crc = crc32(bytes, run.crc);
+      continue;
+    }
+    if (open) ship();
+    run = {e.begin, e.size(), 0, 1, crc32(bytes)};
+    open = true;
+  }
+  if (open) ship();
+  chargeChecksum(comm_->proc(), total);
+}
+
+void File::exchangeDigests() {
+  if (!integrity_on_) return;
+  if (cfg_.crash.enabled) {
+    // Crash mode ships every rank's pending digests to every rank; each
+    // keeps the records for segments it owns. The broadcast survives crash
+    // takeovers, where ownership just changed under the writers' feet —
+    // whoever ends up owning a segment has its records.
+    static const std::byte dummy{};
+    const void* mine = pending_digests_.empty()
+                           ? static_cast<const void*>(&dummy)
+                           : static_cast<const void*>(pending_digests_.data());
+    std::vector<std::vector<std::byte>> all;
+    comm_->allgatherv(
+        mine,
+        static_cast<Bytes>(pending_digests_.size() * sizeof(DigestRec)), all);
+    pending_digests_.clear();
+    for (const auto& blob : all) {
+      const auto* recs = reinterpret_cast<const DigestRec*>(blob.data());
+      const std::size_t n = blob.size() / sizeof(DigestRec);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (ownerOf(recs[i].seg) == orig_rank_) {
+          ledger_[recs[i].seg].insert(recs[i].run());
+        }
+      }
+    }
+    return;
+  }
+  // Static ownership: route every record straight to its segment's owner.
+  // Fine-grained workloads produce one record per tiny strided extent, so a
+  // broadcast would put P copies of an already metadata-heavy stream on the
+  // NIC — the routed exchange is what keeps the integrity tax inside the
+  // bench_ablation_integrity budget.
+  const int P = comm_->size();
+  std::vector<Bytes> sendcounts(static_cast<std::size_t>(P), 0);
+  for (const DigestRec& r : pending_digests_) {
+    sendcounts[static_cast<std::size_t>(curOf(ownerOf(r.seg)))] +=
+        static_cast<Bytes>(sizeof(DigestRec));
+  }
+  std::vector<Offset> senddispls(static_cast<std::size_t>(P), 0);
+  for (int d = 1; d < P; ++d) {
+    senddispls[static_cast<std::size_t>(d)] =
+        senddispls[static_cast<std::size_t>(d - 1)] +
+        sendcounts[static_cast<std::size_t>(d - 1)];
+  }
+  std::vector<std::byte> sendbuf(
+      pending_digests_.size() * sizeof(DigestRec));
+  {
+    std::vector<Offset> cursor = senddispls;
+    for (const DigestRec& r : pending_digests_) {
+      Offset& at = cursor[static_cast<std::size_t>(curOf(ownerOf(r.seg)))];
+      std::memcpy(sendbuf.data() + at, &r, sizeof(DigestRec));
+      at += static_cast<Offset>(sizeof(DigestRec));
+    }
+  }
+  pending_digests_.clear();
+  // Count exchange first (the usual two-phase recipe): every rank learns
+  // how many bytes arrive from each peer.
+  std::vector<Bytes> matrix(static_cast<std::size_t>(P) *
+                            static_cast<std::size_t>(P));
+  comm_->allgather(sendcounts.data(),
+                   static_cast<Bytes>(P * sizeof(Bytes)), matrix.data());
+  std::vector<Bytes> recvcounts(static_cast<std::size_t>(P), 0);
+  std::vector<Offset> recvdispls(static_cast<std::size_t>(P), 0);
+  Bytes total = 0;
+  for (int s = 0; s < P; ++s) {
+    recvcounts[static_cast<std::size_t>(s)] =
+        matrix[static_cast<std::size_t>(s) * static_cast<std::size_t>(P) +
+               static_cast<std::size_t>(comm_->rank())];
+    recvdispls[static_cast<std::size_t>(s)] = total;
+    total += recvcounts[static_cast<std::size_t>(s)];
+  }
+  std::vector<std::byte> recvbuf(static_cast<std::size_t>(total));
+  comm_->alltoallv(sendbuf.data(), sendcounts, senddispls, recvbuf.data(),
+                   recvcounts, recvdispls);
+  const auto* recs = reinterpret_cast<const DigestRec*>(recvbuf.data());
+  for (std::size_t i = 0; i < recvbuf.size() / sizeof(DigestRec); ++i) {
+    ledger_[recs[i].seg].insert(recs[i].run());
+  }
+}
+
+void File::verifySlot(SegmentId g, std::int64_t slot) {
+  const auto it = ledger_.find(g);
+  if (it == ledger_.end() || it->second.empty()) return;
+  std::byte* local = window_->localData();
+  if (local[flagsDisp(slot, kDirtyFlag)] == std::byte{0} &&
+      local[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
+    return;  // not resident — nothing the ledger describes is in the window
+  }
+  // Any rank may have contributed extents to this segment, so a repair
+  // replays every rank's journal records for it, in rank order — costed
+  // reads, same discipline as crash recovery.
+  WalSource wal;
+  if (journal_ != nullptr) {
+    wal = [&] {
+      std::vector<Journal::Parsed> logs;
+      for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
+        logs.push_back(Journal::readAndParse(client_, journalPath(name_, r)));
+      }
+      return logs;
+    };
+  }
+  if (verifyOrRepair(it->second, g,
+                     {local + dataDisp(slot, 0),
+                      static_cast<std::size_t>(cfg_.segment_size)},
+                     wal, comm_->proc(), stats_.integrity, name_)) {
+    local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+  }
+}
+
+void File::scrubTick() {
+  constexpr std::int64_t kSegmentsPerCollective = 2;
+  const auto owned = ownedSlots();
+  if (owned.empty()) return;
+  ++stats_.integrity.scrub_passes;
+  const std::int64_t budget = std::min(
+      kSegmentsPerCollective, static_cast<std::int64_t>(owned.size()));
+  for (std::int64_t i = 0; i < budget; ++i) {
+    const auto& [g, slot] = owned[static_cast<std::size_t>(
+        scrub_cursor_++ % static_cast<std::int64_t>(owned.size()))];
+    if (ledger_.find(g) != ledger_.end()) {
+      verifySlot(g, slot);
+      ++stats_.integrity.segments_scrubbed;
+    }
+  }
+}
+
+void File::scrubAndAgree() {
+  if (!integrity_on_) return;
+  collectiveAgreeOnError(captureLocal([&] { scrubTick(); }));
+}
+
+void File::scrubAll() {
+  if (!integrity_on_) return;
+  ++stats_.integrity.scrub_passes;
+  for (const auto& [g, slot] : ownedSlots()) {
+    if (ledger_.find(g) != ledger_.end()) {
+      verifySlot(g, slot);
+      ++stats_.integrity.segments_scrubbed;
+    }
+  }
+}
+
+void File::maybeCorruptWindow() {
+  if (corruption_ == nullptr || window_ == nullptr) return;
+  // The injector flips a bit inside a *digested* extent of an owned slot, so
+  // the flip is guaranteed to land in a checksum domain (a flip in
+  // never-written window memory would be invisible and meaningless). The arm
+  // is consumed only once such a target exists.
+  for (const auto& [g, slot] : ownedSlots()) {
+    const auto it = ledger_.find(g);
+    if (it == ledger_.end() || it->second.empty()) continue;
+    if (!corruption_->fires(CorruptSite::kWindow)) return;
+    const DigestRun& run = it->second.front();
+    corruption_->flipBit({window_->localData() + dataDisp(slot, run.disp),
+                          static_cast<std::size_t>(run.len)});
+    return;
+  }
+}
+
+}  // namespace tcio::core

@@ -20,7 +20,6 @@
 #include "common/fault.h"
 #include "common/types.h"
 #include "sim/engine.h"
-#include "tcio/config.h"
 #include "tcio/journal.h"
 
 namespace tcio::core {
@@ -84,9 +83,13 @@ class SegmentLedger {
   std::map<Offset, DigestRun> runs_;
 };
 
+/// Per-byte digest/verify throughput charged to virtual time: folded CRC32
+/// runs near memory speed (see FsConfig::checksum_bandwidth).
+inline constexpr double kChecksumBandwidth = 50.0e9;
+
 /// Virtual-time cost of streaming `n` bytes through the CRC.
-inline void chargeChecksum(sim::Proc& proc, const TcioConfig& cfg, Bytes n) {
-  proc.advance(static_cast<double>(n) / cfg.integrity.checksum_bandwidth);
+inline void chargeChecksum(sim::Proc& proc, Bytes n) {
+  proc.advance(static_cast<double>(n) / kChecksumBandwidth);
 }
 
 /// Loads the journals a repair replays, in replay order. Called only after a
@@ -102,12 +105,11 @@ using WalSource = std::function<std::vector<Journal::Parsed>()>;
 template <class Stats>
 bool verifyOrRepair(const SegmentLedger& ledger, SegmentId g,
                     std::span<std::byte> segment, const WalSource& wal,
-                    sim::Proc& proc, const TcioConfig& cfg, Stats& stats,
-                    const std::string& file) {
+                    sim::Proc& proc, Stats& stats, const std::string& file) {
   const LedgerCheck first = ledger.verify(segment);
   stats.crc_checks += first.checks;
   stats.crc_mismatches += first.mismatches;
-  chargeChecksum(proc, cfg, first.bytes);
+  chargeChecksum(proc, first.bytes);
   if (first.mismatches == 0) return false;
   const std::string what = file + ": segment " + std::to_string(g);
   if (!wal) {
@@ -116,7 +118,7 @@ bool verifyOrRepair(const SegmentLedger& ledger, SegmentId g,
                          " failed its CRC and no journal exists to repair it");
   }
   const LedgerCheck after = ledger.repair(g, segment, wal());
-  chargeChecksum(proc, cfg, after.bytes);
+  chargeChecksum(proc, after.bytes);
   if (after.mismatches != 0) {
     ++stats.unrepairable;
     throw IntegrityError(what + " still fails its CRC after journal replay");

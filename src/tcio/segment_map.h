@@ -19,7 +19,6 @@ class SegmentMap {
     TCIO_CHECK(num_ranks_ > 0);
   }
 
-  Bytes segmentSize() const { return segment_size_; }
   int numRanks() const { return num_ranks_; }
 
   /// Global segment index of a file offset.

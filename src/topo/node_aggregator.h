@@ -93,7 +93,6 @@ class NodeAggregator {
 
   const NodeAggStats& stats() const { return stats_; }
   NodeMap& map() { return *map_; }
-  Bytes slotBytes() const { return slot_bytes_; }
 
   /// Rank leading node `n` in the current round. scatterToRanks() uses the
   /// round of the last exchange(), so callers can keep leader-held data

@@ -30,4 +30,14 @@ void leaderWork(mpi::Comm& comm) {
   comm.barrier();
 }
 
+// Rank-dependent packing, then the exchange helper on every rank.
+void packThenExchange(mpi::Comm& comm, Blobs& per_dst) {
+  if (comm.rank() == 0) {
+    packRoot(per_dst);
+  } else {
+    packLeaf(per_dst);
+  }
+  mpi::sizedAlltoallv(comm, per_dst);
+}
+
 }  // namespace fixture

@@ -30,4 +30,11 @@ void elseOnly(mpi::Comm& comm, long* sum) {
   }
 }
 
+// The size-then-payload exchange helper is a collective too.
+void leaderOnlyExchange(mpi::Comm& comm, const Blobs& per_dst) {
+  if (comm.rank() == 0) {
+    mpi::sizedAlltoallv(comm, per_dst);  // LINT-EXPECT[collective-divergence]
+  }
+}
+
 }  // namespace fixture

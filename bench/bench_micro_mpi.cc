@@ -1,10 +1,15 @@
 // Microbenchmarks (google-benchmark) of the simulated MPI substrate:
 // reports *simulated* cost of the primitives the TCIO design arguments rest
 // on (lock RTTs, collective scaling, message overheads), plus the real
-// wall-time cost of the discrete-event engine itself.
+// wall-time cost of the discrete-event engine and of the host-side extent
+// kernels the collective I/O paths run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "bench/bench_common.h"
+#include "common/rng.h"
 #include "mpi/mpi.h"
 
 namespace tcio::bench {
@@ -128,6 +133,65 @@ BENCHMARK(BM_EngineEventThroughput)
     ->Arg(64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// The two-phase aggregator's view of a strided collective: `sources`
+/// per-source lists of 32 runs each, source s owning block s of every round
+/// of `sources` blocks, laid back to back by source.
+std::pair<std::vector<Extent>, std::vector<std::size_t>> interleavedSources(
+    std::int64_t sources) {
+  constexpr std::int64_t kRunsPerSource = 32;
+  constexpr Bytes kBlock = 24;
+  std::vector<Extent> runs;
+  std::vector<std::size_t> ends;
+  runs.reserve(static_cast<std::size_t>(sources * kRunsPerSource));
+  for (std::int64_t s = 0; s < sources; ++s) {
+    for (std::int64_t k = 0; k < kRunsPerSource; ++k) {
+      const Offset b = (k * sources + s) * kBlock;
+      runs.push_back({b, b + kBlock});
+    }
+    ends.push_back(runs.size());
+  }
+  return {std::move(runs), std::move(ends)};
+}
+
+/// Wall time of the coverage union of per-source sorted lists (what each
+/// two-phase and view-based aggregator computes once per collective).
+void BM_ExtentUnion(benchmark::State& state) {
+  const auto [runs, ends] = interleavedSources(state.range(0));
+  for (auto _ : state) {
+    std::vector<Extent> merged = mpi::unionSortedSources(runs, ends);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(runs.size()));
+}
+BENCHMARK(BM_ExtentUnion)->Arg(16)->Arg(128)->Arg(1024);
+
+/// Wall time of normalizeOverlapping on the 128 x 32 runs above, in three
+/// orders: 0 = sorted (one is_sorted scan, no sort), 1 = source by source
+/// (the concatenation two-phase coverage used to sort), 2 = shuffled.
+void BM_NormalizeOverlapping(benchmark::State& state) {
+  std::vector<Extent> runs = interleavedSources(128).first;
+  if (state.range(0) == 0) {
+    std::sort(runs.begin(), runs.end(), [](const Extent& a, const Extent& b) {
+      return a.begin < b.begin;
+    });
+  } else if (state.range(0) == 2) {
+    Rng rng(7);
+    for (std::size_t i = runs.size(); i > 1; --i) {
+      std::swap(runs[i - 1],
+                runs[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+  }
+  for (auto _ : state) {
+    std::vector<Extent> merged = mpi::normalizeOverlapping(runs);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(runs.size()));
+}
+BENCHMARK(BM_NormalizeOverlapping)->ArgName("order")->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace tcio::bench

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -252,15 +253,18 @@ struct SizedExchange {
   std::span<const std::byte> from(std::size_t src) const {
     return {data.data() + displs[src], static_cast<std::size_t>(counts[src])};
   }
-  /// What `src` sent, read as packed records of trivially copyable `T`.
-  template <typename T>
-  std::vector<T> recordsFrom(std::size_t src) const {
+  /// Calls fn(record) for each packed trivially copyable `T` that `src`
+  /// sent, in send order. Each record is copied into a local, so the
+  /// receive buffer needs no alignment and nothing is allocated.
+  template <typename T, typename F>
+  void forEachRecord(std::size_t src, F&& fn) const {
+    static_assert(std::is_trivially_copyable_v<T>);
     const std::span<const std::byte> raw = from(src);
-    std::vector<T> out(raw.size() / sizeof(T));
-    if (!out.empty()) {
-      std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
+    for (std::size_t at = 0; at + sizeof(T) <= raw.size(); at += sizeof(T)) {
+      T rec{};
+      std::memcpy(&rec, raw.data() + at, sizeof(T));
+      fn(rec);
     }
-    return out;
   }
 };
 

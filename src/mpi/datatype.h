@@ -118,4 +118,13 @@ std::vector<Extent> normalizeExtents(std::vector<Extent> extents);
 /// the same byte is legal for access-pattern bookkeeping).
 std::vector<Extent> normalizeOverlapping(std::vector<Extent> extents);
 
+/// Coverage union of several per-source lists laid back to back in `runs`:
+/// source i is runs[source_ends[i-1], source_ends[i]) (source 0 starts at 0)
+/// and must be ascending by begin — a source out of order throws. Returns
+/// exactly normalizeOverlapping(runs), but merges the sources pairwise
+/// instead of sorting, so a union whose sources interleave costs about
+/// O(n log sources) and one whose runs coalesce as they merge about O(n).
+std::vector<Extent> unionSortedSources(
+    std::vector<Extent> runs, std::span<const std::size_t> source_ends);
+
 }  // namespace tcio::mpi

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.h"
 #include "common/types.h"
@@ -48,5 +49,22 @@ struct Domain {
     return {std::min(b, hi), std::min(b + per_agg, hi)};
   }
 };
+
+/// Splits `extents` (ascending) at aggregator region boundaries, calling
+/// fn(agg_index, piece) for each piece in payload order.
+template <typename F>
+void forEachPiece(const Domain& dom, const std::vector<Extent>& extents,
+                  F&& fn) {
+  for (const Extent& e : extents) {
+    Offset cur = e.begin;
+    while (cur < e.end) {
+      const int agg = dom.aggregatorOf(cur);
+      TCIO_CHECK(agg >= 0 && agg < dom.num_agg);
+      const Offset piece_end = std::min(e.end, dom.regionOf(agg).end);
+      fn(agg, Extent{cur, piece_end});
+      cur = piece_end;
+    }
+  }
+}
 
 }  // namespace tcio::io

@@ -40,10 +40,10 @@ bool computeDomain(mpi::Comm& comm, const CollectiveRequest& req,
   return true;
 }
 
-/// Per-destination split of this rank's request: block metadata plus (for
-/// writes) staged payload bytes, both in ascending offset order.
+/// Per-destination split of this rank's request: packed `BlockMeta` records
+/// plus (for writes) staged payload bytes, both in ascending offset order.
 struct SplitRequest {
-  std::vector<std::vector<BlockMeta>> meta;       // [dst]
+  std::vector<std::vector<std::byte>> meta;       // [dst]
   std::vector<std::vector<std::byte>> payload;    // [dst], writes only
 };
 
@@ -51,54 +51,57 @@ SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
                                const CollectiveRequest& req,
                                bool stage_payload) {
   const int P = comm.size();
+  const auto sp = static_cast<std::size_t>(P);
+  const auto dstOf = [&](int agg) {
+    const int dst = dom.aggRank(agg);
+    TCIO_CHECK(dst >= 0 && dst < P);
+    return static_cast<std::size_t>(dst);
+  };
+  // Size every destination first, so staging never reallocates.
+  std::vector<std::size_t> pieces(sp, 0);
+  std::vector<std::size_t> bytes(sp, 0);
+  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
+    const std::size_t dst = dstOf(agg);
+    ++pieces[dst];
+    bytes[dst] += static_cast<std::size_t>(piece.size());
+  });
   SplitRequest split;
-  split.meta.resize(static_cast<std::size_t>(P));
-  split.payload.resize(static_cast<std::size_t>(P));
-  const std::byte* cursor = req.payload;
-  for (const Extent& e : req.extents) {
-    Offset cur = e.begin;
-    while (cur < e.end) {
-      const int agg = dom.aggregatorOf(cur);
-      TCIO_CHECK(agg >= 0 && agg < dom.num_agg);
-      const int dst = dom.aggRank(agg);
-      TCIO_CHECK(dst >= 0 && dst < P);
-      const Offset region_end = dom.regionOf(agg).end;
-      const Offset piece_end = std::min(e.end, region_end);
-      const Bytes len = piece_end - cur;
-      split.meta[static_cast<std::size_t>(dst)].push_back({cur, len});
-      if (stage_payload) {
-        auto& pay = split.payload[static_cast<std::size_t>(dst)];
-        pay.insert(pay.end(), cursor, cursor + len);
-      }
-      if (cursor != nullptr) cursor += len;
-      cur = piece_end;
-    }
+  split.meta.resize(sp);
+  split.payload.resize(sp);
+  for (std::size_t d = 0; d < sp; ++d) {
+    split.meta[d].reserve(pieces[d] * sizeof(BlockMeta));
+    if (stage_payload) split.payload[d].reserve(bytes[d]);
   }
+  const std::byte* cursor = req.payload;
+  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
+    const std::size_t dst = dstOf(agg);
+    const BlockMeta m{piece.begin, piece.size()};
+    const auto* raw = reinterpret_cast<const std::byte*>(&m);
+    split.meta[dst].insert(split.meta[dst].end(), raw, raw + sizeof(m));
+    if (stage_payload) {
+      auto& pay = split.payload[dst];
+      pay.insert(pay.end(), cursor, cursor + piece.size());
+    }
+    if (cursor != nullptr) cursor += piece.size();
+  });
   return split;
 }
 
-std::vector<std::vector<std::byte>> metaToBytes(
-    const std::vector<std::vector<BlockMeta>>& meta) {
-  std::vector<std::vector<std::byte>> out(meta.size());
-  for (std::size_t i = 0; i < meta.size(); ++i) {
-    out[i].resize(meta[i].size() * sizeof(BlockMeta));
-    if (!meta[i].empty()) {
-      std::memcpy(out[i].data(), meta[i].data(), out[i].size());
-    }
-  }
-  return out;
-}
-
-/// Union of received block extents, merged (overlap tolerated: concurrent
-/// writers to the same byte are a user race, last-writer-wins here).
+/// Union of received block extents (overlap tolerated: concurrent writers to
+/// the same byte are a user race; the highest rank's bytes win here). Each
+/// source's blocks arrive in ascending offset order, because its request
+/// came from FileView::mapExtents, so the sources are merged, not sorted.
 std::vector<Extent> coverage(const mpi::SizedExchange& meta, int P) {
   std::vector<Extent> runs;
-  for (std::size_t src = 0; src < static_cast<std::size_t>(P); ++src) {
-    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(src)) {
+  runs.reserve(meta.data.size() / sizeof(BlockMeta));
+  std::vector<std::size_t> ends(static_cast<std::size_t>(P));
+  for (std::size_t src = 0; src < ends.size(); ++src) {
+    meta.forEachRecord<BlockMeta>(src, [&](const BlockMeta& b) {
       runs.push_back({b.off, b.off + b.len});
-    }
+    });
+    ends[src] = runs.size();
   }
-  return mpi::normalizeOverlapping(std::move(runs));
+  return mpi::unionSortedSources(std::move(runs), ends);
 }
 
 }  // namespace
@@ -117,8 +120,7 @@ TwoPhaseStats twoPhaseWrite(mpi::Comm& comm, fs::FsClient& fs,
   Bytes staged = 0;
   for (const auto& v : split.payload) staged += static_cast<Bytes>(v.size());
   comm.chargeCopy(staged);
-  const mpi::SizedExchange meta =
-      mpi::sizedAlltoallv(comm, metaToBytes(split.meta));
+  const mpi::SizedExchange meta = mpi::sizedAlltoallv(comm, split.meta);
   const mpi::SizedExchange payload = mpi::sizedAlltoallv(comm, split.payload);
 
   // Phase 2: this rank, if an aggregator, assembles its region, writes it.
@@ -132,13 +134,13 @@ TwoPhaseStats twoPhaseWrite(mpi::Comm& comm, fs::FsClient& fs,
   for (int src = 0; src < P; ++src) {
     const auto s = static_cast<std::size_t>(src);
     const std::byte* src_payload = payload.from(s).data();
-    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(s)) {
+    meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
       TCIO_CHECK(b.off >= region.begin && b.off + b.len <= region.end);
       std::memcpy(buffer.data() + (b.off - region.begin), src_payload,
                   static_cast<std::size_t>(b.len));
       src_payload += b.len;
       overlaid += b.len;
-    }
+    });
   }
   comm.chargeCopy(overlaid);
 
@@ -161,8 +163,7 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   // Requests travel to aggregators.
   SplitRequest split =
       splitByAggregator(comm, dom, req, /*stage_payload=*/false);
-  const mpi::SizedExchange meta =
-      mpi::sizedAlltoallv(comm, metaToBytes(split.meta));
+  const mpi::SizedExchange meta = mpi::sizedAlltoallv(comm, split.meta);
 
   // Aggregator loads the union of requested runs in its region.
   const Extent region = dom.regionOf(dom.aggIndexOf(comm.rank()));
@@ -182,11 +183,15 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   Bytes served = 0;
   for (int src = 0; src < P; ++src) {
     const auto s = static_cast<std::size_t>(src);
-    for (const BlockMeta& b : meta.recordsFrom<BlockMeta>(s)) {
+    Bytes want = 0;
+    meta.forEachRecord<BlockMeta>(s,
+                                  [&](const BlockMeta& b) { want += b.len; });
+    replies[s].reserve(static_cast<std::size_t>(want));
+    meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
       const std::byte* from = buffer.data() + (b.off - region.begin);
       replies[s].insert(replies[s].end(), from, from + b.len);
-      served += b.len;
-    }
+    });
+    served += want;
   }
   comm.chargeCopy(served);
   const mpi::SizedExchange back = mpi::sizedAlltoallv(comm, replies);
@@ -195,20 +200,13 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   // from aggregator j arrive in the same ascending-offset order we asked in.
   std::vector<Offset> src_cursor(back.displs.begin(), back.displs.end());
   std::byte* out = req.payload;
-  for (const Extent& e : req.extents) {
-    Offset cur = e.begin;
-    while (cur < e.end) {
-      const int agg = dom.aggregatorOf(cur);
-      const auto src_rank = static_cast<std::size_t>(dom.aggRank(agg));
-      const Offset piece_end = std::min(e.end, dom.regionOf(agg).end);
-      const Bytes len = piece_end - cur;
-      std::memcpy(out, back.data.data() + src_cursor[src_rank],
-                  static_cast<std::size_t>(len));
-      src_cursor[src_rank] += len;
-      out += len;
-      cur = piece_end;
-    }
-  }
+  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
+    const auto src_rank = static_cast<std::size_t>(dom.aggRank(agg));
+    std::memcpy(out, back.data.data() + src_cursor[src_rank],
+                static_cast<std::size_t>(piece.size()));
+    src_cursor[src_rank] += piece.size();
+    out += piece.size();
+  });
   comm.chargeCopy(static_cast<Bytes>(out - req.payload));
   return stats;
 }

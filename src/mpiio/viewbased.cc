@@ -54,22 +54,6 @@ CachedView deserializeView(const std::vector<std::byte>& in) {
   return v;
 }
 
-/// Splits `extents` (ascending) by aggregator region, invoking
-/// fn(agg_index, piece) in payload order.
-template <typename F>
-void forEachPiece(const Domain& dom, const std::vector<Extent>& extents,
-                  F&& fn) {
-  for (const Extent& e : extents) {
-    Offset cur = e.begin;
-    while (cur < e.end) {
-      const int agg = dom.aggregatorOf(cur);
-      const Offset piece_end = std::min(e.end, dom.regionOf(agg).end);
-      fn(agg, Extent{cur, piece_end});
-      cur = piece_end;
-    }
-  }
-}
-
 /// Verifies all ranks pass the same payload size (cheap sanity allreduce).
 void checkUniformSize(mpi::Comm& comm, Bytes n) {
   std::int64_t minmax[2] = {-n, n};
@@ -175,10 +159,11 @@ TwoPhaseStats viewBasedWrite(mpi::Comm& comm, fs::FsClient& fs,
                           "view-based aggregator buffer");
   std::vector<std::byte> buffer(static_cast<std::size_t>(region.size()));
   std::vector<Extent> covered;
+  std::vector<std::size_t> covered_ends(static_cast<std::size_t>(P));
   if (my_agg >= 0) {
     for (int src = 0; src < P; ++src) {
-      const std::byte* cursor =
-          recv.data() + rdispls[static_cast<std::size_t>(src)];
+      const auto s = static_cast<std::size_t>(src);
+      const std::byte* cursor = recv.data() + rdispls[s];
       for (const Extent& e : cache.extentsOf(src, n)) {
         const Extent piece = intersect(e, region);
         if (piece.empty()) continue;
@@ -187,9 +172,11 @@ TwoPhaseStats viewBasedWrite(mpi::Comm& comm, fs::FsClient& fs,
         cursor += piece.size();
         covered.push_back(piece);
       }
+      covered_ends[s] = covered.size();
     }
     comm.chargeCopy(rtot);
-    for (const Extent& run : mpi::normalizeOverlapping(std::move(covered))) {
+    for (const Extent& run :
+         mpi::unionSortedSources(std::move(covered), covered_ends)) {
       fs.pwrite(file, run.begin, buffer.data() + (run.begin - region.begin),
                 run.size());
       ++stats.fs_requests;
@@ -219,13 +206,16 @@ TwoPhaseStats viewBasedRead(mpi::Comm& comm, fs::FsClient& fs,
   std::vector<std::vector<std::byte>> replies(sp);
   if (my_agg >= 0) {
     std::vector<Extent> covered;
+    std::vector<std::size_t> covered_ends(sp);
     for (int src = 0; src < P; ++src) {
       for (const Extent& e : cache.extentsOf(src, n)) {
         const Extent piece = intersect(e, region);
         if (!piece.empty()) covered.push_back(piece);
       }
+      covered_ends[static_cast<std::size_t>(src)] = covered.size();
     }
-    for (const Extent& run : mpi::normalizeOverlapping(std::move(covered))) {
+    for (const Extent& run :
+         mpi::unionSortedSources(std::move(covered), covered_ends)) {
       fs.pread(file, run.begin, buffer.data() + (run.begin - region.begin),
                run.size());
       ++stats.fs_requests;

@@ -324,13 +324,13 @@ void File::collectiveFetch() {
     std::vector<std::vector<std::byte>> replies(sp);
     std::set<SegmentId> served_segs;
     for (std::size_t s = 0; s < sp; ++s) {
-      for (const BlockMeta& b : got_meta.recordsFrom<BlockMeta>(s)) {
+      got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
         const SegmentId g = map_.segmentOf(b.off);
         const std::byte* from =
             local + dataDisp(slotOnOwner(g), map_.dispOf(b.off));
         appendBytes(replies[s], from, static_cast<std::size_t>(b.len));
         served_segs.insert(g);
-      }
+      });
     }
     // Requesters routed these reads here because this rank owns them.
     noteTransfers(served_segs, orig_rank_,
@@ -417,7 +417,7 @@ void File::exchangeStagedWrites() {
     std::set<SegmentId> applied_segs;
     for (std::size_t s = 0; s < sp; ++s) {
       const std::byte* from = got_payload.from(s).data();
-      for (const BlockMeta& b : got_meta.recordsFrom<BlockMeta>(s)) {
+      got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
         const SegmentId g = map_.segmentOf(b.off);
         const std::int64_t slot = slotOnOwner(g);
         checkHop(b, from, comm_->proc(), stats_.integrity);
@@ -426,7 +426,7 @@ void File::exchangeStagedWrites() {
         from += b.len;
         local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
         applied_segs.insert(g);
-      }
+      });
     }
     // Peers routed these blocks here because this rank owns the segments.
     noteTransfers(applied_segs, orig_rank_, "File::exchangeStagedWrites",

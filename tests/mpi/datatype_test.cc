@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace tcio::mpi {
 namespace {
@@ -130,6 +136,172 @@ TEST(DatatypeTest, NormalizeExtentsSortsAndMerges) {
 
 TEST(DatatypeTest, OverlappingLayoutRejected) {
   EXPECT_THROW(normalizeExtents({{0, 10}, {5, 15}}), Error);
+}
+
+// -- Extent kernels: the pairwise union against sort-then-merge -------------
+
+void shuffle(std::vector<Extent>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(v[i - 1], v[j]);
+  }
+}
+
+/// P per-source lists laid back to back, each ascending by begin, with
+/// empty sources, empty runs, equal-begin ties, exact duplicates and
+/// overlaps both inside a source and across sources.
+struct Sources {
+  std::vector<Extent> runs;
+  std::vector<std::size_t> ends;
+};
+
+Sources randomSources(Rng& rng, int P) {
+  Sources s;
+  for (int src = 0; src < P; ++src) {
+    const std::int64_t n =
+        rng.uniform() < 0.15 ? 0 : rng.uniformInt(1, 12);
+    Offset begin = rng.uniformInt(0, 200);
+    for (std::int64_t k = 0; k < n; ++k) {
+      if (k > 0 && rng.uniform() < 0.1) {
+        s.runs.push_back(s.runs.back());  // duplicate run
+        continue;
+      }
+      begin += rng.uniformInt(0, 40);  // 0 makes an equal-begin tie
+      s.runs.push_back({begin, begin + rng.uniformInt(0, 50)});
+    }
+    s.ends.push_back(s.runs.size());
+  }
+  return s;
+}
+
+/// Independent oracle: the maximal runs of a byte bitmap of `runs`.
+std::vector<Extent> bitmapUnion(const std::vector<Extent>& runs) {
+  Offset hi = 0;
+  for (const Extent& e : runs) hi = std::max(hi, e.end);
+  std::vector<bool> covered(static_cast<std::size_t>(hi), false);
+  for (const Extent& e : runs) {
+    for (Offset b = e.begin; b < e.end; ++b) {
+      covered[static_cast<std::size_t>(b)] = true;
+    }
+  }
+  std::vector<Extent> out;
+  for (Offset b = 0; b < hi; ++b) {
+    if (!covered[static_cast<std::size_t>(b)]) continue;
+    if (!out.empty() && out.back().end == b) {
+      out.back().end = b + 1;
+    } else {
+      out.push_back({b, b + 1});
+    }
+  }
+  return out;
+}
+
+class UnionSortedSourcesTest : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Sources, UnionSortedSourcesTest,
+                         ::testing::Values(1, 2, 7, 128, 257));
+
+TEST_P(UnionSortedSourcesTest, EqualsNormalizeOverlappingOfConcatenation) {
+  const int P = GetParam();
+  Rng rng(static_cast<std::uint64_t>(P) * 1009 + 7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Sources s = randomSources(rng, P);
+    const std::vector<Extent> merged = unionSortedSources(s.runs, s.ends);
+    EXPECT_EQ(merged, normalizeOverlapping(s.runs))
+        << "P=" << P << " trial " << trial;
+    EXPECT_EQ(merged, bitmapUnion(s.runs)) << "P=" << P << " trial " << trial;
+  }
+}
+
+TEST_P(UnionSortedSourcesTest, EqualsNormalizeOverlappingOnStridedBlocks) {
+  // The two-phase pattern: source r owns block r of every round of P
+  // blocks, so the union is one run, with a hole where a source is silent.
+  const int P = GetParam();
+  Sources s;
+  for (int src = 0; src < P; ++src) {
+    if (P > 2 && src == P / 2) {
+      s.ends.push_back(s.runs.size());
+      continue;
+    }
+    for (Offset round = 0; round < 32; ++round) {
+      const Offset b = (round * P + src) * 24;
+      s.runs.push_back({b, b + 24});
+    }
+    s.ends.push_back(s.runs.size());
+  }
+  const std::vector<Extent> merged = unionSortedSources(s.runs, s.ends);
+  EXPECT_EQ(merged, normalizeOverlapping(s.runs));
+  EXPECT_EQ(merged, bitmapUnion(s.runs));
+}
+
+TEST(UnionSortedSourcesTest, NoSourcesGiveNoRuns) {
+  EXPECT_TRUE(unionSortedSources({}, {}).empty());
+  const std::vector<std::size_t> ends{0, 0, 0};
+  EXPECT_TRUE(unionSortedSources({}, ends).empty());
+}
+
+TEST(UnionSortedSourcesTest, UnsortedSourceListThrows) {
+  // Sources may come in any order relative to each other...
+  const std::vector<std::size_t> ends{2, 4};
+  EXPECT_EQ(unionSortedSources({{20, 25}, {30, 35}, {0, 5}, {10, 20}}, ends),
+            (std::vector<Extent>{{0, 5}, {10, 25}, {30, 35}}));
+  // ...but each source must be ascending by begin.
+  EXPECT_THROW(unionSortedSources({{0, 5}, {10, 15}, {20, 25}, {12, 14}}, ends),
+               Error);
+  EXPECT_THROW(
+      unionSortedSources({{10, 15}, {0, 5}}, std::vector<std::size_t>{2}),
+      Error);
+}
+
+TEST(UnionSortedSourcesTest, EndsMustCoverTheRuns) {
+  EXPECT_THROW(unionSortedSources({{0, 5}, {10, 15}},
+                                  std::vector<std::size_t>{1}),
+               Error);
+  EXPECT_THROW(unionSortedSources({{0, 5}}, std::vector<std::size_t>{2}),
+               Error);
+}
+
+TEST(NormalizeExtentsTest, SortedAndShuffledInputGiveTheSameOutput) {
+  Rng rng(42);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Disjoint runs (some touching) plus empty extents, some of them tied
+    // on begin with a non-empty run.
+    std::vector<Extent> sorted;
+    Offset cur = 0;
+    for (int k = 0; k < 30; ++k) {
+      cur += rng.uniformInt(0, 3);  // 0 makes touching runs
+      if (rng.uniform() < 0.2) sorted.push_back({cur, cur});
+      const Offset end = cur + rng.uniformInt(1, 9);
+      sorted.push_back({cur, end});
+      cur = end;
+    }
+    std::vector<Extent> shuffled = sorted;
+    shuffle(shuffled, rng);
+    EXPECT_EQ(normalizeExtents(sorted), normalizeExtents(shuffled));
+    EXPECT_EQ(normalizeExtents(sorted), bitmapUnion(sorted));
+  }
+}
+
+TEST(NormalizeOverlappingTest, SortedAndShuffledInputGiveTheSameOutput) {
+  Rng rng(43);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Extent> sorted = randomSources(rng, 6).runs;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Extent& a, const Extent& b) {
+                return a.begin < b.begin;
+              });
+    std::vector<Extent> shuffled = sorted;
+    shuffle(shuffled, rng);
+    EXPECT_EQ(normalizeOverlapping(sorted), normalizeOverlapping(shuffled));
+    EXPECT_EQ(normalizeOverlapping(sorted), bitmapUnion(sorted));
+  }
+}
+
+TEST(NormalizeExtentsTest, SortedOverlappingInputStillThrows) {
+  EXPECT_THROW(normalizeExtents({{0, 4}, {4, 8}, {7, 9}}), Error);
+  EXPECT_THROW(normalizeExtents({{0, 4}, {0, 2}}), Error);  // equal begins
+  EXPECT_EQ(normalizeExtents({{0, 4}, {4, 4}, {4, 8}}),
+            (std::vector<Extent>{{0, 8}}));
 }
 
 }  // namespace

@@ -77,6 +77,42 @@ TEST_P(SizedExchangeTest, AllEmptyExchangeReceivesNothing) {
   });
 }
 
+struct Rec {
+  std::int32_t src = 0;
+  std::int32_t dst = 0;
+  std::int32_t k = 0;
+};
+
+/// Records rank `src` sends to rank `dst`: two to itself, none for some pairs.
+int recordCount(int src, int dst) { return src == dst ? 2 : (src + dst) % 3; }
+
+TEST_P(SizedExchangeTest, ForEachRecordReadsEverySourceInSendOrder) {
+  const int P = GetParam();
+  runJob(cfg(P), [&](Comm& comm) {
+    const int me = comm.rank();
+    std::vector<std::vector<std::byte>> per_dst(static_cast<std::size_t>(P));
+    for (int d = 0; d < P; ++d) {
+      for (int k = 0; k < recordCount(me, d); ++k) {
+        const Rec r{me, d, k};
+        const auto* raw = reinterpret_cast<const std::byte*>(&r);
+        auto& blob = per_dst[static_cast<std::size_t>(d)];
+        blob.insert(blob.end(), raw, raw + sizeof(r));
+      }
+    }
+    const SizedExchange got = sizedAlltoallv(comm, per_dst);
+    for (int s = 0; s < P; ++s) {
+      int seen = 0;
+      got.forEachRecord<Rec>(static_cast<std::size_t>(s), [&](const Rec& r) {
+        EXPECT_EQ(r.src, s);
+        EXPECT_EQ(r.dst, me);
+        EXPECT_EQ(r.k, seen);
+        ++seen;
+      });
+      EXPECT_EQ(seen, recordCount(s, me)) << "from " << s;
+    }
+  });
+}
+
 // The helper is exactly the two-alltoallv recipe it replaced: the same
 // calls with the same counts give the same makespan, messages and bytes.
 TEST_P(SizedExchangeTest, CostsTheSameAsTwoHandWrittenAlltoallvs) {

@@ -1,14 +1,17 @@
 // Property tests for the two-phase (OCIO) path: random non-overlapping
-// access patterns must produce the same bytes as a sequential reference, and
-// collective reads must invert collective writes, across process counts and
-// aggregator configurations.
+// access patterns must produce the same bytes as a sequential reference,
+// collective reads must invert collective writes, and overlapping writers
+// resolve to the highest rank, across process counts and aggregator
+// configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "mpi/runtime.h"
+#include "mpiio/domain.h"
 #include "mpiio/file.h"
 
 namespace tcio::io {
@@ -145,6 +148,103 @@ TEST_P(TwoPhasePropertyTest, CollectiveReadInvertsCollectiveWrite) {
     EXPECT_EQ(got, payload);
     f.close();
   });
+}
+
+/// Random disjoint ascending pieces of [0, total) for each of P ranks, drawn
+/// independently, so different ranks' pieces overlap.
+std::vector<std::vector<Piece>> overlappingPieces(std::uint64_t seed, int P,
+                                                  Bytes total) {
+  Rng rng(seed);
+  std::vector<std::vector<Piece>> per_rank(static_cast<std::size_t>(P));
+  for (int r = 0; r < P; ++r) {
+    Offset cur = rng.uniformInt(0, 300);
+    while (cur < total) {
+      const Bytes len =
+          std::min<Bytes>(1 + rng.uniformInt(0, 300), total - cur);
+      per_rank[static_cast<std::size_t>(r)].push_back({cur, len, r});
+      cur += len + rng.uniformInt(0, 400);
+    }
+  }
+  return per_rank;
+}
+
+// Two ranks writing the same byte is a user race; the aggregator overlays
+// sources in rank order, so the highest-ranked writer's bytes land. Each
+// aggregator writes one request per merged run of the union in its region.
+TEST_P(TwoPhasePropertyTest, OverlappingWritersHighestRankWins) {
+  const auto [P, cb, seed] = GetParam();
+  const Bytes total = 15000;
+  const auto per_rank = overlappingPieces(seed + 200, P, total);
+
+  std::vector<std::byte> reference(static_cast<std::size_t>(total),
+                                   std::byte{0});
+  std::vector<bool> covered(static_cast<std::size_t>(total), false);
+  Offset lo = total;
+  Offset hi = 0;
+  for (const auto& pieces : per_rank) {  // ascending rank: last one wins
+    for (const Piece& p : pieces) {
+      for (Bytes i = 0; i < p.len; ++i) {
+        reference[static_cast<std::size_t>(p.off + i)] =
+            expected(p.off + i, p.rank);
+        covered[static_cast<std::size_t>(p.off + i)] = true;
+      }
+      lo = std::min(lo, p.off);
+      hi = std::max(hi, p.off + p.len);
+    }
+  }
+  ASSERT_LT(lo, hi);
+  // One request per maximal covered run inside each aggregator's region.
+  const Domain dom = Domain::partition(lo, hi, P, cb);
+  std::int64_t expect_requests = 0;
+  for (int agg = 0; agg < dom.num_agg; ++agg) {
+    const Extent region = dom.regionOf(agg);
+    for (Offset b = region.begin; b < region.end; ++b) {
+      const auto at = static_cast<std::size_t>(b);
+      if (covered[at] && (b == region.begin || !covered[at - 1])) {
+        ++expect_requests;
+      }
+    }
+  }
+
+  fs::Filesystem fsys(fsCfg());
+  mpi::JobConfig jc;
+  jc.num_ranks = P;
+  std::vector<std::int64_t> requests(static_cast<std::size_t>(P), 0);
+  mpi::runJob(jc, [&, cb = cb](mpi::Comm& comm) {
+    MpioConfig mc;
+    mc.cb_nodes = cb;
+    MpioFile f =
+        MpioFile::open(comm, fsys, "overlap.dat", fs::kWrite | fs::kCreate, mc);
+    std::vector<Bytes> lens;
+    std::vector<Offset> displs;
+    std::vector<std::byte> payload;
+    for (const Piece& p : per_rank[static_cast<std::size_t>(comm.rank())]) {
+      lens.push_back(p.len);
+      displs.push_back(p.off);
+      for (Bytes i = 0; i < p.len; ++i) {
+        payload.push_back(expected(p.off + i, p.rank));
+      }
+    }
+    if (!lens.empty()) {
+      auto ft = mpi::Datatype::hindexed(lens, displs).commit();
+      f.setView(0, mpi::Datatype::byte().commit(), ft);
+    }
+    requests[static_cast<std::size_t>(comm.rank())] =
+        f.writeAtAll(0, payload.data(), static_cast<Bytes>(payload.size()))
+            .fs_requests;
+    f.close();
+  });
+
+  std::int64_t got_requests = 0;
+  for (const std::int64_t n : requests) got_requests += n;
+  EXPECT_EQ(got_requests, expect_requests);
+  std::vector<std::byte> got(static_cast<std::size_t>(hi));
+  fsys.peek("overlap.dat", 0, got);
+  for (Offset i = 0; i < hi; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)],
+              reference[static_cast<std::size_t>(i)])
+        << "seed " << seed << " offset " << i;
+  }
 }
 
 }  // namespace

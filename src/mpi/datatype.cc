@@ -185,11 +185,6 @@ Datatype Datatype::indexed(std::span<const std::int64_t> blocklens,
   TCIO_CHECK_MSG(base.valid(), "indexed() on invalid base type");
   std::vector<Extent> segs;
   const Bytes ext = base.extent();
-  std::size_t blocks = 0;
-  for (const std::int64_t len : blocklens) {
-    blocks += static_cast<std::size_t>(std::max<std::int64_t>(len, 0));
-  }
-  segs.reserve(blocks * base.segments().size());
   for (std::size_t k = 0; k < blocklens.size(); ++k) {
     const Offset block_base = displs[k] * ext;
     for (std::int64_t j = 0; j < blocklens[k]; ++j) {
@@ -221,15 +216,9 @@ Datatype Datatype::structType(std::span<const std::int64_t> blocklens,
                               std::span<const Datatype> types) {
   TCIO_CHECK(blocklens.size() == byte_displs.size());
   TCIO_CHECK(blocklens.size() == types.size());
-  std::size_t total = 0;
+  std::vector<Extent> segs;
   for (std::size_t k = 0; k < blocklens.size(); ++k) {
     TCIO_CHECK_MSG(types[k].valid(), "structType() with invalid member");
-    total += static_cast<std::size_t>(std::max<std::int64_t>(blocklens[k], 0)) *
-             types[k].segments().size();
-  }
-  std::vector<Extent> segs;
-  segs.reserve(total);
-  for (std::size_t k = 0; k < blocklens.size(); ++k) {
     const Bytes ext = types[k].extent();
     for (std::int64_t j = 0; j < blocklens[k]; ++j) {
       for (const Extent& e : types[k].segments()) {

@@ -51,30 +51,14 @@ SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
                                const CollectiveRequest& req,
                                bool stage_payload) {
   const int P = comm.size();
-  const auto sp = static_cast<std::size_t>(P);
-  const auto dstOf = [&](int agg) {
-    const int dst = dom.aggRank(agg);
-    TCIO_CHECK(dst >= 0 && dst < P);
-    return static_cast<std::size_t>(dst);
-  };
-  // Size every destination first, so staging never reallocates.
-  std::vector<std::size_t> pieces(sp, 0);
-  std::vector<std::size_t> bytes(sp, 0);
-  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
-    const std::size_t dst = dstOf(agg);
-    ++pieces[dst];
-    bytes[dst] += static_cast<std::size_t>(piece.size());
-  });
   SplitRequest split;
-  split.meta.resize(sp);
-  split.payload.resize(sp);
-  for (std::size_t d = 0; d < sp; ++d) {
-    split.meta[d].reserve(pieces[d] * sizeof(BlockMeta));
-    if (stage_payload) split.payload[d].reserve(bytes[d]);
-  }
+  split.meta.resize(static_cast<std::size_t>(P));
+  split.payload.resize(static_cast<std::size_t>(P));
   const std::byte* cursor = req.payload;
   forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
-    const std::size_t dst = dstOf(agg);
+    const int rank = dom.aggRank(agg);
+    TCIO_CHECK(rank >= 0 && rank < P);
+    const auto dst = static_cast<std::size_t>(rank);
     const BlockMeta m{piece.begin, piece.size()};
     const auto* raw = reinterpret_cast<const std::byte*>(&m);
     split.meta[dst].insert(split.meta[dst].end(), raw, raw + sizeof(m));
@@ -183,15 +167,11 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   Bytes served = 0;
   for (int src = 0; src < P; ++src) {
     const auto s = static_cast<std::size_t>(src);
-    Bytes want = 0;
-    meta.forEachRecord<BlockMeta>(s,
-                                  [&](const BlockMeta& b) { want += b.len; });
-    replies[s].reserve(static_cast<std::size_t>(want));
     meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
       const std::byte* from = buffer.data() + (b.off - region.begin);
       replies[s].insert(replies[s].end(), from, from + b.len);
+      served += b.len;
     });
-    served += want;
   }
   comm.chargeCopy(served);
   const mpi::SizedExchange back = mpi::sizedAlltoallv(comm, replies);

@@ -210,6 +210,59 @@ TEST(MpioFileTest, CollectiveWriteWithHolesWritesOnlyCoveredRuns) {
   EXPECT_EQ(hole[0], std::byte{0});  // untouched
 }
 
+/// Strided pattern of the sieving tests: 64 pieces of 8 bytes at stride 64
+/// over a 4 KiB file of background bytes. A 1 KiB sieve buffer covers 16
+/// pieces (15 * 64 + 8 <= 1024), so the access spans 4 sieve windows.
+constexpr std::int64_t kSievePieces = 64;
+constexpr Bytes kSmallSieve = 1024;
+constexpr std::int64_t kSieveWindows = 4;
+
+struct StridedAccess {
+  std::vector<std::byte> bytes;  // file contents (write) or bytes read
+  std::int64_t fs_calls = 0;     // this rank's FS calls during the access
+};
+
+/// One P=1 strided write or read through the pattern above.
+StridedAccess stridedAccess(bool write, bool sieving, Bytes sieve_buffer) {
+  fs::Filesystem fsys(fsCfg());
+  StridedAccess out;
+  mpi::runJob(job(1), [&](mpi::Comm& comm) {
+    MpioConfig mc;
+    mc.enable_data_sieving = sieving;
+    mc.sieve_buffer = sieve_buffer;
+    MpioFile f = MpioFile::open(comm, fsys, "strided.dat",
+                                fs::kRead | fs::kWrite | fs::kCreate, mc);
+    std::vector<std::byte> bg(4096);
+    for (std::size_t i = 0; i < bg.size(); ++i) {
+      bg[i] = static_cast<std::byte>(i % 199 + 1);
+    }
+    f.writeAt(0, bg.data(), static_cast<Bytes>(bg.size()));
+    auto e = mpi::Datatype::byte().commit();
+    auto ft = mpi::Datatype::vector(kSievePieces, 8, 64,
+                                    mpi::Datatype::byte()).commit();
+    f.setView(0, e, ft);
+    std::vector<std::byte> buf(static_cast<std::size_t>(kSievePieces * 8));
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<std::byte>(i % 7 + 200);
+    }
+    const auto ops = [&] { return fsys.opsByClient().at(comm.proc().rank()); };
+    const std::int64_t before = ops();
+    if (write) {
+      f.writeAt(0, buf.data(), static_cast<Bytes>(buf.size()));
+    } else {
+      f.readAt(0, buf.data(), static_cast<Bytes>(buf.size()));
+    }
+    out.fs_calls = ops() - before;
+    if (!write) out.bytes = buf;
+    f.close();
+  });
+  if (write) {
+    out.bytes.resize(static_cast<std::size_t>(fsys.peekSize("strided.dat")));
+    fsys.peek("strided.dat", 0, out.bytes);
+  }
+  return out;
+}
+
 TEST(MpioFileTest, DataSievingReducesRequestCountForStridedReads) {
   auto countRequests = [&](bool sieving) {
     fs::Filesystem fsys(fsCfg());
@@ -234,6 +287,13 @@ TEST(MpioFileTest, DataSievingReducesRequestCountForStridedReads) {
   const auto with = countRequests(true);
   const auto without = countRequests(false);
   EXPECT_LT(with, without / 8);
+
+  // Several sieve windows: one pread per window, same bytes as unsieved.
+  const StridedAccess sieved = stridedAccess(false, true, kSmallSieve);
+  const StridedAccess plain = stridedAccess(false, false, kSmallSieve);
+  EXPECT_EQ(sieved.bytes, plain.bytes);
+  EXPECT_EQ(sieved.fs_calls, kSieveWindows);
+  EXPECT_EQ(plain.fs_calls, kSievePieces);
 }
 
 TEST(MpioFileTest, SievedStridedWriteBytesCorrect) {
@@ -259,6 +319,14 @@ TEST(MpioFileTest, SievedStridedWriteBytesCorrect) {
               inside ? std::byte{1} : std::byte{9})
         << "byte " << i;
   }
+
+  // Several sieve windows: a pread and a pwrite per window, and the file
+  // ends up byte-identical to the unsieved path.
+  const StridedAccess sieved = stridedAccess(true, true, kSmallSieve);
+  const StridedAccess plain = stridedAccess(true, false, kSmallSieve);
+  EXPECT_EQ(sieved.bytes, plain.bytes);
+  EXPECT_EQ(sieved.fs_calls, 2 * kSieveWindows);
+  EXPECT_EQ(plain.fs_calls, kSievePieces);
 }
 
 TEST(MpioFileTest, EmptyParticipantInCollectiveIsLegal) {

@@ -12,17 +12,4 @@ std::int64_t envInt64(const char* name, std::int64_t fallback) {
   return (end != nullptr && *end == '\0') ? v : fallback;
 }
 
-double envDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  return (end != nullptr && *end == '\0') ? v : fallback;
-}
-
-std::string envString(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr ? std::string(raw) : fallback;
-}
-
 }  // namespace tcio

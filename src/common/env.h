@@ -2,18 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace tcio {
 
 /// Reads an integer environment variable; returns `fallback` when unset or
 /// unparsable.
 std::int64_t envInt64(const char* name, std::int64_t fallback);
-
-/// Reads a double environment variable; returns `fallback` when unset.
-double envDouble(const char* name, double fallback);
-
-/// Reads a string environment variable; returns `fallback` when unset.
-std::string envString(const char* name, const std::string& fallback);
 
 }  // namespace tcio

@@ -315,7 +315,7 @@ bool isCollective(const std::string& s) {
       "allgather",      "allgatherv",      "alltoall",
       "alltoallv",      "agreeOnError",    "agreeWithLiveness",
       "exchangeDigests", "shrink",         "fence",
-      "sizedAlltoallv",
+      "sizedAlltoallv",   "alltoallvCounted",
   };
   return kColl.count(s) > 0;
 }

@@ -14,6 +14,20 @@ bool matches(const detail::PendingRecv& pr, Rank src, int tag, int context) {
          (pr.want_tag == kAnyTag || pr.want_tag == tag);
 }
 
+/// A receive of up to `capacity` bytes into `buf` from `src` with `tag`, on
+/// the communicator identified by `context`, not yet posted.
+std::shared_ptr<detail::PendingRecv> newPendingRecv(int context, void* buf,
+                                                    Bytes capacity, Rank src,
+                                                    int tag) {
+  auto pr = std::make_shared<detail::PendingRecv>();
+  pr->want_src = src;
+  pr->want_tag = tag;
+  pr->context = context;
+  pr->buf = static_cast<std::byte*>(buf);
+  pr->capacity = capacity;
+  return pr;
+}
+
 }  // namespace
 
 // -- Point-to-point (core logic runs inside atomic sections) -----------------
@@ -66,11 +80,7 @@ bool postRecvLocked(World& world, sim::Proc& proc, Rank world_dst,
                     std::shared_ptr<detail::PendingRecv> pr) {
   detail::Mailbox& mb = world.mailbox(world_dst);
   for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-    if (it->context != pr->context ||
-        (pr->want_src != kAnySource && pr->want_src != it->src) ||
-        (pr->want_tag != kAnyTag && pr->want_tag != it->tag)) {
-      continue;
-    }
+    if (!matches(*pr, it->src, it->tag, it->context)) continue;
     const Bytes n = static_cast<Bytes>(it->data.size());
     TCIO_CHECK_MSG(n <= pr->capacity, "message truncation in recv");
     if (n > 0) std::memcpy(pr->buf, it->data.data(), it->data.size());
@@ -115,12 +125,7 @@ Request Comm::isend(const void* buf, Bytes n, Rank dst, int tag) {
 Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
   sim::Proc& p = *proc_;
   auto st = std::make_shared<detail::ReqState>();
-  st->recv = std::make_shared<detail::PendingRecv>();
-  st->recv->want_src = src;
-  st->recv->want_tag = tag;
-  st->recv->context = context_;
-  st->recv->buf = static_cast<std::byte*>(buf);
-  st->recv->capacity = capacity;
+  st->recv = newPendingRecv(context_, buf, capacity, src, tag);
   auto& pr_ev_owner = st->recv;  // keep alive until matched
   p.atomic([&] {
     if (postRecvLocked(*world_, p, p.rank(), pr_ev_owner)) {
@@ -134,12 +139,7 @@ bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
                      SimTime deadline, SimTime poll, RecvStatus* out) {
   TCIO_CHECK_MSG(poll > 0, "recvUntil needs a positive poll quantum");
   sim::Proc& p = *proc_;
-  auto pr = std::make_shared<detail::PendingRecv>();
-  pr->want_src = src;
-  pr->want_tag = tag;
-  pr->context = context_;
-  pr->buf = static_cast<std::byte*>(buf);
-  pr->capacity = capacity;
+  auto pr = newPendingRecv(context_, buf, capacity, src, tag);
   p.atomic([&] { postRecvLocked(*world_, p, p.rank(), pr); });
   // Poll the completion event in virtual-time steps instead of blocking:
   // a blocking wait on a message from a crashed rank would trip the
@@ -181,33 +181,36 @@ bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
 
 RecvStatus Comm::wait(Request& req) { return waitInternal(req, true); }
 
+void Comm::waitRecv(const std::shared_ptr<detail::PendingRecv>& pr,
+                    bool track, const char* site) {
+  check::Checker* ck = track && pr->want_src != kAnySource
+                           ? world_->checker()
+                           : nullptr;
+  if (ck != nullptr) {
+    // Sends are eager/buffered, so a blocked receive means the peer never
+    // sent: a cycle of blocked receives is a true deadlock.
+    const Rank target = worldRank(pr->want_src);
+    proc_->atomic([&] {
+      // The closure keeps the receive state alive so the checker's stored
+      // event pointer can never dangle.
+      ck->beginWait(proc_->rank(),
+                    [target, keep = pr] { return std::vector<Rank>{target}; },
+                    &pr->ev, site);
+    });
+  }
+  proc_->wait(pr->ev, site);
+  if (ck != nullptr) {
+    proc_->atomic([&] { ck->endWait(proc_->rank()); });
+  }
+}
+
 RecvStatus Comm::waitInternal(Request& req, bool track_wait) {
   TCIO_CHECK_MSG(req.valid(), "wait on an empty Request");
   detail::ReqState& st = *req.state_;
   if (st.recv != nullptr) {
     // Wait on the underlying receive event (the request-level event is only
     // completed for immediate matches).
-    check::Checker* ck = world_->checker();
-    const bool track =
-        track_wait && ck != nullptr && st.recv->want_src != kAnySource;
-    if (track) {
-      // Sends are eager/buffered, so a blocked receive means the peer never
-      // sent: a cycle of blocked receives is a true deadlock.
-      const Rank target = worldRank(st.recv->want_src);
-      proc_->atomic([&] {
-        // The closure keeps the receive state alive so the checker's stored
-        // event pointer can never dangle.
-        ck->beginWait(proc_->rank(),
-                      [target, keep = st.recv] {
-                        return std::vector<Rank>{target};
-                      },
-                      &st.recv->ev, "MPI_Recv");
-      });
-    }
-    proc_->wait(st.recv->ev, "MPI_Recv");
-    if (track) {
-      proc_->atomic([&] { ck->endWait(proc_->rank()); });
-    }
+    waitRecv(st.recv, track_wait, "MPI_Recv");
     RecvStatus status{st.recv->src, st.recv->tag, st.recv->received};
     req.state_.reset();
     return status;
@@ -567,16 +570,12 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
   pending.reserve(static_cast<std::size_t>(P));
   p.atomic([&] {
     for (int r = 0; r < P; ++r) {
-      if (r == rank_ || recvcounts[static_cast<std::size_t>(r)] == 0) continue;
-      auto pr = std::make_shared<detail::PendingRecv>();
-      pr->want_src = r;
-      pr->want_tag = tag;
-      pr->context = context_;
-      pr->buf = rbase + recvdispls[static_cast<std::size_t>(r)];
-      pr->capacity = recvcounts[static_cast<std::size_t>(r)];
-      if (!postRecvLocked(*world_, p, p.rank(), pr)) {
-        // keep handle to wait on; matched ones are already complete
-      }
+      const auto at = static_cast<std::size_t>(r);
+      if (r == rank_ || recvcounts[at] == 0) continue;
+      // Matched receives are already complete; waiting on them is free.
+      auto pr = newPendingRecv(context_, rbase + recvdispls[at],
+                               recvcounts[at], r, tag);
+      postRecvLocked(*world_, p, p.rank(), pr);
       pending.push_back(std::move(pr));
     }
   });
@@ -592,23 +591,7 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
     }
   });
   p.advanceTo(free_at);
-  check::Checker* ck = world_->checker();
-  for (auto& pr : pending) {
-    if (ck != nullptr) {
-      const Rank target = worldRank(pr->want_src);
-      p.atomic([&] {
-        ck->beginWait(p.rank(),
-                      [target, keep = pr] {
-                        return std::vector<Rank>{target};
-                      },
-                      &pr->ev, "MPI_Alltoallv");
-      });
-    }
-    p.wait(pr->ev, "MPI_Alltoallv");
-    if (ck != nullptr) {
-      p.atomic([&] { ck->endWait(p.rank()); });
-    }
-  }
+  for (const auto& pr : pending) waitRecv(pr, true, "MPI_Alltoallv");
 }
 
 SizedExchange sizedAlltoallv(
@@ -626,12 +609,22 @@ SizedExchange sizedAlltoallv(
   comm.alltoallv(send_sizes.data(), size_counts, size_displs,
                  recv_sizes.data(), size_counts, size_displs);
   // Step 2: the bytes themselves.
+  return alltoallvCounted(comm, per_dst, std::move(recv_sizes));
+}
+
+SizedExchange alltoallvCounted(
+    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst,
+    std::vector<Bytes> recv_counts) {
+  const auto sp = static_cast<std::size_t>(comm.size());
+  TCIO_CHECK(per_dst.size() == sp && recv_counts.size() == sp);
   SizedExchange out;
-  out.counts = std::move(recv_sizes);
+  out.counts = std::move(recv_counts);
   out.displs.resize(sp);
+  std::vector<Bytes> send_sizes(sp);
   std::vector<Offset> send_displs(sp);
   Bytes send_total = 0, recv_total = 0;
   for (std::size_t i = 0; i < sp; ++i) {
+    send_sizes[i] = static_cast<Bytes>(per_dst[i].size());
     send_displs[i] = send_total;
     send_total += send_sizes[i];
     out.displs[i] = recv_total;

@@ -203,6 +203,11 @@ class Comm {
   /// (waitAll registers one AND-wait for the whole set instead).
   RecvStatus waitInternal(Request& req, bool track);
 
+  /// Blocks until `pr` is matched. With `track`, a wait on a named source is
+  /// registered with the deadlock checker (when enabled) under `site`.
+  void waitRecv(const std::shared_ptr<detail::PendingRecv>& pr, bool track,
+                const char* site);
+
   /// Sub-communicator constructor (used by split).
   Comm(World& world, sim::Proc& proc, std::vector<Rank> group, Rank rank,
        int context)
@@ -273,5 +278,12 @@ struct SizedExchange {
 /// `per_dst[d]` goes to rank d of `comm`, the caller included. Collective.
 SizedExchange sizedAlltoallv(
     Comm& comm, const std::vector<std::vector<std::byte>>& per_dst);
+
+/// The payload step of sizedAlltoallv, for callers that already know how
+/// many bytes each source sends: `recv_counts[s]` bytes arrive from rank s.
+/// Packs `per_dst` into one send buffer and runs one alltoallv. Collective.
+SizedExchange alltoallvCounted(
+    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst,
+    std::vector<Bytes> recv_counts);
 
 }  // namespace tcio::mpi

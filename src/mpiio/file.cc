@@ -31,8 +31,6 @@ void MpioFile::setView(Offset disp, const mpi::Datatype& etype,
   }
 }
 
-void MpioFile::clearView() { view_ = FileView(); }
-
 CollectiveRequest MpioFile::makeRequest(Offset view_off, const void* buf,
                                         Bytes n) const {
   CollectiveRequest req;
@@ -41,80 +39,70 @@ CollectiveRequest MpioFile::makeRequest(Offset view_off, const void* buf,
   return req;
 }
 
-void MpioFile::writeAt(Offset view_off, const void* buf, Bytes n) {
+const ViewCache& MpioFile::viewCacheFor(Offset view_off) const {
+  TCIO_CHECK_MSG(view_cache_ != nullptr,
+                 "view-based collective requires a prior setView");
+  TCIO_CHECK_MSG(view_off == 0,
+                 "view-based collective supports full-view accesses only");
+  return *view_cache_;
+}
+
+void MpioFile::independentIo(Offset view_off, std::byte* user, Bytes n,
+                             bool write) {
   const std::vector<Extent> extents = view_.mapExtents(view_off, n);
-  const auto* src = static_cast<const std::byte*>(buf);
   if (extents.size() <= 1 || !cfg_.enable_data_sieving) {
     for (const Extent& e : extents) {
-      client_.pwrite(file_, e.begin, src, e.size());
-      src += e.size();
+      if (write) {
+        client_.pwrite(file_, e.begin, user, e.size());
+      } else {
+        client_.pread(file_, e.begin, user, e.size());
+      }
+      user += e.size();
     }
     return;
   }
-  // Write data sieving: cover runs of extents with sieve windows, read the
-  // window, overlay the pieces, write the whole window back.
+  // Data sieving: cover runs of extents with sieve windows and read each
+  // window whole. A read copies the pieces out; a write overlays them and
+  // writes the whole window back.
   std::size_t i = 0;
   while (i < extents.size()) {
     const Offset wbegin = extents[i].begin;
     std::size_t j = i;
-    Offset wend = extents[i].end;
     while (j + 1 < extents.size() &&
            extents[j + 1].end - wbegin <= cfg_.sieve_buffer) {
       ++j;
-      wend = extents[j].end;
     }
-    std::vector<std::byte> window(static_cast<std::size_t>(wend - wbegin));
-    client_.pread(file_, wbegin, window.data(), wend - wbegin);
+    const Bytes span = extents[j].end - wbegin;
+    std::vector<std::byte> window(static_cast<std::size_t>(span));
+    client_.pread(file_, wbegin, window.data(), span);
     for (std::size_t k = i; k <= j; ++k) {
-      std::memcpy(window.data() + (extents[k].begin - wbegin), src,
-                  static_cast<std::size_t>(extents[k].size()));
-      src += extents[k].size();
+      std::byte* piece = window.data() + (extents[k].begin - wbegin);
+      const auto len = static_cast<std::size_t>(extents[k].size());
+      if (write) {
+        std::memcpy(piece, user, len);
+      } else {
+        std::memcpy(user, piece, len);
+      }
+      user += len;
     }
-    comm_->chargeCopy(wend - wbegin);
-    client_.pwrite(file_, wbegin, window.data(), wend - wbegin);
+    comm_->chargeCopy(span);
+    if (write) client_.pwrite(file_, wbegin, window.data(), span);
     i = j + 1;
   }
 }
 
+void MpioFile::writeAt(Offset view_off, const void* buf, Bytes n) {
+  independentIo(view_off, static_cast<std::byte*>(const_cast<void*>(buf)), n,
+                /*write=*/true);
+}
+
 void MpioFile::readAt(Offset view_off, void* buf, Bytes n) {
-  const std::vector<Extent> extents = view_.mapExtents(view_off, n);
-  auto* dst = static_cast<std::byte*>(buf);
-  if (extents.size() <= 1 || !cfg_.enable_data_sieving) {
-    for (const Extent& e : extents) {
-      client_.pread(file_, e.begin, dst, e.size());
-      dst += e.size();
-    }
-    return;
-  }
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    const Offset wbegin = extents[i].begin;
-    std::size_t j = i;
-    Offset wend = extents[i].end;
-    while (j + 1 < extents.size() &&
-           extents[j + 1].end - wbegin <= cfg_.sieve_buffer) {
-      ++j;
-      wend = extents[j].end;
-    }
-    std::vector<std::byte> window(static_cast<std::size_t>(wend - wbegin));
-    client_.pread(file_, wbegin, window.data(), wend - wbegin);
-    for (std::size_t k = i; k <= j; ++k) {
-      std::memcpy(dst, window.data() + (extents[k].begin - wbegin),
-                  static_cast<std::size_t>(extents[k].size()));
-      dst += extents[k].size();
-    }
-    comm_->chargeCopy(wend - wbegin);
-    i = j + 1;
-  }
+  independentIo(view_off, static_cast<std::byte*>(buf), n, /*write=*/false);
 }
 
 TwoPhaseStats MpioFile::writeAtAll(Offset view_off, const void* buf, Bytes n) {
   if (cfg_.view_based) {
-    TCIO_CHECK_MSG(view_cache_ != nullptr,
-                   "view-based collective requires a prior setView");
-    TCIO_CHECK_MSG(view_off == 0,
-                   "view-based collective supports full-view accesses only");
-    return viewBasedWrite(*comm_, client_, file_, *view_cache_,
+    return viewBasedWrite(*comm_, client_, file_, viewCacheFor(view_off),
                           static_cast<const std::byte*>(buf), n,
                           cfg_.cb_nodes);
   }
@@ -124,11 +112,7 @@ TwoPhaseStats MpioFile::writeAtAll(Offset view_off, const void* buf, Bytes n) {
 
 TwoPhaseStats MpioFile::readAtAll(Offset view_off, void* buf, Bytes n) {
   if (cfg_.view_based) {
-    TCIO_CHECK_MSG(view_cache_ != nullptr,
-                   "view-based collective requires a prior setView");
-    TCIO_CHECK_MSG(view_off == 0,
-                   "view-based collective supports full-view accesses only");
-    return viewBasedRead(*comm_, client_, file_, *view_cache_,
+    return viewBasedRead(*comm_, client_, file_, viewCacheFor(view_off),
                          static_cast<std::byte*>(buf), n, cfg_.cb_nodes);
   }
   return twoPhaseRead(*comm_, client_, file_, makeRequest(view_off, buf, n),

@@ -11,7 +11,6 @@
 #include "mpi/comm.h"
 #include "mpiio/twophase.h"
 #include "mpiio/view.h"
-#include "mpiio/viewbased.h"
 
 namespace tcio::io {
 
@@ -46,9 +45,6 @@ class MpioFile {
   /// here, so all ranks must call together).
   void setView(Offset disp, const mpi::Datatype& etype,
                const mpi::Datatype& filetype);
-
-  /// Resets to the identity view with displacement 0.
-  void clearView();
   const FileView& view() const { return view_; }
 
   // -- Independent I/O (view-relative byte offsets) -------------------------
@@ -78,6 +74,11 @@ class MpioFile {
 
   CollectiveRequest makeRequest(Offset view_off, const void* buf,
                                 Bytes n) const;
+  /// The cached views for a view-based collective at `view_off`, after
+  /// checking its preconditions.
+  const ViewCache& viewCacheFor(Offset view_off) const;
+  /// writeAt/readAt body: one FS call per extent, or data sieving.
+  void independentIo(Offset view_off, std::byte* user, Bytes n, bool write);
 
   mpi::Comm* comm_;
   mutable fs::FsClient client_;

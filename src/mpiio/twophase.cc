@@ -13,14 +13,163 @@ namespace tcio::io {
 
 namespace {
 
-/// Wire format of one access block in the metadata exchange.
-struct BlockMeta {
-  Offset off = 0;
-  Bytes len = 0;
-};
-static_assert(sizeof(BlockMeta) == 16);
+// -- Requester side -----------------------------------------------------------
 
-// Domain partitioning shared with the view-based path lives in domain.h.
+/// This rank's request split at aggregator boundaries, per destination rank:
+/// the pieces as packed `Extent` records (the two-phase metadata), the
+/// staged payload (writes) and the payload byte counts.
+struct SplitRequest {
+  std::vector<std::vector<std::byte>> meta;     // [dst]
+  std::vector<std::vector<std::byte>> payload;  // [dst], empty unless staged
+  std::vector<Bytes> counts;                    // [dst]
+};
+
+/// Splits `extents` (ascending) by aggregator. A non-null `stage` is the
+/// payload to stage per destination, charged as one copy.
+SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
+                               const std::vector<Extent>& extents,
+                               const std::byte* stage) {
+  const auto P = static_cast<std::size_t>(comm.size());
+  SplitRequest split{std::vector<std::vector<std::byte>>(P),
+                     std::vector<std::vector<std::byte>>(P),
+                     std::vector<Bytes>(P, 0)};
+  const std::byte* cursor = stage;
+  forEachPiece(dom, extents, [&](int agg, const Extent& piece) {
+    const auto dst = static_cast<std::size_t>(dom.aggRank(agg));
+    TCIO_CHECK(dst < P);
+    const auto* raw = reinterpret_cast<const std::byte*>(&piece);
+    split.meta[dst].insert(split.meta[dst].end(), raw, raw + sizeof(piece));
+    if (stage != nullptr) {
+      split.payload[dst].insert(split.payload[dst].end(), cursor,
+                                cursor + piece.size());
+      cursor += piece.size();
+    }
+    split.counts[dst] += piece.size();
+  });
+  if (stage != nullptr) comm.chargeCopy(static_cast<Bytes>(cursor - stage));
+  return split;
+}
+
+/// Requester read step: copies the bytes each aggregator sent back into
+/// `out`, in extent order. Aggregator j's pieces arrive in the same
+/// ascending-offset order they were asked for.
+void scatterReplies(mpi::Comm& comm, const Domain& dom,
+                    const std::vector<Extent>& extents,
+                    const mpi::SizedExchange& back, std::byte* out) {
+  std::vector<Offset> cursor(back.displs.begin(), back.displs.end());
+  std::byte* at = out;
+  forEachPiece(dom, extents, [&](int agg, const Extent& piece) {
+    const auto src = static_cast<std::size_t>(dom.aggRank(agg));
+    std::memcpy(at, back.data.data() + cursor[src],
+                static_cast<std::size_t>(piece.size()));
+    cursor[src] += piece.size();
+    at += piece.size();
+  });
+  comm.chargeCopy(static_cast<Bytes>(at - out));
+}
+
+// -- Aggregator side ----------------------------------------------------------
+
+/// What one aggregator serves in a collective call: its file region and,
+/// per source rank, that source's pieces inside the region in ascending
+/// order. Source s owns pieces[ends[s - 1], ends[s]).
+struct RegionPlan {
+  Extent region;
+  std::vector<Extent> pieces;
+  std::vector<std::size_t> ends;  // [P]
+
+  template <typename F>
+  void forSource(std::size_t src, F&& fn) const {
+    for (std::size_t k = src == 0 ? 0 : ends[src - 1]; k < ends[src]; ++k) {
+      fn(pieces[k]);
+    }
+  }
+};
+
+/// Two-phase plan: the pieces every rank sent this aggregator as metadata.
+RegionPlan planFromMeta(mpi::Comm& comm, const Domain& dom,
+                        const mpi::SizedExchange& meta) {
+  RegionPlan plan{dom.regionOf(dom.aggIndexOf(comm.rank())), {},
+                  std::vector<std::size_t>(meta.counts.size())};
+  plan.pieces.reserve(meta.data.size() / sizeof(Extent));
+  for (std::size_t src = 0; src < plan.ends.size(); ++src) {
+    meta.forEachRecord<Extent>(
+        src, [&](const Extent& piece) { plan.pieces.push_back(piece); });
+    plan.ends[src] = plan.pieces.size();
+  }
+  return plan;
+}
+
+/// An aggregator's region buffer, charged against the rank's memory budget
+/// while it lives.
+struct RegionBuffer {
+  RegionBuffer(mpi::Comm& comm, const Extent& r, TwoPhaseStats& stats)
+      : region(r),
+        charge(comm.memory(), r.size(), "OCIO aggregator (temporary) buffer"),
+        bytes(static_cast<std::size_t>(r.size())) {
+    stats.aggregator_buffer = r.size();
+  }
+  std::byte* at(Offset off) { return bytes.data() + (off - region.begin); }
+
+  Extent region;
+  ScopedAllocation charge;
+  std::vector<std::byte> bytes;
+};
+
+/// Aggregator write step: overlays each source's payload (its pieces' bytes
+/// back to back, in plan order) onto the region buffer, then writes each
+/// run of the pieces' union once. Overlapping writers are a user race; the
+/// highest source rank's bytes win.
+void aggregateWrite(mpi::Comm& comm, fs::FsClient& fs, fs::FsFile& file,
+                    RegionPlan plan, const mpi::SizedExchange& payload,
+                    TwoPhaseStats& stats) {
+  RegionBuffer buf(comm, plan.region, stats);
+  Bytes overlaid = 0;
+  for (std::size_t src = 0; src < plan.ends.size(); ++src) {
+    const std::byte* from = payload.from(src).data();
+    plan.forSource(src, [&](const Extent& piece) {
+      TCIO_CHECK(piece.begin >= plan.region.begin &&
+                 piece.end <= plan.region.end);
+      std::memcpy(buf.at(piece.begin), from,
+                  static_cast<std::size_t>(piece.size()));
+      from += piece.size();
+      overlaid += piece.size();
+    });
+  }
+  comm.chargeCopy(overlaid);
+  for (const Extent& run :
+       mpi::unionSortedSources(std::move(plan.pieces), plan.ends)) {
+    fs.pwrite(file, run.begin, buf.at(run.begin), run.size());
+    ++stats.fs_requests;
+  }
+}
+
+/// Aggregator read step: reads each run of the pieces' union once, then
+/// returns each source its pieces' bytes back to back, in plan order.
+std::vector<std::vector<std::byte>> aggregateRead(mpi::Comm& comm,
+                                                  fs::FsClient& fs,
+                                                  fs::FsFile& file,
+                                                  const RegionPlan& plan,
+                                                  TwoPhaseStats& stats) {
+  RegionBuffer buf(comm, plan.region, stats);
+  for (const Extent& run : mpi::unionSortedSources(plan.pieces, plan.ends)) {
+    fs.pread(file, run.begin, buf.at(run.begin), run.size());
+    ++stats.fs_requests;
+  }
+  std::vector<std::vector<std::byte>> replies(plan.ends.size());
+  Bytes served = 0;
+  for (std::size_t src = 0; src < plan.ends.size(); ++src) {
+    plan.forSource(src, [&](const Extent& piece) {
+      const std::byte* from = buf.at(piece.begin);
+      replies[src].insert(replies[src].end(), from, from + piece.size());
+      served += piece.size();
+    });
+  }
+  comm.chargeCopy(served);
+  return replies;
+}
+
+// -- Two-phase ----------------------------------------------------------------
 
 /// Allreduce of the aggregate file domain; returns false when no rank has
 /// any data (nothing to do, but every rank took part in the collective).
@@ -40,52 +189,91 @@ bool computeDomain(mpi::Comm& comm, const CollectiveRequest& req,
   return true;
 }
 
-/// Per-destination split of this rank's request: packed `BlockMeta` records
-/// plus (for writes) staged payload bytes, both in ascending offset order.
-struct SplitRequest {
-  std::vector<std::vector<std::byte>> meta;       // [dst]
-  std::vector<std::vector<std::byte>> payload;    // [dst], writes only
-};
+// -- View-based ---------------------------------------------------------------
 
-SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
-                               const CollectiveRequest& req,
-                               bool stage_payload) {
-  const int P = comm.size();
-  SplitRequest split;
-  split.meta.resize(static_cast<std::size_t>(P));
-  split.payload.resize(static_cast<std::size_t>(P));
-  const std::byte* cursor = req.payload;
-  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
-    const int rank = dom.aggRank(agg);
-    TCIO_CHECK(rank >= 0 && rank < P);
-    const auto dst = static_cast<std::size_t>(rank);
-    const BlockMeta m{piece.begin, piece.size()};
-    const auto* raw = reinterpret_cast<const std::byte*>(&m);
-    split.meta[dst].insert(split.meta[dst].end(), raw, raw + sizeof(m));
-    if (stage_payload) {
-      auto& pay = split.payload[dst];
-      pay.insert(pay.end(), cursor, cursor + piece.size());
-    }
-    if (cursor != nullptr) cursor += piece.size();
-  });
-  return split;
+/// Wire format: [identity u64][disp][tile_payload][tile_extent][nsegs][segs].
+std::vector<std::byte> serializeView(const FileView& v) {
+  std::vector<std::byte> out;
+  auto put = [&out](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::byte*>(p);
+    out.insert(out.end(), b, b + n);
+  };
+  const std::int64_t identity = v.isIdentity() ? 1 : 0;
+  const Offset disp = v.displacement();
+  put(&identity, 8);
+  put(&disp, 8);
+  if (identity != 0) return out;
+  const Bytes tile_payload = v.filetype().size();
+  const Bytes tile_extent = v.filetype().extent();
+  const auto& segs = v.filetype().segments();
+  const std::int64_t nsegs = static_cast<std::int64_t>(segs.size());
+  put(&tile_payload, 8);
+  put(&tile_extent, 8);
+  put(&nsegs, 8);
+  put(segs.data(), segs.size() * sizeof(Extent));
+  return out;
 }
 
-/// Union of received block extents (overlap tolerated: concurrent writers to
-/// the same byte are a user race; the highest rank's bytes win here). Each
-/// source's blocks arrive in ascending offset order, because its request
-/// came from FileView::mapExtents, so the sources are merged, not sorted.
-std::vector<Extent> coverage(const mpi::SizedExchange& meta, int P) {
-  std::vector<Extent> runs;
-  runs.reserve(meta.data.size() / sizeof(BlockMeta));
-  std::vector<std::size_t> ends(static_cast<std::size_t>(P));
-  for (std::size_t src = 0; src < ends.size(); ++src) {
-    meta.forEachRecord<BlockMeta>(src, [&](const BlockMeta& b) {
-      runs.push_back({b.off, b.off + b.len});
-    });
-    ends[src] = runs.size();
+CachedView deserializeView(const std::vector<std::byte>& in) {
+  CachedView v;
+  const std::byte* p = in.data();
+  auto take = [&p](void* dst, std::size_t n) {
+    std::memcpy(dst, p, n);
+    p += n;
+  };
+  std::int64_t identity = 0;
+  take(&identity, 8);
+  take(&v.disp, 8);
+  v.identity = identity != 0;
+  if (v.identity) return v;
+  std::int64_t nsegs = 0;
+  take(&v.tile_payload, 8);
+  take(&v.tile_extent, 8);
+  take(&nsegs, 8);
+  v.segments.resize(static_cast<std::size_t>(nsegs));
+  take(v.segments.data(), static_cast<std::size_t>(nsegs) * sizeof(Extent));
+  return v;
+}
+
+/// Verifies all ranks pass the same payload size (cheap sanity allreduce).
+void checkUniformSize(mpi::Comm& comm, Bytes n) {
+  std::int64_t minmax[2] = {-n, n};
+  comm.allreduce(minmax, 2, mpi::ReduceOp::kMax);
+  TCIO_CHECK_MSG(-minmax[0] == n && minmax[1] == n,
+                 "view-based collective requires the same payload size on "
+                 "every rank");
+}
+
+Domain domainFromCache(mpi::Comm& comm, const ViewCache& cache, Bytes n,
+                       int cb_nodes) {
+  Offset lo = std::numeric_limits<Offset>::max();
+  Offset hi = 0;
+  for (int r = 0; r < comm.size(); ++r) {
+    const auto ext = cache.extentsOf(r, n);
+    if (ext.empty()) continue;
+    lo = std::min(lo, ext.front().begin);
+    hi = std::max(hi, ext.back().end);
   }
-  return mpi::unionSortedSources(std::move(runs), ends);
+  TCIO_CHECK_MSG(hi > lo, "view-based collective with empty views");
+  return Domain::partition(lo, hi, comm.size(), cb_nodes);
+}
+
+/// View-based plan: every rank's cached view clipped to this aggregator's
+/// region, computed locally.
+RegionPlan planFromCache(mpi::Comm& comm, const Domain& dom,
+                         const ViewCache& cache, Bytes n) {
+  const auto P = static_cast<std::size_t>(comm.size());
+  RegionPlan plan{dom.regionOf(dom.aggIndexOf(comm.rank())), {},
+                  std::vector<std::size_t>(P, 0)};
+  if (plan.region.empty()) return plan;
+  for (std::size_t src = 0; src < P; ++src) {
+    for (const Extent& e : cache.extentsOf(static_cast<int>(src), n)) {
+      const Extent piece = intersect(e, plan.region);
+      if (!piece.empty()) plan.pieces.push_back(piece);
+    }
+    plan.ends[src] = plan.pieces.size();
+  }
+  return plan;
 }
 
 }  // namespace
@@ -96,43 +284,14 @@ TwoPhaseStats twoPhaseWrite(mpi::Comm& comm, fs::FsClient& fs,
   TwoPhaseStats stats;
   Domain dom;
   if (!computeDomain(comm, req, cb_nodes, dom)) return stats;
-  const int P = comm.size();
-
-  // Phase 1: shuffle data to aggregators.
-  SplitRequest split =
-      splitByAggregator(comm, dom, req, /*stage_payload=*/true);
-  Bytes staged = 0;
-  for (const auto& v : split.payload) staged += static_cast<Bytes>(v.size());
-  comm.chargeCopy(staged);
+  // Phase 1: shuffle pieces and data to aggregators. Phase 2: each
+  // aggregator assembles its region and writes it.
+  const SplitRequest split =
+      splitByAggregator(comm, dom, req.extents, req.payload);
   const mpi::SizedExchange meta = mpi::sizedAlltoallv(comm, split.meta);
   const mpi::SizedExchange payload = mpi::sizedAlltoallv(comm, split.payload);
-
-  // Phase 2: this rank, if an aggregator, assembles its region, writes it.
-  const Extent region = dom.regionOf(dom.aggIndexOf(comm.rank()));
-  const Bytes region_size = region.size();
-  stats.aggregator_buffer = region_size;
-  ScopedAllocation charge(comm.memory(), region_size,
-                          "OCIO aggregator (temporary) buffer");
-  std::vector<std::byte> buffer(static_cast<std::size_t>(region_size));
-  Bytes overlaid = 0;
-  for (int src = 0; src < P; ++src) {
-    const auto s = static_cast<std::size_t>(src);
-    const std::byte* src_payload = payload.from(s).data();
-    meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
-      TCIO_CHECK(b.off >= region.begin && b.off + b.len <= region.end);
-      std::memcpy(buffer.data() + (b.off - region.begin), src_payload,
-                  static_cast<std::size_t>(b.len));
-      src_payload += b.len;
-      overlaid += b.len;
-    });
-  }
-  comm.chargeCopy(overlaid);
-
-  for (const Extent& run : coverage(meta, P)) {
-    fs.pwrite(file, run.begin, buffer.data() + (run.begin - region.begin),
-              run.size());
-    ++stats.fs_requests;
-  }
+  aggregateWrite(comm, fs, file, planFromMeta(comm, dom, meta), payload,
+                 stats);
   return stats;
 }
 
@@ -142,52 +301,74 @@ TwoPhaseStats twoPhaseRead(mpi::Comm& comm, fs::FsClient& fs,
   TwoPhaseStats stats;
   Domain dom;
   if (!computeDomain(comm, req, cb_nodes, dom)) return stats;
-  const int P = comm.size();
-
-  // Requests travel to aggregators.
-  SplitRequest split =
-      splitByAggregator(comm, dom, req, /*stage_payload=*/false);
+  // Requests travel to aggregators, which load and return the bytes.
+  const SplitRequest split =
+      splitByAggregator(comm, dom, req.extents, nullptr);
   const mpi::SizedExchange meta = mpi::sizedAlltoallv(comm, split.meta);
+  const auto replies =
+      aggregateRead(comm, fs, file, planFromMeta(comm, dom, meta), stats);
+  scatterReplies(comm, dom, req.extents, mpi::sizedAlltoallv(comm, replies),
+                 req.payload);
+  return stats;
+}
 
-  // Aggregator loads the union of requested runs in its region.
-  const Extent region = dom.regionOf(dom.aggIndexOf(comm.rank()));
-  const Bytes region_size = region.size();
-  stats.aggregator_buffer = region_size;
-  ScopedAllocation charge(comm.memory(), region_size,
-                          "OCIO aggregator (temporary) buffer");
-  std::vector<std::byte> buffer(static_cast<std::size_t>(region_size));
-  for (const Extent& run : coverage(meta, P)) {
-    fs.pread(file, run.begin, buffer.data() + (run.begin - region.begin),
-             run.size());
-    ++stats.fs_requests;
+ViewCache ViewCache::exchange(mpi::Comm& comm, const FileView& mine) {
+  const std::vector<std::byte> wire = serializeView(mine);
+  std::vector<std::vector<std::byte>> all;
+  comm.allgatherv(wire.data(), static_cast<Bytes>(wire.size()), all);
+  ViewCache cache;
+  cache.views_.reserve(all.size());
+  for (const auto& buf : all) {
+    cache.views_.push_back(deserializeView(buf));
   }
+  return cache;
+}
 
-  // Serve each requester its blocks, in its request order.
-  std::vector<std::vector<std::byte>> replies(static_cast<std::size_t>(P));
-  Bytes served = 0;
-  for (int src = 0; src < P; ++src) {
-    const auto s = static_cast<std::size_t>(src);
-    meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
-      const std::byte* from = buffer.data() + (b.off - region.begin);
-      replies[s].insert(replies[s].end(), from, from + b.len);
-      served += b.len;
-    });
+std::vector<Extent> ViewCache::extentsOf(int rank, Bytes n) const {
+  const CachedView& v = of(rank);
+  if (n == 0) return {};
+  if (v.identity) return {{v.disp, v.disp + n}};
+  return mapTiledExtents(v.disp, v.segments, v.tile_payload, v.tile_extent,
+                         /*view_off=*/0, n);
+}
+
+TwoPhaseStats viewBasedWrite(mpi::Comm& comm, fs::FsClient& fs,
+                             fs::FsFile& file, const ViewCache& cache,
+                             const std::byte* payload, Bytes n,
+                             int cb_nodes) {
+  TCIO_CHECK(cache.size() == comm.size());
+  TwoPhaseStats stats;
+  checkUniformSize(comm, n);
+  const Domain dom = domainFromCache(comm, cache, n, cb_nodes);
+  // Both sides derive every count from the cached views, so the payload is
+  // the only exchange.
+  const SplitRequest split =
+      splitByAggregator(comm, dom, cache.extentsOf(comm.rank(), n), payload);
+  RegionPlan plan = planFromCache(comm, dom, cache, n);
+  std::vector<Bytes> counts(plan.ends.size(), 0);
+  for (std::size_t src = 0; src < counts.size(); ++src) {
+    plan.forSource(src, [&](const Extent& e) { counts[src] += e.size(); });
   }
-  comm.chargeCopy(served);
-  const mpi::SizedExchange back = mpi::sizedAlltoallv(comm, replies);
+  const mpi::SizedExchange recv =
+      mpi::alltoallvCounted(comm, split.payload, std::move(counts));
+  aggregateWrite(comm, fs, file, std::move(plan), recv, stats);
+  return stats;
+}
 
-  // Scatter received bytes into the caller's payload, extent order. Pieces
-  // from aggregator j arrive in the same ascending-offset order we asked in.
-  std::vector<Offset> src_cursor(back.displs.begin(), back.displs.end());
-  std::byte* out = req.payload;
-  forEachPiece(dom, req.extents, [&](int agg, const Extent& piece) {
-    const auto src_rank = static_cast<std::size_t>(dom.aggRank(agg));
-    std::memcpy(out, back.data.data() + src_cursor[src_rank],
-                static_cast<std::size_t>(piece.size()));
-    src_cursor[src_rank] += piece.size();
-    out += piece.size();
-  });
-  comm.chargeCopy(static_cast<Bytes>(out - req.payload));
+TwoPhaseStats viewBasedRead(mpi::Comm& comm, fs::FsClient& fs,
+                            fs::FsFile& file, const ViewCache& cache,
+                            std::byte* payload, Bytes n, int cb_nodes) {
+  TCIO_CHECK(cache.size() == comm.size());
+  TwoPhaseStats stats;
+  checkUniformSize(comm, n);
+  const Domain dom = domainFromCache(comm, cache, n, cb_nodes);
+  const auto replies = aggregateRead(
+      comm, fs, file, planFromCache(comm, dom, cache, n), stats);
+  const std::vector<Extent> mine = cache.extentsOf(comm.rank(), n);
+  SplitRequest split = splitByAggregator(comm, dom, mine, nullptr);
+  scatterReplies(comm, dom, mine,
+                 mpi::alltoallvCounted(comm, replies, std::move(split.counts)),
+                 payload);
   return stats;
 }
 

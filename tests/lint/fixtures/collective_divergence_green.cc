@@ -40,4 +40,12 @@ void packThenExchange(mpi::Comm& comm, Blobs& per_dst) {
   mpi::sizedAlltoallv(comm, per_dst);
 }
 
+// Rank-dependent counts, then the known-count exchange on every rank.
+void countThenExchange(mpi::Comm& comm, const Blobs& per_dst, Counts& counts) {
+  if (comm.rank() == 0) {
+    countRoot(counts);
+  }
+  mpi::alltoallvCounted(comm, per_dst, counts);
+}
+
 }  // namespace fixture

@@ -37,4 +37,11 @@ void leaderOnlyExchange(mpi::Comm& comm, const Blobs& per_dst) {
   }
 }
 
+// So is the known-count payload exchange.
+void leaderOnlyCounted(mpi::Comm& comm, const Blobs& b, Counts c) {
+  if (comm.rank() == 0) {
+    mpi::alltoallvCounted(comm, b, c);  // LINT-EXPECT[collective-divergence]
+  }
+}
+
 }  // namespace fixture

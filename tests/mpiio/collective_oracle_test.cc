@@ -172,7 +172,8 @@ TEST(MpiioCollectiveOracleTest, TwoPhase) {
       {5, 7, 2,
        {0x1.870af33d66905p-7, 286, 4244, 4, 4, 1320, 8, 210, 0xca2094e8u}},
       {5, 256, 0,
-       {0x1.9cd2a4290db5ap-6, 382, 87584, 10, 10, 46080, 20, 3072, 0x353e118au}},
+       {0x1.9cd2a4290db5ap-6,
+        382, 87584, 10, 10, 46080, 20, 3072, 0x353e118au}},
       {5, 256, 2,
        {0x1.d129624e2c38cp-7, 286, 87808, 4, 4, 46080, 8, 7680, 0x353e118au}},
       {16, 1, 0,
@@ -184,9 +185,11 @@ TEST(MpiioCollectiveOracleTest, TwoPhase) {
       {16, 7, 2,
        {0x1.aba9fda8db6c6p-6, 2408, 26464, 4, 4, 4224, 8, 672, 0x854b26f6u}},
       {16, 256, 0,
-       {0x1.5f0112033169ap-4, 4088, 339840, 32, 32, 147456, 64, 3072, 0xa24a1879u}},
+       {0x1.5f0112033169ap-4,
+        4088, 339840, 32, 32, 147456, 64, 3072, 0xa24a1879u}},
       {16, 256, 2,
-       {0x1.261977af1cf79p-5, 2408, 339840, 4, 4, 147456, 8, 24576, 0xa24a1879u}},
+       {0x1.261977af1cf79p-5,
+        2408, 339840, 4, 4, 147456, 8, 24576, 0xa24a1879u}},
   });
 }
 
@@ -225,7 +228,8 @@ TEST(MpiioCollectiveOracleTest, ViewBased) {
       {5, 7, 2,
        {0x1.85c0be40369bap-7, 134, 4756, 4, 4, 1320, 8, 210, 0xca2094e8u}},
       {5, 256, 0,
-       {0x1.9c1ec92d895f8p-6, 182, 120160, 10, 10, 46080, 20, 3072, 0x353e118au}},
+       {0x1.9c1ec92d895f8p-6,
+        182, 120160, 10, 10, 46080, 20, 3072, 0x353e118au}},
       {5, 256, 2,
        {0x1.f7b19cad90c0bp-7, 134, 120256, 4, 4, 46080, 8, 7680, 0x353e118au}},
       {16, 1, 0,
@@ -237,9 +241,11 @@ TEST(MpiioCollectiveOracleTest, ViewBased) {
       {16, 7, 2,
        {0x1.aaa14dec36dadp-6, 848, 44256, 4, 4, 4224, 8, 672, 0x854b26f6u}},
       {16, 256, 0,
-       {0x1.5e753257e9d49p-4, 1688, 1134720, 32, 32, 147456, 64, 3072, 0xa24a1879u}},
+       {0x1.5e753257e9d49p-4,
+        1688, 1134720, 32, 32, 147456, 64, 3072, 0xa24a1879u}},
       {16, 256, 2,
-       {0x1.2fd7975f3c412p-5, 848, 1134720, 4, 4, 147456, 8, 24576, 0xa24a1879u}},
+       {0x1.2fd7975f3c412p-5,
+        848, 1134720, 4, 4, 147456, 8, 24576, 0xa24a1879u}},
   });
 }
 

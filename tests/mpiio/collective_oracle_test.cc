@@ -64,6 +64,7 @@ Figures runOracleJob(int P, std::int64_t len, int cb_nodes, bool view_based) {
   fs::FsConfig fcfg;
   fcfg.num_osts = 3;
   fcfg.stripe_size = 2048;
+  fcfg.integrity = -1;  // stored-block digests are not under test
   fs::Filesystem fsys(fcfg);
   mpi::JobConfig jc;
   jc.num_ranks = P;

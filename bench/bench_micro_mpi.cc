@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "bench/bench_common.h"
@@ -133,6 +134,52 @@ BENCHMARK(BM_EngineEventThroughput)
     ->Arg(64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// Host wall time of one size-then-payload exchange at P ranks: each rank
+/// packs 32 16-byte records for every rank, itself included, and runs
+/// mpi::sizedAlltoallv. The clock runs from the first rank starting to
+/// pack to the last rank holding its receive, so job start-up and the
+/// aligning barrier are not timed.
+void BM_SizedAlltoallv(benchmark::State& state) {
+  struct Record {
+    std::int64_t src = 0;
+    std::int64_t k = 0;
+  };
+  constexpr int kRecordsPerPair = 32;
+  const int P = static_cast<int>(state.range(0));
+  const auto sp = static_cast<std::size_t>(P);
+  Bytes received = 0;
+  for (auto _ : state) {
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point first = Clock::time_point::max();
+    Clock::time_point last = Clock::time_point::min();
+    mpi::runJob(paperJob(P), [&](mpi::Comm& comm) {
+      comm.barrier();
+      first = std::min(first, Clock::now());
+      mpi::PackedSend send(std::vector<Bytes>(
+          sp, kRecordsPerPair * static_cast<Bytes>(sizeof(Record))));
+      for (std::size_t d = 0; d < sp; ++d) {
+        for (int k = 0; k < kRecordsPerPair; ++k) {
+          const Record r{comm.rank(), k};
+          send.append(d, &r, sizeof(r));
+        }
+      }
+      const mpi::SizedExchange got = mpi::sizedAlltoallv(comm, send);
+      benchmark::DoNotOptimize(got.data.data());
+      last = std::max(last, Clock::now());
+      if (comm.rank() == 0) received = static_cast<Bytes>(got.data.size());
+    });
+    state.SetIterationTime(
+        std::chrono::duration<double>(last - first).count());
+  }
+  state.counters["recv_bytes_per_rank"] = static_cast<double>(received);
+}
+// Manual time is wall time: every rank runs on the calling thread.
+BENCHMARK(BM_SizedAlltoallv)
+    ->Arg(16)
+    ->Arg(128)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// The two-phase aggregator's view of a strided collective: `sources`
 /// per-source lists of 32 runs each, source s owning block s of every round

@@ -106,6 +106,16 @@ fi
 echo "== test suite under TCIO_CHECK=1 =="
 TCIO_CHECK=1 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
+# The exchange and collective I/O suites with glibc filling fresh heap
+# memory with a nonzero pattern: exchange send/receive buffers and the
+# aggregator region buffer are not zero-filled, so a path that reads a byte
+# it never wrote changes a pinned CRC or makespan here instead of reading
+# the zeros a fresh page happens to hold.
+echo "== exchange and collective I/O suites under MALLOC_PERTURB_=165 =="
+MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
+  -j "$(nproc)" -R \
+  'SizedExchange|PackedSend|Collectives|Mpiio|TwoPhase|ViewBased|CollectiveBuffering|IntegrityOracle'
+
 # The open/write/close churn workload again, but with delegates resolved
 # from the environment: ownership verification must hold when the level-2
 # map is sharded across delegate ranks (DESIGN.md §10).

@@ -14,17 +14,23 @@ bool matches(const detail::PendingRecv& pr, Rank src, int tag, int context) {
          (pr.want_tag == kAnyTag || pr.want_tag == tag);
 }
 
-/// A receive of up to `capacity` bytes into `buf` from `src` with `tag`, on
-/// the communicator identified by `context`, not yet posted.
+/// Sets `pr` up as a receive of up to `capacity` bytes into `buf` from `src`
+/// with `tag`, on the communicator identified by `context`.
+void initPendingRecv(detail::PendingRecv& pr, int context, void* buf,
+                     Bytes capacity, Rank src, int tag) {
+  pr.want_src = src;
+  pr.want_tag = tag;
+  pr.context = context;
+  pr.buf = static_cast<std::byte*>(buf);
+  pr.capacity = capacity;
+}
+
+/// A receive as initPendingRecv sets it up, not yet posted.
 std::shared_ptr<detail::PendingRecv> newPendingRecv(int context, void* buf,
                                                     Bytes capacity, Rank src,
                                                     int tag) {
   auto pr = std::make_shared<detail::PendingRecv>();
-  pr->want_src = src;
-  pr->want_tag = tag;
-  pr->context = context;
-  pr->buf = static_cast<std::byte*>(buf);
-  pr->capacity = capacity;
+  initPendingRecv(*pr, context, buf, capacity, src, tag);
   return pr;
 }
 
@@ -555,10 +561,12 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
   const int tag = nextCollectiveTag();
   sim::Proc& p = *proc_;
 
-  // Self-exchange is a local copy.
+  // Self-exchange is a local copy. Receive buffers need not be zero-filled,
+  // so a self receive the send does not cover is an error, not zeros.
   const auto self = static_cast<std::size_t>(rank_);
+  TCIO_CHECK_MSG(sendcounts[self] == recvcounts[self],
+                 "alltoallv self send and receive counts differ");
   if (sendcounts[self] > 0) {
-    TCIO_CHECK(sendcounts[self] == recvcounts[self]);
     std::memcpy(rbase + recvdispls[self], sbase + senddispls[self],
                 static_cast<std::size_t>(sendcounts[self]));
     chargeCopy(sendcounts[self]);
@@ -566,17 +574,23 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
 
   // Post every receive, then every send, in one atomic section each — this
   // is the synchronized burst the two-phase exchange creates in practice.
-  std::vector<std::shared_ptr<detail::PendingRecv>> pending;
-  pending.reserve(static_cast<std::size_t>(P));
+  // The receives live in one block; each posted handle aliases its entry.
+  std::size_t nrecv = 0;
+  for (int r = 0; r < P; ++r) {
+    if (r != rank_ && recvcounts[static_cast<std::size_t>(r)] > 0) ++nrecv;
+  }
+  const auto block = std::make_shared<detail::PendingRecv[]>(nrecv);
   p.atomic([&] {
+    std::size_t i = 0;
     for (int r = 0; r < P; ++r) {
       const auto at = static_cast<std::size_t>(r);
       if (r == rank_ || recvcounts[at] == 0) continue;
       // Matched receives are already complete; waiting on them is free.
-      auto pr = newPendingRecv(context_, rbase + recvdispls[at],
-                               recvcounts[at], r, tag);
-      postRecvLocked(*world_, p, p.rank(), pr);
-      pending.push_back(std::move(pr));
+      initPendingRecv(block[i], context_, rbase + recvdispls[at],
+                      recvcounts[at], r, tag);
+      postRecvLocked(*world_, p, p.rank(),
+                     std::shared_ptr<detail::PendingRecv>(block, &block[i]));
+      ++i;
     }
   });
   SimTime free_at = p.now();
@@ -591,52 +605,76 @@ void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
     }
   });
   p.advanceTo(free_at);
-  for (const auto& pr : pending) waitRecv(pr, true, "MPI_Alltoallv");
+  for (std::size_t i = 0; i < nrecv; ++i) {
+    waitRecv(std::shared_ptr<detail::PendingRecv>(block, &block[i]), true,
+             "MPI_Alltoallv");
+    TCIO_CHECK_MSG(block[i].received == block[i].capacity,
+                   "alltoallv peer sent fewer bytes than the receive count");
+  }
 }
 
-SizedExchange sizedAlltoallv(
-    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst) {
+PackedSend::PackedSend(std::vector<Bytes> counts)
+    : counts_(std::move(counts)), displs_(counts_.size()) {
+  Bytes total = 0;
+  for (std::size_t d = 0; d < counts_.size(); ++d) {
+    TCIO_CHECK(counts_[d] >= 0);
+    displs_[d] = total;
+    total += counts_[d];
+  }
+  cursor_ = displs_;
+  buf_ = RawBytes(static_cast<std::size_t>(total));
+}
+
+bool PackedSend::filled() const {
+  for (std::size_t d = 0; d < counts_.size(); ++d) {
+    if (cursor_[d] != displs_[d] + counts_[d]) return false;
+  }
+  return true;
+}
+
+namespace {
+
+/// An exchange's send is one part per rank of `comm`, each filled exactly.
+void checkSend(const Comm& comm, const PackedSend& send) {
+  TCIO_CHECK(send.size() == static_cast<std::size_t>(comm.size()));
+  TCIO_CHECK_MSG(send.filled(),
+                 "PackedSend underfilled: a destination holds fewer bytes "
+                 "than its count");
+}
+
+}  // namespace
+
+SizedExchange sizedAlltoallv(Comm& comm, const PackedSend& send) {
+  checkSend(comm, send);
   const auto sp = static_cast<std::size_t>(comm.size());
-  TCIO_CHECK(per_dst.size() == sp);
   // Step 1: every rank learns how many bytes arrive from each peer.
-  std::vector<Bytes> send_sizes(sp), recv_sizes(sp),
-      size_counts(sp, sizeof(Bytes));
+  std::vector<Bytes> recv_sizes(sp), size_counts(sp, sizeof(Bytes));
   std::vector<Offset> size_displs(sp);
   for (std::size_t i = 0; i < sp; ++i) {
-    send_sizes[i] = static_cast<Bytes>(per_dst[i].size());
     size_displs[i] = static_cast<Offset>(i * sizeof(Bytes));
   }
-  comm.alltoallv(send_sizes.data(), size_counts, size_displs,
+  comm.alltoallv(send.counts().data(), size_counts, size_displs,
                  recv_sizes.data(), size_counts, size_displs);
   // Step 2: the bytes themselves.
-  return alltoallvCounted(comm, per_dst, std::move(recv_sizes));
+  return alltoallvCounted(comm, send, std::move(recv_sizes));
 }
 
-SizedExchange alltoallvCounted(
-    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst,
-    std::vector<Bytes> recv_counts) {
+SizedExchange alltoallvCounted(Comm& comm, const PackedSend& send,
+                               std::vector<Bytes> recv_counts) {
+  checkSend(comm, send);
   const auto sp = static_cast<std::size_t>(comm.size());
-  TCIO_CHECK(per_dst.size() == sp && recv_counts.size() == sp);
+  TCIO_CHECK(recv_counts.size() == sp);
   SizedExchange out;
   out.counts = std::move(recv_counts);
   out.displs.resize(sp);
-  std::vector<Bytes> send_sizes(sp);
-  std::vector<Offset> send_displs(sp);
-  Bytes send_total = 0, recv_total = 0;
+  Bytes recv_total = 0;
   for (std::size_t i = 0; i < sp; ++i) {
-    send_sizes[i] = static_cast<Bytes>(per_dst[i].size());
-    send_displs[i] = send_total;
-    send_total += send_sizes[i];
+    TCIO_CHECK(out.counts[i] >= 0);
     out.displs[i] = recv_total;
     recv_total += out.counts[i];
   }
-  std::vector<std::byte> sendbuf;
-  sendbuf.reserve(static_cast<std::size_t>(send_total));
-  for (const auto& v : per_dst) {
-    sendbuf.insert(sendbuf.end(), v.begin(), v.end());
-  }
-  out.data.resize(static_cast<std::size_t>(recv_total));
-  comm.alltoallv(sendbuf.data(), send_sizes, send_displs, out.data.data(),
+  out.data = RawBytes(static_cast<std::size_t>(recv_total));
+  comm.alltoallv(send.data(), send.counts(), send.displs(), out.data.data(),
                  out.counts, out.displs);
   return out;
 }

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -248,10 +249,67 @@ class Comm {
   std::size_t win_seq_ = 0;
 };
 
+/// A byte buffer whose bytes start indeterminate, for buffers that are
+/// written in full before they are read: unlike std::vector<std::byte>, it
+/// does not zero-fill first.
+class RawBytes {
+ public:
+  RawBytes() = default;
+  explicit RawBytes(std::size_t n)
+      : bytes_(n > 0 ? std::make_unique_for_overwrite<std::byte[]>(n)
+                     : nullptr),
+        size_(n) {}
+
+  std::byte* data() { return bytes_.get(); }
+  const std::byte* data() const { return bytes_.get(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::unique_ptr<std::byte[]> bytes_;
+  std::size_t size_ = 0;
+};
+
+/// The send side of sizedAlltoallv/alltoallvCounted: every destination's
+/// bytes back to back in rank order, written once. Build it in two passes
+/// over the same records: count each destination's bytes, construct the
+/// send from those counts, then append each destination's bytes in order;
+/// each append lands at that destination's cursor. The exchange checks that
+/// every destination was filled exactly to its count.
+class PackedSend {
+ public:
+  explicit PackedSend(std::vector<Bytes> counts);
+
+  /// Copies `n` bytes from `src` to the next free bytes of `dst`'s part.
+  void append(std::size_t dst, const void* src, Bytes n) {
+    TCIO_CHECK_MSG(dst < cursor_.size() && n >= 0 &&
+                       cursor_[dst] + n <= displs_[dst] + counts_[dst],
+                   "PackedSend fill overruns its destination's count");
+    if (n > 0) {
+      std::memcpy(buf_.data() + cursor_[dst], src,
+                  static_cast<std::size_t>(n));
+    }
+    cursor_[dst] += n;
+  }
+
+  /// True once every destination holds exactly its count.
+  bool filled() const;
+  std::size_t size() const { return counts_.size(); }
+  std::span<const Bytes> counts() const { return counts_; }
+  std::span<const Offset> displs() const { return displs_; }
+  const std::byte* data() const { return buf_.data(); }
+
+ private:
+  std::vector<Bytes> counts_;
+  std::vector<Offset> displs_;
+  std::vector<Offset> cursor_;
+  RawBytes buf_;
+};
+
 /// What sizedAlltoallv received: every source's bytes back to back in rank
 /// order, with per-source byte counts and starting displacements.
 struct SizedExchange {
-  std::vector<std::byte> data;
+  RawBytes data;
   std::vector<Bytes> counts;
   std::vector<Offset> displs;
 
@@ -260,12 +318,15 @@ struct SizedExchange {
   }
   /// Calls fn(record) for each packed trivially copyable `T` that `src`
   /// sent, in send order. Each record is copied into a local, so the
-  /// receive buffer needs no alignment and nothing is allocated.
+  /// receive buffer needs no alignment and nothing is allocated. A source
+  /// whose bytes are not a whole number of records fails a TCIO_CHECK.
   template <typename T, typename F>
   void forEachRecord(std::size_t src, F&& fn) const {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::span<const std::byte> raw = from(src);
-    for (std::size_t at = 0; at + sizeof(T) <= raw.size(); at += sizeof(T)) {
+    TCIO_CHECK_MSG(raw.size() % sizeof(T) == 0,
+                   "exchange source sent a partial record");
+    for (std::size_t at = 0; at < raw.size(); at += sizeof(T)) {
       T rec{};
       std::memcpy(&rec, raw.data() + at, sizeof(T));
       fn(rec);
@@ -275,15 +336,14 @@ struct SizedExchange {
 
 /// Size-then-payload all-to-all, ROMIO's two-phase recipe: one alltoallv of
 /// per-destination byte counts, then one alltoallv of the bytes themselves.
-/// `per_dst[d]` goes to rank d of `comm`, the caller included. Collective.
-SizedExchange sizedAlltoallv(
-    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst);
+/// Destination d's part of `send` goes to rank d of `comm`, the caller
+/// included. Collective.
+SizedExchange sizedAlltoallv(Comm& comm, const PackedSend& send);
 
 /// The payload step of sizedAlltoallv, for callers that already know how
 /// many bytes each source sends: `recv_counts[s]` bytes arrive from rank s.
-/// Packs `per_dst` into one send buffer and runs one alltoallv. Collective.
-SizedExchange alltoallvCounted(
-    Comm& comm, const std::vector<std::vector<std::byte>>& per_dst,
-    std::vector<Bytes> recv_counts);
+/// One alltoallv straight from `send`'s buffer. Collective.
+SizedExchange alltoallvCounted(Comm& comm, const PackedSend& send,
+                               std::vector<Bytes> recv_counts);
 
 }  // namespace tcio::mpi

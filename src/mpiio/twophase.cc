@@ -19,9 +19,9 @@ namespace {
 /// the pieces as packed `Extent` records (the two-phase metadata), the
 /// staged payload (writes) and the payload byte counts.
 struct SplitRequest {
-  std::vector<std::vector<std::byte>> meta;     // [dst]
-  std::vector<std::vector<std::byte>> payload;  // [dst], empty unless staged
-  std::vector<Bytes> counts;                    // [dst]
+  mpi::PackedSend meta;
+  mpi::PackedSend payload;  // empty unless staged
+  std::vector<Bytes> counts;
 };
 
 /// Splits `extents` (ascending) by aggregator. A non-null `stage` is the
@@ -30,21 +30,25 @@ SplitRequest splitByAggregator(mpi::Comm& comm, const Domain& dom,
                                const std::vector<Extent>& extents,
                                const std::byte* stage) {
   const auto P = static_cast<std::size_t>(comm.size());
-  SplitRequest split{std::vector<std::vector<std::byte>>(P),
-                     std::vector<std::vector<std::byte>>(P),
-                     std::vector<Bytes>(P, 0)};
-  const std::byte* cursor = stage;
+  std::vector<Bytes> meta_counts(P, 0), counts(P, 0);
   forEachPiece(dom, extents, [&](int agg, const Extent& piece) {
     const auto dst = static_cast<std::size_t>(dom.aggRank(agg));
     TCIO_CHECK(dst < P);
-    const auto* raw = reinterpret_cast<const std::byte*>(&piece);
-    split.meta[dst].insert(split.meta[dst].end(), raw, raw + sizeof(piece));
+    meta_counts[dst] += sizeof(Extent);
+    counts[dst] += piece.size();
+  });
+  SplitRequest split{
+      mpi::PackedSend(std::move(meta_counts)),
+      mpi::PackedSend(stage != nullptr ? counts : std::vector<Bytes>(P, 0)),
+      std::move(counts)};
+  const std::byte* cursor = stage;
+  forEachPiece(dom, extents, [&](int agg, const Extent& piece) {
+    const auto dst = static_cast<std::size_t>(dom.aggRank(agg));
+    split.meta.append(dst, &piece, sizeof(piece));
     if (stage != nullptr) {
-      split.payload[dst].insert(split.payload[dst].end(), cursor,
-                                cursor + piece.size());
+      split.payload.append(dst, cursor, piece.size());
       cursor += piece.size();
     }
-    split.counts[dst] += piece.size();
   });
   if (stage != nullptr) comm.chargeCopy(static_cast<Bytes>(cursor - stage));
   return split;
@@ -84,6 +88,15 @@ struct RegionPlan {
       fn(pieces[k]);
     }
   }
+
+  /// Payload bytes per source: the sum of its pieces' sizes.
+  std::vector<Bytes> sourceBytes() const {
+    std::vector<Bytes> bytes(ends.size(), 0);
+    for (std::size_t src = 0; src < ends.size(); ++src) {
+      forSource(src, [&](const Extent& e) { bytes[src] += e.size(); });
+    }
+    return bytes;
+  }
 };
 
 /// Two-phase plan: the pieces every rank sent this aggregator as metadata.
@@ -101,7 +114,8 @@ RegionPlan planFromMeta(mpi::Comm& comm, const Domain& dom,
 }
 
 /// An aggregator's region buffer, charged against the rank's memory budget
-/// while it lives.
+/// while it lives. It is not zero-filled: bytes outside the pieces' union
+/// are never written to the file or served to a reader.
 struct RegionBuffer {
   RegionBuffer(mpi::Comm& comm, const Extent& r, TwoPhaseStats& stats)
       : region(r),
@@ -113,7 +127,7 @@ struct RegionBuffer {
 
   Extent region;
   ScopedAllocation charge;
-  std::vector<std::byte> bytes;
+  mpi::RawBytes bytes;
 };
 
 /// Aggregator write step: overlays each source's payload (its pieces' bytes
@@ -146,22 +160,19 @@ void aggregateWrite(mpi::Comm& comm, fs::FsClient& fs, fs::FsFile& file,
 
 /// Aggregator read step: reads each run of the pieces' union once, then
 /// returns each source its pieces' bytes back to back, in plan order.
-std::vector<std::vector<std::byte>> aggregateRead(mpi::Comm& comm,
-                                                  fs::FsClient& fs,
-                                                  fs::FsFile& file,
-                                                  const RegionPlan& plan,
-                                                  TwoPhaseStats& stats) {
+mpi::PackedSend aggregateRead(mpi::Comm& comm, fs::FsClient& fs,
+                              fs::FsFile& file, const RegionPlan& plan,
+                              TwoPhaseStats& stats) {
   RegionBuffer buf(comm, plan.region, stats);
   for (const Extent& run : mpi::unionSortedSources(plan.pieces, plan.ends)) {
     fs.pread(file, run.begin, buf.at(run.begin), run.size());
     ++stats.fs_requests;
   }
-  std::vector<std::vector<std::byte>> replies(plan.ends.size());
+  mpi::PackedSend replies(plan.sourceBytes());
   Bytes served = 0;
   for (std::size_t src = 0; src < plan.ends.size(); ++src) {
     plan.forSource(src, [&](const Extent& piece) {
-      const std::byte* from = buf.at(piece.begin);
-      replies[src].insert(replies[src].end(), from, from + piece.size());
+      replies.append(src, buf.at(piece.begin), piece.size());
       served += piece.size();
     });
   }
@@ -345,12 +356,8 @@ TwoPhaseStats viewBasedWrite(mpi::Comm& comm, fs::FsClient& fs,
   const SplitRequest split =
       splitByAggregator(comm, dom, cache.extentsOf(comm.rank(), n), payload);
   RegionPlan plan = planFromCache(comm, dom, cache, n);
-  std::vector<Bytes> counts(plan.ends.size(), 0);
-  for (std::size_t src = 0; src < counts.size(); ++src) {
-    plan.forSource(src, [&](const Extent& e) { counts[src] += e.size(); });
-  }
   const mpi::SizedExchange recv =
-      mpi::alltoallvCounted(comm, split.payload, std::move(counts));
+      mpi::alltoallvCounted(comm, split.payload, plan.sourceBytes());
   aggregateWrite(comm, fs, file, std::move(plan), recv, stats);
   return stats;
 }

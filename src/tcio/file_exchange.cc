@@ -311,24 +311,33 @@ void File::collectiveFetch() {
     // Two-sided reply exchange: ship requests to owners, owners answer from
     // their local windows.
     const auto sp = static_cast<std::size_t>(comm_->size());
-    std::vector<std::vector<std::byte>> req_meta(sp);
+    const auto ownerIndex = [&](const PendingRead& r) {
+      return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
+    };
+    std::vector<Bytes> meta_counts(sp, 0);
+    for (const PendingRead& r : pending_reads_) {
+      meta_counts[ownerIndex(r)] += sizeof(BlockMeta);
+    }
+    mpi::PackedSend req_meta(std::move(meta_counts));
     for (const PendingRead& r : pending_reads_) {
       const BlockMeta m{r.off, r.len};
-      appendBytes(req_meta[static_cast<std::size_t>(
-                      curOf(ownerOf(map_.segmentOf(r.off))))],
-                  &m, sizeof(m));
+      req_meta.append(ownerIndex(r), &m, sizeof(m));
     }
     const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
     // Answer each requester from the local window.
     const std::byte* local = window_->localData();
-    std::vector<std::vector<std::byte>> replies(sp);
+    std::vector<Bytes> reply_counts(sp, 0);
+    for (std::size_t s = 0; s < sp; ++s) {
+      got_meta.forEachRecord<BlockMeta>(
+          s, [&](const BlockMeta& b) { reply_counts[s] += b.len; });
+    }
+    mpi::PackedSend replies(std::move(reply_counts));
     std::set<SegmentId> served_segs;
     for (std::size_t s = 0; s < sp; ++s) {
       got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
         const SegmentId g = map_.segmentOf(b.off);
-        const std::byte* from =
-            local + dataDisp(slotOnOwner(g), map_.dispOf(b.off));
-        appendBytes(replies[s], from, static_cast<std::size_t>(b.len));
+        replies.append(
+            s, local + dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.len);
         served_segs.insert(g);
       });
     }
@@ -339,8 +348,7 @@ void File::collectiveFetch() {
     // Scatter: replies from each owner arrive in my request order.
     std::vector<Offset> cursor(payload.displs.begin(), payload.displs.end());
     for (const PendingRead& r : pending_reads_) {
-      const auto owner =
-          static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
+      const std::size_t owner = ownerIndex(r);
       std::memcpy(r.dst, payload.data.data() + cursor[owner],
                   static_cast<std::size_t>(r.len));
       cursor[owner] += r.len;
@@ -399,13 +407,22 @@ void File::exchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   const auto sp = static_cast<std::size_t>(comm_->size());
-  std::vector<std::vector<std::byte>> meta(sp), payload(sp);
+  const auto ownerIndex = [&](Offset off) {
+    return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
+  };
+  std::vector<Bytes> meta_counts(sp, 0), payload_counts(sp, 0);
   for (const auto& [off, bytes] : staged_) {
-    const auto owner =
-        static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
+    const std::size_t owner = ownerIndex(off);
+    meta_counts[owner] += sizeof(BlockMeta);
+    payload_counts[owner] += static_cast<Bytes>(bytes.size());
+  }
+  mpi::PackedSend meta(std::move(meta_counts));
+  mpi::PackedSend payload(std::move(payload_counts));
+  for (const auto& [off, bytes] : staged_) {
+    const std::size_t owner = ownerIndex(off);
     const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
-    appendBytes(meta[owner], &m, sizeof(m));
-    appendBytes(payload[owner], bytes.data(), bytes.size());
+    meta.append(owner, &m, sizeof(m));
+    payload.append(owner, bytes.data(), static_cast<Bytes>(bytes.size()));
   }
   const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, meta);
   const mpi::SizedExchange got_payload = mpi::sizedAlltoallv(*comm_, payload);

@@ -137,6 +137,36 @@ TEST(CollectivesVarTest, AlltoallvWithUnevenCounts) {
   });
 }
 
+// Receive buffers are not zero-filled, so a receive region that no send
+// covers must be an error rather than stale bytes.
+TEST(CollectivesVarTest, AlltoallvZeroSelfSendWithSelfReceiveIsAnError) {
+  EXPECT_THROW(runJob(cfg(2),
+                      [](Comm& comm) {
+                        std::int32_t sbuf[2] = {1, 2};
+                        std::int32_t rbuf[2] = {};
+                        const auto me = static_cast<std::size_t>(comm.rank());
+                        std::vector<Bytes> scount(2, 4), rcount(2, 4);
+                        scount[me] = 0;
+                        const std::vector<Offset> disp = {0, 4};
+                        comm.alltoallv(sbuf, scount, disp, rbuf, rcount, disp);
+                      }),
+               Error);
+}
+
+TEST(CollectivesVarTest, AlltoallvShortPeerSendIsAnError) {
+  EXPECT_THROW(runJob(cfg(2),
+                      [](Comm& comm) {
+                        std::int32_t sbuf[2] = {1, 2};
+                        std::int32_t rbuf[2] = {};
+                        // Rank 0 sends rank 1 two bytes; rank 1 expects four.
+                        std::vector<Bytes> scount(2, 4), rcount(2, 4);
+                        if (comm.rank() == 0) scount[1] = 2;
+                        const std::vector<Offset> disp = {0, 4};
+                        comm.alltoallv(sbuf, scount, disp, rbuf, rcount, disp);
+                      }),
+               Error);
+}
+
 TEST(CollectivesCostTest, BarrierCostGrowsLogarithmically) {
   auto barrier_time = [](int P) {
     SimTime t = 0;

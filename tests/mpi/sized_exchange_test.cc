@@ -1,5 +1,6 @@
 // Tests for mpi::sizedAlltoallv, the size-then-payload all-to-all that the
-// TCIO staged exchanges and the two-phase OCIO baseline share.
+// TCIO staged exchanges and the two-phase OCIO baseline share, and for
+// mpi::PackedSend, the count-then-fill send buffer both exchanges take.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +29,15 @@ std::byte blobByte(int src, int dst, std::size_t i) {
                                 0xff);
 }
 
+/// Per-destination byte counts of rank `me`'s blobs.
+std::vector<Bytes> blobCounts(int me, int P) {
+  std::vector<Bytes> counts(static_cast<std::size_t>(P));
+  for (int d = 0; d < P; ++d) {
+    counts[static_cast<std::size_t>(d)] = static_cast<Bytes>(blobSize(me, d));
+  }
+  return counts;
+}
+
 class SizedExchangeTest : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Sizes, SizedExchangeTest, ::testing::Values(1, 5));
 
@@ -35,14 +45,15 @@ TEST_P(SizedExchangeTest, UnevenZeroLengthAndSelfBlobsArriveInRankOrder) {
   const int P = GetParam();
   runJob(cfg(P), [&](Comm& comm) {
     const int me = comm.rank();
-    std::vector<std::vector<std::byte>> per_dst(static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      auto& blob = per_dst[static_cast<std::size_t>(d)];
+    PackedSend send(blobCounts(me, P));
+    // Fill destinations in reverse rank order: each lands at its own cursor.
+    for (int d = P - 1; d >= 0; --d) {
       for (std::size_t i = 0; i < blobSize(me, d); ++i) {
-        blob.push_back(blobByte(me, d, i));
+        const std::byte b = blobByte(me, d, i);
+        send.append(static_cast<std::size_t>(d), &b, 1);
       }
     }
-    const SizedExchange got = sizedAlltoallv(comm, per_dst);
+    const SizedExchange got = sizedAlltoallv(comm, send);
     ASSERT_EQ(got.counts.size(), static_cast<std::size_t>(P));
     ASSERT_EQ(got.displs.size(), static_cast<std::size_t>(P));
     Offset expect_displ = 0;
@@ -65,8 +76,7 @@ TEST_P(SizedExchangeTest, UnevenZeroLengthAndSelfBlobsArriveInRankOrder) {
 TEST_P(SizedExchangeTest, AllEmptyExchangeReceivesNothing) {
   const int P = GetParam();
   runJob(cfg(P), [&](Comm& comm) {
-    const std::vector<std::vector<std::byte>> none(
-        static_cast<std::size_t>(P));
+    const PackedSend none(std::vector<Bytes>(static_cast<std::size_t>(P), 0));
     const SizedExchange got = sizedAlltoallv(comm, none);
     EXPECT_TRUE(got.data.empty());
     for (int s = 0; s < P; ++s) {
@@ -90,16 +100,19 @@ TEST_P(SizedExchangeTest, ForEachRecordReadsEverySourceInSendOrder) {
   const int P = GetParam();
   runJob(cfg(P), [&](Comm& comm) {
     const int me = comm.rank();
-    std::vector<std::vector<std::byte>> per_dst(static_cast<std::size_t>(P));
+    std::vector<Bytes> counts(static_cast<std::size_t>(P));
+    for (int d = 0; d < P; ++d) {
+      counts[static_cast<std::size_t>(d)] =
+          recordCount(me, d) * static_cast<Bytes>(sizeof(Rec));
+    }
+    PackedSend send(std::move(counts));
     for (int d = 0; d < P; ++d) {
       for (int k = 0; k < recordCount(me, d); ++k) {
         const Rec r{me, d, k};
-        const auto* raw = reinterpret_cast<const std::byte*>(&r);
-        auto& blob = per_dst[static_cast<std::size_t>(d)];
-        blob.insert(blob.end(), raw, raw + sizeof(r));
+        send.append(static_cast<std::size_t>(d), &r, sizeof(r));
       }
     }
-    const SizedExchange got = sizedAlltoallv(comm, per_dst);
+    const SizedExchange got = sizedAlltoallv(comm, send);
     for (int s = 0; s < P; ++s) {
       int seen = 0;
       got.forEachRecord<Rec>(static_cast<std::size_t>(s), [&](const Rec& r) {
@@ -113,43 +126,83 @@ TEST_P(SizedExchangeTest, ForEachRecordReadsEverySourceInSendOrder) {
   });
 }
 
+TEST_P(SizedExchangeTest, ForEachRecordRejectsAPartialRecord) {
+  const int P = GetParam();
+  runJob(cfg(P), [&](Comm& comm) {
+    // One whole record and one stray byte to every destination.
+    const Bytes n = static_cast<Bytes>(sizeof(Rec)) + 1;
+    PackedSend send(std::vector<Bytes>(static_cast<std::size_t>(P), n));
+    const std::vector<std::byte> blob(static_cast<std::size_t>(n));
+    for (int d = 0; d < P; ++d) {
+      send.append(static_cast<std::size_t>(d), blob.data(), n);
+    }
+    const SizedExchange got = sizedAlltoallv(comm, send);
+    for (int s = 0; s < P; ++s) {
+      EXPECT_THROW(got.forEachRecord<Rec>(static_cast<std::size_t>(s),
+                                          [](const Rec&) {}),
+                   Error)
+          << "from " << s;
+    }
+  });
+}
+
+TEST(PackedSendTest, FillPastACountFails) {
+  PackedSend send({4, 0});
+  const std::byte four[4] = {};
+  send.append(0, four, 4);
+  EXPECT_TRUE(send.filled());
+  EXPECT_THROW(send.append(0, four, 1), Error);
+  EXPECT_THROW(send.append(1, four, 1), Error);
+  EXPECT_THROW(send.append(2, four, 0), Error);  // no such destination
+}
+
+TEST_P(SizedExchangeTest, UnderfilledSendFails) {
+  const int P = GetParam();
+  runJob(cfg(P), [&](Comm& comm) {
+    PackedSend send(std::vector<Bytes>(static_cast<std::size_t>(P), 4));
+    const std::byte two[2] = {};
+    send.append(0, two, 2);
+    EXPECT_FALSE(send.filled());
+    EXPECT_THROW(sizedAlltoallv(comm, send), Error);
+    EXPECT_THROW(
+        alltoallvCounted(comm, send,
+                         std::vector<Bytes>(static_cast<std::size_t>(P), 4)),
+        Error);
+  });
+}
+
 // The helper is exactly the two-alltoallv recipe it replaced: the same
 // calls with the same counts give the same makespan, messages and bytes.
 TEST_P(SizedExchangeTest, CostsTheSameAsTwoHandWrittenAlltoallvs) {
   const int P = GetParam();
   const auto sp = static_cast<std::size_t>(P);
-  const auto blobs = [&](int me) {
-    std::vector<std::vector<std::byte>> per_dst(sp);
-    for (int d = 0; d < P; ++d) {
-      per_dst[static_cast<std::size_t>(d)].resize(blobSize(me, d));
-    }
-    return per_dst;
-  };
   const JobResult helper = runJob(cfg(P), [&](Comm& comm) {
-    sizedAlltoallv(comm, blobs(comm.rank()));
+    PackedSend send(blobCounts(comm.rank(), P));
+    const std::vector<std::byte> zeros(static_cast<std::size_t>(3 * P));
+    // blobSize(src, dst) <= 3 * (dst + 1) <= 3 * P.
+    for (int d = 0; d < P; ++d) {
+      send.append(static_cast<std::size_t>(d), zeros.data(),
+                  static_cast<Bytes>(blobSize(comm.rank(), d)));
+    }
+    sizedAlltoallv(comm, send);
   });
   const JobResult by_hand = runJob(cfg(P), [&](Comm& comm) {
-    const auto per_dst = blobs(comm.rank());
-    std::vector<Bytes> sizes(sp), got(sp), eight(sp, 8), scnt(sp), rcnt(sp);
+    const std::vector<Bytes> sizes = blobCounts(comm.rank(), P);
+    std::vector<Bytes> got(sp), eight(sp, 8), rcnt(sp);
     std::vector<Offset> d8(sp), sdsp(sp), rdsp(sp);
-    for (std::size_t i = 0; i < sp; ++i) {
-      sizes[i] = static_cast<Bytes>(per_dst[i].size());
-      d8[i] = static_cast<Offset>(i * 8);
-    }
+    for (std::size_t i = 0; i < sp; ++i) d8[i] = static_cast<Offset>(i * 8);
     comm.alltoallv(sizes.data(), eight, d8, got.data(), eight, d8);
     Bytes stot = 0, rtot = 0;
-    std::vector<std::byte> sendbuf;
     for (std::size_t i = 0; i < sp; ++i) {
-      scnt[i] = sizes[i];
       sdsp[i] = stot;
       stot += sizes[i];
       rcnt[i] = got[i];
       rdsp[i] = rtot;
       rtot += got[i];
-      sendbuf.insert(sendbuf.end(), per_dst[i].begin(), per_dst[i].end());
     }
+    const std::vector<std::byte> sendbuf(static_cast<std::size_t>(stot));
     std::vector<std::byte> recv(static_cast<std::size_t>(rtot));
-    comm.alltoallv(sendbuf.data(), scnt, sdsp, recv.data(), rcnt, rdsp);
+    comm.alltoallv(sendbuf.data(), sizes, sdsp, recv.data(), rcnt, rdsp);
   });
   EXPECT_EQ(helper.makespan, by_hand.makespan);
   EXPECT_EQ(helper.network_messages, by_hand.network_messages);

@@ -636,7 +636,7 @@ namespace {
 
 /// An exchange's send is one part per rank of `comm`, each filled exactly.
 void checkSend(const Comm& comm, const PackedSend& send) {
-  TCIO_CHECK(send.size() == static_cast<std::size_t>(comm.size()));
+  TCIO_CHECK(send.counts().size() == static_cast<std::size_t>(comm.size()));
   TCIO_CHECK_MSG(send.filled(),
                  "PackedSend underfilled: a destination holds fewer bytes "
                  "than its count");

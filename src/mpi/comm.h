@@ -263,7 +263,6 @@ class RawBytes {
   std::byte* data() { return bytes_.get(); }
   const std::byte* data() const { return bytes_.get(); }
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
  private:
   std::unique_ptr<std::byte[]> bytes_;
@@ -294,7 +293,6 @@ class PackedSend {
 
   /// True once every destination holds exactly its count.
   bool filled() const;
-  std::size_t size() const { return counts_.size(); }
   std::span<const Bytes> counts() const { return counts_; }
   std::span<const Offset> displs() const { return displs_; }
   const std::byte* data() const { return buf_.data(); }

@@ -129,9 +129,11 @@ void BM_EngineEventThroughput(benchmark::State& state) {
 }
 // Real time: the whole simulation runs on the calling thread, so CPU time
 // would not count the wall clock that events/s is meant to divide by.
+// P=256 is the rank count of the perfbench delegate_churn workload.
 BENCHMARK(BM_EngineEventThroughput)
     ->Arg(4)
     ->Arg(64)
+    ->Arg(256)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

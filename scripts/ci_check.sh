@@ -116,6 +116,15 @@ MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
   -j "$(nproc)" -R \
   'SizedExchange|PackedSend|Collectives|Mpiio|TwoPhase|ViewBased|CollectiveBuffering|IntegrityOracle'
 
+# The delegate, liveness and point-to-point suites the same way: a delegate
+# receives every descriptor into one arrival buffer and a client every reply
+# into one reply buffer, neither zero-filled, so a length field that reads
+# past the bytes a message carried sees the pattern or the previous
+# message instead of zeros.
+echo "== delegate, liveness and p2p suites under MALLOC_PERTURB_=165 =="
+MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
+  -j "$(nproc)" -R 'Delegate|Liveness|P2p'
+
 # The open/write/close churn workload again, but with delegates resolved
 # from the environment: ownership verification must hold when the level-2
 # map is sharded across delegate ranks (DESIGN.md §10).

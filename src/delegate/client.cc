@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -72,7 +73,8 @@ void forEachSegmentPiece(Offset off, std::size_t n, Bytes seg_size,
 
 Channel::Channel(Session& session)
     : s_(&session), comm_(&session.comm()),
-      integrity_on_(core::integrityEnabled(session.config())) {
+      integrity_on_(core::integrityEnabled(session.config())),
+      reply_buf_(static_cast<std::size_t>(maxReplyBytes())) {
   TCIO_CHECK_MSG(!s_->isDelegate(), "Channel runs on client ranks only");
   // Busy-retry backoff: start well under a service quantum and cap at a few
   // simulated milliseconds so a drained queue is re-probed promptly.
@@ -110,7 +112,7 @@ void Channel::sendDescriptor(int delegate, const RequestHeader& h,
 
 bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
                          std::vector<std::byte>* extra) {
-  const auto take = [&](const std::vector<std::byte>& msg) {
+  const auto take = [&](std::span<const std::byte> msg) {
     std::memcpy(out, msg.data(), sizeof(*out));
     if (extra != nullptr) {
       extra->assign(msg.begin() + sizeof(*out), msg.end());
@@ -126,12 +128,12 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
       return true;
     }
   }
-  std::vector<std::byte> buf(static_cast<std::size_t>(maxReplyBytes()));
+  const Bytes capacity = static_cast<Bytes>(reply_buf_.size());
   for (;;) {
     mpi::RecvStatus st;
     if (s_->crashEnabled()) {
       const bool got = comm_->recvUntil(
-          buf.data(), static_cast<Bytes>(buf.size()), delegate, kRepTag,
+          reply_buf_.data(), capacity, delegate, kRepTag,
           comm_->proc().now() + s_->config().crash.liveness_window,
           core::kLivenessPoll, &st);
       if (!got) {
@@ -139,22 +141,28 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
         return false;
       }
     } else {
-      st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), delegate,
-                       kRepTag);
+      st = comm_->recv(reply_buf_.data(), capacity, delegate, kRepTag);
     }
+    const std::span<const std::byte> msg{reply_buf_.data(),
+                                         static_cast<std::size_t>(st.count)};
     ReplyMsg r;
-    std::memcpy(&r, buf.data(), sizeof(r));
+    TCIO_CHECK_MSG(msg.size() >= sizeof(r),
+                   "delegate reply shorter than its header");
+    std::memcpy(&r, msg.data(), sizeof(r));
     if (r.kind == ReplyKind::kError && r.seq == seq) {
+      TCIO_CHECK_MSG(r.value2 >= 0 && static_cast<std::size_t>(r.value2) <=
+                                          msg.size() - sizeof(r),
+                     "delegate error text overruns the received reply");
       const std::string text(
-          reinterpret_cast<const char*>(buf.data() + sizeof(r)),
+          reinterpret_cast<const char*>(msg.data() + sizeof(r)),
           static_cast<std::size_t>(r.value2));
       mpi::throwTyped(static_cast<std::int32_t>(r.value), text);
     }
     if (r.seq == seq) {
-      take({buf.begin(), buf.begin() + st.count});
+      take(msg);
       return true;
     }
-    stash.emplace_back(buf.begin(), buf.begin() + st.count);
+    stash.emplace_back(msg.begin(), msg.end());
   }
 }
 

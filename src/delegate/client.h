@@ -98,7 +98,8 @@ class Channel {
                       const std::string& name = {});
   /// Awaits the reply carrying `seq` from `delegate`, stashing out-of-order
   /// replies. Returns false on a liveness timeout (crash mode only), after
-  /// marking the delegate suspected. kError replies rethrow typed.
+  /// marking the delegate suspected. A kError reply for `seq` rethrows
+  /// typed.
   bool awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
                   std::vector<std::byte>* extra = nullptr);
   /// Admission loop: resends the descriptor after each kBusy with
@@ -116,6 +117,8 @@ class Channel {
   /// Replies received while awaiting a different sequence number, per
   /// delegate, in arrival order.
   std::map<int, std::deque<std::vector<std::byte>>> stash_;
+  /// Every reply is received here; awaitReply copies out what it keeps.
+  mpi::RawBytes reply_buf_;
   std::uint64_t suspected_ = 0;  // local suspicion bitmap (bit d)
   std::uint64_t agreed_dead_ = 0;
   RetryPolicy busy_policy_;

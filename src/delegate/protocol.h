@@ -11,8 +11,11 @@
 // without copying a byte for the rejected ones.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "tcio/config.h"
@@ -76,6 +79,18 @@ struct RequestHeader {
   std::int32_t name_len = 0;
   std::int64_t aux = 0;  // kOpen: fs::OpenFlags
 };
+
+/// One descriptor message as it arrived: the header and what follows it.
+struct Request {
+  RequestHeader h;
+  std::vector<WireExtent> extents;
+  std::string name;  // kOpen only
+};
+
+/// Parses the `msg.size()` received bytes of one descriptor. A message
+/// shorter than its header, or whose extent count or name length claims
+/// more bytes than arrived, fails a TCIO_CHECK.
+Request parseRequest(std::span<const std::byte> msg);
 
 /// A descriptor header from `client`; the op-specific fields (payload and
 /// extent counts, name length, aux) are the caller's to fill.

@@ -17,10 +17,33 @@ namespace {
 constexpr SimTime kProbePoll = 1.0e-9;
 }  // namespace
 
+Request parseRequest(std::span<const std::byte> msg) {
+  Request q;
+  TCIO_CHECK_MSG(msg.size() >= sizeof(q.h),
+                 "delegate descriptor shorter than its header");
+  std::memcpy(&q.h, msg.data(), sizeof(q.h));
+  msg = msg.subspan(sizeof(q.h));
+  const auto n_extents = static_cast<std::size_t>(q.h.n_extents);
+  const auto name_len = static_cast<std::size_t>(q.h.name_len);
+  TCIO_CHECK_MSG(q.h.n_extents >= 0 && q.h.name_len >= 0 &&
+                     n_extents <= msg.size() / sizeof(WireExtent) &&
+                     name_len <= msg.size() - n_extents * sizeof(WireExtent),
+                 "delegate descriptor lengths overrun the received bytes");
+  q.extents.resize(n_extents);
+  const std::size_t extent_bytes = n_extents * sizeof(WireExtent);
+  if (extent_bytes > 0) {
+    std::memcpy(q.extents.data(), msg.data(), extent_bytes);
+  }
+  q.name.assign(reinterpret_cast<const char*>(msg.data() + extent_bytes),
+                name_len);
+  return q;
+}
+
 Server::Server(Session& session)
     : s_(&session), comm_(&session.comm()),
       client_(session.filesystem(), session.comm().proc()),
-      me_(session.comm().rank()) {
+      me_(session.comm().rank()),
+      arrival_(static_cast<std::size_t>(kMaxRequestBytes)) {
   const core::TcioConfig& cfg = s_->config();
   if (cfg.faults.enabled) client_.installFaultPlan(cfg.faults);
   client_.setRetryPolicy(cfg.retry);
@@ -44,7 +67,7 @@ void Server::run() {
   try {
     while (!shutdown_) {
       drainArrivals(/*block=*/!hasServiceable());
-      if (hasServiceable()) serviceOne();
+      serviceOne();
     }
   } catch (const RankCrashedError&) {
     // Fail-stop: the delegate goes silent. Clients detect the silence via
@@ -55,38 +78,25 @@ void Server::run() {
 // -- Arrival side -------------------------------------------------------------
 
 void Server::drainArrivals(bool block) {
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(kMaxRequestBytes));
+  const Bytes capacity = static_cast<Bytes>(arrival_.size());
   if (block) {
-    const mpi::RecvStatus st = comm_->recv(
-        buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);
-    handleArrival(buf.data(), st.count);
+    handleArrival(
+        comm_->recv(arrival_.data(), capacity, mpi::kAnySource, kReqTag)
+            .count);
   }
   for (;;) {
     mpi::RecvStatus st;
-    const bool got = comm_->recvUntil(
-        buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag,
-        comm_->proc().now(), kProbePoll, &st);
+    const bool got =
+        comm_->recvUntil(arrival_.data(), capacity, mpi::kAnySource, kReqTag,
+                         comm_->proc().now(), kProbePoll, &st);
     if (!got) break;
-    handleArrival(buf.data(), st.count);
+    handleArrival(st.count);
   }
 }
 
-void Server::handleArrival(const std::byte* buf, Bytes received) {
-  TCIO_CHECK(received >= static_cast<Bytes>(sizeof(RequestHeader)));
-  Pending p;
-  std::memcpy(&p.h, buf, sizeof(p.h));
-  const std::byte* cursor = buf + sizeof(p.h);
-  p.extents.resize(static_cast<std::size_t>(p.h.n_extents));
-  if (p.h.n_extents > 0) {
-    std::memcpy(p.extents.data(), cursor,
-                static_cast<std::size_t>(p.h.n_extents) * sizeof(WireExtent));
-    cursor += static_cast<std::size_t>(p.h.n_extents) * sizeof(WireExtent);
-  }
-  if (p.h.name_len > 0) {
-    p.name.assign(reinterpret_cast<const char*>(cursor),
-                  static_cast<std::size_t>(p.h.name_len));
-  }
+void Server::handleArrival(Bytes received) {
+  Pending p{parseRequest(
+      {arrival_.data(), static_cast<std::size_t>(received)})};
 
   switch (p.h.op) {
     case Op::kPutData: {
@@ -176,6 +186,9 @@ void Server::serviceOne() {
       Pending p = std::move(q.front());
       q.pop_front();
       rr_next_ = it->first + 1;
+      // A client with nothing queued leaves the map, so this sweep and
+      // hasServiceable() walk only the clients that have queued work.
+      if (q.empty()) queues_.erase(it);
       dispatch(p);
       return;
     }

@@ -54,10 +54,7 @@ class Server {
 
  private:
   /// One admitted (or control) request waiting for service.
-  struct Pending {
-    RequestHeader h;
-    std::vector<WireExtent> extents;
-    std::string name;        // kOpen only
+  struct Pending : Request {
     std::int64_t frame = -1; // staging frame held by this request (-1 none)
     bool ready = true;       // kPut flips true when kPutData arrives
     int retries = 0;         // kPutRetry rounds already spent on this put
@@ -89,7 +86,7 @@ class Server {
 
   // Arrival side.
   void drainArrivals(bool block);
-  void handleArrival(const std::byte* buf, Bytes received);
+  void handleArrival(Bytes received);
   void admitOrReject(Pending p);
   void reply(int client, std::int64_t seq, ReplyKind kind,
              std::int64_t value = 0, std::int64_t value2 = 0,
@@ -141,6 +138,9 @@ class Server {
   /// Dead delegates whose journal this server has already replayed — the
   /// chain scan in serveAdopt() is re-entrant across agreement rounds.
   std::set<int> my_adopted_;
+  /// Every descriptor is received here; each is parsed before the next
+  /// receive reuses the bytes.
+  mpi::RawBytes arrival_;
   std::map<std::uint64_t, FileState> files_;
   std::map<int, std::deque<Pending>> queues_;
   std::int64_t data_queued_ = 0;

@@ -111,11 +111,11 @@ const core::TcioDelegateStats& Session::finish() {
         continue;
       }
       ReplyMsg r;
-      std::memcpy(&r, buf.data(), sizeof(r));
-      TCIO_CHECK(r.kind == ReplyKind::kShutdownDone);
       TCIO_CHECK(st.count >=
                  static_cast<Bytes>(sizeof(r) +
                                     sizeof(core::TcioDelegateStats)));
+      std::memcpy(&r, buf.data(), sizeof(r));
+      TCIO_CHECK(r.kind == ReplyKind::kShutdownDone);
       core::TcioDelegateStats blob;
       std::memcpy(&blob, buf.data() + sizeof(r), sizeof(blob));
       merged.merge(blob);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <tuple>
+#include <utility>
 
 namespace tcio::mpi {
 
@@ -146,43 +147,43 @@ bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
   TCIO_CHECK_MSG(poll > 0, "recvUntil needs a positive poll quantum");
   sim::Proc& p = *proc_;
   auto pr = newPendingRecv(context_, buf, capacity, src, tag);
-  p.atomic([&] { postRecvLocked(*world_, p, p.rank(), pr); });
   // Poll the completion event in virtual-time steps instead of blocking:
   // a blocking wait on a message from a crashed rank would trip the
   // engine's deadlock detector; this failure-detector loop gives up at the
   // deadline instead. Polls are atomic sections, so the schedule stays in
   // global virtual-time order (deterministic).
+  //
+  // Each look is one section. The first also posts the receive, and the
+  // one at the deadline also withdraws it, so a late sender cannot memcpy
+  // into a buffer the caller is about to abandon. Folding the post and the
+  // withdraw into their looks leaves the schedule as it was: a section
+  // that completes only the caller's own receive event makes no other rank
+  // runnable, so no rank could run between the separate sections.
+  bool posted = false;
   for (;;) {
-    const bool ready = p.atomic([&] { return pr->ev.ready(); });
+    const bool last = p.now() >= deadline;
+    const bool ready = p.atomic([&] {
+      if (!std::exchange(posted, true)) {
+        postRecvLocked(*world_, p, p.rank(), pr);
+      }
+      if (pr->ev.ready()) return true;
+      if (last) {
+        auto& posts = world_->mailbox(p.rank()).posted;
+        const auto it = std::find(posts.begin(), posts.end(), pr);
+        TCIO_CHECK_MSG(it != posts.end(),
+                       "recvUntil: pending receive neither ready nor posted");
+        posts.erase(it);
+      }
+      return false;
+    });
     if (ready) {
       p.advanceTo(pr->ev.time());
       if (out != nullptr) *out = {pr->src, pr->tag, pr->received};
       return true;
     }
-    if (p.now() >= deadline) break;
+    if (last) return false;
     p.advance(std::min(poll, deadline - p.now()));
   }
-  // Timed out. Cancel the posted receive under the same atomic that takes
-  // the final look — otherwise a late sender could memcpy into a buffer the
-  // caller is about to abandon.
-  const bool matched_late = p.atomic([&] {
-    if (pr->ev.ready()) return true;
-    detail::Mailbox& mb = world_->mailbox(p.rank());
-    for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-      if (it->get() == pr.get()) {
-        mb.posted.erase(it);
-        return false;
-      }
-    }
-    TCIO_CHECK_MSG(false, "recvUntil: pending receive neither ready nor posted");
-    return false;
-  });
-  if (matched_late) {
-    p.advanceTo(pr->ev.time());
-    if (out != nullptr) *out = {pr->src, pr->tag, pr->received};
-    return true;
-  }
-  return false;
 }
 
 RecvStatus Comm::wait(Request& req) { return waitInternal(req, true); }

@@ -166,16 +166,24 @@ void Engine::gate(Proc& p) {
   const GateKey key{p.now_, r};
   // Fast path: we are already the minimum runnable rank — keep running.
   if (gated_.empty() || key < gated_.top()) return;
-  // Hand off to the earlier rank and queue ourselves.
+  // Hand off to the earlier rank: our key takes its place on top of the heap
+  // and sinks once, where queueing ourselves and then dispatching the top
+  // would sift twice. The next rank is still the (time, rank) minimum.
+  const Rank next = gated_.top().second;
+  gated_.replaceTop(key);
   records_[r].state = State::kGated;
-  gated_.push(key);
-  yield(r);
+  records_[next].state = State::kActive;
+  active_ = next;
+  switchTo(r, next);
 }
 
 void Engine::yield(Rank r) {
   TCIO_CHECK(active_ == r);
   active_ = -1;
-  const Rank next = dispatchNext();
+  switchTo(r, dispatchNext());
+}
+
+void Engine::switchTo(Rank r, Rank next) {
   // Nobody else can run: the job aborted, and the caller unwinds the ranks.
   detail::Fiber& to = next >= 0 ? *records_[next].fiber : *caller_;
   records_[r].fiber->switchTo(to);
@@ -206,6 +214,20 @@ Rank Engine::dispatchNext() {
   }
   fail(std::make_exception_ptr(DeadlockError(os.str())));
   return -1;
+}
+
+void Engine::GateHeap::replaceTop(GateKey k) {
+  // Sift down from the root: move the smaller child up into the hole until
+  // `k` is no larger than both children.
+  const std::size_t n = keys_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && keys_[child + 1] < keys_[child]) ++child;
+    if (!(keys_[child] < k)) break;
+    keys_[hole] = keys_[child];
+    hole = child;
+  }
+  keys_[hole] = k;
 }
 
 void Engine::fail(std::exception_ptr ep) {

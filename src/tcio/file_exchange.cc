@@ -3,6 +3,7 @@
 // exchanges, and the independent, collective and node-aggregated fetches.
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "tcio/file_internal.h"
@@ -207,20 +208,38 @@ void File::independentFetch(std::vector<PendingRead> reads) {
 
 void File::gatherPending(std::vector<PendingRead>& reads) {
   check::Checker* ck = comm_->world().checker();
-  // One shared-lock epoch and one coalesced get per owner.
-  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
+  // One shared-lock epoch and one coalesced get per owner, in ascending
+  // owner order. The blocks are bucketed by owner in one array: a counting
+  // pass sizes each owner's run, and a second pass fills the runs in read
+  // order.
   std::set<SegmentId> segs;
+  // Per owner: the block count, then the start of its run, then (after the
+  // fill) the end of its run.
+  std::vector<std::size_t> next;
   for (const PendingRead& r : reads) {
     const SegmentId seg = map_.segmentOf(r.off);
-    by_owner[ownerOf(seg)].push_back(
-        {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
+    const auto owner = static_cast<std::size_t>(ownerOf(seg));
+    if (owner >= next.size()) next.resize(owner + 1, 0);
+    ++next[owner];
     if (ck != nullptr) segs.insert(seg);
   }
   noteTransfers(segs, kOverlayOwner, "File::gatherPending");
-  for (auto& [owner, blocks] : by_owner) {
-    window_->lock(mpi::LockType::kShared, owner);
-    window_->getIndexed(owner, blocks);
-    window_->unlock(owner);
+  std::exclusive_scan(next.begin(), next.end(), next.begin(), std::size_t{0});
+  gather_blocks_.resize(reads.size());
+  for (const PendingRead& r : reads) {
+    const SegmentId seg = map_.segmentOf(r.off);
+    gather_blocks_[next[static_cast<std::size_t>(ownerOf(seg))]++] = {
+        dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len};
+  }
+  std::size_t begin = 0;
+  for (std::size_t owner = 0; owner < next.size(); ++owner) {
+    const std::size_t end = next[owner];
+    if (end == begin) continue;
+    const auto target = static_cast<Rank>(owner);
+    window_->lock(mpi::LockType::kShared, target);
+    window_->getIndexed(target, {gather_blocks_.data() + begin, end - begin});
+    window_->unlock(target);
+    begin = end;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,74 @@ void runSession(mpi::Comm& comm, fs::Filesystem& fsys,
   comm.barrier();
   comm.bcast(&merged, sizeof(merged), /*root=*/session.numDelegates());
   if (stats != nullptr) *stats = merged;
+}
+
+// -- Descriptor parsing -------------------------------------------------------
+
+/// The bytes Channel::sendDescriptor puts on the wire.
+std::vector<std::byte> descriptor(const RequestHeader& h,
+                                  const std::vector<WireExtent>& extents,
+                                  const std::string& name) {
+  std::vector<std::byte> msg(sizeof(h) + extents.size() * sizeof(WireExtent) +
+                             name.size());
+  std::byte* cursor = msg.data();
+  std::memcpy(cursor, &h, sizeof(h));
+  cursor += sizeof(h);
+  for (const WireExtent& e : extents) {
+    std::memcpy(cursor, &e, sizeof(e));
+    cursor += sizeof(e);
+  }
+  std::memcpy(cursor, name.data(), name.size());
+  return msg;
+}
+
+/// Expects parseRequest to fail its length check on `msg`.
+void expectRejected(std::span<const std::byte> msg) {
+  try {
+    parseRequest(msg);
+    ADD_FAILURE() << "parsed a descriptor of " << msg.size() << " bytes";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("TCIO_CHECK failed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DelegateProtocolTest, ParseRequestReadsWhatWasSent) {
+  RequestHeader h = requestHeader(Op::kOpen, /*client=*/3, /*seq=*/9, 77);
+  h.n_extents = 2;
+  h.name_len = 5;
+  const std::vector<WireExtent> extents{{4, 0, 16, 0xabcd, 1},
+                                        {4, 32, 48, 0, 0}};
+  const Request q = parseRequest(descriptor(h, extents, "a.dat"));
+  EXPECT_EQ(q.h.op, Op::kOpen);
+  EXPECT_EQ(q.h.client, 3);
+  EXPECT_EQ(q.h.seq, 9);
+  ASSERT_EQ(q.extents.size(), 2u);
+  EXPECT_EQ(q.extents[0].end, 16);
+  EXPECT_EQ(q.extents[0].crc, 0xabcdu);
+  EXPECT_EQ(q.extents[1].begin, 32);
+  EXPECT_EQ(q.name, "a.dat");
+}
+
+TEST(DelegateProtocolTest, TruncatedRequestFailsItsLengthCheck) {
+  RequestHeader h = requestHeader(Op::kPut, /*client=*/1, /*seq=*/4, 77);
+  h.n_extents = 2;
+  const std::vector<WireExtent> extents(2);
+  const std::vector<std::byte> msg = descriptor(h, extents, "");
+  // One extent short, one byte short, and shorter than the header.
+  expectRejected({msg.data(), msg.size() - sizeof(WireExtent)});
+  expectRejected({msg.data(), msg.size() - 1});
+  expectRejected({msg.data(), sizeof(RequestHeader) - 1});
+  // A name length that claims more bytes than arrived.
+  RequestHeader named = requestHeader(Op::kOpen, 1, 5, 77);
+  named.name_len = 6;
+  const std::vector<std::byte> open = descriptor(named, {}, "a.dat");
+  expectRejected(open);
+  // Negative lengths never size a copy.
+  named.name_len = 0;
+  named.n_extents = -1;
+  expectRejected(descriptor(named, {}, ""));
 }
 
 // -- Core routing and data integrity ------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ios>
 #include <numeric>
 #include <vector>
 
@@ -183,6 +184,93 @@ TEST(P2pTest, SelfSendViaBufferedSemantics) {
     comm.recv(&got, 4, 0, 0);
     EXPECT_EQ(got, 5);
   });
+}
+
+// -- recvUntil: the polling receive of the liveness protocol and the delegate
+// arrival probe ---------------------------------------------------------------
+
+TEST(P2pTest, RecvUntilEmptyProbeIsOneSectionAndPostsNothing) {
+  // The same body with and without an empty probe whose deadline is now.
+  const auto events = [](bool probe) {
+    return runJob(cfg(1), [probe](Comm& comm) {
+             int v = 7;
+             if (probe) {
+               EXPECT_FALSE(comm.recvUntil(&v, 4, kAnySource, 0,
+                                           comm.proc().now(), 1.0e-6));
+             }
+             EXPECT_EQ(v, 7);
+             EXPECT_EQ(comm.proc().now(), 0.0);
+             comm.proc().atomic([&] {
+               EXPECT_TRUE(
+                   comm.world().mailbox(comm.proc().rank()).posted.empty());
+             });
+           })
+        .engine_events;
+  };
+  EXPECT_EQ(events(true) - events(false), 1);
+}
+
+TEST(P2pTest, RecvUntilTakesAMessageSentAtTheDeadline) {
+  constexpr SimTime kDeadline = 0x1p-10;  // a whole number of polls
+  runJob(cfg(2), [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.proc().advance(kDeadline);
+      const int v = 42;
+      comm.send(&v, 4, 1, 5);
+    } else {
+      int v = 0;
+      RecvStatus st;
+      // Rank 0's send at the deadline runs before rank 1's look at the same
+      // virtual time, so the last look finds it.
+      EXPECT_TRUE(comm.recvUntil(&v, 4, 0, 5, kDeadline, 0x1p-12, &st));
+      EXPECT_EQ(v, 42);
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.count, 4);
+      EXPECT_GT(comm.proc().now(), kDeadline);  // delivery takes a latency
+    }
+  });
+}
+
+TEST(P2pTest, RecvUntilWithdrawLeavesALateMessageToALaterRecv) {
+  runJob(cfg(2), [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.proc().advance(2.0e-3);
+      const int v = 42;
+      comm.send(&v, 4, 1, 5);
+    } else {
+      int abandoned = -1;
+      EXPECT_FALSE(comm.recvUntil(&abandoned, 4, 0, 5, 1.0e-3, 2.5e-4));
+      int v = 0;
+      comm.recv(&v, 4, 0, 5);
+      EXPECT_EQ(v, 42);
+      EXPECT_EQ(abandoned, -1);  // the withdrawn receive was never filled
+    }
+  });
+}
+
+TEST(P2pTest, RecvUntilPollLoopFinishTimes) {
+  // Polls of 0.3 ms against a 1 ms deadline: a timeout ends exactly where
+  // the clamped steps sum to, and a message sent at 0.45 ms is found by the
+  // look at 0.6 ms. Both times are pinned bit for bit.
+  SimTime timed_out = 0;
+  SimTime found = 0;
+  runJob(cfg(3), [&](Comm& comm) {
+    int v = 0;
+    if (comm.rank() == 0) {
+      comm.proc().advance(4.5e-4);
+      v = 9;
+      comm.send(&v, 4, 2, 1);
+    } else if (comm.rank() == 1) {
+      EXPECT_FALSE(comm.recvUntil(&v, 4, 0, 1, 1.0e-3, 3.0e-4));
+      timed_out = comm.proc().now();
+    } else {
+      EXPECT_TRUE(comm.recvUntil(&v, 4, 0, 1, 1.0e-3, 3.0e-4));
+      EXPECT_EQ(v, 9);
+      found = comm.proc().now();
+    }
+  });
+  EXPECT_EQ(timed_out, 0x1.0624dd2f1a9fcp-10) << std::hexfloat << timed_out;
+  EXPECT_EQ(found, 0x1.3a92a30553261p-11) << std::hexfloat << found;
 }
 
 }  // namespace

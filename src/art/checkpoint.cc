@@ -198,6 +198,18 @@ std::vector<FttTree> loadFilePerProcess(mpi::Comm& comm, fs::Filesystem& fsys,
   return out;
 }
 
+/// Closes `f` and hands it to the caller's close hook, also when the close
+/// throws (the counters then show what the failing close did).
+void closeTcio(core::File& f, const CheckpointConfig& cfg) {
+  try {
+    f.close();
+  } catch (...) {
+    if (cfg.on_tcio_close) cfg.on_tcio_close(f);
+    throw;
+  }
+  if (cfg.on_tcio_close) cfg.on_tcio_close(f);
+}
+
 }  // namespace
 
 std::vector<std::int64_t> treesOfRank(std::int64_t num_trees, int rank,
@@ -229,7 +241,7 @@ void dumpCheckpoint(mpi::Comm& comm, fs::Filesystem& fsys,
     };
     if (comm.rank() == 0) writeHeader(num_trees_global, table, write);
     writeTrees(trees, table, write);
-    f.close();
+    closeTcio(f, cfg);
   } else {
     io::MpioFile f = io::MpioFile::open(
         comm, fsys, name, fs::kWrite | fs::kCreate | fs::kTruncate);
@@ -281,7 +293,7 @@ std::vector<FttTree> loadCheckpoint(mpi::Comm& comm, fs::Filesystem& fsys,
     parseMine(
         [&f](Offset off, void* data, Bytes len) { f.readAt(off, data, len); },
         [&f] { f.fetch(); });
-    f.close();
+    closeTcio(f, cfg);
   } else {
     io::MpioFile f = io::MpioFile::open(comm, fsys, name, fs::kRead);
     parseMine(

@@ -18,6 +18,7 @@
 //     contention, but num_ranks files and re-decomposition pain).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,10 @@
 #include "fs/filesystem.h"
 #include "mpi/comm.h"
 #include "tcio/config.h"
+
+namespace tcio::core {
+class File;
+}  // namespace tcio::core
 
 namespace tcio::art {
 
@@ -37,6 +42,10 @@ enum class Backend {
 struct CheckpointConfig {
   Backend backend = Backend::kTcio;
   core::TcioConfig tcio;  // used when backend == kTcio
+  /// When set (kTcio only), called on every rank with its file just after
+  /// the dump's or the restart's collective close returns or throws, so a
+  /// caller can read the file's counters.
+  std::function<void(const core::File&)> on_tcio_close;
 };
 
 /// Which tree ids rank `rank` owns (round-robin).

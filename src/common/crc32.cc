@@ -15,6 +15,9 @@
 // The fold and Barrett constants are derived from the polynomial at compile
 // time rather than written out. crc32() probes the CPU once and then always
 // takes the same kernel.
+//
+// crc32Combine needs no data: with init and xorout both ~0, their
+// contributions cancel, and crc(A·B) = crc(A)·x^(8|B|) + crc(B) mod P.
 #include "common/crc32.h"
 
 #include <array>
@@ -185,6 +188,27 @@ TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
 
 #endif  // __x86_64__
 
+/// a·b mod P on reflected registers (bit 31 is x^0): b is added once for
+/// every term of a, multiplied up to that term's degree.
+constexpr std::uint32_t mulModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t prod = 0;
+  for (; a != 0; a <<= 1, b = timesX(b)) {
+    if (a & 0x80000000u) prod ^= b;
+  }
+  return prod;
+}
+
+/// kPow2[k] = x^(2^k) mod P, enough squarings for any 64-bit bit count.
+using Pow2Table = std::array<std::uint32_t, 67>;
+constexpr Pow2Table makePow2Table() {
+  Pow2Table t{};
+  t[0] = 0x40000000u;  // x^1
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = mulModP(t[k - 1], t[k - 1]);
+  return t;
+}
+
+constexpr Pow2Table kPow2 = makePow2Table();
+
 }  // namespace
 
 std::uint32_t crc32Portable(std::span<const std::byte> data,
@@ -234,6 +258,16 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
   static const bool hardware = detail::crc32HardwareAvailable();
   return hardware ? detail::crc32Hardware(data, seed)
                   : detail::crc32Portable(data, seed);
+}
+
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::size_t len_b) {
+  // x^(8·len_b) from the squarings table: bit i of len_b is x^(2^(i+3)).
+  std::uint32_t shift = 0x80000000u;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1u) shift = detail::mulModP(detail::kPow2[k], shift);
+  }
+  return detail::mulModP(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace tcio

@@ -12,6 +12,12 @@ namespace tcio {
 /// portable kernel otherwise; both give bit-identical values.
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
+/// CRC-32 of A followed by B, from crc32(A), crc32(B) and B's length alone:
+/// crc_a is carried over len_b zero bytes by a multiply in GF(2)[x] mod the
+/// polynomial, then crc_b is added. Costs O(log len_b), reads no data.
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::size_t len_b);
+
 namespace detail {
 
 /// Slicing-by-16 table kernel; same contract as crc32(), on every CPU.

@@ -14,8 +14,17 @@ void SparseStore::write(Offset off, std::span<const std::byte> data) {
     const std::size_t n = std::min<std::size_t>(
         data.size() - consumed, static_cast<std::size_t>(kPageSize - in_page));
     auto& storage = pages_[page];
-    if (storage.empty()) storage.resize(static_cast<std::size_t>(kPageSize));
-    std::memcpy(storage.data() + in_page, data.data() + consumed, n);
+    const std::byte* src = data.data() + consumed;
+    if (!storage.empty()) {
+      std::memcpy(storage.data() + in_page, src, n);
+    } else {
+      // A fresh page: zeros before and after the written bytes (they read
+      // back as a hole), each byte of the page written once.
+      storage.reserve(static_cast<std::size_t>(kPageSize));
+      storage.resize(static_cast<std::size_t>(in_page));
+      storage.insert(storage.end(), src, src + n);
+      storage.resize(static_cast<std::size_t>(kPageSize));
+    }
     consumed += n;
     cur += static_cast<Offset>(n);
   }

@@ -224,6 +224,10 @@ class File {
   bool isOpen() const { return open_; }
   Offset tell() const { return pointer_; }
   const TcioStats& stats() const { return stats_; }
+  /// The leader exchange's counters; null unless node aggregation is on.
+  const topo::NodeAggStats* nodeAggStats() const {
+    return node_agg_ != nullptr ? &node_agg_->stats() : nullptr;
+  }
   const TcioConfig& config() const { return cfg_; }
   /// The communicator collectives currently run over. With crash tolerance
   /// this is the *shrunk* communicator once peers have been declared dead;

@@ -10,35 +10,6 @@
 
 namespace tcio::core {
 
-namespace {
-
-/// Appends the header of one [i32 id][u64 len][bytes] reply frame.
-void appendFrameHeader(std::vector<std::byte>& out, std::int32_t id,
-                       std::uint64_t len) {
-  appendBytes(out, &id, sizeof(id));
-  appendBytes(out, &len, sizeof(len));
-}
-
-/// Calls `fn(id, bytes, len)` for each frame of a reply stream.
-template <typename Fn>
-void forEachFrame(std::span<const std::byte> stream, Fn&& fn) {
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    std::int32_t id = 0;
-    std::uint64_t len = 0;
-    TCIO_CHECK(pos + sizeof(id) + sizeof(len) <= stream.size());
-    std::memcpy(&id, stream.data() + pos, sizeof(id));
-    pos += sizeof(id);
-    std::memcpy(&len, stream.data() + pos, sizeof(len));
-    pos += sizeof(len);
-    TCIO_CHECK(pos + len <= stream.size());
-    fn(id, stream.data() + pos, len);
-    pos += static_cast<std::size_t>(len);
-  }
-}
-
-}  // namespace
-
 void File::flushLevel1() {
   if (level1_.empty()) {
     level1_.reset();
@@ -479,15 +450,23 @@ void File::nodeExchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   ++stats_.node_exchanges;
   // Stage records addressed to the *node* hosting each block's owner:
-  // [BlockMeta][payload] back to back.
-  std::vector<std::vector<std::byte>> per_node(
-      static_cast<std::size_t>(node_map_->numNodes()));
-  for (const auto& [off, bytes] : staged_) {
-    const auto dn = static_cast<std::size_t>(
+  // [BlockMeta][payload] back to back, counted first, then filled.
+  const auto nodeOf = [&](Offset off) {
+    return static_cast<std::size_t>(
         node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
+  };
+  std::vector<Bytes> node_counts(
+      static_cast<std::size_t>(node_map_->numNodes()), 0);
+  for (const auto& [off, bytes] : staged_) {
+    node_counts[nodeOf(off)] +=
+        static_cast<Bytes>(sizeof(BlockMeta) + bytes.size());
+  }
+  mpi::PackedSend per_node(std::move(node_counts));
+  for (const auto& [off, bytes] : staged_) {
+    const std::size_t dn = nodeOf(off);
     const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
-    appendBytes(per_node[dn], &m, sizeof(m));
-    appendBytes(per_node[dn], bytes.data(), bytes.size());
+    per_node.append(dn, &m, sizeof(m));
+    per_node.append(dn, bytes.data(), static_cast<Bytes>(bytes.size()));
   }
   const std::int64_t puts_before = node_agg_->stats().internode_puts;
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
@@ -501,56 +480,69 @@ void File::nodeExchangeStagedWrites() {
           Offset off = 0;
           Bytes len = 0;
           const std::byte* src = nullptr;
+          std::uint32_t crc = 0;  // of the bytes that arrived
         };
         std::vector<Rec> recs;
+        Bytes payload = 0;
         for (const auto& rb : blobs) {
           forEachBlock(rb.data, [&](const BlockMeta& m, const std::byte* p) {
             // Verify the rank -> source-leader hop before coalescing, so a
             // flip in one contribution cannot hide inside a merged run.
-            checkHop(m, p, comm_->proc(), stats_.integrity);
-            recs.push_back({m.off, m.len, p});
+            const std::uint32_t crc =
+                checkHop(m, p, comm_->proc(), stats_.integrity);
+            recs.push_back({m.off, m.len, p, crc});
+            payload += m.len;
           });
         }
         std::stable_sort(recs.begin(), recs.end(),
                          [](const Rec& a, const Rec& b) {
                            return a.off < b.off;
                          });
-        std::vector<std::byte> out;
-        out.reserve(recs.size() * sizeof(BlockMeta));
+        // Run boundaries first, so the stream is allocated at its size.
+        std::vector<std::size_t> run_ends;
         std::size_t i = 0;
         while (i < recs.size()) {
           // A merged run must stay inside one segment: its owner and slot
           // are derived from the run's first offset at apply time.
           std::size_t j = i + 1;
-          Bytes run = recs[i].len;
           while (j < recs.size() &&
                  recs[j].off == recs[j - 1].off + recs[j - 1].len &&
                  map_.segmentOf(recs[j].off) == map_.segmentOf(recs[i].off)) {
-            run += recs[j].len;
             ++j;
           }
-          BlockMeta m{recs[i].off, run};
+          run_ends.push_back(j);
+          i = j;
+        }
+        std::vector<std::byte> out;
+        out.reserve(run_ends.size() * sizeof(BlockMeta) +
+                    static_cast<std::size_t>(payload));
+        i = 0;
+        for (const std::size_t j : run_ends) {
+          BlockMeta m{recs[i].off, 0};
+          for (std::size_t k = i; k < j; ++k) m.len += recs[k].len;
           if (integrity_on_) {
-            // Re-digest the merged run (chained CRC over its pieces) so the
-            // leader -> destination hop is covered end to end.
-            std::uint32_t c = 0;
-            for (std::size_t k = i; k < j; ++k) {
-              c = crc32({recs[k].src, static_cast<std::size_t>(recs[k].len)},
-                        c);
+            // The merged run's digest, combined from the pieces' CRCs of
+            // the bytes that arrived, covers the leader -> destination hop
+            // end to end.
+            std::uint32_t c = recs[i].crc;
+            for (std::size_t k = i + 1; k < j; ++k) {
+              c = crc32Combine(c, recs[k].crc,
+                               static_cast<std::size_t>(recs[k].len));
             }
             m.crc = c;
             m.has_crc = 1;
-            chargeChecksum(comm_->proc(), run);
+            chargeChecksum(comm_->proc(), m.len);
           }
           appendBytes(out, &m, sizeof(m));
           for (std::size_t k = i; k < j; ++k) {
-            appendBytes(out, recs[k].src, static_cast<std::size_t>(recs[k].len));
+            appendBytes(out, recs[k].src,
+                        static_cast<std::size_t>(recs[k].len));
           }
           i = j;
         }
         return out;
       };
-  const auto frames = node_agg_->exchange(per_node, coalesce);
+  const auto frames = node_agg_->exchange(std::move(per_node), coalesce);
   // Destination leaders apply the received blocks into node-local owners'
   // windows — membus epochs, one per owner. Leader-local work: capture and
   // agree after the barrier below so a leader-side fault becomes the same
@@ -607,108 +599,133 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
   // Requests travel to the node hosting each block's owner. Replies come
   // back in request order, so remember the order per serving node.
-  std::vector<std::vector<std::byte>> req(sn);
-  std::vector<std::vector<PendingRead*>> order(sn);
-  for (PendingRead& r : reads) {
-    const auto dn = static_cast<std::size_t>(
+  const auto nodeOf = [&](const PendingRead& r) {
+    return static_cast<std::size_t>(
         node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(r.off)))));
+  };
+  std::vector<Bytes> req_counts(sn, 0);
+  for (const PendingRead& r : reads) req_counts[nodeOf(r)] += sizeof(BlockMeta);
+  std::vector<std::vector<PendingRead*>> order(sn);
+  for (std::size_t d = 0; d < sn; ++d) {
+    order[d].reserve(static_cast<std::size_t>(req_counts[d]) /
+                     sizeof(BlockMeta));
+  }
+  mpi::PackedSend req(std::move(req_counts));
+  for (PendingRead& r : reads) {
+    const std::size_t dn = nodeOf(r);
     const BlockMeta m{r.off, r.len};
-    appendBytes(req[dn], &m, sizeof(m));
+    req.append(dn, &m, sizeof(m));
     order[dn].push_back(&r);
   }
-  const auto requests = node_agg_->exchange(req);
+  const auto requests = node_agg_->exchange(std::move(req));
   // Serving leaders answer from node-local owners' windows. Reply streams
   // are framed per requester: [i32 requester][u64 len][bytes].
-  std::vector<std::vector<std::byte>> replies(sn);
-  if (node_agg_->isActiveLeader()) {
-    // Pass 1: lay out reply streams (headers + payload space) so the get
-    // blocks can point into stable storage.
-    struct Slice {
-      std::size_t node = 0;
-      std::size_t at = 0;  // payload start within replies[node]
-    };
-    std::vector<std::pair<BlockMeta, Slice>> wanted;
-    for (std::size_t s = 0; s < sn; ++s) {
-      for (const auto& rb : requests[s]) {
-        const std::size_t nb = rb.data.size() / sizeof(BlockMeta);
-        TCIO_CHECK(rb.data.size() == nb * sizeof(BlockMeta));
-        Bytes total = 0;
-        std::vector<BlockMeta> metas(nb);
-        for (std::size_t i = 0; i < nb; ++i) {
-          std::memcpy(&metas[i], rb.data.data() + i * sizeof(BlockMeta),
-                      sizeof(BlockMeta));
-          total += metas[i].len;
-        }
-        auto& stream = replies[s];
-        appendFrameHeader(stream, rb.src, static_cast<std::uint64_t>(total));
-        std::size_t at = stream.size();
-        stream.resize(stream.size() + static_cast<std::size_t>(total));
-        for (const BlockMeta& m : metas) {
-          wanted.push_back({m, {s, at}});
-          at += static_cast<std::size_t>(m.len);
-        }
+  const auto forEachRequest = [&](std::size_t s, const auto& fn) {
+    for (const auto& rb : requests[s]) {
+      TCIO_CHECK(rb.data.size() % sizeof(BlockMeta) == 0);
+      fn(rb.src, rb.data);
+    }
+  };
+  const auto metaAt = [](std::span<const std::byte> metas, std::size_t i) {
+    BlockMeta m;
+    std::memcpy(&m, metas.data() + i * sizeof(BlockMeta), sizeof(m));
+    return m;
+  };
+  // Only the serving leaders received requests; everywhere else the loops
+  // below see none.
+  std::vector<Bytes> reply_counts(sn, 0);
+  for (std::size_t s = 0; s < sn; ++s) {
+    forEachRequest(s, [&](Rank, std::span<const std::byte> metas) {
+      reply_counts[s] += topo::kFrameHeader;
+      for (std::size_t i = 0; i < metas.size() / sizeof(BlockMeta); ++i) {
+        reply_counts[s] += metaAt(metas, i).len;
       }
-    }
-    // Pass 2: one shared-lock membus epoch per node-local owner.
-    std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
-    std::set<SegmentId> served_segs;
-    Bytes served = 0;
-    for (const auto& [m, slice] : wanted) {
-      const SegmentId g = map_.segmentOf(m.off);
-      by_owner[ownerOf(g)].push_back(
-          {dataDisp(slotOnOwner(g), map_.dispOf(m.off)),
-           replies[slice.node].data() + slice.at, m.len});
-      served += m.len;
-      served_segs.insert(g);
-    }
-    noteTransfers(served_segs, kOverlayOwner, "File::nodeAggregatedGather");
-    for (auto& [owner, blocks] : by_owner) {
-      window_->lock(mpi::LockType::kShared, owner);
-      window_->getIndexed(owner, blocks);
-      window_->unlock(owner);
-    }
-    stats_.intranode_bytes += served;
+    });
   }
-  const auto answers = node_agg_->exchange(replies);
+  mpi::PackedSend replies(std::move(reply_counts));
+  // Lay out each reply frame in the reply buffer; the get blocks write
+  // the payloads straight into it.
+  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
+  std::set<SegmentId> served_segs;
+  Bytes served = 0;
+  for (std::size_t s = 0; s < sn; ++s) {
+    forEachRequest(s, [&](Rank src, std::span<const std::byte> metas) {
+      const std::size_t nb = metas.size() / sizeof(BlockMeta);
+      Bytes total = 0;
+      for (std::size_t i = 0; i < nb; ++i) total += metaAt(metas, i).len;
+      const auto header =
+          topo::frameHeader(src, static_cast<std::uint64_t>(total));
+      replies.append(s, header.data(), topo::kFrameHeader);
+      for (std::size_t i = 0; i < nb; ++i) {
+        const BlockMeta m = metaAt(metas, i);
+        const SegmentId g = map_.segmentOf(m.off);
+        by_owner[ownerOf(g)].push_back(
+            {dataDisp(slotOnOwner(g), map_.dispOf(m.off)),
+             replies.claim(s, m.len), m.len});
+        served += m.len;
+        served_segs.insert(g);
+      }
+    });
+  }
+  // One shared-lock membus epoch per node-local owner.
+  noteTransfers(served_segs, kOverlayOwner, "File::nodeAggregatedGather");
+  for (auto& [owner, blocks] : by_owner) {
+    window_->lock(mpi::LockType::kShared, owner);
+    window_->getIndexed(owner, blocks);
+    window_->unlock(owner);
+  }
+  stats_.intranode_bytes += served;
+  const auto answers = node_agg_->exchange(std::move(replies));
   // Leaders demux replies per requester; each fragment is wrapped
   // [i32 serving node][u64 len][bytes] so the requester can route it to its
-  // per-node request list.
+  // per-node request list. Counted first, then filled.
   const std::vector<Rank>& members =
       node_map_->ranksOnNode(node_map_->myNode());
-  std::vector<std::vector<std::byte>> per_rank(members.size());
-  if (node_agg_->isActiveLeader()) {
-    std::map<Rank, std::size_t> node_rank_of;
-    for (std::size_t q = 0; q < members.size(); ++q) {
-      node_rank_of[members[q]] = q;
-    }
+  std::map<Rank, std::size_t> node_rank_of;
+  for (std::size_t q = 0; q < members.size(); ++q) {
+    node_rank_of[members[q]] = q;
+  }
+  // Only the round's leader received answers.
+  const auto forEachAnswer = [&](const auto& fn) {
     for (std::size_t s = 0; s < sn; ++s) {
       for (const auto& rb : answers[s]) {
-        forEachFrame(rb.data, [&](std::int32_t requester, const std::byte* p,
-                                  std::uint64_t len) {
-          auto& blob = per_rank[node_rank_of.at(requester)];
-          appendFrameHeader(blob, static_cast<std::int32_t>(s), len);
-          appendBytes(blob, p, static_cast<std::size_t>(len));
+        topo::forEachFrame(rb.data, [&](std::int32_t requester,
+                                        std::span<const std::byte> p) {
+          fn(s, node_rank_of.at(requester), p);
         });
       }
     }
-  }
-  const std::vector<std::byte> mine =
-      node_agg_->scatterToRanks(std::move(per_rank));
+  };
+  std::vector<Bytes> rank_counts(members.size(), 0);
+  forEachAnswer([&](std::size_t, std::size_t q, std::span<const std::byte> p) {
+    rank_counts[q] += topo::kFrameHeader + static_cast<Bytes>(p.size());
+  });
+  mpi::PackedSend per_rank(std::move(rank_counts));
+  forEachAnswer([&](std::size_t s, std::size_t q,
+                    std::span<const std::byte> p) {
+    const auto header = topo::frameHeader(static_cast<std::int32_t>(s),
+                                          static_cast<std::uint64_t>(p.size()));
+    per_rank.append(q, header.data(), topo::kFrameHeader);
+    per_rank.append(q, p.data(), static_cast<Bytes>(p.size()));
+  });
+  const mpi::RawBytes mine = node_agg_->scatterToRanks(per_rank);
   // Route each serving node's answer bytes to the recorded reads in order.
   std::vector<std::size_t> next(sn, 0);
-  forEachFrame(mine, [&](std::int32_t serving, const std::byte* p,
-                         std::uint64_t len) {
+  topo::forEachFrame({mine.data(), mine.size()},
+                     [&](std::int32_t serving, std::span<const std::byte> p) {
     const auto s = static_cast<std::size_t>(serving);
-    std::uint64_t used = 0;
-    while (used < len) {
+    TCIO_CHECK_MSG(serving >= 0 && s < sn,
+                   "node-aggregated reply names no serving node");
+    std::size_t used = 0;
+    while (used < p.size()) {
       TCIO_CHECK_MSG(next[s] < order[s].size(),
                      "node-aggregated reply exceeds recorded reads");
       PendingRead* r = order[s][next[s]++];
-      TCIO_CHECK(used + static_cast<std::uint64_t>(r->len) <= len);
-      std::memcpy(r->dst, p + used, static_cast<std::size_t>(r->len));
-      used += static_cast<std::uint64_t>(r->len);
+      TCIO_CHECK(static_cast<std::size_t>(r->len) <= p.size() - used);
+      std::memcpy(r->dst, p.data() + used, static_cast<std::size_t>(r->len));
+      used += static_cast<std::size_t>(r->len);
     }
-    comm_->chargeCopy(static_cast<Bytes>(len));
+    comm_->chargeCopy(static_cast<Bytes>(p.size()));
   });
   for (std::size_t s = 0; s < sn; ++s) {
     TCIO_CHECK_MSG(next[s] == order[s].size(),

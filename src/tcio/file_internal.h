@@ -60,30 +60,36 @@ inline BlockMeta stagedMeta(Offset off, std::span<const std::byte> bytes,
   return m;
 }
 
-/// Verifies one hop of a digested block. A mismatch is counted and the block
-/// applied anyway: the owner ledger (client-time digests, exchanged
-/// separately) is the authoritative detect-and-repair point at the next pass.
-inline void checkHop(const BlockMeta& m, const std::byte* payload,
-                     sim::Proc& proc, TcioIntegrityStats& stats) {
-  if (m.has_crc == 0) return;
+/// Verifies one hop of a digested block and returns the CRC of the bytes
+/// that actually arrived (0 for a block without a digest). A mismatch is
+/// counted and the block applied anyway: the owner ledger (client-time
+/// digests, exchanged separately) is the authoritative detect-and-repair
+/// point at the next pass.
+inline std::uint32_t checkHop(const BlockMeta& m, const std::byte* payload,
+                              sim::Proc& proc, TcioIntegrityStats& stats) {
+  if (m.has_crc == 0) return 0;
   ++stats.crc_checks;
   chargeChecksum(proc, m.len);
-  if (crc32({payload, static_cast<std::size_t>(m.len)}) != m.crc) {
-    ++stats.crc_mismatches;
-  }
+  const std::uint32_t crc =
+      crc32({payload, static_cast<std::size_t>(m.len)});
+  if (crc != m.crc) ++stats.crc_mismatches;
+  return crc;
 }
 
 /// Calls `fn(meta, payload)` for each block of a [BlockMeta][payload]...
-/// stream.
+/// stream. A record or payload that runs past the end of the stream, or a
+/// negative length, fails a TCIO_CHECK.
 template <typename Fn>
 void forEachBlock(std::span<const std::byte> stream, Fn&& fn) {
   std::size_t pos = 0;
   while (pos < stream.size()) {
     BlockMeta m;
-    TCIO_CHECK(pos + sizeof(m) <= stream.size());
+    TCIO_CHECK_MSG(stream.size() - pos >= sizeof(m), "truncated block record");
     std::memcpy(&m, stream.data() + pos, sizeof(m));
     pos += sizeof(m);
-    TCIO_CHECK(pos + static_cast<std::size_t>(m.len) <= stream.size());
+    TCIO_CHECK_MSG(m.len >= 0 &&
+                       static_cast<std::size_t>(m.len) <= stream.size() - pos,
+                   "block length runs past its stream");
     fn(m, stream.data() + pos);
     pos += static_cast<std::size_t>(m.len);
   }

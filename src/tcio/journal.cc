@@ -1,5 +1,6 @@
 #include "tcio/journal.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -55,36 +56,31 @@ void Journal::append(std::int64_t seg, Offset disp,
                      std::int64_t torn_prefix, std::uint32_t gen) {
   TCIO_CHECK_MSG(file_.valid(), "append on a closed journal");
   const auto len = static_cast<std::int64_t>(payload.size());
-  std::vector<std::byte> frame(
-      static_cast<std::size_t>(kHeaderBytes) + payload.size());
+  std::byte header[kHeaderBytes];
   const std::uint32_t magic = kMagic;
   const std::uint32_t crc = frameCrc(seg, disp, len, gen, payload);
   const std::uint32_t reserved = 0;
-  std::memcpy(frame.data() + 0, &magic, 4);
-  std::memcpy(frame.data() + 4, &crc, 4);
-  std::memcpy(frame.data() + 8, &seg, 8);
-  std::memcpy(frame.data() + 16, &disp, 8);
-  std::memcpy(frame.data() + 24, &len, 8);
-  std::memcpy(frame.data() + 32, &gen, 4);
-  std::memcpy(frame.data() + 36, &reserved, 4);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
-  }
+  std::memcpy(header + 0, &magic, 4);
+  std::memcpy(header + 4, &crc, 4);
+  std::memcpy(header + 8, &seg, 8);
+  std::memcpy(header + 16, &disp, 8);
+  std::memcpy(header + 24, &len, 8);
+  std::memcpy(header + 32, &gen, 4);
+  std::memcpy(header + 36, &reserved, 4);
   ++records_;
-  if (torn_prefix >= 0) {
-    // Crash mid-append: only the prefix reaches the platter. The torn
-    // record is unreadable (short frame or CRC mismatch) by design. Any
-    // batched records ahead of it still make the device — they were
-    // logically appended first.
-    const auto torn = static_cast<std::size_t>(
-        std::min<Bytes>(static_cast<Bytes>(frame.size()), torn_prefix));
-    batch_.insert(batch_.end(), frame.begin(),
-                  frame.begin() + static_cast<std::ptrdiff_t>(torn));
-    flushBatch();
-    return;
-  }
-  batch_.insert(batch_.end(), frame.begin(), frame.end());
-  if (!batching_) flushBatch();
+  // The frame goes straight into the batch. A crash mid-append lets only a
+  // prefix of it reach the platter: the torn record is unreadable (short
+  // frame or CRC mismatch) by design. Any batched records ahead of it still
+  // make the device — they were logically appended first.
+  const Bytes frame = kHeaderBytes + len;
+  const Bytes keep =
+      torn_prefix >= 0 ? std::min<Bytes>(frame, torn_prefix) : frame;
+  const Bytes keep_header = std::min<Bytes>(keep, kHeaderBytes);
+  batch_.insert(batch_.end(), header, header + keep_header);
+  batch_.insert(batch_.end(), payload.begin(),
+                payload.begin() + static_cast<std::ptrdiff_t>(
+                                      keep - keep_header));
+  if (torn_prefix >= 0 || !batching_) flushBatch();
 }
 
 void Journal::batchBegin() { batching_ = true; }

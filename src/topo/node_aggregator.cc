@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 
 #include "common/error.h"
 #include "mpi/agreement.h"
@@ -10,25 +11,40 @@ namespace tcio::topo {
 
 namespace {
 
-/// Per-slot header: bytes of stream data following in this round.
+/// Per-slot header: bytes of the stream still to come, this round's chunk
+/// included. The chunk is min(header, slot data); 0 means an empty slot.
 constexpr Bytes kSlotHeader = static_cast<Bytes>(sizeof(std::uint64_t));
 
-void appendRaw(std::vector<std::byte>& out, const void* src, std::size_t n) {
-  const auto* p = static_cast<const std::byte*>(src);
-  out.insert(out.end(), p, p + n);
-}
+/// One destination's outgoing stream as a gather list (frame headers and
+/// payload views, in wire order), put chunk by chunk without assembling it.
+struct Outgoing {
+  std::vector<std::span<const std::byte>> pieces;
+  Bytes size = 0;
+  Bytes sent = 0;
+  std::size_t piece = 0;  // the next unsent byte is pieces[piece][at]
+  std::size_t at = 0;
 
-template <typename T>
-void appendValue(std::vector<std::byte>& out, T v) {
-  appendRaw(out, &v, sizeof(T));
-}
-
-template <typename T>
-T readValue(const std::byte* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
+  void add(std::span<const std::byte> p) {
+    pieces.push_back(p);
+    size += static_cast<Bytes>(p.size());
+  }
+  /// Appends the next `n` stream bytes to `blocks`, from target `disp` on.
+  void take(Bytes n, Offset disp, std::vector<mpi::Window::PutBlock>& blocks) {
+    sent += n;
+    while (n > 0) {
+      const std::span<const std::byte> p = pieces[piece];
+      const Bytes len = std::min(n, static_cast<Bytes>(p.size() - at));
+      blocks.push_back({disp, p.data() + at, len});
+      disp += len;
+      n -= len;
+      at += static_cast<std::size_t>(len);
+      if (at == p.size()) {
+        ++piece;
+        at = 0;
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -47,137 +63,130 @@ void NodeAggregator::close() {
   staging_.reset();
 }
 
-std::vector<std::vector<std::byte>> NodeAggregator::gatherToLeader(
-    const std::vector<std::vector<std::byte>>& per_node) {
+std::vector<std::vector<NodeAggregator::RankBlob>>
+NodeAggregator::gatherToLeader(Received& got) {
   mpi::Comm& node = map_->nodeComm();
-  const int N = map_->numNodes();
-  const auto sn = static_cast<std::size_t>(N);
-  TCIO_CHECK(per_node.size() == sn);
+  const auto sn = static_cast<std::size_t>(map_->numNodes());
+  const mpi::PackedSend& mine = got.sent_;
+  TCIO_CHECK_MSG(mine.counts().size() == sn && mine.filled(),
+                 "exchange payload must fill one part per node");
 
   // Fixed-size size table per rank, gathered to the leader.
-  std::vector<Bytes> my_sizes(sn);
-  Bytes my_total = 0;
-  for (std::size_t d = 0; d < sn; ++d) {
-    my_sizes[d] = static_cast<Bytes>(per_node[d].size());
-    my_total += my_sizes[d];
-  }
   const Bytes table_bytes = static_cast<Bytes>(sn * sizeof(Bytes));
-  std::vector<Bytes> all_sizes(
-      static_cast<std::size_t>(node.size()) * sn);
+  std::vector<Bytes> all_sizes(static_cast<std::size_t>(node.size()) * sn);
   const Rank root = leaderNodeRank();
-  node.gather(my_sizes.data(), table_bytes, all_sizes.data(), root);
-
-  // Payload: one concatenated membus message per non-leader rank.
-  const int tag = node.nextCollectiveTag();
-  std::vector<std::vector<std::byte>> streams(sn);
-  if (node.rank() != root) {
-    std::vector<std::byte> flat;
-    flat.reserve(static_cast<std::size_t>(my_total));
-    for (const auto& blob : per_node) {
-      flat.insert(flat.end(), blob.begin(), blob.end());
-    }
-    if (my_total > 0) {
-      node.send(flat.data(), my_total, root, tag);
-    }
-    return streams;  // non-leaders hold no outgoing streams
-  }
-
-  // Leader: assemble per-destination streams framed per contributing rank.
-  const std::vector<Rank>& members = map_->ranksOnNode(map_->myNode());
-  std::vector<std::byte> incoming;
-  for (int q = 0; q < node.size(); ++q) {
+  node.gather(mine.counts().data(), table_bytes, all_sizes.data(), root);
+  const auto totalOf = [&](int q) {
     const Bytes* sizes = all_sizes.data() + static_cast<std::size_t>(q) * sn;
     Bytes total = 0;
     for (std::size_t d = 0; d < sn; ++d) total += sizes[d];
-    const std::byte* cursor = nullptr;
-    if (q == root) {
-      cursor = nullptr;  // own blobs are read from per_node directly
-    } else if (total > 0) {
-      incoming.resize(static_cast<std::size_t>(total));
-      node.recv(incoming.data(), total, q, tag);
-      stats_.intranode_bytes += total;
-      cursor = incoming.data();
+    return total;
+  };
+
+  // Payload: one concatenated membus message per non-leader rank.
+  const int tag = node.nextCollectiveTag();
+  std::vector<std::vector<RankBlob>> frames(sn);
+  if (node.rank() != root) {
+    Bytes my_total = 0;
+    for (const Bytes n : mine.counts()) my_total += n;
+    if (my_total > 0) node.send(mine.data(), my_total, root, tag);
+    return frames;  // non-leaders hold no outgoing streams
+  }
+
+  // Leader: every member's message lands in one arrival buffer, sized from
+  // the size table; frames view it (and, for the leader's own payload, the
+  // send buffer).
+  Bytes arriving = 0;
+  for (int q = 0; q < node.size(); ++q) {
+    if (q != root) arriving += totalOf(q);
+  }
+  got.gathered_ = mpi::RawBytes(static_cast<std::size_t>(arriving));
+  std::byte* next = got.gathered_.data();
+  const std::vector<Rank>& members = map_->ranksOnNode(map_->myNode());
+  for (int q = 0; q < node.size(); ++q) {
+    const std::byte* from = mine.data();
+    if (q != root) {
+      const Bytes total = totalOf(q);
+      if (total > 0) {
+        node.recv(next, total, q, tag);
+        stats_.intranode_bytes += total;
+      }
+      from = next;
+      next += total;
     }
+    const Bytes* sizes = all_sizes.data() + static_cast<std::size_t>(q) * sn;
     const Rank src = members[static_cast<std::size_t>(q)];
     for (std::size_t d = 0; d < sn; ++d) {
-      const Bytes len = sizes[d];
+      const auto len = static_cast<std::size_t>(sizes[d]);
       if (len == 0) continue;
-      auto& stream = streams[d];
-      appendValue<std::int32_t>(stream, src);
-      appendValue<std::uint64_t>(stream, static_cast<std::uint64_t>(len));
-      if (q == root) {
-        appendRaw(stream, per_node[d].data(),
-                  static_cast<std::size_t>(len));
-      } else {
-        appendRaw(stream, cursor, static_cast<std::size_t>(len));
-        cursor += len;
-      }
+      frames[d].push_back({src, {from, len}});
+      from += len;
     }
-  }
-  return streams;
-}
-
-namespace {
-
-/// Parses a per-rank framed stream into (src, blob) frames.
-std::vector<NodeAggregator::RankBlob> parseFrames(
-    const std::vector<std::byte>& stream) {
-  std::vector<NodeAggregator::RankBlob> frames;
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    TCIO_CHECK_MSG(pos + sizeof(std::int32_t) + sizeof(std::uint64_t) <=
-                       stream.size(),
-                   "truncated node-aggregation frame header");
-    NodeAggregator::RankBlob frame;
-    frame.src = readValue<std::int32_t>(stream.data() + pos);
-    pos += sizeof(std::int32_t);
-    const auto len = readValue<std::uint64_t>(stream.data() + pos);
-    pos += sizeof(std::uint64_t);
-    TCIO_CHECK_MSG(pos + len <= stream.size(),
-                   "truncated node-aggregation frame payload");
-    frame.data.assign(stream.data() + pos, stream.data() + pos + len);
-    pos += len;
-    frames.push_back(std::move(frame));
   }
   return frames;
 }
 
-}  // namespace
-
-std::vector<std::vector<NodeAggregator::RankBlob>> NodeAggregator::exchange(
-    const std::vector<std::vector<std::byte>>& per_node,
-    const Rewrite& rewrite) {
+NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
+                                                  const Rewrite& rewrite) {
   TCIO_CHECK_MSG(staging_ != nullptr, "exchange on a closed NodeAggregator");
   mpi::Comm& comm = map_->comm();
   const int N = map_->numNodes();
   const auto sn = static_cast<std::size_t>(N);
   const int me = map_->myNode();
+  const auto sme = static_cast<std::size_t>(me);
   ++stats_.exchanges;
   // Advance the leadership round in lockstep (exchange is collective), so
   // every rank agrees on who leads each node before any traffic moves.
   ++round_;
 
+  Received got;
+  got.sent_ = std::move(per_node);
+  got.frames_.resize(sn);
+  got.streams_.resize(sn);
   // Phase 1: funnel to the leader (membus traffic only).
-  std::vector<std::vector<std::byte>> out = gatherToLeader(per_node);
+  std::vector<std::vector<RankBlob>> frames = gatherToLeader(got);
+  const bool leader = isActiveLeader();
   // Cross-rank coalescing happens here, before any byte pays the NIC.
-  if (rewrite && isActiveLeader()) {
-    for (int d = 0; d < N; ++d) {
-      auto& stream = out[static_cast<std::size_t>(d)];
-      if (stream.empty()) continue;
-      stream = rewrite(d, parseFrames(stream));
+  if (rewrite && leader) {
+    got.rewritten_.resize(sn);
+    for (std::size_t d = 0; d < sn; ++d) {
+      if (!frames[d].empty()) {
+        got.rewritten_[d] = rewrite(static_cast<int>(d), frames[d]);
+      }
+    }
+  }
+
+  // The outgoing wire streams: per-rank frames, or the rewritten stream.
+  // Frame headers live in a deque, so views into it stay put as it grows.
+  std::vector<Outgoing> out(sn);
+  std::deque<std::array<std::byte, kFrameHeader>> headers;
+  if (leader) {
+    for (std::size_t d = 0; d < sn; ++d) {
+      if (d == sme) continue;
+      if (rewrite) {
+        if (!got.rewritten_[d].empty()) out[d].add(got.rewritten_[d]);
+        continue;
+      }
+      for (const RankBlob& f : frames[d]) {
+        headers.push_back(
+            frameHeader(f.src, static_cast<std::uint64_t>(f.data.size())));
+        out[d].add(headers.back());
+        out[d].add(f.data);
+      }
+    }
+    // The leader's own node needs no staging.
+    if (!rewrite) {
+      got.frames_[sme] = std::move(frames[sme]);
+    } else if (!got.rewritten_[sme].empty()) {
+      got.frames_[sme].push_back({activeLeaderOf(me), got.rewritten_[sme]});
     }
   }
 
   // Phase 2: leader-to-leader staging rounds. Each round moves at most one
   // slot's worth of each stream with a single RMA epoch per destination
   // node; slots are disjoint per source node, so shared locks suffice.
-  std::vector<std::vector<std::byte>> in(sn);
-  if (isActiveLeader()) {
-    in[static_cast<std::size_t>(me)] =
-        std::move(out[static_cast<std::size_t>(me)]);
-    out[static_cast<std::size_t>(me)].clear();
-  }
-  std::vector<Bytes> cursor(sn, 0);
+  std::vector<Bytes> drained(sn, 0);
+  std::vector<mpi::Window::PutBlock> blocks;
   const Bytes slot_data = slot_bytes_ - kSlotHeader;
   // Leader-local failures (a bad put, a corrupt slot) are captured and
   // piggybacked on the round allreduce: every rank learns the error class
@@ -188,25 +197,21 @@ std::vector<std::vector<NodeAggregator::RankBlob>> NodeAggregator::exchange(
   while (more) {
     ++stats_.rounds;
     try {
-      if (isActiveLeader() && !err.set()) {
-        for (int d = 0; d < N; ++d) {
-          if (d == me) continue;
-          const auto& stream = out[static_cast<std::size_t>(d)];
-          const Bytes remaining = static_cast<Bytes>(stream.size()) -
-                                  cursor[static_cast<std::size_t>(d)];
-          if (remaining <= 0) continue;
+      if (leader && !err.set()) {
+        for (std::size_t d = 0; d < sn; ++d) {
+          Outgoing& o = out[d];
+          const Bytes remaining = o.size - o.sent;
+          if (d == sme || remaining <= 0) continue;
           const Bytes chunk = std::min(remaining, slot_data);
-          const std::uint64_t header = static_cast<std::uint64_t>(chunk);
+          const auto header = static_cast<std::uint64_t>(remaining);
           const Offset slot_base = static_cast<Offset>(me) * slot_bytes_;
-          const mpi::Window::PutBlock blocks[2] = {
-              {slot_base, &header, kSlotHeader},
-              {slot_base + kSlotHeader,
-               stream.data() + cursor[static_cast<std::size_t>(d)], chunk}};
-          const Rank target = activeLeaderOf(d);
+          blocks.clear();
+          blocks.push_back({slot_base, &header, kSlotHeader});
+          o.take(chunk, slot_base + kSlotHeader, blocks);
+          const Rank target = activeLeaderOf(static_cast<int>(d));
           staging_->lock(mpi::LockType::kShared, target);
           staging_->putIndexed(target, blocks);
           staging_->unlock(target);
-          cursor[static_cast<std::size_t>(d)] += chunk;
           ++stats_.internode_puts;
           stats_.internode_bytes += chunk;
         }
@@ -217,22 +222,30 @@ std::vector<std::vector<NodeAggregator::RankBlob>> NodeAggregator::exchange(
     comm.barrier();
     bool local_more = false;
     try {
-      if (isActiveLeader() && !err.set()) {
+      if (leader && !err.set()) {
         std::byte* local = staging_->localData();
-        for (int s = 0; s < N; ++s) {
-          if (s == me) continue;
+        for (std::size_t s = 0; s < sn; ++s) {
+          if (s == sme) continue;
           std::byte* slot = local + static_cast<Offset>(s) * slot_bytes_;
-          const auto got = readValue<std::uint64_t>(slot);
-          if (got == 0) continue;
-          appendRaw(in[static_cast<std::size_t>(s)], slot + kSlotHeader,
-                    static_cast<std::size_t>(got));
+          std::uint64_t left = 0;
+          std::memcpy(&left, slot, sizeof(left));
+          if (left == 0) continue;
+          mpi::RawBytes& stream = got.streams_[s];
+          if (drained[s] == 0) {
+            stream = mpi::RawBytes(static_cast<std::size_t>(left));
+          }
+          TCIO_CHECK_MSG(left == stream.size() - static_cast<std::size_t>(
+                                                     drained[s]),
+                         "node-aggregation slot header disagrees with the "
+                         "bytes of its stream still to come");
+          const Bytes chunk = std::min(static_cast<Bytes>(left), slot_data);
+          std::memcpy(stream.data() + drained[s], slot + kSlotHeader,
+                      static_cast<std::size_t>(chunk));
+          drained[s] += chunk;
           std::memset(slot, 0, static_cast<std::size_t>(kSlotHeader));
         }
-        for (int d = 0; d < N && !local_more; ++d) {
-          if (d == me) continue;
-          local_more =
-              cursor[static_cast<std::size_t>(d)] <
-              static_cast<Bytes>(out[static_cast<std::size_t>(d)].size());
+        for (std::size_t d = 0; d < sn && !local_more; ++d) {
+          local_more = d != sme && out[d].sent < out[d].size;
         }
       }
     } catch (const std::exception& e) {
@@ -250,23 +263,27 @@ std::vector<std::vector<NodeAggregator::RankBlob>> NodeAggregator::exchange(
     more = flags[0] != 0;
   }
 
-  // Phase 3: parse accumulated streams. Under a rewrite the stream is one
-  // raw leader-attributed blob; otherwise it carries per-rank frames.
-  std::vector<std::vector<RankBlob>> result(sn);
+  // Phase 3: frame the drained streams in place. Under a rewrite the stream
+  // is one raw leader-attributed blob; otherwise it carries per-rank frames.
   for (std::size_t s = 0; s < sn; ++s) {
-    if (in[s].empty()) continue;
+    const mpi::RawBytes& stream = got.streams_[s];
+    if (s == sme || stream.size() == 0) continue;
+    TCIO_CHECK_MSG(drained[s] == static_cast<Bytes>(stream.size()),
+                   "node-aggregation stream ended short of its length");
+    const std::span<const std::byte> all(stream.data(), stream.size());
     if (rewrite) {
-      result[s].push_back(
-          {activeLeaderOf(static_cast<int>(s)), std::move(in[s])});
+      got.frames_[s].push_back({activeLeaderOf(static_cast<int>(s)), all});
     } else {
-      result[s] = parseFrames(in[s]);
+      forEachFrame(all, [&](std::int32_t src, std::span<const std::byte> b) {
+        got.frames_[s].push_back({src, b});
+      });
     }
   }
-  return result;
+  return got;
 }
 
-std::vector<std::byte> NodeAggregator::scatterToRanks(
-    std::vector<std::vector<std::byte>> per_rank) {
+mpi::RawBytes NodeAggregator::scatterToRanks(
+    const mpi::PackedSend& per_rank) {
   mpi::Comm& node = map_->nodeComm();
   const int Q = node.size();
   const int tag = node.nextCollectiveTag();
@@ -276,27 +293,31 @@ std::vector<std::byte> NodeAggregator::scatterToRanks(
   std::vector<Bytes> sizes(static_cast<std::size_t>(Q), 0);
   Bytes my_size = 0;
   if (node.rank() == root) {
-    TCIO_CHECK(static_cast<int>(per_rank.size()) == Q);
-    for (int q = 0; q < Q; ++q) {
-      sizes[static_cast<std::size_t>(q)] =
-          static_cast<Bytes>(per_rank[static_cast<std::size_t>(q)].size());
-    }
+    TCIO_CHECK(static_cast<int>(per_rank.counts().size()) == Q &&
+               per_rank.filled());
+    std::copy(per_rank.counts().begin(), per_rank.counts().end(),
+              sizes.begin());
   }
   node.scatter(sizes.data(), sizeof(Bytes), &my_size, root);
+  mpi::RawBytes mine(static_cast<std::size_t>(my_size));
   if (node.rank() == root) {
     std::vector<mpi::Request> reqs;
     for (int q = 0; q < Q; ++q) {
-      if (q == root) continue;
-      const auto& blob = per_rank[static_cast<std::size_t>(q)];
-      if (blob.empty()) continue;
-      reqs.push_back(node.isend(blob.data(),
-                                static_cast<Bytes>(blob.size()), q, tag));
-      stats_.intranode_bytes += static_cast<Bytes>(blob.size());
+      const auto sq = static_cast<std::size_t>(q);
+      if (q == root || sizes[sq] == 0) continue;
+      reqs.push_back(node.isend(per_rank.data() + per_rank.displs()[sq],
+                                sizes[sq], q, tag));
+      stats_.intranode_bytes += sizes[sq];
     }
     node.waitAll(reqs);
-    return std::move(per_rank[static_cast<std::size_t>(root)]);
+    if (my_size > 0) {
+      std::memcpy(mine.data(),
+                  per_rank.data() +
+                      per_rank.displs()[static_cast<std::size_t>(root)],
+                  static_cast<std::size_t>(my_size));
+    }
+    return mine;
   }
-  std::vector<std::byte> mine(static_cast<std::size_t>(my_size));
   if (my_size > 0) {
     node.recv(mine.data(), my_size, root, tag);
   }

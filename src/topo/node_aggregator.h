@@ -16,13 +16,26 @@
 // slots are disjoint), a barrier, destination leaders drain their slots, and
 // an allreduce decides whether any stream has bytes left. Streams are framed
 // per contributing rank, so receivers get back (source rank, blob) pairs.
+//
+// Host buffers: each hop lands in one buffer allocated at its final size
+// and never zero-filled. The leader receives its members' payloads into one
+// arrival buffer sized from the gathered size table; frames are (rank, span)
+// views into it, and an outgoing stream is put straight from those views. A
+// slot's 8-byte header carries the bytes of the stream still to come (this
+// chunk included), so the destination allocates each source's stream once,
+// at its first chunk.
 #pragma once
 
+#include <array>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/error.h"
 #include "common/types.h"
+#include "mpi/comm.h"
 #include "mpi/rma.h"
 #include "topo/node_map.h"
 
@@ -38,6 +51,39 @@ struct NodeAggStats {
   Bytes intranode_bytes = 0;
   Bytes internode_bytes = 0;        // leader->leader payload bytes sent
 };
+
+/// Wire frame of one contribution: [i32 id][u64 len][len bytes].
+inline constexpr Bytes kFrameHeader =
+    static_cast<Bytes>(sizeof(std::int32_t) + sizeof(std::uint64_t));
+
+/// The header of a frame carrying `len` bytes from `id`.
+inline std::array<std::byte, kFrameHeader> frameHeader(std::int32_t id,
+                                                       std::uint64_t len) {
+  std::array<std::byte, kFrameHeader> h;
+  std::memcpy(h.data(), &id, sizeof(id));
+  std::memcpy(h.data() + sizeof(id), &len, sizeof(len));
+  return h;
+}
+
+/// Calls `fn(id, bytes)` for each frame of a framed stream. A header or a
+/// payload that runs past the end of the stream fails a TCIO_CHECK.
+template <typename Fn>
+void forEachFrame(std::span<const std::byte> stream, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    TCIO_CHECK_MSG(
+        stream.size() - pos >= static_cast<std::size_t>(kFrameHeader),
+        "truncated frame header");
+    std::int32_t id = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&id, stream.data() + pos, sizeof(id));
+    std::memcpy(&len, stream.data() + pos + sizeof(id), sizeof(len));
+    pos += static_cast<std::size_t>(kFrameHeader);
+    TCIO_CHECK_MSG(len <= stream.size() - pos, "truncated frame payload");
+    fn(id, stream.subspan(pos, static_cast<std::size_t>(len)));
+    pos += static_cast<std::size_t>(len);
+  }
+}
 
 class NodeAggregator {
  public:
@@ -57,9 +103,38 @@ class NodeAggregator {
   NodeAggregator& operator=(const NodeAggregator&) = delete;
 
   /// One contributing rank's payload, as received by a destination leader.
+  /// `data` views storage the Received it came from owns.
   struct RankBlob {
     Rank src = -1;  // rank within map.comm()
-    std::vector<std::byte> data;
+    std::span<const std::byte> data;
+  };
+
+  /// What exchange() delivered. On a node's leader, [s] holds the frames
+  /// from source node `s` ordered by contributing rank (or one leader-
+  /// attributed blob per source node under a rewrite); on other ranks every
+  /// [s] is empty. The frames view buffers this object owns, so they live as
+  /// long as it does.
+  class Received {
+   public:
+    std::size_t size() const { return frames_.size(); }
+    const std::vector<RankBlob>& operator[](std::size_t s) const {
+      return frames_[s];
+    }
+    auto begin() const { return frames_.begin(); }
+    auto end() const { return frames_.end(); }
+
+   private:
+    friend class NodeAggregator;
+    std::vector<std::vector<RankBlob>> frames_;
+    /// This rank's payload: the leader's own frames view it.
+    mpi::PackedSend sent_{std::vector<Bytes>{}};
+    /// The node members' payloads, as the leader received them.
+    mpi::RawBytes gathered_;
+    /// Rewrite outputs, per destination node (the leader's own node's is
+    /// delivered from here).
+    std::vector<std::vector<std::byte>> rewritten_;
+    /// Each source node's stream, as drained from its staging slot.
+    std::vector<mpi::RawBytes> streams_;
   };
 
   /// Source-leader rewrite hook: receives the destination node index and
@@ -71,20 +146,16 @@ class NodeAggregator {
   using Rewrite = std::function<std::vector<std::byte>(
       int dst_node, const std::vector<RankBlob>&)>;
 
-  /// Collective over map.comm(). `per_node[d]` is this rank's payload for
-  /// node `d`. On each node's leader, returns result[s] = frames received
-  /// from source node `s` ordered by contributing rank (or one leader-
-  /// attributed blob per source node under a rewrite); on non-leaders,
-  /// returns empty frames. `rewrite` must be passed uniformly (all ranks
-  /// null or all non-null) — it changes the wire format.
-  std::vector<std::vector<RankBlob>> exchange(
-      const std::vector<std::vector<std::byte>>& per_node,
-      const Rewrite& rewrite = {});
+  /// Collective over map.comm(). `per_node` holds this rank's payload for
+  /// each node `d` as its part d, filled to its count; the result keeps it.
+  /// `rewrite` must be passed uniformly (all ranks null or all non-null) —
+  /// it changes the wire format.
+  Received exchange(mpi::PackedSend per_node, const Rewrite& rewrite = {});
 
-  /// Collective over map.nodeComm(): the leader passes one blob per
-  /// node-local rank (indexed by node rank); every rank returns its own.
-  std::vector<std::byte> scatterToRanks(
-      std::vector<std::vector<std::byte>> per_rank);
+  /// Collective over map.nodeComm(): the leader passes one part per
+  /// node-local rank (indexed by node rank), filled to its count; every rank
+  /// returns its own part. Other ranks' `per_rank` is ignored.
+  mpi::RawBytes scatterToRanks(const mpi::PackedSend& per_rank);
 
   /// Releases the staging window and its memory accounting. Safe to call
   /// more than once; the destructor calls it too.
@@ -108,11 +179,10 @@ class NodeAggregator {
   std::int64_t round() const { return round_; }
 
  private:
-  /// Gathers every node rank's per-destination payloads to the leader;
-  /// returns (on the leader) one framed outgoing stream per destination
-  /// node.
-  std::vector<std::vector<std::byte>> gatherToLeader(
-      const std::vector<std::vector<std::byte>>& per_node);
+  /// Gathers every node rank's per-destination payloads (got.sent_) to the
+  /// leader, into got.gathered_; returns (on the leader) the frames headed
+  /// to each destination node, in node-rank order.
+  std::vector<std::vector<RankBlob>> gatherToLeader(Received& got);
 
   /// Node rank of the active leader within this rank's node.
   Rank leaderNodeRank() const {

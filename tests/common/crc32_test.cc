@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <vector>
@@ -100,17 +101,63 @@ TEST_P(Crc32KernelTest, MegabyteBufferWithOddTail) {
   EXPECT_EQ(run(buf), oracle(buf));
 }
 
+/// crc32Combine over pieces whose CRCs the kernel under test computed.
+class Crc32CombineTest : public Crc32KernelTest {};
+
+TEST_P(Crc32CombineTest, RandomSplitsMatchOneShot) {
+  const std::vector<std::byte> buf = randomBytes(70000, 16);
+  const std::span<const std::byte> all(buf);
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Up to eight cuts, repeats allowed, so some pieces are empty.
+    std::vector<std::size_t> cuts{0, buf.size()};
+    const std::size_t ncuts = rng.next() % 9;
+    for (std::size_t i = 0; i < ncuts; ++i) {
+      cuts.push_back(rng.next() % (buf.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t combined = 0;  // the CRC of no bytes
+    for (std::size_t i = 1; i < cuts.size(); ++i) {
+      const auto piece = all.subspan(cuts[i - 1], cuts[i] - cuts[i - 1]);
+      combined = crc32Combine(combined, run(piece), piece.size());
+    }
+    ASSERT_EQ(combined, oracle(all)) << "trial " << trial;
+  }
+}
+
+TEST_P(Crc32CombineTest, EmptyPiecesAreIdentities) {
+  const std::vector<std::byte> buf = randomBytes(1000, 18);
+  const std::uint32_t whole = run(buf);
+  EXPECT_EQ(crc32Combine(whole, run({}), 0), whole);
+  EXPECT_EQ(crc32Combine(run({}), whole, buf.size()), whole);
+  EXPECT_EQ(crc32Combine(0, 0, 0), 0u);
+}
+
+TEST_P(Crc32CombineTest, LargeSecondPiece) {
+  // A multi-megabyte B exercises the high squarings of the length.
+  const std::vector<std::byte> buf = randomBytes((3u << 20) + 5, 19);
+  const std::span<const std::byte> all(buf);
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{4093}}) {
+    EXPECT_EQ(crc32Combine(run(all.first(cut)), run(all.subspan(cut)),
+                           buf.size() - cut),
+              oracle(all))
+        << "cut " << cut;
+  }
+}
+
 bool always() { return true; }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, Crc32KernelTest,
-    ::testing::Values(
-        KernelCase{"portable", &detail::crc32Portable, &always},
-        KernelCase{"hardware", &detail::crc32Hardware,
-                   &detail::crc32HardwareAvailable}),
-    [](const ::testing::TestParamInfo<KernelCase>& info) {
-      return std::string(info.param.name);
-    });
+const auto kKernels = ::testing::Values(
+    KernelCase{"portable", &detail::crc32Portable, &always},
+    KernelCase{"hardware", &detail::crc32Hardware,
+               &detail::crc32HardwareAvailable});
+
+std::string kernelName(const ::testing::TestParamInfo<KernelCase>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32KernelTest, kKernels, kernelName);
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32CombineTest, kKernels, kernelName);
 
 TEST(Crc32Test, KnownVectors) {
   // Standard test vector: crc32("123456789") = 0xCBF43926.

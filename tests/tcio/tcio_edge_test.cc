@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "mpi/runtime.h"
 #include "tcio/file.h"
+#include "tcio/file_internal.h"
 
 namespace tcio::core {
 namespace {
@@ -239,6 +241,42 @@ TEST(TcioEdgeTest, StatsBytesMatchData) {
     EXPECT_EQ(f.stats().reads, 1);
     f.close();
   });
+}
+
+/// A [BlockMeta][payload] stream of one record claiming `len` bytes and
+/// carrying `carried`.
+std::vector<std::byte> blockClaiming(Bytes len, std::size_t carried) {
+  const BlockMeta m{64, len};
+  std::vector<std::byte> s(sizeof(m) + carried, std::byte{3});
+  std::memcpy(s.data(), &m, sizeof(m));
+  return s;
+}
+
+TEST(BlockWalkerTest, WalksWellFormedRecords) {
+  std::vector<std::byte> s = blockClaiming(5, 5);
+  const std::vector<std::byte> t = blockClaiming(0, 0);
+  s.insert(s.end(), t.begin(), t.end());
+  std::vector<Bytes> lens;
+  forEachBlock(s, [&](const BlockMeta& m, const std::byte*) {
+    lens.push_back(m.len);
+  });
+  EXPECT_EQ(lens, (std::vector<Bytes>{5, 0}));
+}
+
+TEST(BlockWalkerTest, RejectsNegativeHugeAndTruncatedLengths) {
+  const auto walk = [](const std::vector<std::byte>& s) {
+    forEachBlock(s, [](const BlockMeta&, const std::byte*) {});
+  };
+  // A negative length used to pass the bounds check as a huge size_t that
+  // wrapped pos + len, and the walker stepped backwards over the stream.
+  EXPECT_THROW(walk(blockClaiming(-1, 8)), Error);
+  EXPECT_THROW(walk(blockClaiming(-24, 8)), Error);
+  EXPECT_THROW(walk(blockClaiming(std::numeric_limits<Bytes>::max(), 8)),
+               Error);
+  EXPECT_THROW(walk(blockClaiming(9, 8)), Error);  // one byte short
+  std::vector<std::byte> cut = blockClaiming(0, 0);
+  cut.pop_back();  // the record itself cut short
+  EXPECT_THROW(walk(cut), Error);
 }
 
 }  // namespace

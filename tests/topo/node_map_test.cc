@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <span>
 #include <vector>
 
+#include "common/error.h"
 #include "mpi/runtime.h"
 #include "topo/node_aggregator.h"
 #include "topo/node_map.h"
@@ -31,6 +34,25 @@ std::vector<std::byte> payloadFor(Rank src, int dst, std::size_t len) {
   std::vector<std::byte> v(len);
   for (std::size_t i = 0; i < len; ++i) v[i] = pattern(src, dst, i);
   return v;
+}
+
+/// One part per payload, in order.
+mpi::PackedSend pack(const std::vector<std::vector<std::byte>>& parts) {
+  std::vector<Bytes> counts;
+  for (const auto& p : parts) counts.push_back(static_cast<Bytes>(p.size()));
+  mpi::PackedSend out(std::move(counts));
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    out.append(i, parts[i].data(), static_cast<Bytes>(parts[i].size()));
+  }
+  return out;
+}
+
+std::vector<std::byte> bytesOf(std::span<const std::byte> s) {
+  return {s.begin(), s.end()};
+}
+
+std::vector<std::byte> bytesOf(const mpi::RawBytes& b) {
+  return bytesOf({b.data(), b.size()});
 }
 
 TEST(NodeMapTest, MatchesNetworkTopology) {
@@ -77,7 +99,7 @@ TEST(NodeAggregatorTest, ExchangeRoutesFramesBetweenLeaders) {
           comm.rank(), d, 16 + static_cast<std::size_t>(comm.rank()) * 8 +
                               static_cast<std::size_t>(d)));
     }
-    const auto frames = agg.exchange(per_node);
+    const auto frames = agg.exchange(pack(per_node));
     ASSERT_EQ(static_cast<int>(frames.size()), map.numNodes());
     if (!agg.isActiveLeader()) {
       for (const auto& fs : frames) EXPECT_TRUE(fs.empty());
@@ -93,7 +115,7 @@ TEST(NodeAggregatorTest, ExchangeRoutesFramesBetweenLeaders) {
       for (std::size_t q = 0; q < srcs.size(); ++q) {
         const auto& fb = frames[static_cast<std::size_t>(s)][q];
         EXPECT_EQ(fb.src, srcs[q]);
-        EXPECT_EQ(fb.data,
+        EXPECT_EQ(bytesOf(fb.data),
                   payloadFor(srcs[q], d,
                              16 + static_cast<std::size_t>(srcs[q]) * 8 +
                                  static_cast<std::size_t>(d)));
@@ -112,13 +134,13 @@ TEST(NodeAggregatorTest, PayloadsLargerThanSlotTakeMultipleRounds) {
     const int other = 1 - map.myNode();
     per_node[static_cast<std::size_t>(other)] =
         payloadFor(comm.rank(), other, 1000);
-    const auto frames = agg.exchange(per_node);
+    const auto frames = agg.exchange(pack(per_node));
     if (agg.isActiveLeader()) {
       EXPECT_GT(agg.stats().rounds, 1);
       const auto& from_other = frames[static_cast<std::size_t>(other)];
       ASSERT_EQ(from_other.size(), 2u);  // both ranks of the other node
       for (const auto& fb : from_other) {
-        EXPECT_EQ(fb.data, payloadFor(fb.src, map.myNode(), 1000));
+        EXPECT_EQ(bytesOf(fb.data), payloadFor(fb.src, map.myNode(), 1000));
       }
     }
   });
@@ -138,8 +160,8 @@ TEST(NodeAggregatorTest, ScatterToRanksDeliversPerRankBlobs) {
         per_rank.push_back(payloadFor(target, map.myNode(), 40));
       }
     }
-    const std::vector<std::byte> mine = agg.scatterToRanks(std::move(per_rank));
-    EXPECT_EQ(mine, payloadFor(comm.rank(), map.myNode(), 40));
+    const mpi::RawBytes mine = agg.scatterToRanks(pack(per_rank));
+    EXPECT_EQ(bytesOf(mine), payloadFor(comm.rank(), map.myNode(), 40));
   });
 }
 
@@ -162,7 +184,7 @@ TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
             32 + static_cast<std::size_t>(round) * 8 +
                 static_cast<std::size_t>(d)));
       }
-      const auto frames = agg.exchange(per_node);
+      const auto frames = agg.exchange(pack(per_node));
       EXPECT_EQ(agg.round(), round);
       EXPECT_EQ(agg.activeLeaderOf(map.myNode()), expect_leader);
       EXPECT_EQ(agg.isActiveLeader(), comm.rank() == expect_leader);
@@ -176,7 +198,7 @@ TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
         const std::vector<Rank>& srcs = map.ranksOnNode(s);
         ASSERT_EQ(frames[static_cast<std::size_t>(s)].size(), srcs.size());
         for (std::size_t q = 0; q < srcs.size(); ++q) {
-          EXPECT_EQ(frames[static_cast<std::size_t>(s)][q].data,
+          EXPECT_EQ(bytesOf(frames[static_cast<std::size_t>(s)][q].data),
                     payloadFor(srcs[q], d,
                                32 + static_cast<std::size_t>(round) * 8 +
                                    static_cast<std::size_t>(d)));
@@ -204,7 +226,7 @@ TEST(NodeAggregatorTest, ScatterFollowsTheRotatedLeader) {
           static_cast<std::size_t>(map.numNodes()));
       per_node[static_cast<std::size_t>(map.myNode())] =
           payloadFor(comm.rank(), map.myNode(), 24);
-      agg.exchange(per_node);
+      agg.exchange(pack(per_node));
       std::vector<std::vector<std::byte>> per_rank;
       if (agg.isActiveLeader()) {
         for (int q = 0; q < map.nodeSize(); ++q) {
@@ -214,13 +236,166 @@ TEST(NodeAggregatorTest, ScatterFollowsTheRotatedLeader) {
               payloadFor(target, round, 16 + static_cast<std::size_t>(q)));
         }
       }
-      const std::vector<std::byte> mine =
-          agg.scatterToRanks(std::move(per_rank));
-      EXPECT_EQ(mine,
+      const mpi::RawBytes mine = agg.scatterToRanks(pack(per_rank));
+      EXPECT_EQ(bytesOf(mine),
                 payloadFor(comm.rank(), round,
                            16 + static_cast<std::size_t>(map.nodeRank())));
     }
   });
+}
+
+TEST(NodeAggregatorTest, MultiSlotStreamsCarryEveryFrame) {
+  // 56-byte slot data: every stream spans several rounds, and frames and
+  // headers straddle chunk boundaries.
+  constexpr Bytes kSlot = 64;
+  constexpr Bytes kSlotData = kSlot - 8;
+  const auto lenOf = [](Rank src, int dst) {
+    return static_cast<std::size_t>(100 + 37 * src + dst);
+  };
+  runJob(cfg(6, 2), [&](mpi::Comm& comm) {
+    NodeMap map(comm);
+    NodeAggregator agg(map, kSlot);
+    std::vector<std::vector<std::byte>> per_node;
+    for (int d = 0; d < map.numNodes(); ++d) {
+      per_node.push_back(payloadFor(comm.rank(), d, lenOf(comm.rank(), d)));
+    }
+    const auto frames = agg.exchange(pack(per_node));
+    if (!agg.isActiveLeader()) return;
+    const int me = map.myNode();
+    std::int64_t puts = 0;
+    Bytes wire = 0;
+    for (int s = 0; s < map.numNodes(); ++s) {
+      const std::vector<Rank>& srcs = map.ranksOnNode(s);
+      const auto& from = frames[static_cast<std::size_t>(s)];
+      ASSERT_EQ(from.size(), srcs.size());
+      for (std::size_t q = 0; q < srcs.size(); ++q) {
+        EXPECT_EQ(from[q].src, srcs[q]);
+        EXPECT_EQ(bytesOf(from[q].data),
+                  payloadFor(srcs[q], me, lenOf(srcs[q], me)));
+      }
+      // What this leader put to node s: one framed stream, one slot's
+      // data per round.
+      if (s == me) continue;
+      Bytes stream = 0;
+      for (const Rank r : map.ranksOnNode(me)) {
+        stream += 12 + static_cast<Bytes>(lenOf(r, s));
+      }
+      puts += (stream + kSlotData - 1) / kSlotData;
+      wire += stream;
+    }
+    EXPECT_EQ(agg.stats().internode_puts, puts);
+    EXPECT_EQ(agg.stats().internode_bytes, wire);
+    EXPECT_GT(agg.stats().rounds, 1);
+  });
+}
+
+TEST(NodeAggregatorTest, EmptyStreamsDeliverNoFrames) {
+  runJob(cfg(6, 2), [](mpi::Comm& comm) {
+    NodeMap map(comm);
+    NodeAggregator agg(map, /*slot_bytes=*/128);
+    // Nothing at all: one round, no frames, no puts.
+    const auto none = agg.exchange(
+        pack(std::vector<std::vector<std::byte>>(
+            static_cast<std::size_t>(map.numNodes()))));
+    for (const auto& fs : none) EXPECT_TRUE(fs.empty());
+    EXPECT_EQ(agg.stats().rounds, 1);
+    EXPECT_EQ(agg.stats().internode_puts, 0);
+    // Only even ranks address node 0; nobody addresses node 2.
+    std::vector<std::vector<std::byte>> per_node(
+        static_cast<std::size_t>(map.numNodes()));
+    if (comm.rank() % 2 == 0) per_node[0] = payloadFor(comm.rank(), 0, 300);
+    const auto frames = agg.exchange(pack(per_node));
+    if (!agg.isActiveLeader()) return;
+    for (int s = 0; s < map.numNodes(); ++s) {
+      const auto& from = frames[static_cast<std::size_t>(s)];
+      if (map.myNode() != 0) {
+        EXPECT_TRUE(from.empty());
+        continue;
+      }
+      ASSERT_EQ(from.size(), 1u);  // the node's even rank
+      EXPECT_EQ(from[0].src % 2, 0);
+      EXPECT_EQ(bytesOf(from[0].data), payloadFor(from[0].src, 0, 300));
+    }
+  });
+}
+
+TEST(NodeAggregatorTest, RewriteShipsOneLeaderAttributedBlob) {
+  // The rewrite concatenates the frames' payloads in reverse rank order and
+  // drops everything headed to node 1.
+  const NodeAggregator::Rewrite reverse =
+      [](int dst, const std::vector<NodeAggregator::RankBlob>& blobs) {
+        std::vector<std::byte> out;
+        if (dst == 1) return out;
+        for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
+          out.insert(out.end(), it->data.begin(), it->data.end());
+        }
+        return out;
+      };
+  runJob(cfg(6, 2), [&](mpi::Comm& comm) {
+    NodeMap map(comm);
+    NodeAggregator agg(map, /*slot_bytes=*/48);  // several rounds
+    std::vector<std::vector<std::byte>> per_node;
+    for (int d = 0; d < map.numNodes(); ++d) {
+      per_node.push_back(payloadFor(comm.rank(), d, 50));
+    }
+    const auto frames = agg.exchange(pack(per_node), reverse);
+    if (!agg.isActiveLeader()) {
+      for (const auto& fs : frames) EXPECT_TRUE(fs.empty());
+      return;
+    }
+    const int me = map.myNode();
+    for (int s = 0; s < map.numNodes(); ++s) {
+      const auto& from = frames[static_cast<std::size_t>(s)];
+      if (me == 1) {
+        EXPECT_TRUE(from.empty());
+        continue;
+      }
+      ASSERT_EQ(from.size(), 1u);
+      EXPECT_EQ(from[0].src, agg.activeLeaderOf(s));
+      std::vector<std::byte> want;
+      const std::vector<Rank>& srcs = map.ranksOnNode(s);
+      for (auto it = srcs.rbegin(); it != srcs.rend(); ++it) {
+        const auto p = payloadFor(*it, me, 50);
+        want.insert(want.end(), p.begin(), p.end());
+      }
+      EXPECT_EQ(bytesOf(from[0].data), want);
+    }
+  });
+}
+
+/// A framed stream whose only frame claims `len` payload bytes and carries
+/// `carried`.
+std::vector<std::byte> frameClaiming(std::uint64_t len, std::size_t carried) {
+  const auto h = frameHeader(7, len);
+  std::vector<std::byte> s(h.size() + carried, std::byte{1});
+  std::copy(h.begin(), h.end(), s.begin());
+  return s;
+}
+
+TEST(FrameWalkerTest, WalksWellFormedFrames) {
+  std::vector<std::byte> s = frameClaiming(3, 3);
+  const std::vector<std::byte> t = frameClaiming(0, 0);
+  s.insert(s.end(), t.begin(), t.end());
+  std::vector<std::size_t> lens;
+  forEachFrame(s, [&](std::int32_t id, std::span<const std::byte> b) {
+    EXPECT_EQ(id, 7);
+    lens.push_back(b.size());
+  });
+  EXPECT_EQ(lens, (std::vector<std::size_t>{3, 0}));
+}
+
+TEST(FrameWalkerTest, RejectsLengthsPastTheStream) {
+  const auto walk = [](const std::vector<std::byte>& s) {
+    forEachFrame(s, [](std::int32_t, std::span<const std::byte>) {});
+  };
+  // One byte short, a length that wraps pos + len, and the largest length.
+  EXPECT_THROW(walk(frameClaiming(4, 3)), Error);
+  EXPECT_THROW(walk(frameClaiming(~std::uint64_t{0} - 5, 8)), Error);
+  EXPECT_THROW(walk(frameClaiming(~std::uint64_t{0}, 0)), Error);
+  // A header cut short.
+  std::vector<std::byte> cut = frameClaiming(0, 0);
+  cut.pop_back();
+  EXPECT_THROW(walk(cut), Error);
 }
 
 }  // namespace

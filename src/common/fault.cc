@@ -10,7 +10,6 @@ FaultPlan::FaultPlan(const FaultConfig& cfg, std::uint64_t salt)
              cfg_.fs_transient_write_rate <= 1);
   TCIO_CHECK(cfg_.fs_transient_read_rate >= 0 &&
              cfg_.fs_transient_read_rate <= 1);
-  TCIO_CHECK(cfg_.fs_no_space_rate >= 0 && cfg_.fs_no_space_rate <= 1);
   TCIO_CHECK(cfg_.rma_drop_rate >= 0 && cfg_.rma_drop_rate <= 1);
   TCIO_CHECK(cfg_.rma_drop_delay >= 0);
   TCIO_CHECK(cfg_.mds_open_fail_rate >= 0 && cfg_.mds_open_fail_rate <= 1);
@@ -23,15 +22,9 @@ FaultPlan::FsOutcome FaultPlan::nextFsRequest(FsVerb verb, int ost,
   // Permanent failure dominates: a dead OST serves nothing, rates included.
   if (ostFailed(ost)) return FsOutcome::kOstFailed;
   if (t < cfg_.active_after) return FsOutcome::kNone;
-  if (verb == FsVerb::kWrite && cfg_.fs_no_space_rate > 0 &&
-      rng_.uniform() < cfg_.fs_no_space_rate) {
-    ++no_space_;
-    return FsOutcome::kNoSpace;
-  }
   const double rate = verb == FsVerb::kWrite ? cfg_.fs_transient_write_rate
                                              : cfg_.fs_transient_read_rate;
-  if (rate > 0 && fs_requests_ > cfg_.fs_transient_after_requests &&
-      rng_.uniform() < rate) {
+  if (rate > 0 && rng_.uniform() < rate) {
     ++transients_;
     return FsOutcome::kTransient;
   }

@@ -9,10 +9,9 @@
 // determinism tests rely on.
 //
 // The plan *schedules* faults; it never throws. Layers consult it and raise
-// the matching typed error (`TransientFsError`, `NoSpaceError`,
-// `OstFailedError` — see common/error.h); recovery (client retry, collective
-// error agreement, degraded-mode remapping) lives above, in src/fs and
-// src/tcio.
+// the matching typed error (`TransientFsError`, `OstFailedError` — see
+// common/error.h); recovery (client retry, collective error agreement,
+// degraded-mode remapping) lives above, in src/fs and src/tcio.
 #pragma once
 
 #include <cstddef>
@@ -85,13 +84,13 @@ struct FaultConfig {
   /// unless it is unlucky again).
   double fs_transient_write_rate = 0.0;
   double fs_transient_read_rate = 0.0;
-  /// OST requests to serve before transient faults may fire.
-  std::int64_t fs_transient_after_requests = 0;
-  /// Simulated time before any fault class may fire.
+  /// Simulated time before any rate-driven fault class may fire.
   SimTime active_after = 0.0;
-  /// Probability that one OST write request fails with an ENOSPC-like
-  /// `NoSpaceError` (permanent: retry does not absorb it).
-  double fs_no_space_rate = 0.0;
+  /// One-shot write fault: the `fail_write_call`-th (0-based) non-empty
+  /// `Filesystem::write` call after the plan is installed throws
+  /// `TransientFsError` before reaching any OST, once. Drawn from no RNG
+  /// and not counted as an injected transient. -1 disables.
+  std::int64_t fail_write_call = -1;
 
   /// Permanent OST failure: after `fail_ost_after_requests` total OST
   /// requests, OST `fail_ost` stops serving — every request routed to it
@@ -159,7 +158,7 @@ struct RetryPolicy {
 /// plan; the shared file-system sites (kStoredBlock, kJournalBody) live in
 /// the Filesystem's FaultPlan under rank -1. Byte/bit choices come from a
 /// dedicated seeded stream (kCorruptSalt) so arming a corruption never
-/// perturbs the transient/no-space/RMA fault draws of a clean run.
+/// perturbs the transient/RMA fault draws of a clean run.
 class CorruptionPlan {
  public:
   static constexpr std::uint64_t kCorruptSalt = 0x626974666c697073ULL;  // "bitflips"
@@ -205,7 +204,7 @@ class FaultPlan {
   // -- File-system hooks ------------------------------------------------------
 
   enum class FsVerb { kWrite, kRead };
-  enum class FsOutcome { kNone, kTransient, kNoSpace, kOstFailed };
+  enum class FsOutcome { kNone, kTransient, kOstFailed };
   enum class MdsVerb { kOpen, kClose };
 
   /// Called once per OST request (in virtual-time order); advances the
@@ -239,17 +238,10 @@ class FaultPlan {
                : 1.0;
   }
 
-  // -- Legacy one-shot shim (Filesystem::injectWriteFault) --------------------
-
-  /// Schedules exactly one transient fault on the N-th subsequent write
-  /// *call* (not OST request), preserving the pre-FaultPlan injector's
-  /// contract.
-  void scheduleOneShotWrite(std::int64_t after_calls) {
-    one_shot_write_in_ = after_calls;
-  }
-  /// Consumed once per Filesystem::write call; true when this call faults.
-  bool consumeOneShotWrite() {
-    return one_shot_write_in_ >= 0 && one_shot_write_in_-- == 0;
+  /// Called once per non-empty Filesystem::write *call* (not OST request);
+  /// true exactly once, for call number `fail_write_call`.
+  bool nextWriteCall() {
+    return cfg_.fail_write_call >= 0 && write_calls_++ == cfg_.fail_write_call;
   }
 
   // -- Network hooks ----------------------------------------------------------
@@ -268,7 +260,6 @@ class FaultPlan {
   // -- Counters (tests, stats) ------------------------------------------------
 
   std::int64_t transientFaultsInjected() const { return transients_; }
-  std::int64_t noSpaceFaultsInjected() const { return no_space_; }
   std::int64_t rmaDropsInjected() const { return rma_drops_; }
   std::int64_t mdsFaultsInjected() const { return mds_faults_; }
 
@@ -277,9 +268,8 @@ class FaultPlan {
   Rng rng_;
   CorruptionPlan corruption_;
   std::int64_t fs_requests_ = 0;
-  std::int64_t one_shot_write_in_ = -1;
+  std::int64_t write_calls_ = 0;
   std::int64_t transients_ = 0;
-  std::int64_t no_space_ = 0;
   std::int64_t rma_drops_ = 0;
   std::int64_t mds_faults_ = 0;
 };

@@ -49,14 +49,6 @@ struct FsConfig {
   /// Metadata server: cost of an open/create or close.
   SimTime mds_open = 1.0e-3;
 
-  /// Write-ahead journal device: sequential append bandwidth and per-record
-  /// latency. Journal appends bypass the OST queues and extent locks — the
-  /// model is a node-local intent log (NVMe / flash tier) whose contents
-  /// remain globally readable for crash recovery. Sized so that journaling
-  /// every level-2 flush costs well under the striped OST write path.
-  double journal_bandwidth = 2.0e9;
-  SimTime journal_latency = 20.0e-6;
-
   /// Stored-block checksum domain (DESIGN.md §11): tri-state. > 0 forces
   /// per-page digests + read-verify on; 0 defers to the TCIO_INTEGRITY
   /// environment variable; < 0 pins it off regardless of the environment.
@@ -68,10 +60,6 @@ struct FsConfig {
   /// device is never replicated or page-digested — its records carry their
   /// own frame CRCs and replay drops what fails them.
   bool integrity_replicas = true;
-  /// Per-byte digest/verify throughput. Hardware-folded CRC32 (PCLMUL
-  /// class) runs near memory speed and overlaps the copy pass that is
-  /// already charged, so only the residual per-byte cost appears here.
-  double checksum_bandwidth = 50.0e9;
 };
 
 }  // namespace tcio::fs

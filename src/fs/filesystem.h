@@ -18,7 +18,6 @@
 #include "fs/lock_manager.h"
 #include "fs/store.h"
 #include "sim/timeline.h"
-#include "sim/trace.h"
 
 namespace tcio::fs {
 
@@ -42,7 +41,6 @@ struct FsStats {
   std::int64_t opens = 0;
   /// Injected-fault accounting (0 when no FaultPlan is installed).
   std::int64_t transient_faults_injected = 0;
-  std::int64_t no_space_faults_injected = 0;
   std::int64_t mds_faults_injected = 0;
   std::int64_t chunks_remapped = 0;
   /// Chunks moved back to their home OST after it recovered.
@@ -84,8 +82,8 @@ class Filesystem {
   SimTime close(int client, SimTime t, int inode);
 
   /// Write-ahead journal append: sequential write to the journal device
-  /// (FsConfig::journal_bandwidth), bypassing OST queues, extent locks, and
-  /// OST fault injection — the model is a node-local intent log whose bytes
+  /// (kJournalBandwidth), bypassing OST queues, extent locks, and OST
+  /// fault injection — the model is a node-local intent log whose bytes
   /// stay globally readable after a crash (peek / read serve recovery).
   SimTime journalWrite(int client, SimTime t, int inode, Offset off,
                        std::span<const std::byte> data);
@@ -108,7 +106,6 @@ class Filesystem {
     }
     if (plan_ != nullptr) {
       s.transient_faults_injected = plan_->transientFaultsInjected();
-      s.no_space_faults_injected = plan_->noSpaceFaultsInjected();
       s.mds_faults_injected = plan_->mdsFaultsInjected();
     }
     return s;
@@ -130,12 +127,6 @@ class Filesystem {
   /// open share one schedule. Must be called inside an atomic section.
   void installFaultPlan(const FaultConfig& cfg);
 
-  /// Legacy single-shot injector: the N-th subsequent write *call* throws
-  /// TransientFsError (a FsError). Kept as a shim over the FaultPlan.
-  void injectWriteFault(std::int64_t after_requests) {
-    ensureFaultPlan().scheduleOneShotWrite(after_requests);
-  }
-
   /// Remaps chunks of [off, off+n) whose OST has permanently failed to
   /// surviving OSTs, round-robin (models an MDS failover restripe; charged
   /// as one MDS op when anything moved). Returns how many chunks moved —
@@ -147,10 +138,6 @@ class Filesystem {
   };
   RemapResult remapChunks(int client, SimTime t, int inode, Offset off,
                           Bytes n);
-
-  /// Optional event trace: every OST request is recorded as "fs.write" /
-  /// "fs.read" with the requesting client as the rank (not owned).
-  void setTrace(sim::Trace* trace) { trace_ = trace; }
 
  private:
   struct Inode {
@@ -180,8 +167,6 @@ class Filesystem {
     return (ino.start_ost + static_cast<int>(chunk % ino.stripe_count)) %
            cfg_.num_osts;
   }
-
-  FaultPlan& ensureFaultPlan();
 
   /// Consults the plan for one OST request and throws the scheduled typed
   /// error, if any. No-op without a plan.
@@ -227,7 +212,6 @@ class Filesystem {
   FsStats stats_;
   std::map<int, std::int64_t> ops_by_client_;
   std::unique_ptr<FaultPlan> plan_;
-  sim::Trace* trace_ = nullptr;
 };
 
 }  // namespace tcio::fs

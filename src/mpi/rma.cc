@@ -8,6 +8,9 @@ namespace tcio::mpi {
 
 namespace {
 
+/// CPU time to process a lock/unlock request at the target.
+constexpr SimTime kLockProcessing = 0.5e-6;
+
 /// Grants as many queued requests as the lock state allows; `t` is the
 /// virtual time the lock became available at the target. Must run inside an
 /// atomic section of the granting rank.
@@ -110,7 +113,7 @@ void Window::lock(LockType type, Rank target) {
   p.atomic([&] {
     const SimTime arrived =
         world.network().control(p.now(), p.rank(), tgt_world).delivered +
-        world.config().lock_processing;
+        kLockProcessing;
     req->arrived = arrived;
     detail::TargetLock& tl = targetLock(target);
     const bool free_now =
@@ -179,7 +182,7 @@ void Window::unlock(Rank target) {
     const SimTime t = std::max(p.now(), epoch.last_delivery);
     const SimTime release_arrived =
         world.network().control(t, p.rank(), tgt_world).delivered +
-        world.config().lock_processing;
+        kLockProcessing;
     detail::TargetLock& tl = targetLock(target);
     if (epoch.type == LockType::kExclusive) {
       TCIO_CHECK(tl.exclusive_held);

@@ -17,7 +17,6 @@
 #include "common/types.h"
 #include "net/network.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 
 namespace tcio::mpi {
 
@@ -32,8 +31,6 @@ constexpr int kInternalTagBase = 1 << 28;
 struct MpiConfig {
   /// Bandwidth of local pack/unpack and buffer copies, bytes/s.
   double memcpy_bandwidth = 6.0e9;
-  /// CPU time to process a lock/unlock request at the target.
-  SimTime lock_processing = 0.5e-6;
 };
 
 namespace detail {
@@ -195,9 +192,6 @@ class World {
     return base;
   }
 
-  /// Optional event trace shared by all layers.
-  sim::Trace& trace() { return trace_; }
-
   /// Runtime correctness checker; null unless TCIO_CHECK is enabled. Every
   /// hook call is guarded by this null check, so the disabled cost is one
   /// load + branch per call site.
@@ -212,7 +206,6 @@ class World {
   std::map<std::pair<int, std::size_t>, std::unique_ptr<detail::WinState>>
       windows_;
   int next_context_ = 1;  // 0 is COMM_WORLD
-  sim::Trace trace_;
   std::unique_ptr<check::Checker> checker_;
 };
 

@@ -98,9 +98,6 @@ TransferTimes Network::transfer(SimTime t, Rank src, Rank dst, Bytes n,
       // Dropped payload: the DMA engine retransmits after a fixed delay.
       done += fault_plan_->nextRmaPayload();
     }
-    if (trace_ != nullptr) {
-      trace_->record(src, t, done, rdma ? "net.rdma" : "net.msg", n);
-    }
     return {done, done};
   }
 
@@ -140,9 +137,6 @@ TransferTimes Network::transfer(SimTime t, Rank src, Rank dst, Bytes n,
     delivered += fault_plan_->nextRmaPayload();
   }
   if (!rdma) txRecord(src, delivered);
-  if (trace_ != nullptr) {
-    trace_->record(src, t, delivered, rdma ? "net.rdma" : "net.msg", n);
-  }
 
   // The sender is free once its NIC accepted the message.
   return {egress, delivered};

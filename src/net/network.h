@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/timeline.h"
-#include "sim/trace.h"
 
 namespace tcio::net {
 
@@ -130,10 +129,6 @@ class Network {
   int numNodes() const { return num_nodes_; }
   const NetworkConfig& config() const { return cfg_; }
 
-  /// Optional event trace: every payload transfer is recorded as
-  /// "net.msg" / "net.rdma" (not owned; may be null).
-  void setTrace(sim::Trace* trace) { trace_ = trace; }
-
   // Statistics for benches and tests.
   std::int64_t messageCount() const { return messages_; }
   Bytes bytesMoved() const { return bytes_; }
@@ -167,7 +162,6 @@ class Network {
 
   NetworkConfig cfg_;
   int num_nodes_;
-  sim::Trace* trace_ = nullptr;
   Rng jitter_rng_{0};
   std::unique_ptr<FaultPlan> fault_plan_;
   /// Per-rank delivery times of in-flight messages (pruned lazily).

@@ -49,7 +49,6 @@ void File::flushLevel1() {
     corruption_->flipBit(
         {level1_.mutableData() + e.begin, static_cast<std::size_t>(e.size())});
   }
-  const SimTime flush_begin = comm_->proc().now();
   if (!twoSidedExchange() && !cfg_.node_aggregation) {
     const Rank owner = ownerOf(seg);
     const std::int64_t slot = slotOnOwner(seg);
@@ -73,15 +72,6 @@ void File::flushLevel1() {
     window_->lock(mpi::LockType::kShared, owner);
     window_->putIndexed(owner, blocks);
     window_->unlock(owner);
-    if (comm_->world().trace().enabled()) {
-      sim::Proc& p = comm_->proc();
-      Bytes n = 0;
-      for (const Extent& e : extents) n += e.size();
-      p.atomic([&] {
-        comm_->world().trace().record(p.rank(), flush_begin, p.now(),
-                                      "tcio.flush", n);
-      });
-    }
   } else {
     // Two-sided ablation / node aggregation: stage locally until the next
     // collective exchange.
@@ -217,7 +207,6 @@ void File::gatherPending(std::vector<PendingRead>& reads) {
 void File::collectiveFetch() {
   ++stats_.collective_fetches;
   maybeCorruptWindow();
-  const SimTime fetch_begin = comm_->proc().now();
   // Liveness first (crash mode): a peer that died since the last collective
   // (or dies in its own residue flush right here) must be agreed dead — and
   // its segments taken over — before any plain collective below is entered,
@@ -344,15 +333,6 @@ void File::collectiveFetch() {
       cursor[owner] += r.len;
     }
     comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
-  }
-  if (comm_->world().trace().enabled()) {
-    sim::Proc& p = comm_->proc();
-    Bytes n = 0;
-    for (const PendingRead& r : pending_reads_) n += r.len;
-    p.atomic([&] {
-      comm_->world().trace().record(p.rank(), fetch_begin, p.now(),
-                                    "tcio.fetch", n);
-    });
   }
   pending_reads_.clear();
   pending_segment_ = -1;

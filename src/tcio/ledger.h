@@ -84,7 +84,7 @@ class SegmentLedger {
 };
 
 /// Per-byte digest/verify throughput charged to virtual time: folded CRC32
-/// runs near memory speed (see FsConfig::checksum_bandwidth).
+/// runs near memory speed (the file system's page digests charge the same).
 inline constexpr double kChecksumBandwidth = 50.0e9;
 
 /// Virtual-time cost of streaming `n` bytes through the CRC.

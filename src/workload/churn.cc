@@ -15,8 +15,8 @@ std::byte churnByte(int round, int client, int block, std::int64_t i) {
   return static_cast<std::byte>(h * 2654435761ULL >> 24);
 }
 
-std::string churnFileName(const ChurnConfig& cfg, int round) {
-  return cfg.file_stem + "." + std::to_string(round);
+std::string churnFileName(const ChurnConfig& /*cfg*/, int round) {
+  return "churn." + std::to_string(round);
 }
 
 namespace {

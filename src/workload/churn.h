@@ -25,7 +25,6 @@ struct ChurnConfig {
   Bytes block_bytes = 4096;
   int blocks_per_round = 1;
   core::TcioConfig tcio;
-  std::string file_stem = "churn";
 };
 
 struct ChurnResult {
@@ -41,7 +40,7 @@ struct ChurnResult {
 /// block `b` in round `r` — verification anchors for tests and benches.
 std::byte churnByte(int round, int client, int block, std::int64_t i);
 
-/// Name of round `r`'s shared file.
+/// Name of round `r`'s shared file, "churn.<r>".
 std::string churnFileName(const ChurnConfig& cfg, int round);
 
 /// Collective over `comm`. When the config (or TCIO_DELEGATES) resolves to

@@ -127,14 +127,17 @@ TEST(FaultPlanTest, ActiveAfterGatesFaults) {
             FaultPlan::FsOutcome::kTransient);
 }
 
-TEST(FaultPlanTest, OneShotWriteShimFiresExactlyOnce) {
-  FaultPlan plan(FaultConfig{});
-  plan.scheduleOneShotWrite(2);
-  EXPECT_FALSE(plan.consumeOneShotWrite());  // call 0
-  EXPECT_FALSE(plan.consumeOneShotWrite());  // call 1
-  EXPECT_TRUE(plan.consumeOneShotWrite());   // call 2 faults
-  EXPECT_FALSE(plan.consumeOneShotWrite());  // consumed
-  EXPECT_FALSE(plan.consumeOneShotWrite());
+TEST(FaultPlanTest, FailWriteCallFiresExactlyOnce) {
+  FaultConfig cfg;
+  cfg.fail_write_call = 2;
+  FaultPlan plan(cfg);
+  EXPECT_FALSE(plan.nextWriteCall());  // call 0
+  EXPECT_FALSE(plan.nextWriteCall());  // call 1
+  EXPECT_TRUE(plan.nextWriteCall());   // call 2 faults
+  EXPECT_FALSE(plan.nextWriteCall());  // consumed
+  EXPECT_FALSE(plan.nextWriteCall());
+  EXPECT_EQ(plan.transientFaultsInjected(), 0);
+  EXPECT_FALSE(FaultPlan(FaultConfig{}).nextWriteCall());  // -1: never
 }
 
 TEST(FaultPlanTest, RmaDropDelayIsConfigured) {

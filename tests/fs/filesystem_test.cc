@@ -24,6 +24,13 @@ mpi::JobConfig job(int p) {
   return c;
 }
 
+/// Installs a fault plan whose only fault is write call `n` (0-based).
+void failWriteCall(Filesystem& fs, std::int64_t n) {
+  FaultConfig f;
+  f.fail_write_call = n;
+  fs.installFaultPlan(f);
+}
+
 TEST(FilesystemTest, CreateWriteReadBack) {
   Filesystem fs(testCfg());
   mpi::runJob(job(1), [&](mpi::Comm& comm) {
@@ -206,7 +213,7 @@ TEST(FilesystemTest, SmallWritesSlowerPerByteThanLargeWrites) {
 
 TEST(FilesystemTest, InjectedWriteFaultPropagates) {
   Filesystem fs(testCfg());
-  fs.injectWriteFault(2);
+  failWriteCall(fs, 2);
   EXPECT_THROW(mpi::runJob(job(1),
                            [&](mpi::Comm& comm) {
                              FsClient fc(fs, comm.proc());
@@ -221,7 +228,7 @@ TEST(FilesystemTest, InjectedWriteFaultPropagates) {
 
 TEST(FilesystemTest, InjectedWriteFaultIsTransientTyped) {
   Filesystem fs(testCfg());
-  fs.injectWriteFault(0);
+  failWriteCall(fs, 0);
   mpi::runJob(job(1), [&](mpi::Comm& comm) {
     FsClient fc(fs, comm.proc());
     FsFile f = fc.open("typed.dat", kWrite | kCreate);
@@ -234,7 +241,7 @@ TEST(FilesystemTest, InjectedWriteFaultIsTransientTyped) {
 
 TEST(FilesystemTest, RetryPolicyAbsorbsTransientFaults) {
   Filesystem fs(testCfg());
-  fs.injectWriteFault(0);
+  failWriteCall(fs, 0);
   mpi::runJob(job(1), [&](mpi::Comm& comm) {
     FsClient fc(fs, comm.proc());
     RetryPolicy retry;

@@ -32,7 +32,7 @@ struct MatrixParam {
   Fault fault;
   bool node_agg;
   bool lazy;
-  /// >= 0: arm the legacy one-shot write-fault shim at this FS write call.
+  /// >= 0: fail this FS write call (FaultConfig::fail_write_call), once.
   std::int64_t one_shot = -1;
 };
 
@@ -115,7 +115,11 @@ RunResult runMatrix(const MatrixParam& p, std::uint64_t seed) {
   fcfg.stripe_size = kSegment;
   fcfg.default_stripe_count = 3;
   fs::Filesystem fsys(fcfg);
-  if (p.one_shot >= 0) fsys.injectWriteFault(p.one_shot);
+  if (p.one_shot >= 0) {
+    FaultConfig one_shot;
+    one_shot.fail_write_call = p.one_shot;
+    fsys.installFaultPlan(one_shot);
+  }
 
   mpi::JobConfig jc;
   jc.num_ranks = kProcs;

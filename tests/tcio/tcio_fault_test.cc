@@ -25,7 +25,9 @@ void runFaultedClose(TcioConfig cfg, int ranks_per_node) {
                                std::byte{0x5a});
     f.writeAt(comm.rank() * cfg.segment_size, buf.data(), cfg.segment_size);
     if (comm.rank() == 0) {
-      fsys.injectWriteFault(0);  // the next OST write request fails
+      FaultConfig one_shot;
+      one_shot.fail_write_call = 0;  // the next FS write call fails
+      fsys.installFaultPlan(one_shot);
     }
     comm.barrier();
     bool caught = false;

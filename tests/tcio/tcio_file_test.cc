@@ -497,7 +497,9 @@ TEST(TcioFileTest, RandomizedPatternMatchesReference) {
 
 TEST(TcioFileTest, FsFaultDuringClosePropagates) {
   fs::Filesystem fsys(fsCfg());
-  fsys.injectWriteFault(0);  // first FS write request fails
+  FaultConfig one_shot;
+  one_shot.fail_write_call = 0;  // first FS write call fails
+  fsys.installFaultPlan(one_shot);
   EXPECT_THROW(
       mpi::runJob(job(2),
                   [&](mpi::Comm& comm) {

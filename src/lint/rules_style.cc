@@ -185,6 +185,14 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
            "raw MPI call '" + s + "' outside src/mpi — use tcio::mpi");
       continue;
     }
+    // Variable-size all-to-alls outside src/mpi go through
+    // mpi::sizedAlltoallv / mpi::alltoallvCounted, which derive counts and
+    // displacements from one PackedSend and read records by memcpy.
+    if (!in_mpi && s == "alltoallv" && i + 1 < t.size() && is(t[i + 1], "(")) {
+      flag(t[i].line, "direct alltoallv call outside src/mpi — use "
+                      "mpi::sizedAlltoallv or mpi::alltoallvCounted");
+      continue;
+    }
     // Raw threading/sleep primitives are banned everywhere, src/sim
     // included: every rank is a fiber on the one thread that runs the job,
     // so a real lock, thread or sleep bypasses virtual time and the

@@ -53,12 +53,11 @@ void File::exchangeDigests() {
         static_cast<Bytes>(pending_digests_.size() * sizeof(DigestRec)), all);
     pending_digests_.clear();
     for (const auto& blob : all) {
-      const auto* recs = reinterpret_cast<const DigestRec*>(blob.data());
-      const std::size_t n = blob.size() / sizeof(DigestRec);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (ownerOf(recs[i].seg) == orig_rank_) {
-          ledger_[recs[i].seg].insert(recs[i].run());
-        }
+      for (std::size_t at = 0; at + sizeof(DigestRec) <= blob.size();
+           at += sizeof(DigestRec)) {
+        DigestRec r{};
+        std::memcpy(&r, blob.data() + at, sizeof(DigestRec));
+        if (ownerOf(r.seg) == orig_rank_) ledger_[r.seg].insert(r.run());
       }
     }
     return;
@@ -68,51 +67,22 @@ void File::exchangeDigests() {
   // broadcast would put P copies of an already metadata-heavy stream on the
   // NIC — the routed exchange is what keeps the integrity tax inside the
   // bench_ablation_integrity budget.
-  const int P = comm_->size();
-  std::vector<Bytes> sendcounts(static_cast<std::size_t>(P), 0);
+  const auto ownerIndex = [&](const DigestRec& r) {
+    return static_cast<std::size_t>(curOf(ownerOf(r.seg)));
+  };
+  std::vector<Bytes> counts(static_cast<std::size_t>(comm_->size()), 0);
   for (const DigestRec& r : pending_digests_) {
-    sendcounts[static_cast<std::size_t>(curOf(ownerOf(r.seg)))] +=
-        static_cast<Bytes>(sizeof(DigestRec));
+    counts[ownerIndex(r)] += sizeof(DigestRec);
   }
-  std::vector<Offset> senddispls(static_cast<std::size_t>(P), 0);
-  for (int d = 1; d < P; ++d) {
-    senddispls[static_cast<std::size_t>(d)] =
-        senddispls[static_cast<std::size_t>(d - 1)] +
-        sendcounts[static_cast<std::size_t>(d - 1)];
-  }
-  std::vector<std::byte> sendbuf(
-      pending_digests_.size() * sizeof(DigestRec));
-  {
-    std::vector<Offset> cursor = senddispls;
-    for (const DigestRec& r : pending_digests_) {
-      Offset& at = cursor[static_cast<std::size_t>(curOf(ownerOf(r.seg)))];
-      std::memcpy(sendbuf.data() + at, &r, sizeof(DigestRec));
-      at += static_cast<Offset>(sizeof(DigestRec));
-    }
+  mpi::PackedSend send(std::move(counts));
+  for (const DigestRec& r : pending_digests_) {
+    send.append(ownerIndex(r), &r, sizeof(DigestRec));
   }
   pending_digests_.clear();
-  // Count exchange first (the usual two-phase recipe): every rank learns
-  // how many bytes arrive from each peer.
-  std::vector<Bytes> matrix(static_cast<std::size_t>(P) *
-                            static_cast<std::size_t>(P));
-  comm_->allgather(sendcounts.data(),
-                   static_cast<Bytes>(P * sizeof(Bytes)), matrix.data());
-  std::vector<Bytes> recvcounts(static_cast<std::size_t>(P), 0);
-  std::vector<Offset> recvdispls(static_cast<std::size_t>(P), 0);
-  Bytes total = 0;
-  for (int s = 0; s < P; ++s) {
-    recvcounts[static_cast<std::size_t>(s)] =
-        matrix[static_cast<std::size_t>(s) * static_cast<std::size_t>(P) +
-               static_cast<std::size_t>(comm_->rank())];
-    recvdispls[static_cast<std::size_t>(s)] = total;
-    total += recvcounts[static_cast<std::size_t>(s)];
-  }
-  std::vector<std::byte> recvbuf(static_cast<std::size_t>(total));
-  comm_->alltoallv(sendbuf.data(), sendcounts, senddispls, recvbuf.data(),
-                   recvcounts, recvdispls);
-  const auto* recs = reinterpret_cast<const DigestRec*>(recvbuf.data());
-  for (std::size_t i = 0; i < recvbuf.size() / sizeof(DigestRec); ++i) {
-    ledger_[recs[i].seg].insert(recs[i].run());
+  const mpi::SizedExchange got = mpi::sizedAlltoallv(*comm_, send);
+  for (std::size_t s = 0; s < got.counts.size(); ++s) {
+    got.forEachRecord<DigestRec>(
+        s, [&](const DigestRec& r) { ledger_[r.seg].insert(r.run()); });
   }
 }
 

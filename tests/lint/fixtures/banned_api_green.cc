@@ -13,6 +13,12 @@ void approved(sim::Engine& eng, mpi::Comm& comm) {
   consume(t0);
 }
 
+// Variable-size exchanges go through the sized helpers (near misses: the
+// names contain "alltoallv" but are not the raw call).
+void exchange(mpi::Comm& comm, const mpi::PackedSend& send) {
+  consume(mpi::sizedAlltoallv(comm, send));
+}
+
 // Blocking parks this rank's fiber in the engine, in virtual-time order.
 void awaitReply(sim::Proc& proc, sim::Event& reply) {
   proc.wait(reply, "reply");

@@ -1,6 +1,7 @@
-// RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading, real
-// sleeps, raw context switches, ISA intrinsics headers and CPU feature
-// probes — all from a path outside src/sim, src/mpi and the CRC kernel.
+// RED fixture: banned-api. Wall-clock reads, raw MPI, a hand-rolled
+// alltoallv, raw threading, real sleeps, raw context switches, ISA
+// intrinsics headers and CPU feature probes — all from a path outside
+// src/sim, src/mpi and the CRC kernel.
 #include <immintrin.h>  // LINT-EXPECT[banned-api]
 #include <arm_acle.h>  // LINT-EXPECT[banned-api]
 
@@ -19,6 +20,10 @@ double wallSeconds() {
 
 void rawMpi(void* world) {
   MPI_Barrier(world);  // LINT-EXPECT[banned-api]
+}
+
+void handRolledExchange(mpi::Comm& comm, const Plan& p, std::byte* recv) {
+  comm.alltoallv(p.send, p.counts, p.displs, recv, p.rcounts, p.rdispls);  // LINT-EXPECT[banned-api]
 }
 
 class Guarded {

@@ -182,6 +182,17 @@ TEST(BannedApi, MpiLayerMayNameRawMpiSymbols) {
   EXPECT_FALSE(lintText("src/delegate/server.cc", src).empty());
 }
 
+TEST(BannedApi, OnlyTheMpiLayerMayCallAlltoallv) {
+  const std::string src =
+      "void x(Comm& c) { c.alltoallv(s, sc, sd, r, rc, rd); }\n";
+  EXPECT_TRUE(lintText("src/mpi/comm.cc", src).empty());
+  EXPECT_EQ(lintText("src/tcio/file_integrity.cc", src).size(), 1u);
+  EXPECT_TRUE(lintText("src/tcio/file_integrity.cc",
+                       "void y(Comm& c) { mpi::sizedAlltoallv(c, s); "
+                       "mpi::alltoallvCounted(c, s, n); }\n")
+                  .empty());
+}
+
 TEST(BannedApi, WallClockIsBannedEvenInsideSim) {
   const std::string src =
       "sim::Time now() { return std::chrono::steady_clock::now(); }\n";

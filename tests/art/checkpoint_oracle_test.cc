@@ -184,8 +184,8 @@ TEST(ArtCheckpointOracleTest, TwoNodesOneRoundPerExchange) {
   // Every exchange takes one staging round (rounds == exchanges).
   expectFigures(
       runOracleJob({24, 16_KiB, -1}),
-      {0x1.0c98f09a10bap-3, 0x1.78f71eff1bb68p-4,
-       {11139, 3375186, 9021, 2843970, 606, 1512, 26, 26, 414224,
+      {0x1.0c21f2938c62fp-3, 0x1.78d3744b3782cp-4,
+       {11139, 2765778, 7569, 2273730, 2058, 1512, 26, 26, 414224,
         414224, 96, 121, 419064, 0, 336, 10, 336, 1285328, 467904, 144,
         2167136, 62, 275, 0, 0, 0, 96, 26, 0, 0},
        0x49c31f50u});
@@ -196,8 +196,8 @@ TEST(ArtCheckpointOracleTest, ThreeNodesMultiRoundStaging) {
   // (756 rounds over 504 exchanges).
   expectFigures(
       runOracleJob({36, 1_KiB, -1}),
-      {0x1.35d09ec88090fp-1, 0x1.d9e283c11fdf6p-2,
-       {23871, 5288293, 18407, 4434693, 1621, 3843, 405, 405, 414224,
+      {0x1.35f4f125dad2p-1, 0x1.d9eb3788252bap-2,
+       {23871, 3171493, 13853, 2457861, 6175, 3843, 405, 405, 414224,
         414224, 144, 500, 434224, 404, 504, 54, 756, 1359088, 642072, 216,
         2268736, 324, 1412, 0, 0, 0, 144, 405, 0, 0},
        0x49c31f50u});
@@ -213,8 +213,8 @@ TEST(ArtCheckpointOracleTest, StagingFrameCorruption) {
   // outcome; a fix of the close sequence re-pins them.
   expectFigures(
       runOracleJob({24, 16_KiB, 5}),
-      {0x1.f5de8a363a2cbp-4, 0x1.f5de8a363a2cbp-4,
-       {2598, 1205248, 2110, 968776, 204, 284, 24, 2, 393216, 36032,
+      {0x1.f5badf8255f8fp-4, 0x1.f5badf8255f8fp-4,
+       {2598, 1103680, 1868, 873736, 446, 284, 24, 2, 393216, 36032,
         95, 121, 419064, 0, 24, 2, 24, 381816, 218448, 24, 796040, 62, 273, 1,
         0, 1, 24, 24, 24, 0},
        0x23b8dff4u});

@@ -187,27 +187,27 @@ void expectFigures(const Figures& got, const Figures& want) {
 TEST(IntegrityOracleTest, OneSided) {
   expectFigures(runOracleJob(Mode::kOneSided),
                 {276, 24, 60, 0, 0, 0,
-                 {0x1.08ce9882b998ep-5, 0x1.08ce9882b998ep-5,
-                  0x1.08cdc2159b628p-5, 0x1.08d36c5f44e0bp-5,
-                  0x1.08d1f4220cebp-5, 0x1.08d1f4220cebp-5},
+                 {0x1.08cdc36e48442p-5, 0x1.08cdc36e48442p-5,
+                  0x1.08cced012a0dcp-5, 0x1.08d2974ad38bfp-5,
+                  0x1.08d11f0d9b964p-5, 0x1.08d11f0d9b964p-5},
                  0x29b9bc08u});
 }
 
 TEST(IntegrityOracleTest, TwoSided) {
   expectFigures(runOracleJob(Mode::kTwoSided),
                 {544, 24, 60, 0, 0, 0,
-                 {0x1.080bb7aff79c4p-5, 0x1.080bb7aff79c4p-5,
-                  0x1.080ae142d965ep-5, 0x1.08108b8c82e41p-5,
-                  0x1.080f134f4aee6p-5, 0x1.080f134f4aee6p-5},
+                 {0x1.080ae29b86478p-5, 0x1.080ae29b86478p-5,
+                  0x1.080a0c2e68112p-5, 0x1.080fb678118f5p-5,
+                  0x1.080e3e3ad999ap-5, 0x1.080e3e3ad999ap-5},
                  0x29b9bc08u});
 }
 
 TEST(IntegrityOracleTest, NodeAggregation) {
   expectFigures(runOracleJob(Mode::kNodeAgg),
                 {652, 24, 60, 0, 0, 0,
-                 {0x1.09340db7f2e57p-5, 0x1.09340db7f2e57p-5,
-                  0x1.0933374ad4af1p-5, 0x1.0938e1947e2d4p-5,
-                  0x1.0937695746379p-5, 0x1.0937695746379p-5},
+                 {0x1.093338a38190bp-5, 0x1.093338a38190bp-5,
+                  0x1.09326236635a5p-5, 0x1.09380c800cd88p-5,
+                  0x1.09369442d4e2dp-5, 0x1.09369442d4e2dp-5},
                  0x29b9bc08u});
 }
 

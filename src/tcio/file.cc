@@ -338,20 +338,23 @@ void File::close() {
   // local_max_written_, so its tail still counts toward the agreed size.
   std::int64_t fsize = std::max(local_max_written_, client_.size(fsfile_));
   comm_->allreduce(&fsize, 1, mpi::ReduceOp::kMax);
+  // Scrub and drain under collective error agreement: a rank whose repair or
+  // file-system writes fail must not leave its peers blocked in the closing
+  // collectives, and a rank whose own writes succeeded must still learn the
+  // file is damaged. Both are purely local, so skipping them on an
+  // already-failed rank (or failing on some ranks only) cannot desynchronize
+  // the collectives.
+  const auto draining = [&] {
+    return !err.set() && agreed_code == mpi::CapturedError::kNone &&
+           (flags_ & fs::kWrite) != 0;
+  };
+  // The scrub comes before the barrier: a repair replays every writer's
+  // journal, and a writer truncates its journal (commit, below) only after
+  // the barrier, so no repair can find a peer's journal already gone.
+  if (draining()) err = captureLocal([&] { scrubAll(); });
   comm_->barrier();  // paper: synchronize before draining level-2
   final_fsize_ = fsize;
-  // Drain under collective error agreement: a rank whose file-system writes
-  // fail must not leave its peers blocked in the closing collectives, and a
-  // rank whose own writes succeeded must still learn the file is damaged.
-  // The drain is purely local, so skipping it on an already-failed rank (or
-  // failing on some ranks only) cannot desynchronize the collectives.
-  if (!err.set() && agreed_code == mpi::CapturedError::kNone &&
-      (flags_ & fs::kWrite) != 0) {
-    err = captureLocal([&] {
-      scrubAll();
-      drainToFs(fsize);
-    });
-  }
+  if (draining()) err = captureLocal([&] { drainToFs(fsize); });
   drained_ = true;
   if (cfg_.crash.enabled) {
     // Post-drain agreement: a rank that died mid-drain (kMidClose) left some

@@ -54,6 +54,15 @@ enum class Mode { kOneSided, kTwoSided, kNodeAgg };
 struct IntegrityParam {
   CorruptSite site;
   Mode mode;
+  /// false: no flush (and no fetch) before close, so the close-time scrub is
+  /// the first check that can see the flip, and its repair must still find
+  /// every writer's journal.
+  bool mid_job_flush = true;
+  /// Rank whose staging frame or window flips. With rank 3, the owner's
+  /// close-time repair reads rank 3's journal after rank 3 has drained, so
+  /// it succeeds only if no rank truncates its journal (close's commit)
+  /// before every scrub is done.
+  Rank victim = kVictim;
 };
 
 std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
@@ -70,7 +79,10 @@ std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
     case Mode::kTwoSided: m = "_twosided"; break;
     case Mode::kNodeAgg: m = "_nodeagg"; break;
   }
-  return std::string(s) + m;
+  return std::string(s) + m + (info.param.mid_job_flush ? "" : "_closeonly") +
+         (info.param.victim == kVictim
+              ? ""
+              : "_victim" + std::to_string(info.param.victim));
 }
 
 TcioConfig integrityCfg(Mode mode, std::uint64_t seed) {
@@ -91,9 +103,10 @@ struct RunResult {
   TcioIntegrityStats integrity{};  // summed over ranks
 };
 
-/// Writes the reference pattern (two rounds with a mid-job flush) and sums
-/// the integrity counters over the ranks.
-RunResult runWrite(const TcioConfig& cfg, std::uint64_t seed) {
+/// Writes the reference pattern (two rounds, with a flush between them when
+/// `mid_job_flush`) and sums the integrity counters over the ranks.
+RunResult runWrite(const TcioConfig& cfg, std::uint64_t seed,
+                   bool mid_job_flush = true) {
   fs::FsConfig fcfg;
   fcfg.num_osts = 3;
   fcfg.stripe_size = kSegment;
@@ -122,7 +135,7 @@ RunResult runWrite(const TcioConfig& cfg, std::uint64_t seed) {
         }
       };
       writeRange(begin, begin + kPerRank / 2);
-      f.flush();
+      if (mid_job_flush) f.flush();
       writeRange(begin + kPerRank / 2, begin + kPerRank);
       f.close();
     } catch (const std::exception& e) {
@@ -157,7 +170,10 @@ INSTANTIATE_TEST_SUITE_P(
         IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg},
         IntegrityParam{CorruptSite::kWindow, Mode::kOneSided},
         IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg}),
+        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided, false, 3},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided, false, 3},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg, false, 3}),
     paramName);
 
 TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
@@ -168,10 +184,11 @@ TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
       static_cast<std::uint64_t>(envInt64("TCIO_FAULT_SEED", 29));
 
   TcioConfig corrupt_cfg = integrityCfg(p.mode, seed);
-  corrupt_cfg.faults.corruptions.push_back({kVictim, p.site, /*after=*/0});
-  const RunResult corrupt = runWrite(corrupt_cfg, seed);
+  corrupt_cfg.faults.corruptions.push_back({p.victim, p.site, /*after=*/0});
+  const RunResult corrupt = runWrite(corrupt_cfg, seed, p.mid_job_flush);
 
-  const RunResult clean = runWrite(integrityCfg(p.mode, seed), seed);
+  const RunResult clean =
+      runWrite(integrityCfg(p.mode, seed), seed, p.mid_job_flush);
 
   // The flip was detected and repaired before the drain; nobody errored.
   for (int r = 0; r < kProcs; ++r) {

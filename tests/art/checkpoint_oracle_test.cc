@@ -184,7 +184,7 @@ TEST(ArtCheckpointOracleTest, TwoNodesOneRoundPerExchange) {
   // Every exchange takes one staging round (rounds == exchanges).
   expectFigures(
       runOracleJob({24, 16_KiB, -1}),
-      {0x1.0c21f2938c62fp-3, 0x1.78d3744b3782cp-4,
+      {0x1.0d6d87477a074p-3, 0x1.7b6a9db312f0dp-4,
        {11139, 2765778, 7569, 2273730, 2058, 1512, 26, 26, 414224,
         414224, 96, 121, 419064, 0, 336, 10, 336, 1285328, 467904, 144,
         2167136, 62, 275, 0, 0, 0, 96, 26, 0, 0},
@@ -196,7 +196,7 @@ TEST(ArtCheckpointOracleTest, ThreeNodesMultiRoundStaging) {
   // (756 rounds over 504 exchanges).
   expectFigures(
       runOracleJob({36, 1_KiB, -1}),
-      {0x1.35f4f125dad2p-1, 0x1.d9eb3788252bap-2,
+      {0x1.35f4e8e6cadd7p-1, 0x1.d9eb270a05428p-2,
        {23871, 3171493, 13853, 2457861, 6175, 3843, 405, 405, 414224,
         414224, 144, 500, 434224, 404, 504, 54, 756, 1359088, 642072, 216,
         2268736, 324, 1412, 0, 0, 0, 144, 405, 0, 0},
@@ -205,19 +205,18 @@ TEST(ArtCheckpointOracleTest, ThreeNodesMultiRoundStaging) {
 
 TEST(ArtCheckpointOracleTest, StagingFrameCorruption) {
   // Rank 5's first level-1 flush carries a flipped bit. The source leader's
-  // hop check counts it and the owner's close scrub finds it, but the
-  // journal repair fails: the writers have already truncated their journals
-  // in their own closes (no collective separates one rank's scrub from its
-  // peers' journal commits), so the dump ends in an agreed IntegrityError on
-  // every rank and the restart is skipped. The pinned figures include that
-  // outcome; a fix of the close sequence re-pins them.
+  // hop check counts it and the owner's close scrub finds it and repairs it
+  // from the writers' journals: every scrub precedes the close barrier, and
+  // no journal is truncated before it. The file matches the clean job's CRC
+  // and the restart verifies. The repair's journal reads are the only extra
+  // FS traffic (24 opens and reads).
   expectFigures(
       runOracleJob({24, 16_KiB, 5}),
-      {0x1.f5badf8255f8fp-4, 0x1.f5badf8255f8fp-4,
-       {2598, 1103680, 1868, 873736, 446, 284, 24, 2, 393216, 36032,
-        95, 121, 419064, 0, 24, 2, 24, 381816, 218448, 24, 796040, 62, 273, 1,
-        0, 1, 24, 24, 24, 0},
-       0x23b8dff4u});
+      {0x1.72a23723b42f4p-3, 0x1.22e9feb5c3ef7p-3,
+       {11139, 2765778, 7569, 2273730, 2058, 1512, 26, 50, 414224,
+        833288, 120, 121, 419064, 0, 336, 10, 336, 1285328, 467904, 144,
+        2167136, 62, 275, 1, 1, 0, 96, 26, 0, 0},
+       0x49c31f50u});
 }
 
 }  // namespace

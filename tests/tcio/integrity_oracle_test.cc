@@ -214,9 +214,9 @@ TEST(IntegrityOracleTest, NodeAggregation) {
 TEST(IntegrityOracleTest, CrashReplayRebuildsLedgers) {
   expectFigures(runOracleJob(Mode::kCrashReplay),
                 {210, 20, 50, 26, 832, 4,
-                 {0x1.3161318d55867p-1, 0x1.311fa85609bfdp-1,
-                  0x1.90855c9458dadp-7, 0x1.30a45be21b641p-1,
-                  0x1.30837ffd0b5d4p-1, 0x1.314055a8457f8p-1},
+                 {0x1.30ab255c162d5p-1, 0x1.308a60c0704ap-1,
+                  0x1.90855c9458dadp-7, 0x1.3027fba4147c5p-1,
+                  0x1.3048c03fba5fap-1, 0x1.30cbd2ae51edp-1},
                  0xd025b042u});
 }
 

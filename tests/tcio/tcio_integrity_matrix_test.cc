@@ -54,16 +54,16 @@ enum class Mode { kOneSided, kTwoSided, kNodeAgg };
 struct IntegrityParam {
   CorruptSite site;
   Mode mode;
-  /// false: no flush (and no fetch) before close, so the close-time scrub is
-  /// the first check that can see the flip, and its repair must still find
-  /// every writer's journal.
-  bool mid_job_flush = true;
-  /// Rank whose staging frame or window flips. With rank 3, the owner's
-  /// close-time repair reads rank 3's journal after rank 3 has drained, so
-  /// it succeeds only if no rank truncates its journal (close's commit)
-  /// before every scrub is done.
-  Rank victim = kVictim;
 };
+
+const char* modeSuffix(Mode mode) {
+  switch (mode) {
+    case Mode::kOneSided: return "_onesided";
+    case Mode::kTwoSided: return "_twosided";
+    case Mode::kNodeAgg: return "_nodeagg";
+  }
+  return "";
+}
 
 std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
   const char* s = "";
@@ -73,16 +73,7 @@ std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
     case CorruptSite::kStoredBlock: s = "stored_block"; break;
     case CorruptSite::kJournalBody: s = "journal_body"; break;
   }
-  const char* m = "";
-  switch (info.param.mode) {
-    case Mode::kOneSided: m = "_onesided"; break;
-    case Mode::kTwoSided: m = "_twosided"; break;
-    case Mode::kNodeAgg: m = "_nodeagg"; break;
-  }
-  return std::string(s) + m + (info.param.mid_job_flush ? "" : "_closeonly") +
-         (info.param.victim == kVictim
-              ? ""
-              : "_victim" + std::to_string(info.param.victim));
+  return std::string(s) + modeSuffix(info.param.mode);
 }
 
 TcioConfig integrityCfg(Mode mode, std::uint64_t seed) {
@@ -159,36 +150,24 @@ RunResult runWrite(const TcioConfig& cfg, std::uint64_t seed,
 
 // -- In-memory sites (staging frame, window) across every exchange mode -------
 
-class TcioIntegrityMatrixTest
-    : public ::testing::TestWithParam<IntegrityParam> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, TcioIntegrityMatrixTest,
-    ::testing::Values(
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg},
-        IntegrityParam{CorruptSite::kWindow, Mode::kOneSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided, false, 3},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided, false, 3},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg, false, 3}),
-    paramName);
-
-TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
-  const IntegrityParam p = GetParam();
+/// Flips `site` on rank `victim`, then checks detection, repair and byte
+/// parity against a clean run of the same job. `mid_job_flush` false leaves
+/// no flush (and no fetch) before close, so the close-time scrub is the first
+/// check that can see the flip, and its repair must still find every writer's
+/// journal.
+void expectDetectsRepairsAndMatchesCleanRun(CorruptSite site, Mode mode,
+                                            Rank victim, bool mid_job_flush) {
   // Seed is sweepable so scripts/ci_fault_soak.sh's corruption leg covers a
   // fresh flip target (offset, bit) every iteration.
   const auto seed =
       static_cast<std::uint64_t>(envInt64("TCIO_FAULT_SEED", 29));
 
-  TcioConfig corrupt_cfg = integrityCfg(p.mode, seed);
-  corrupt_cfg.faults.corruptions.push_back({p.victim, p.site, /*after=*/0});
-  const RunResult corrupt = runWrite(corrupt_cfg, seed, p.mid_job_flush);
+  TcioConfig corrupt_cfg = integrityCfg(mode, seed);
+  corrupt_cfg.faults.corruptions.push_back({victim, site, /*after=*/0});
+  const RunResult corrupt = runWrite(corrupt_cfg, seed, mid_job_flush);
 
   const RunResult clean =
-      runWrite(integrityCfg(p.mode, seed), seed, p.mid_job_flush);
+      runWrite(integrityCfg(mode, seed), seed, mid_job_flush);
 
   // The flip was detected and repaired before the drain; nobody errored.
   for (int r = 0; r < kProcs; ++r) {
@@ -206,6 +185,49 @@ TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
   const std::vector<std::byte> ref = referenceFile();
   EXPECT_EQ(corrupt.contents, ref);
   EXPECT_EQ(clean.contents, ref);
+}
+
+class TcioIntegrityMatrixTest
+    : public ::testing::TestWithParam<IntegrityParam> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, TcioIntegrityMatrixTest,
+    ::testing::Values(
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg},
+        IntegrityParam{CorruptSite::kWindow, Mode::kOneSided},
+        IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided},
+        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg}),
+    paramName);
+
+TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
+  const IntegrityParam p = GetParam();
+  expectDetectsRepairsAndMatchesCleanRun(p.site, p.mode, kVictim,
+                                         /*mid_job_flush=*/true);
+}
+
+// -- Close-only repair: the close-time scrub is the first check -------------
+//
+// Rank 3's staging frame flips and nothing flushes before close. The owner's
+// close-time repair reads rank 3's journal after rank 3 has drained, so it
+// succeeds only if no rank truncates its journal (close's commit) before every
+// scrub is done.
+
+class TcioIntegrityCloseOnlyTest : public ::testing::TestWithParam<Mode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, TcioIntegrityCloseOnlyTest,
+    ::testing::Values(Mode::kOneSided, Mode::kTwoSided, Mode::kNodeAgg),
+    [](const ::testing::TestParamInfo<Mode>& info) {
+      return std::string("staging_frame") + modeSuffix(info.param) +
+             "_victim3";
+    });
+
+TEST_P(TcioIntegrityCloseOnlyTest, DetectsRepairsAndMatchesCleanRun) {
+  expectDetectsRepairsAndMatchesCleanRun(CorruptSite::kStagingFrame,
+                                         GetParam(), /*victim=*/3,
+                                         /*mid_job_flush=*/false);
 }
 
 TEST(TcioIntegrityDeterminismTest, SameSeedSameDetectionAndRepair) {

@@ -4,10 +4,10 @@
 #include <cstring>
 #include <span>
 
+#include "common/bits.h"
 #include "common/crc32.h"
 #include "common/error.h"
 #include "mpi/agreement.h"
-#include "mpi/datatype.h"
 #include "sim/backoff.h"
 
 namespace tcio::delegate {
@@ -17,8 +17,6 @@ namespace {
 /// Admission livelock guard: a queue this persistently full means the
 /// session is misconfigured (watermark 0, or a wedged delegate).
 constexpr int kMaxBusyAttempts = 1 << 20;
-
-std::uint64_t bit(int d) { return std::uint64_t{1} << d; }
 
 /// Splits `extents` into requests that fit one staging frame and the
 /// descriptor extent cap, in order: `send(chunk, offset, bytes)` per request,
@@ -74,7 +72,8 @@ void forEachSegmentPiece(Offset off, std::size_t n, Bytes seg_size,
 Channel::Channel(Session& session)
     : s_(&session), comm_(&session.comm()),
       integrity_on_(core::integrityEnabled(session.config())),
-      reply_buf_(static_cast<std::size_t>(maxReplyBytes())) {
+      reply_buf_(static_cast<std::size_t>(maxReplyBytes())),
+      suspected_(bitWords(session.numDelegates()), 0) {
   TCIO_CHECK_MSG(!s_->isDelegate(), "Channel runs on client ranks only");
   // Busy-retry backoff: start well under a service quantum and cap at a few
   // simulated milliseconds so a drained queue is re-probed promptly.
@@ -110,20 +109,11 @@ void Channel::sendDescriptor(int delegate, const RequestHeader& h,
   comm_->send(msg.data(), static_cast<Bytes>(msg.size()), delegate, kReqTag);
 }
 
-bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
-                         std::vector<std::byte>* extra) {
-  const auto take = [&](std::span<const std::byte> msg) {
-    std::memcpy(out, msg.data(), sizeof(*out));
-    if (extra != nullptr) {
-      extra->assign(msg.begin() + sizeof(*out), msg.end());
-    }
-  };
+bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out) {
   std::deque<std::vector<std::byte>>& stash = stash_[delegate];
   for (auto it = stash.begin(); it != stash.end(); ++it) {
-    ReplyMsg r;
-    std::memcpy(&r, it->data(), sizeof(r));
-    if (r.seq == seq) {
-      take(*it);
+    std::memcpy(out, it->data(), sizeof(*out));
+    if (out->seq == seq) {
       stash.erase(it);
       return true;
     }
@@ -131,17 +121,9 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
   const Bytes capacity = static_cast<Bytes>(reply_buf_.size());
   for (;;) {
     mpi::RecvStatus st;
-    if (s_->crashEnabled()) {
-      const bool got = comm_->recvUntil(
-          reply_buf_.data(), capacity, delegate, kRepTag,
-          comm_->proc().now() + s_->config().crash.liveness_window,
-          core::kLivenessPoll, &st);
-      if (!got) {
-        suspect(delegate);
-        return false;
-      }
-    } else {
-      st = comm_->recv(reply_buf_.data(), capacity, delegate, kRepTag);
+    if (!s_->recvReply(reply_buf_.data(), capacity, delegate, &st)) {
+      suspect(delegate);
+      return false;
     }
     const std::span<const std::byte> msg{reply_buf_.data(),
                                          static_cast<std::size_t>(st.count)};
@@ -159,14 +141,14 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
       mpi::throwTyped(static_cast<std::int32_t>(r.value), text);
     }
     if (r.seq == seq) {
-      take(msg);
+      *out = r;
       return true;
     }
     stash.emplace_back(msg.begin(), msg.end());
   }
 }
 
-void Channel::suspect(int delegate) { suspected_ |= bit(delegate); }
+void Channel::suspect(int delegate) { setBit(suspected_, delegate); }
 
 // -- Open ---------------------------------------------------------------------
 
@@ -213,7 +195,7 @@ std::int64_t Channel::postPut(std::uint64_t key,
       cursor += len;
     }
   }
-  op.deferred = (suspected_ & bit(op.owner)) != 0;
+  op.deferred = testBit(suspected_, op.owner);
   const std::int64_t seq = next_seq_++;
   if (!op.deferred) sendOp(op, seq);
   pending_.emplace(seq, std::move(op));
@@ -248,7 +230,7 @@ bool Channel::finishPut(std::int64_t seq) {
   TCIO_CHECK(it != pending_.end());
   PendingOp op = std::move(it->second);
   pending_.erase(it);
-  if (op.deferred || (suspected_ & bit(op.owner)) != 0) {
+  if (op.deferred || testBit(suspected_, op.owner)) {
     op.deferred = true;
     deferred_.push_back(std::move(op));
     return false;
@@ -315,7 +297,7 @@ std::int64_t Channel::postGet(std::uint64_t key,
   op.owner = s_->ownerOfSegment(extents.front().seg);
   op.payload_bytes = payload_bytes;
   op.extents = std::move(extents);
-  TCIO_CHECK_MSG((suspected_ & bit(op.owner)) == 0,
+  TCIO_CHECK_MSG(!testBit(suspected_, op.owner),
                  "reading from a crashed delegate is not supported — "
                  "resolve failures (flush) before reading");
   const std::int64_t seq = next_seq_++;
@@ -375,7 +357,7 @@ void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
 void Channel::flushDelegates(std::uint64_t key) {
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
-    if ((suspected_ & bit(d)) != 0) continue;
+    if (testBit(suspected_, d)) continue;
     const RequestHeader h =
         requestHeader(Op::kFlush, comm_->rank(), next_seq_++, key);
     sendDescriptor(d, h, {});
@@ -391,7 +373,7 @@ void Channel::flushDelegates(std::uint64_t key) {
 Bytes Channel::closeFile(std::uint64_t key) {
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
-    if ((suspected_ & bit(d)) != 0) continue;
+    if (testBit(suspected_, d)) continue;
     const RequestHeader h =
         requestHeader(Op::kClose, comm_->rank(), next_seq_++, key);
     sendDescriptor(d, h, {});
@@ -413,29 +395,30 @@ void Channel::resolveFailures() {
   if (!s_->crashEnabled()) return;
   mpi::Comm& cc = s_->clientComm();
   for (;;) {
-    std::uint64_t sus = suspected_;
-    cc.allreduce(&sus, 1, mpi::ReduceOp::kBitOr);
-    const std::uint64_t fresh = sus & ~agreed_dead_;
-    if (fresh == 0) break;
-    agreed_dead_ |= fresh;
-    suspected_ |= fresh;
+    std::vector<std::uint64_t> sus = suspected_;
+    cc.allreduce(sus.data(), static_cast<std::int64_t>(sus.size()),
+                 mpi::ReduceOp::kBitOr);
+    // The verdict: agreed suspects not yet dead, every one marked dead
+    // before any adopter is computed.
+    std::vector<WireExtent> dead_list;
     for (int d = 0; d < s_->numDelegates(); ++d) {
-      if ((fresh & bit(d)) != 0) s_->markDead(d);
+      if (testBit(sus, d) && !s_->isDead(d)) dead_list.push_back({d, 0, 0});
+    }
+    if (dead_list.empty()) break;
+    for (const WireExtent& e : dead_list) {
+      setBit(suspected_, e.seg);
+      s_->markDead(static_cast<int>(e.seg));
     }
     if (cc.rank() == 0) {
       // Tell every delegate the verdict — the dead list rides in the extent
       // slots. Suspects get it too (a falsely-suspected delegate must
       // self-fence); only confirmed-live delegates owe a kAdoptDone.
-      std::vector<WireExtent> dead_list;
-      for (int d = 0; d < s_->numDelegates(); ++d) {
-        if ((fresh & bit(d)) != 0) dead_list.push_back({d, 0, 0});
-      }
       std::vector<std::pair<int, std::int64_t>> outstanding;
       for (int d = 0; d < s_->numDelegates(); ++d) {
         RequestHeader h = requestHeader(Op::kAdopt, comm_->rank(), next_seq_++);
         h.n_extents = static_cast<std::int32_t>(dead_list.size());
         sendDescriptor(d, h, dead_list);
-        if ((agreed_dead_ & bit(d)) == 0) outstanding.emplace_back(d, h.seq);
+        if (!s_->isDead(d)) outstanding.emplace_back(d, h.seq);
       }
       for (const auto& [d, seq] : outstanding) {
         ReplyMsg r;
@@ -464,12 +447,7 @@ void Channel::resubmitDeferred() {
 
 DFile::DFile(Channel& ch, std::string name, unsigned flags)
     : ch_(&ch), s_(&ch.session()), name_(std::move(name)),
-      key_(fileKey(name_)),
-      forwarding_(s_->config().node_aggregation) {
-  if (forwarding_) {
-    node_comm_ = std::make_unique<mpi::Comm>(
-        s_->clientComm().splitByNode(/*key=*/0));
-  }
+      key_(fileKey(name_)) {
   ch_->open(name_, flags);
 }
 
@@ -480,32 +458,14 @@ void DFile::writeAt(Offset off, std::span<const std::byte> data) {
   forEachSegmentPiece(
       off, data.size(), s_->config().segment_size,
       [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
-        putSpan(g, in_seg, data.subspan(done, static_cast<std::size_t>(take)));
+        const auto bytes = data.subspan(done, static_cast<std::size_t>(take));
+        ch_->put(key_, {{g, in_seg, in_seg + take}},
+                 {bytes.begin(), bytes.end()});
       });
-}
-
-void DFile::putSpan(SegmentId g, Offset begin_in_seg,
-                    std::span<const std::byte> bytes) {
-  const Offset end_in_seg = begin_in_seg + static_cast<Bytes>(bytes.size());
-  if (forwarding_) {
-    StagedSeg& ss = staged_[g];
-    if (ss.data.empty()) {
-      ss.data.assign(static_cast<std::size_t>(s_->config().segment_size),
-                     std::byte{0});
-    }
-    std::memcpy(ss.data.data() + begin_in_seg, bytes.data(), bytes.size());
-    ss.extents.push_back({begin_in_seg, end_in_seg});
-    return;
-  }
-  ch_->put(key_, {{g, begin_in_seg, end_in_seg}},
-           {bytes.begin(), bytes.end()});
 }
 
 void DFile::readAt(Offset off, std::span<std::byte> out) {
   TCIO_CHECK(!closed_);
-  TCIO_CHECK_MSG(staged_.empty(),
-                 "forwarding mode: flush() before readAt — staged writes "
-                 "are not visible to the delegates yet");
   forEachSegmentPiece(
       off, out.size(), s_->config().segment_size,
       [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
@@ -515,87 +475,9 @@ void DFile::readAt(Offset off, std::span<std::byte> out) {
 
 void DFile::flush() {
   TCIO_CHECK(!closed_);
-  if (forwarding_) {
-    funnelToLeader();
-    return;
-  }
   ch_->resolveFailures();
   ch_->flushDelegates(key_);
   ch_->resolveFailures();
-}
-
-void DFile::funnelToLeader() {
-  mpi::Comm& node = *node_comm_;
-  const Bytes seg_size = s_->config().segment_size;
-  const bool integrity_on = core::integrityEnabled(s_->config());
-  // One message per merged run: [seg][begin][end][crc][payload]; seg -1 ends
-  // the stream (crc is 0 with integrity off). The leader overlays peers' runs
-  // onto its own staging and then submits one coalesced put stream per
-  // segment.
-  if (node.rank() != 0) {
-    for (auto& [g, ss] : staged_) {
-      for (const Extent& run : mpi::normalizeOverlapping(ss.extents)) {
-        std::vector<std::byte> msg(4 * sizeof(std::int64_t) +
-                                   static_cast<std::size_t>(run.size()));
-        const std::int64_t head[4] = {
-            g, run.begin, run.end,
-            integrity_on
-                ? crc32({ss.data.data() + run.begin,
-                         static_cast<std::size_t>(run.size())})
-                : 0};
-        std::memcpy(msg.data(), head, sizeof(head));
-        std::memcpy(msg.data() + sizeof(head), ss.data.data() + run.begin,
-                    static_cast<std::size_t>(run.size()));
-        node.send(msg.data(), static_cast<Bytes>(msg.size()), 0, kFunnelTag);
-      }
-    }
-    const std::int64_t fin[4] = {-1, 0, 0, 0};
-    node.send(fin, sizeof(fin), 0, kFunnelTag);
-    staged_.clear();
-  } else {
-    std::vector<std::byte> buf(4 * sizeof(std::int64_t) +
-                               static_cast<std::size_t>(seg_size));
-    for (int peer = 1; peer < node.size(); ++peer) {
-      for (;;) {
-        const mpi::RecvStatus st = node.recv(
-            buf.data(), static_cast<Bytes>(buf.size()), peer, kFunnelTag);
-        std::int64_t head[4];
-        std::memcpy(head, buf.data(), sizeof(head));
-        if (head[0] < 0) break;
-        StagedSeg& ss = staged_[head[0]];
-        if (ss.data.empty()) {
-          ss.data.assign(static_cast<std::size_t>(seg_size), std::byte{0});
-        }
-        const Bytes len = head[2] - head[1];
-        TCIO_CHECK(st.count == static_cast<Bytes>(sizeof(head)) + len);
-        // Intra-node crossing: the funnel hop is verified before the run is
-        // overlaid. A mismatch has no repair source once the peer's staging
-        // is cleared, so it surfaces — silent propagation is the one wrong
-        // move (DESIGN.md §11).
-        if (integrity_on &&
-            crc32({buf.data() + sizeof(head),
-                   static_cast<std::size_t>(len)}) !=
-                static_cast<std::uint32_t>(head[3])) {
-          throw IntegrityError("node-funnel run failed its CRC at the leader");
-        }
-        std::memcpy(ss.data.data() + head[1], buf.data() + sizeof(head),
-                    static_cast<std::size_t>(len));
-        ss.extents.push_back({head[1], head[2]});
-      }
-    }
-    for (auto& [g, ss] : staged_) {
-      std::vector<WireExtent> extents;
-      std::vector<std::byte> payload;
-      for (const Extent& run : mpi::normalizeOverlapping(ss.extents)) {
-        extents.push_back({g, run.begin, run.end});
-        payload.insert(payload.end(), ss.data.begin() + run.begin,
-                       ss.data.begin() + run.end);
-      }
-      ch_->put(key_, std::move(extents), std::move(payload));
-    }
-    staged_.clear();
-  }
-  node.barrier();
 }
 
 Bytes DFile::close() {

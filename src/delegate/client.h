@@ -4,16 +4,14 @@
 // descriptors, moves payload through the staging windows, retries kBusy
 // rejections with simulated-time backoff, and — in crash mode — turns reply
 // timeouts into the suspicion/agreement/adoption protocol. `DFile` layers
-// the byte-offset file API on top: it splits accesses on segment boundaries,
-// routes each piece to its shard owner, and (in node-forwarding mode) stages
-// writes locally so the node leader can funnel them to the delegates in one
-// coalesced burst per segment.
+// the byte-offset file API on top: it splits accesses on segment boundaries
+// and sends each piece straight to its shard owner. Intra-node aggregation is
+// core::File's (src/topo/); a delegate client has one write path.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,7 +71,7 @@ class Channel {
   // -- Crash protocol ---------------------------------------------------------
 
   /// Collective over clientComm: agree on the suspected-dead set (kBitOr of
-  /// suspicion bitmaps), drive shard adoption on the survivors, resubmit
+  /// the suspicion words), drive shard adoption on the survivors, resubmit
   /// every deferred put to the new owners, and repeat until a round adds no
   /// new deaths. No-op outside crash mode.
   void resolveFailures();
@@ -100,8 +98,7 @@ class Channel {
   /// replies. Returns false on a liveness timeout (crash mode only), after
   /// marking the delegate suspected. A kError reply for `seq` rethrows
   /// typed.
-  bool awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
-                  std::vector<std::byte>* extra = nullptr);
+  bool awaitReply(int delegate, std::int64_t seq, ReplyMsg* out);
   /// Admission loop: resends the descriptor after each kBusy with
   /// exponential simulated-time backoff until kAccepted (or a timeout).
   bool awaitAdmission(PendingOp& op, std::int64_t seq, std::int64_t* frame);
@@ -119,8 +116,9 @@ class Channel {
   std::map<int, std::deque<std::vector<std::byte>>> stash_;
   /// Every reply is received here; awaitReply copies out what it keeps.
   mpi::RawBytes reply_buf_;
-  std::uint64_t suspected_ = 0;  // local suspicion bitmap (bit d)
-  std::uint64_t agreed_dead_ = 0;
+  /// Local suspicion bitmap over the delegates (common/bits.h). The agreed
+  /// dead set is the Session's: resolveFailures marks it.
+  std::vector<std::uint64_t> suspected_;
   RetryPolicy busy_policy_;
 };
 
@@ -130,17 +128,12 @@ class DFile {
  public:
   DFile(Channel& ch, std::string name, unsigned flags);
 
-  /// Writes [off, off+data.size()). Direct mode sends one put per touched
-  /// segment; node-forwarding mode stages locally until flush/close.
+  /// Writes [off, off+data.size()): one put per touched segment.
   void writeAt(Offset off, std::span<const std::byte> data);
-  /// Reads [off, off+out.size()) from the shard owners (flushes local
-  /// staging first in forwarding mode).
+  /// Reads [off, off+out.size()) from the shard owners.
   void readAt(Offset off, std::span<std::byte> out);
 
-  /// Forwarding mode: funnels the staged segments to the node leader, which
-  /// coalesces them and submits to the delegates. Collective over the node.
-  /// Direct mode: a per-delegate queue barrier (plus failure resolution in
-  /// crash mode).
+  /// A per-delegate queue barrier (plus failure resolution in crash mode).
   void flush();
 
   /// Collective over the session's clients. Drains every shard, closes the
@@ -150,22 +143,10 @@ class DFile {
   const std::string& name() const { return name_; }
 
  private:
-  struct StagedSeg {
-    std::vector<std::byte> data;
-    std::vector<Extent> extents;
-  };
-
-  void putSpan(SegmentId g, Offset begin_in_seg,
-               std::span<const std::byte> bytes);
-  void funnelToLeader();
-
   Channel* ch_;
   Session* s_;
   std::string name_;
   std::uint64_t key_;
-  bool forwarding_;
-  std::unique_ptr<mpi::Comm> node_comm_;  // forwarding mode only
-  std::map<SegmentId, StagedSeg> staged_;
   Bytes local_max_ = 0;
   bool closed_ = false;
 };

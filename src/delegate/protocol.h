@@ -26,8 +26,6 @@ namespace tcio::delegate {
 inline constexpr int kReqTag = 7601;
 /// Delegate -> client replies.
 inline constexpr int kRepTag = 7602;
-/// Client -> node-leader staged-write funnel (forwarding mode).
-inline constexpr int kFunnelTag = 7603;
 
 enum class Op : std::int32_t {
   kOpen = 1,   // open `name` at this delegate (aux = fs::OpenFlags)

@@ -15,7 +15,8 @@ int Session::effectiveDelegates(const core::TcioConfig& cfg, int comm_size) {
   std::int64_t d = cfg.delegate_ranks > 0
                        ? cfg.delegate_ranks
                        : envInt64("TCIO_DELEGATES", 0);
-  const std::int64_t cap = std::min<std::int64_t>(64, comm_size - 1);
+  const std::int64_t cap = std::min<std::int64_t>(kMaxWireExtents,
+                                                  comm_size - 1);
   return static_cast<int>(std::clamp<std::int64_t>(d, 0, cap));
 }
 
@@ -25,10 +26,6 @@ Session::Session(mpi::Comm& comm, fs::Filesystem& fsys, core::TcioConfig cfg)
   TCIO_CHECK_MSG(num_delegates_ > 0,
                  "delegate::Session needs delegate_ranks > 0 (or "
                  "TCIO_DELEGATES) and at least one client rank");
-  TCIO_CHECK_MSG(!(cfg_.crash.enabled && cfg_.node_aggregation),
-                 "delegate mode: node-forwarding and crash tolerance cannot "
-                 "be combined (forwarded puts are attributed to the leader, "
-                 "so clients cannot resubmit them after a delegate death)");
   dead_.assign(static_cast<std::size_t>(num_delegates_), false);
   // Both collectives below must run on every session rank in this order.
   role_comm_ = std::make_unique<mpi::Comm>(
@@ -71,6 +68,17 @@ std::vector<int> Session::liveDelegates() const {
   return live;
 }
 
+bool Session::recvReply(void* buf, Bytes capacity, int delegate,
+                        mpi::RecvStatus* st) {
+  if (!crashEnabled()) {
+    *st = comm_->recv(buf, capacity, delegate, kRepTag);
+    return true;
+  }
+  return comm_->recvUntil(buf, capacity, delegate, kRepTag,
+                          comm_->proc().now() + cfg_.crash.liveness_window,
+                          core::kLivenessPoll, st);
+}
+
 void Session::serve() {
   TCIO_CHECK(isDelegate());
   Server server(*this);
@@ -95,18 +103,7 @@ const core::TcioDelegateStats& Session::finish() {
       const RequestHeader h = requestHeader(Op::kShutdown, comm_->rank());
       comm_->send(&h, sizeof(h), d, kReqTag);
       mpi::RecvStatus st;
-      bool got;
-      if (crashEnabled()) {
-        got = comm_->recvUntil(buf.data(), static_cast<Bytes>(buf.size()), d,
-                               kRepTag,
-                               comm_->proc().now() + cfg_.crash.liveness_window,
-                               core::kLivenessPoll, &st);
-      } else {
-        st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), d,
-                         kRepTag);
-        got = true;
-      }
-      if (!got) {
+      if (!recvReply(buf.data(), static_cast<Bytes>(buf.size()), d, &st)) {
         markDead(d);
         continue;
       }

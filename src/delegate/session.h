@@ -30,9 +30,10 @@ class Session {
  public:
   /// Delegate count a config resolves to on a `comm_size`-rank session:
   /// `cfg.delegate_ranks` when positive, else the TCIO_DELEGATES environment
-  /// variable, clamped to [0, min(64, comm_size - 1)] (the dead-set bitmap
-  /// is one word, and at least one client must remain). A negative config
-  /// value disables delegates even when the environment sets them.
+  /// variable, clamped to [0, min(kMaxWireExtents, comm_size - 1)] (the
+  /// kAdopt verdict lists the dead delegates in one descriptor, and at least
+  /// one client must remain). A negative config value disables delegates
+  /// even when the environment sets them.
   static int effectiveDelegates(const core::TcioConfig& cfg, int comm_size);
 
   /// Collective over `comm`: splits roles and creates the staging window
@@ -75,6 +76,12 @@ class Session {
   bool isDead(int d) const { return dead_[static_cast<std::size_t>(d)]; }
   void markDead(int d) { dead_[static_cast<std::size_t>(d)] = true; }
   std::vector<int> liveDelegates() const;
+
+  /// Receives one reply from `delegate` into `buf` (session communicator,
+  /// kRepTag). In crash mode the wait is bounded by the liveness window and
+  /// a timeout returns false; otherwise it blocks until the reply arrives.
+  bool recvReply(void* buf, Bytes capacity, int delegate,
+                 mpi::RecvStatus* st);
 
   // -- Role bodies ------------------------------------------------------------
 

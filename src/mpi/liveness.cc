@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bits.h"
 #include "common/error.h"
 #include "mpi/world.h"
 
@@ -34,14 +35,6 @@ struct VerdictHeader {
   char what[160] = {};
 };
 
-void setBit(std::vector<std::uint64_t>& bits, Rank r) {
-  bits[static_cast<std::size_t>(r) >> 6] |= std::uint64_t{1} << (r & 63);
-}
-
-bool testBit(const std::vector<std::uint64_t>& bits, Rank r) {
-  return ((bits[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1) != 0;
-}
-
 }  // namespace
 
 std::vector<Rank> LivenessOutcome::survivors(int comm_size) const {
@@ -64,7 +57,7 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
   const Rank me = comm.rank();
   TCIO_CHECK_MSG(window > 0 && poll > 0, "liveness window/poll must be > 0");
   /// Suspicion bitmap width in 64-bit words (any communicator size).
-  const std::size_t kWords = static_cast<std::size_t>(P + 63) / 64;
+  const std::size_t kWords = bitWords(P);
 
   LivenessOutcome out;
   out.code = local.code;

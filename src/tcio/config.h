@@ -44,7 +44,8 @@ struct TcioConfig {
   /// leaders, so the NIC carries one coalesced epoch per (source node,
   /// destination node) instead of one per (rank, destination rank). Requires
   /// use_onesided && lazy_reads && !auto_fetch_on_segment_exit, because
-  /// staged data is only exchanged at collective calls.
+  /// staged data is only exchanged at collective calls. core::File only:
+  /// delegate::DFile sends every piece straight to its shard owner.
   bool node_aggregation = false;
 
   // -- I/O delegate ranks (src/delegate/, DESIGN.md §10) ---------------------

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 
+#include "common/bits.h"
 #include "tcio/file_internal.h"
 
 namespace tcio::core {
@@ -223,19 +224,14 @@ void File::collectiveFetch() {
   // communicator's domain even after a crash shrink).
   const std::int64_t total_segs =
       cfg_.segments_per_rank * static_cast<std::int64_t>(orig_size_);
-  std::vector<std::uint64_t> bitmap(
-      static_cast<std::size_t>((total_segs + 63) / 64), 0);
+  std::vector<std::uint64_t> bitmap(bitWords(total_segs), 0);
   for (const PendingRead& r : pending_reads_) {
     // A pending piece never crosses a segment boundary (recordRead splits).
-    const SegmentId g = map_.segmentOf(r.off);
-    bitmap[static_cast<std::size_t>(g / 64)] |= 1ULL << (g % 64);
+    setBit(bitmap, map_.segmentOf(r.off));
   }
   comm_->allreduce(bitmap.data(), static_cast<std::int64_t>(bitmap.size()),
                    mpi::ReduceOp::kBitOr);
-  const auto needed = [&](SegmentId g) {
-    const std::uint64_t word = bitmap[static_cast<std::size_t>(g / 64)];
-    return (word & (1ULL << (g % 64))) != 0;
-  };
+  const auto needed = [&](SegmentId g) { return testBit(bitmap, g); };
   // Owners load their needed, non-resident segments with large file reads.
   // The loads are purely local, so capture any FS failure and agree after
   // the existing barrier (an aligned point for every rank).

@@ -214,7 +214,9 @@ TEST(DelegateSessionTest, EnvVariableSelectsDelegates) {
   ::setenv("TCIO_DELEGATES", "2", 1);
   EXPECT_EQ(Session::effectiveDelegates(cfg, 8), 2);
   ::setenv("TCIO_DELEGATES", "99", 1);
-  EXPECT_EQ(Session::effectiveDelegates(cfg, 128), 64);  // bitmap cap
+  EXPECT_EQ(Session::effectiveDelegates(cfg, 128), 99);  // no bitmap cap
+  ::setenv("TCIO_DELEGATES", "5000", 1);
+  EXPECT_EQ(Session::effectiveDelegates(cfg, 8192), kMaxWireExtents);
   ::unsetenv("TCIO_DELEGATES");
   EXPECT_EQ(Session::effectiveDelegates(cfg, 8), 0);
   if (!saved.empty()) ::setenv("TCIO_DELEGATES", saved.c_str(), 1);
@@ -441,6 +443,52 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CrashCase>& info) {
       return info.param.name;
     });
+
+TEST(DelegateCrashTest, VictimPastTheFirstSuspicionWord) {
+  // 65 delegates: the victim's suspicion bit is bit 0 of the second word,
+  // and its adopter wraps around to delegate 0. Every piece lands on the
+  // victim's shard (segments 64 + 65k), so some are journaled before the
+  // death and the rest are resubmitted to the adopter.
+  fs::Filesystem fsys(fsCfg());
+  core::TcioDelegateStats stats;
+  constexpr int kDelegates = 65;
+  constexpr int kClients = 5;
+  constexpr int kVictim = 64;
+  constexpr int kBlocks = 4;
+  constexpr Bytes kPiece = 64;
+  const auto offsetOf = [](int c, int b) {
+    return (kVictim + static_cast<Offset>(kDelegates) * b) * kSegment +
+           static_cast<Offset>(c) * kPiece;
+  };
+  mpi::runJob(job(kDelegates + kClients, /*seed=*/11), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegated(kDelegates);
+    cfg.crash.enabled = true;
+    cfg.crash.journal = true;
+    cfg.crash.liveness_window = 0.25;
+    cfg.faults.seed = 11;
+    cfg.faults.crashes.push_back({kVictim, CrashPoint::kMidJournal, 3});
+    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      EXPECT_EQ(s.numDelegates(), kDelegates);
+      const int c = s.clientComm().rank();
+      DFile f(ch, "wrap.dat", fs::kWrite | fs::kCreate);
+      for (int b = 0; b < kBlocks; ++b) {
+        f.writeAt(offsetOf(c, b), clientBlock(c, offsetOf(c, b), kPiece));
+      }
+      EXPECT_EQ(f.close(), offsetOf(kClients - 1, kBlocks - 1) + kPiece);
+    }, &stats);
+  });
+  EXPECT_EQ(stats.delegates_crashed, 1);
+  EXPECT_EQ(stats.shards_adopted, 1);
+  EXPECT_GT(stats.journal_records_replayed, 0);
+  EXPECT_GT(stats.deferred_resubmissions, 0);
+  for (int c = 0; c < kClients; ++c) {
+    for (int b = 0; b < kBlocks; ++b) {
+      EXPECT_EQ(peekBytes(fsys, "wrap.dat", offsetOf(c, b), kPiece),
+                clientBlock(c, offsetOf(c, b), kPiece))
+          << "lost bytes at client " << c << " block " << b;
+    }
+  }
+}
 
 TEST(DelegateCrashTest, AdjacentDoubleDeathAdoptsBothShards) {
   // Delegates 0 and 1 both die during the put phase, so one agreement round
@@ -691,37 +739,6 @@ TEST(DelegateChurnTest, EnvironmentDrivenDelegateChurn) {
   ::unsetenv("TCIO_DELEGATES");
   const std::map<int, std::int64_t> ops = fsys.opsByClient();
   for (const auto& [rank, n] : ops) EXPECT_LT(rank, 2);
-}
-
-// -- Node-aggregation forwarding -----------------------------------------------
-
-TEST(DelegateForwardingTest, NodeLeadersFunnelStagedWrites) {
-  fs::Filesystem fsys(fsCfg());
-  core::TcioDelegateStats stats;
-  mpi::runJob([&] {
-    mpi::JobConfig c = job(6);
-    c.net.ranks_per_node = 2;
-    return c;
-  }(), [&](mpi::Comm& comm) {
-    core::TcioConfig cfg = delegated(/*d=*/2);
-    cfg.node_aggregation = true;
-    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
-      const int c = s.clientComm().rank();
-      DFile f(ch, "funnel.dat", fs::kWrite | fs::kCreate);
-      const Offset off = static_cast<Offset>(c) * kSegment;
-      f.writeAt(off, clientBlock(c, off, kSegment));
-      f.flush();  // node leaders funnel and submit
-      EXPECT_EQ(f.close(), static_cast<Bytes>(s.numClients()) * kSegment);
-    }, &stats);
-  });
-  // Only the node leaders submitted puts, so the delegates saw fewer
-  // clients than the session has.
-  EXPECT_GT(stats.submissions, 0);
-  for (int c = 0; c < 4; ++c) {
-    const Offset off = static_cast<Offset>(c) * kSegment;
-    EXPECT_EQ(peekBytes(fsys, "funnel.dat", off, kSegment),
-              clientBlock(c, off, kSegment));
-  }
 }
 
 }  // namespace

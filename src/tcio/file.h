@@ -428,10 +428,10 @@ class File {
   /// time, before any hop can corrupt them), coalescing contiguous or
   /// constant-stride neighbours into runs.
   void digestLevel1(SegmentId seg, const std::vector<Extent>& extents);
-  /// Collective: moves every rank's pending digests to the segment owners —
-  /// routed point-to-point under static ownership, broadcast in crash mode
-  /// (takeovers change ownership under the writers' feet). Aligned with the
-  /// flush / fetch / close exchanges, so it works in every transfer mode.
+  /// Collective: routes every rank's pending digests to the segments'
+  /// current owners (crash takeovers included — every call follows the
+  /// liveness agreement). Aligned with the flush / fetch / close exchanges,
+  /// so it works in every transfer mode.
   void exchangeDigests();
   /// Runs the ledger gate (verifyOrRepair) over owned slot `slot`, holding
   /// segment `g`, when the slot is resident; repairs replay every rank's

@@ -216,9 +216,9 @@ void File::collectiveFetch() {
   if (cfg_.crash.enabled) agreeLevel1Flush();
   exchangeWrites();
   // Every writer's pending digests reach the segment owners before any data
-  // is served below (an allgatherv — collectively aligned: integrity is
-  // uniform across ranks, and in crash mode the agreement above already
-  // shrank the communicator around any dead peers).
+  // is served below (one routed exchange — collectively aligned: integrity
+  // is uniform across ranks, and in crash mode the agreement above already
+  // shrank the communicator around any dead peers and settled the owners).
   exchangeDigests();
   // Union of needed segments across ranks (segment ids span the original
   // communicator's domain even after a crash shrink).

@@ -38,31 +38,9 @@ void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
 
 void File::exchangeDigests() {
   if (!integrity_on_) return;
-  if (cfg_.crash.enabled) {
-    // Crash mode ships every rank's pending digests to every rank; each
-    // keeps the records for segments it owns. The broadcast survives crash
-    // takeovers, where ownership just changed under the writers' feet —
-    // whoever ends up owning a segment has its records.
-    static const std::byte dummy{};
-    const void* mine = pending_digests_.empty()
-                           ? static_cast<const void*>(&dummy)
-                           : static_cast<const void*>(pending_digests_.data());
-    std::vector<std::vector<std::byte>> all;
-    comm_->allgatherv(
-        mine,
-        static_cast<Bytes>(pending_digests_.size() * sizeof(DigestRec)), all);
-    pending_digests_.clear();
-    for (const auto& blob : all) {
-      for (std::size_t at = 0; at + sizeof(DigestRec) <= blob.size();
-           at += sizeof(DigestRec)) {
-        DigestRec r{};
-        std::memcpy(&r, blob.data() + at, sizeof(DigestRec));
-        if (ownerOf(r.seg) == orig_rank_) ledger_[r.seg].insert(r.run());
-      }
-    }
-    return;
-  }
-  // Static ownership: route every record straight to its segment's owner.
+  // Route every record straight to its segment's current owner. In crash
+  // mode every call runs after the liveness agreement that settles orphans_,
+  // so ownerOf() already names whoever adopted a dead rank's segments.
   // Fine-grained workloads produce one record per tiny strided extent, so a
   // broadcast would put P copies of an already metadata-heavy stream on the
   // NIC — the routed exchange is what keeps the integrity tax inside the

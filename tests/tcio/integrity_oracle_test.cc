@@ -214,9 +214,9 @@ TEST(IntegrityOracleTest, NodeAggregation) {
 TEST(IntegrityOracleTest, CrashReplayRebuildsLedgers) {
   expectFigures(runOracleJob(Mode::kCrashReplay),
                 {210, 20, 50, 26, 832, 4,
-                 {0x1.30ab255c162d5p-1, 0x1.308a60c0704ap-1,
-                  0x1.90855c9458dadp-7, 0x1.3027fba4147c5p-1,
-                  0x1.3048c03fba5fap-1, 0x1.30cbd2ae51edp-1},
+                 {0x1.2d95ada6c39a3p-1, 0x1.2d74e90b1db6ep-1,
+                  0x1.90855c9458dadp-7, 0x1.2d1283eec1e93p-1,
+                  0x1.2d33488a67cc8p-1, 0x1.2db65af8ff59ep-1},
                  0xd025b042u});
 }
 

@@ -28,8 +28,6 @@ class Table {
   /// Renders the table to `os`.
   void print(std::ostream& os) const;
 
-  const std::string& title() const { return title_; }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

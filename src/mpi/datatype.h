@@ -32,7 +32,6 @@ class Datatype {
   static Datatype int16() { return basic(2, "int16"); }
   static Datatype int32() { return basic(4, "int32"); }
   static Datatype int64() { return basic(8, "int64"); }
-  static Datatype float32() { return basic(4, "float32"); }
   static Datatype float64() { return basic(8, "float64"); }
 
   // -- Constructors mirroring MPI_Type_* ------------------------------------

@@ -2,9 +2,10 @@
 # Correctness-checking CI tier: clang-tidy static analysis over src/ plus the
 # full test suite with the runtime checker attached (TCIO_CHECK=1, see
 # src/check/ and DESIGN.md §9), with the integrity pipeline forced on
-# (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), and on a Release
-# build. The clang-tidy pass is STRICT — findings fail the job — when the
-# pinned major version (TCIO_TIDY_VERSION) is what runs: check sets drift
+# (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), with the chaos soak's
+# integrity faults armed (TCIO_CHAOS_INTEGRITY=1), and on a Release build.
+# The clang-tidy pass is STRICT — findings fail the job — when the pinned
+# major version (TCIO_TIDY_VERSION) is what runs: check sets drift
 # across majors, so only the pinned toolchain's verdict is authoritative. A
 # runner with a different clang-tidy runs it advisory; a runner with none
 # skips the pass (the runtime tier below is always the gate).
@@ -151,6 +152,12 @@ TCIO_INTEGRITY=1 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 echo "== test suite under TCIO_INTEGRITY=1, TCIO_DELEGATES=2 =="
 TCIO_INTEGRITY=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
   --output-on-failure -j "$(nproc)"
+
+# The seeded chaos soak with the integrity pipeline armed: its drawn plans
+# cascade crashes under silent bit-flips, the one place the crash-mode digest
+# exchange meets takeovers. The full-suite legs above run it disarmed.
+echo "== chaos suite under TCIO_CHAOS_INTEGRITY=1 =="
+TCIO_CHAOS_INTEGRITY=1 ctest --test-dir "$BUILD" --output-on-failure -R Chaos
 
 # -- Release build ------------------------------------------------------------
 # The optimized build warns differently from the default RelWithDebInfo one

@@ -5,8 +5,8 @@
 // rejections with simulated-time backoff, and — in crash mode — turns reply
 // timeouts into the suspicion/agreement/adoption protocol. `DFile` layers
 // the byte-offset file API on top: it splits accesses on segment boundaries
-// and sends each piece straight to its shard owner. Intra-node aggregation is
-// core::File's (src/topo/); a delegate client has one write path.
+// and sends each piece straight to its shard owner (intra-node aggregation
+// is core::File's, src/topo/).
 #pragma once
 
 #include <cstdint>

@@ -111,11 +111,14 @@ TCIO_CHECK=1 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # memory with a nonzero pattern: exchange send/receive buffers and the
 # aggregator region buffer are not zero-filled, so a path that reads a byte
 # it never wrote changes a pinned CRC or makespan here instead of reading
-# the zeros a fresh page happens to hold.
+# the zeros a fresh page happens to hold. The TCIO suites that run the
+# two-sided path are here too: its staged [BlockMeta][payload] record stream
+# and its fetch replies arrive in buffers that are not zero-filled either.
 echo "== exchange and collective I/O suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
   -j "$(nproc)" -R \
-  'SizedExchange|PackedSend|Collectives|Mpiio|TwoPhase|ViewBased|CollectiveBuffering|IntegrityOracle'
+  'SizedExchange|PackedSend|Collectives|Mpiio|TwoPhase|ViewBased|CollectiveBuffering|IntegrityOracle|'\
+'TcioFile|TcioSweep|TcioFaultMatrix|TcioCrashMatrix'
 
 # The delegate, liveness and point-to-point suites the same way: a delegate
 # receives every descriptor into one arrival buffer and a client every reply

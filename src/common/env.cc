@@ -12,4 +12,8 @@ std::int64_t envInt64(const char* name, std::int64_t fallback) {
   return (end != nullptr && *end == '\0') ? v : fallback;
 }
 
+bool integrityOn(std::int64_t setting) {
+  return setting > 0 || (setting == 0 && envInt64("TCIO_INTEGRITY", 0) > 0);
+}
+
 }  // namespace tcio

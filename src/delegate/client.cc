@@ -6,6 +6,7 @@
 
 #include "common/bits.h"
 #include "common/crc32.h"
+#include "common/env.h"
 #include "common/error.h"
 #include "mpi/agreement.h"
 #include "sim/backoff.h"
@@ -71,7 +72,7 @@ void forEachSegmentPiece(Offset off, std::size_t n, Bytes seg_size,
 
 Channel::Channel(Session& session)
     : s_(&session), comm_(&session.comm()),
-      integrity_on_(core::integrityEnabled(session.config())),
+      integrity_on_(integrityOn(session.config().integrity.enabled)),
       reply_buf_(static_cast<std::size_t>(maxReplyBytes())),
       suspected_(bitWords(session.numDelegates()), 0) {
   TCIO_CHECK_MSG(!s_->isDelegate(), "Channel runs on client ranks only");

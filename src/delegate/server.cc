@@ -5,6 +5,7 @@
 
 #include "check/checker.h"
 #include "common/crc32.h"
+#include "common/env.h"
 #include "common/error.h"
 #include "mpi/agreement.h"
 #include "mpi/datatype.h"
@@ -53,7 +54,7 @@ Server::Server(Session& session)
                    "shards are reconstructed exclusively from the WAL");
     crash_plan_ = std::make_unique<CrashPlan>(cfg.faults, me_);
   }
-  integrity_on_ = core::integrityEnabled(cfg);
+  integrity_on_ = integrityOn(cfg.integrity.enabled);
   corruption_ = std::make_unique<CorruptionPlan>(cfg.faults, me_);
   free_frames_.reserve(static_cast<std::size_t>(cfg.delegate.queue_capacity));
   for (std::int64_t i = cfg.delegate.queue_capacity - 1; i >= 0; --i) {

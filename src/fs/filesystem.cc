@@ -30,8 +30,7 @@ Filesystem::Filesystem(FsConfig cfg) : cfg_(cfg), mds_(1.0) {
   TCIO_CHECK(cfg_.default_stripe_count >= 1 &&
              cfg_.default_stripe_count <= cfg_.num_osts);
   TCIO_CHECK(cfg_.page_size > 0);
-  integrity_ = cfg_.integrity > 0 ||
-               (cfg_.integrity == 0 && envInt64("TCIO_INTEGRITY", 0) > 0);
+  integrity_ = integrityOn(cfg_.integrity);
   osts_.reserve(static_cast<std::size_t>(cfg_.num_osts));
   caches_.reserve(static_cast<std::size_t>(cfg_.num_osts));
   for (int i = 0; i < cfg_.num_osts; ++i) {

@@ -7,7 +7,6 @@
 // level-1 buffer is aligned with one level-2 buffer segment").
 #pragma once
 
-#include "common/env.h"
 #include "common/fault.h"
 #include "common/types.h"
 
@@ -127,12 +126,5 @@ struct TcioConfig {
 /// Failure-detector poll quantum inside a liveness window
 /// (CrashToleranceConfig::liveness_window).
 inline constexpr SimTime kLivenessPoll = 2.0e-3;
-
-/// Resolves IntegrityConfig::enabled's tri-state against TCIO_INTEGRITY.
-inline bool integrityEnabled(const TcioConfig& cfg) {
-  if (cfg.integrity.enabled > 0) return true;
-  if (cfg.integrity.enabled < 0) return false;
-  return envInt64("TCIO_INTEGRITY", 0) > 0;
-}
 
 }  // namespace tcio::core

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/env.h"
 #include "tcio/file_internal.h"
 
 namespace tcio::core {
@@ -65,7 +66,7 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   // End-to-end integrity: resolve the tri-state once (config and environment
   // are identical on every rank, so the decision is collectively uniform)
   // and arm the silent-corruption injector.
-  integrity_on_ = integrityEnabled(cfg_);
+  integrity_on_ = integrityOn(cfg_.integrity.enabled);
   corruption_ = std::make_unique<CorruptionPlan>(cfg_.faults, orig_rank_);
   // The per-rank write-ahead journal: crash recovery replays it, and with
   // integrity on it is the repair source for window corruption the scrubber

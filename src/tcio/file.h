@@ -275,6 +275,9 @@ class File {
   /// One-sided gets for pending reads, grouped per owner (assumes segments
   /// are resident in level-2).
   void gatherPending(std::vector<PendingRead>& reads);
+  /// Two-sided gather (collective): requests travel to the owners, which
+  /// answer from their local windows (same residency assumption).
+  void twoSidedGather(std::vector<PendingRead>& reads);
 
   /// Collective: runs the staged exchange (node-aggregated or two-sided)
   /// when this configuration stages writes; false on the one-sided path.
@@ -349,6 +352,9 @@ class File {
   /// segments this rank adopted.
   void handleDeaths(const std::vector<Rank>& dead_cur);
 
+  /// Reads and parses every original rank's journal, in rank order (costed
+  /// reads): the replay source of crash recovery and integrity repair.
+  std::vector<Journal::Parsed> readAllJournals();
   /// Replays every original rank's journal for the adopted segments:
   /// into spare window slots before the drain, directly into the file (whole
   /// reconstructed segments, matching healthy drain semantics) after it.
@@ -476,8 +482,9 @@ class File {
   /// large fetch does not allocate and fault in a fresh array each time.
   std::vector<mpi::Window::GetBlock> gather_blocks_;
   SegmentId pending_segment_ = -1;  // lazy-read segment group
-  /// Two-sided ablation staging: (absolute offset, bytes).
-  std::vector<std::pair<Offset, std::vector<std::byte>>> staged_;
+  /// Staged writes (two-sided and node-aggregated paths): one
+  /// [BlockMeta][payload] record per flushed extent, at its file offset.
+  std::vector<std::byte> staged_;
   Bytes staged_bytes_ = 0;
   Offset pointer_ = 0;
   Bytes local_max_written_ = 0;

@@ -10,6 +10,33 @@
 #include "tcio/file_internal.h"
 
 namespace tcio::core {
+namespace {
+
+/// Packs a staging log's [BlockMeta][payload] records into one stream per
+/// destination, `dest(off)` naming each record's. With `digest` each
+/// payload's CRC rides in its record, taken here and charged to `proc`.
+template <typename Dest>
+mpi::PackedSend packStaged(std::span<const std::byte> log, std::size_t n,
+                           bool digest, sim::Proc& proc, const Dest& dest) {
+  std::vector<Bytes> counts(n, 0);
+  forEachBlock(log, [&](const BlockMeta& m, const std::byte*) {
+    counts[dest(m.off)] += static_cast<Bytes>(sizeof(m)) + m.len;
+  });
+  mpi::PackedSend out(std::move(counts));
+  forEachBlock(log, [&](BlockMeta m, const std::byte* p) {
+    if (digest) {
+      m.crc = crc32({p, static_cast<std::size_t>(m.len)});
+      m.has_crc = 1;
+      chargeChecksum(proc, m.len);
+    }
+    const std::size_t d = dest(m.off);
+    out.append(d, &m, sizeof(m));
+    out.append(d, p, m.len);
+  });
+  return out;
+}
+
+}  // namespace
 
 void File::flushLevel1() {
   if (level1_.empty()) {
@@ -77,10 +104,10 @@ void File::flushLevel1() {
     // Two-sided ablation / node aggregation: stage locally until the next
     // collective exchange.
     for (const Extent& e : extents) {
-      staged_.emplace_back(
-          map_.baseOf(seg) + e.begin,
-          std::vector<std::byte>(level1_.data() + e.begin,
-                                 level1_.data() + e.end));
+      const BlockMeta m{map_.baseOf(seg) + e.begin, e.size()};
+      appendBytes(staged_, &m, sizeof(m));
+      appendBytes(staged_, level1_.data() + e.begin,
+                  static_cast<std::size_t>(e.size()));
       staged_bytes_ += e.size();
       comm_->memory().allocate(e.size(), "TCIO staged writes");
     }
@@ -205,6 +232,58 @@ void File::gatherPending(std::vector<PendingRead>& reads) {
   }
 }
 
+void File::twoSidedGather(std::vector<PendingRead>& reads) {
+  // Requests travel to each block's owner; replies come back in request
+  // order. The requester sums each owner's reply bytes from its own reads,
+  // so only the request exchange needs a count step.
+  const auto sp = static_cast<std::size_t>(comm_->size());
+  const auto ownerIndex = [&](const PendingRead& r) {
+    return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
+  };
+  std::vector<Bytes> meta_counts(sp, 0), reply_counts(sp, 0);
+  for (const PendingRead& r : reads) {
+    const std::size_t owner = ownerIndex(r);
+    meta_counts[owner] += sizeof(BlockMeta);
+    reply_counts[owner] += r.len;
+  }
+  mpi::PackedSend req_meta(std::move(meta_counts));
+  for (const PendingRead& r : reads) {
+    const BlockMeta m{r.off, r.len};
+    req_meta.append(ownerIndex(r), &m, sizeof(m));
+  }
+  const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
+  // Answer each requester from the local window.
+  const std::byte* local = window_->localData();
+  std::vector<Bytes> serve_counts(sp, 0);
+  for (std::size_t s = 0; s < sp; ++s) {
+    got_meta.forEachRecord<BlockMeta>(
+        s, [&](const BlockMeta& b) { serve_counts[s] += b.len; });
+  }
+  mpi::PackedSend replies(std::move(serve_counts));
+  std::set<SegmentId> served_segs;
+  for (std::size_t s = 0; s < sp; ++s) {
+    got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
+      const SegmentId g = map_.segmentOf(b.off);
+      replies.append(
+          s, local + dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.len);
+      served_segs.insert(g);
+    });
+  }
+  // Requesters routed these reads here because this rank owns them.
+  noteTransfers(served_segs, orig_rank_, "File::twoSidedGather");
+  const mpi::SizedExchange payload =
+      mpi::alltoallvCounted(*comm_, replies, std::move(reply_counts));
+  // Scatter: replies from each owner arrive in my request order.
+  std::vector<Offset> cursor(payload.displs.begin(), payload.displs.end());
+  for (const PendingRead& r : reads) {
+    const std::size_t owner = ownerIndex(r);
+    std::memcpy(r.dst, payload.data.data() + cursor[owner],
+                static_cast<std::size_t>(r.len));
+    cursor[owner] += r.len;
+  }
+  comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
+}
+
 void File::collectiveFetch() {
   ++stats_.collective_fetches;
   maybeCorruptWindow();
@@ -283,52 +362,7 @@ void File::collectiveFetch() {
   } else if (!twoSidedExchange()) {
     gatherPending(pending_reads_);
   } else {
-    // Two-sided reply exchange: ship requests to owners, owners answer from
-    // their local windows.
-    const auto sp = static_cast<std::size_t>(comm_->size());
-    const auto ownerIndex = [&](const PendingRead& r) {
-      return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
-    };
-    std::vector<Bytes> meta_counts(sp, 0);
-    for (const PendingRead& r : pending_reads_) {
-      meta_counts[ownerIndex(r)] += sizeof(BlockMeta);
-    }
-    mpi::PackedSend req_meta(std::move(meta_counts));
-    for (const PendingRead& r : pending_reads_) {
-      const BlockMeta m{r.off, r.len};
-      req_meta.append(ownerIndex(r), &m, sizeof(m));
-    }
-    const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
-    // Answer each requester from the local window.
-    const std::byte* local = window_->localData();
-    std::vector<Bytes> reply_counts(sp, 0);
-    for (std::size_t s = 0; s < sp; ++s) {
-      got_meta.forEachRecord<BlockMeta>(
-          s, [&](const BlockMeta& b) { reply_counts[s] += b.len; });
-    }
-    mpi::PackedSend replies(std::move(reply_counts));
-    std::set<SegmentId> served_segs;
-    for (std::size_t s = 0; s < sp; ++s) {
-      got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
-        const SegmentId g = map_.segmentOf(b.off);
-        replies.append(
-            s, local + dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.len);
-        served_segs.insert(g);
-      });
-    }
-    // Requesters routed these reads here because this rank owns them.
-    noteTransfers(served_segs, orig_rank_,
-                  "File::collectiveFetch(two-sided reply)");
-    const mpi::SizedExchange payload = mpi::sizedAlltoallv(*comm_, replies);
-    // Scatter: replies from each owner arrive in my request order.
-    std::vector<Offset> cursor(payload.displs.begin(), payload.displs.end());
-    for (const PendingRead& r : pending_reads_) {
-      const std::size_t owner = ownerIndex(r);
-      std::memcpy(r.dst, payload.data.data() + cursor[owner],
-                  static_cast<std::size_t>(r.len));
-      cursor[owner] += r.len;
-    }
-    comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
+    twoSidedGather(pending_reads_);
   }
   pending_reads_.clear();
   pending_segment_ = -1;
@@ -372,41 +406,28 @@ void File::agreeLevel1Flush() {
 void File::exchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
-  const auto sp = static_cast<std::size_t>(comm_->size());
-  const auto ownerIndex = [&](Offset off) {
-    return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
-  };
-  std::vector<Bytes> meta_counts(sp, 0), payload_counts(sp, 0);
-  for (const auto& [off, bytes] : staged_) {
-    const std::size_t owner = ownerIndex(off);
-    meta_counts[owner] += sizeof(BlockMeta);
-    payload_counts[owner] += static_cast<Bytes>(bytes.size());
-  }
-  mpi::PackedSend meta(std::move(meta_counts));
-  mpi::PackedSend payload(std::move(payload_counts));
-  for (const auto& [off, bytes] : staged_) {
-    const std::size_t owner = ownerIndex(off);
-    const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
-    meta.append(owner, &m, sizeof(m));
-    payload.append(owner, bytes.data(), static_cast<Bytes>(bytes.size()));
-  }
-  const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, meta);
-  const mpi::SizedExchange got_payload = mpi::sizedAlltoallv(*comm_, payload);
+  // Each owner's records in one stream, shipped by one sized exchange.
+  const mpi::SizedExchange got = mpi::sizedAlltoallv(
+      *comm_, packStaged(staged_, static_cast<std::size_t>(comm_->size()),
+                         integrity_on_, comm_->proc(), [&](Offset off) {
+                           return static_cast<std::size_t>(
+                               curOf(ownerOf(map_.segmentOf(off))));
+                         }));
   // Apply received blocks into the local window. Purely local work: capture
   // and agree (the segment-exchange agreement point) so a corrupt frame on
   // one rank surfaces on all of them instead of desynchronizing the job.
   const mpi::CapturedError err = captureLocal([&] {
     std::byte* local = window_->localData();
     std::set<SegmentId> applied_segs;
-    for (std::size_t s = 0; s < sp; ++s) {
-      const std::byte* from = got_payload.from(s).data();
-      got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
+    Bytes applied = 0;
+    for (std::size_t s = 0; s < got.counts.size(); ++s) {
+      forEachBlock(got.from(s), [&](const BlockMeta& b, const std::byte* p) {
         const SegmentId g = map_.segmentOf(b.off);
         const std::int64_t slot = slotOnOwner(g);
-        checkHop(b, from, comm_->proc(), stats_.integrity);
-        std::memcpy(local + dataDisp(slot, map_.dispOf(b.off)), from,
+        checkHop(b, p, comm_->proc(), stats_.integrity);
+        std::memcpy(local + dataDisp(slot, map_.dispOf(b.off)), p,
                     static_cast<std::size_t>(b.len));
-        from += b.len;
+        applied += b.len;
         local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
         applied_segs.insert(g);
       });
@@ -414,7 +435,7 @@ void File::exchangeStagedWrites() {
     // Peers routed these blocks here because this rank owns the segments.
     noteTransfers(applied_segs, orig_rank_, "File::exchangeStagedWrites",
                   /*dirty=*/true);
-    comm_->chargeCopy(static_cast<Bytes>(got_payload.data.size()));
+    comm_->chargeCopy(applied);
   });
   comm_->memory().release(staged_bytes_);
   staged_.clear();
@@ -425,25 +446,13 @@ void File::exchangeStagedWrites() {
 void File::nodeExchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   ++stats_.node_exchanges;
-  // Stage records addressed to the *node* hosting each block's owner:
-  // [BlockMeta][payload] back to back, counted first, then filled.
-  const auto nodeOf = [&](Offset off) {
-    return static_cast<std::size_t>(
-        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
-  };
-  std::vector<Bytes> node_counts(
-      static_cast<std::size_t>(node_map_->numNodes()), 0);
-  for (const auto& [off, bytes] : staged_) {
-    node_counts[nodeOf(off)] +=
-        static_cast<Bytes>(sizeof(BlockMeta) + bytes.size());
-  }
-  mpi::PackedSend per_node(std::move(node_counts));
-  for (const auto& [off, bytes] : staged_) {
-    const std::size_t dn = nodeOf(off);
-    const BlockMeta m = stagedMeta(off, bytes, integrity_on_, comm_->proc());
-    per_node.append(dn, &m, sizeof(m));
-    per_node.append(dn, bytes.data(), static_cast<Bytes>(bytes.size()));
-  }
+  // Stage records addressed to the *node* hosting each block's owner.
+  mpi::PackedSend per_node = packStaged(
+      staged_, static_cast<std::size_t>(node_map_->numNodes()), integrity_on_,
+      comm_->proc(), [&](Offset off) {
+        return static_cast<std::size_t>(
+            node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
+      });
   const std::int64_t puts_before = node_agg_->stats().internode_puts;
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
   // Source-leader rewrite: merge adjacent same-segment extents contributed

@@ -76,15 +76,7 @@ void File::verifySlot(SegmentId g, std::int64_t slot) {
   // replays every rank's journal records for it, in rank order — costed
   // reads, same discipline as crash recovery.
   WalSource wal;
-  if (journal_ != nullptr) {
-    wal = [&] {
-      std::vector<Journal::Parsed> logs;
-      for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
-        logs.push_back(Journal::readAndParse(client_, journalPath(name_, r)));
-      }
-      return logs;
-    };
-  }
+  if (journal_ != nullptr) wal = [this] { return readAllJournals(); };
   if (verifyOrRepair(it->second, g,
                      {local + dataDisp(slot, 0),
                       static_cast<std::size_t>(cfg_.segment_size)},

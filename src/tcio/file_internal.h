@@ -47,19 +47,6 @@ mpi::CapturedError captureLocal(Fn&& local_work) {
   return err;
 }
 
-/// The record for `bytes` staged at file offset `off`. With `digest` the
-/// payload's CRC rides along, charged to `proc`.
-inline BlockMeta stagedMeta(Offset off, std::span<const std::byte> bytes,
-                            bool digest, sim::Proc& proc) {
-  BlockMeta m{off, static_cast<Bytes>(bytes.size())};
-  if (digest) {
-    m.crc = crc32(bytes);
-    m.has_crc = 1;
-    chargeChecksum(proc, m.len);
-  }
-  return m;
-}
-
 /// Verifies one hop of a digested block and returns the CRC of the bytes
 /// that actually arrived (0 for a block without a digest). A mismatch is
 /// counted and the block applied anyway: the owner ledger (client-time

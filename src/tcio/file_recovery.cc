@@ -259,6 +259,15 @@ void File::handleDeaths(const std::vector<Rank>& dead_cur) {
   if (!mine.empty()) replayOrphans(mine);
 }
 
+std::vector<Journal::Parsed> File::readAllJournals() {
+  std::vector<Journal::Parsed> logs;
+  logs.reserve(static_cast<std::size_t>(orig_size_));
+  for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
+    logs.push_back(Journal::readAndParse(client_, journalPath(name_, r)));
+  }
+  return logs;
+}
+
 void File::replayOrphans(
     const std::vector<std::pair<SegmentId, std::int64_t>>& mine) {
   check::Checker* ck = comm_->world().checker();
@@ -277,16 +286,14 @@ void File::replayOrphans(
   // Any original rank may have contributed extents to an orphaned segment
   // (writers journal before their one-sided put lands in the dead owner's
   // window), so recovery scans every rank's journal — costed reads.
-  std::vector<Journal::Parsed> logs;
-  logs.reserve(static_cast<std::size_t>(orig_size_));
-  for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
-    logs.push_back(Journal::readAndParse(client_, journalPath(name_, r)));
-    stats_.degraded.journal_torn_records += logs.back().torn_records;
+  const std::vector<Journal::Parsed> logs = readAllJournals();
+  for (const Journal::Parsed& log : logs) {
+    stats_.degraded.journal_torn_records += log.torn_records;
     // A committed record whose body failed its frame CRC (silent corruption
     // on the journal device) was dropped by the parser: the write it held is
     // lost to replay exactly as if it had never been journaled. Reported,
     // never silently re-applied.
-    stats_.degraded.unjournaled_segments_lost += logs.back().corrupt_records;
+    stats_.degraded.unjournaled_segments_lost += log.corrupt_records;
   }
   std::byte* local = drained_ ? nullptr : window_->localData();
   std::vector<std::byte> scratch;

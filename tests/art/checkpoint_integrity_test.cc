@@ -5,6 +5,17 @@
 #include "mpi/runtime.h"
 
 namespace tcio::art {
+
+// Each case's ctest name ends in what this prints. Argument-dependent lookup
+// finds it only in Backend's own namespace, not in the anonymous one.
+static void PrintTo(Backend b, std::ostream* os) {
+  switch (b) {
+    case Backend::kTcio: *os << "tcio"; return;
+    case Backend::kVanillaMpiio: *os << "vanilla_mpiio"; return;
+    case Backend::kFilePerProcess: *os << "file_per_process"; return;
+  }
+}
+
 namespace {
 
 fs::FsConfig fsCfg() {

@@ -392,6 +392,9 @@ struct CrashCase {
   const char* name;
 };
 
+// The ctest name gets the case name, not the struct's bytes and pointer.
+void PrintTo(const CrashCase& c, std::ostream* os) { *os << c.name; }
+
 class DelegateCrashTest : public ::testing::TestWithParam<CrashCase> {};
 
 TEST_P(DelegateCrashTest, ShardAdoptionLosesNoAcknowledgedByte) {

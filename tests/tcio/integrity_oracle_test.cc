@@ -196,9 +196,9 @@ TEST(IntegrityOracleTest, OneSided) {
 TEST(IntegrityOracleTest, TwoSided) {
   expectFigures(runOracleJob(Mode::kTwoSided),
                 {544, 24, 60, 0, 0, 0,
-                 {0x1.080ae29b86478p-5, 0x1.080ae29b86478p-5,
-                  0x1.080a0c2e68112p-5, 0x1.080fb678118f5p-5,
-                  0x1.080e3e3ad999ap-5, 0x1.080e3e3ad999ap-5},
+                 {0x1.07527fc2b3fecp-5, 0x1.07527fc2b3fecp-5,
+                  0x1.0751a95595c86p-5, 0x1.0757539f3f469p-5,
+                  0x1.0755db620750ep-5, 0x1.0755db620750ep-5},
                  0x29b9bc08u});
 }
 

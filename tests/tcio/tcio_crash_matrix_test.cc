@@ -67,6 +67,12 @@ std::string paramName(const ::testing::TestParamInfo<CrashParam>& info) {
   return name;
 }
 
+// gtest_discover_tests folds the printed parameter into the ctest name, so
+// print the case name rather than the struct's bytes.
+void PrintTo(const CrashParam& p, std::ostream* os) {
+  *os << paramName({p, 0});
+}
+
 constexpr int kProcs = 6;
 constexpr Rank kVictim = 2;
 constexpr Bytes kSegment = 512;

@@ -49,6 +49,12 @@ std::string paramName(const ::testing::TestParamInfo<MatrixParam>& info) {
          (info.param.lazy ? "_lazy" : "_eager");
 }
 
+// gtest_discover_tests folds the printed parameter into the ctest name, so
+// print the case name rather than the struct's bytes.
+void PrintTo(const MatrixParam& p, std::ostream* os) {
+  *os << paramName({p, 0});
+}
+
 constexpr int kProcs = 6;
 constexpr Bytes kTotal = 12 * 1024;
 constexpr Bytes kBlock = 24;  // interleaved op size (kTotal % kBlock == 0)

@@ -331,6 +331,48 @@ TEST(TcioFileTest, TwoSidedReadFetch) {
   });
 }
 
+// Messages a P=4 two-sided job puts on the network when every rank writes
+// one element into every owner's segment. Each staged write exchange is one
+// sized alltoallv of [BlockMeta][payload] records, and the fetch's reply
+// exchange has no count step: each requester already knows how many bytes
+// it asked every owner for.
+TEST(TcioFileTest, TwoSidedExchangeMessageCounts) {
+  const int P = 4;
+  const auto run = [&](bool round_trip) {
+    fs::Filesystem fsys(fsCfg());
+    TcioConfig cfg = smallTcio();
+    cfg.use_onesided = false;
+    cfg.integrity.enabled = -1;  // no digest exchange under TCIO_INTEGRITY
+    return mpi::runJob(job(P), [&](mpi::Comm& comm) {
+      const auto r = static_cast<std::int64_t>(comm.rank());
+      {
+        File w(comm, fsys, "msgs.dat", fs::kWrite | fs::kCreate, cfg);
+        for (SegmentId g = 0; g < P; ++g) {  // segment g is owned by rank g
+          const std::int64_t v = g * 100 + r;
+          w.writeAt(g * cfg.segment_size + r * 8, &v, 8);
+        }
+        if (!round_trip) w.flush();
+        w.close();
+      }
+      if (!round_trip) return;
+      File f(comm, fsys, "msgs.dat", fs::kRead, cfg);
+      std::vector<std::int64_t> got(P, -1);
+      const std::int64_t peer = (r + 1) % P;
+      for (SegmentId g = 0; g < P; ++g) {
+        f.readAt(g * cfg.segment_size + peer * 8,
+                 &got[static_cast<std::size_t>(g)], 8);
+      }
+      f.fetch();
+      for (SegmentId g = 0; g < P; ++g) {
+        EXPECT_EQ(got[static_cast<std::size_t>(g)], g * 100 + peer);
+      }
+      f.close();
+    }).network_messages;
+  };
+  EXPECT_EQ(run(/*round_trip=*/false), 98);  // write + flush + close
+  EXPECT_EQ(run(/*round_trip=*/true), 256);  // write + close, read + fetch
+}
+
 TEST(TcioFileTest, CapacityOverflowRejected) {
   fs::Filesystem fsys(fsCfg());
   EXPECT_THROW(

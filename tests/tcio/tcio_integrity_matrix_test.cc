@@ -76,6 +76,12 @@ std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
   return std::string(s) + modeSuffix(info.param.mode);
 }
 
+// gtest_discover_tests folds the printed parameter into the ctest name, so
+// print the case name rather than the struct's bytes.
+void PrintTo(const IntegrityParam& p, std::ostream* os) {
+  *os << paramName({p, 0});
+}
+
 TcioConfig integrityCfg(Mode mode, std::uint64_t seed) {
   TcioConfig cfg;
   cfg.segment_size = kSegment;
@@ -214,14 +220,20 @@ TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
 // succeeds only if no rank truncates its journal (close's commit) before every
 // scrub is done.
 
+std::string closeOnlyName(Mode mode) {
+  return std::string("staging_frame") + modeSuffix(mode) + "_victim3";
+}
+
+// As for IntegrityParam: the ctest name gets the case name.
+void PrintTo(Mode mode, std::ostream* os) { *os << closeOnlyName(mode); }
+
 class TcioIntegrityCloseOnlyTest : public ::testing::TestWithParam<Mode> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, TcioIntegrityCloseOnlyTest,
     ::testing::Values(Mode::kOneSided, Mode::kTwoSided, Mode::kNodeAgg),
     [](const ::testing::TestParamInfo<Mode>& info) {
-      return std::string("staging_frame") + modeSuffix(info.param) +
-             "_victim3";
+      return closeOnlyName(info.param);
     });
 
 TEST_P(TcioIntegrityCloseOnlyTest, DetectsRepairsAndMatchesCleanRun) {

@@ -49,6 +49,12 @@ std::string paramName(const ::testing::TestParamInfo<SweepParam>& info) {
   return name;
 }
 
+// gtest_discover_tests folds the printed parameter into the ctest name, so
+// print the case name rather than the struct's bytes.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << paramName({p, 0});
+}
+
 /// One write operation: (absolute offset, length, owning rank).
 struct Op {
   Offset off;

@@ -5,6 +5,17 @@
 #include "mpi/runtime.h"
 
 namespace tcio::workload {
+
+// Each case's ctest name ends in what this prints. Argument-dependent lookup
+// finds it only in Method's own namespace, not in the anonymous one.
+static void PrintTo(Method m, std::ostream* os) {
+  switch (m) {
+    case Method::kOcio: *os << "ocio"; return;
+    case Method::kTcio: *os << "tcio"; return;
+    case Method::kMpiio: *os << "mpiio"; return;
+  }
+}
+
 namespace {
 
 fs::FsConfig fsCfg() {

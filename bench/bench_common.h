@@ -9,6 +9,7 @@
 // Process counts (the x axes) are NOT scaled. See EXPERIMENTS.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -110,6 +111,14 @@ inline std::vector<int> processLadder() {
 /// re-rolls the noise seed). Override with TCIO_BENCH_REPEATS.
 inline int repeats() {
   return static_cast<int>(envInt64("TCIO_BENCH_REPEATS", 1));
+}
+
+/// Median of `v` (the mean of the middle two for an even count); 0 if empty.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
 }
 
 inline void printHeader(const char* what, const char* paper_expectation) {

@@ -129,16 +129,20 @@ echo "== delegate, liveness and p2p suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
   -j "$(nproc)" -R 'Delegate|Liveness|P2p'
 
-# The node-aggregation, journal, store and checkpoint suites the same way:
-# a leader's arrival buffer, each drained stream, the reply and per-rank
-# demux buffers, a journal frame and a fresh store page written in full are
-# not zero-filled, so a frame or length walker that reads a byte the
-# exchange never wrote changes a pinned figure here.
-echo "== node-aggregation, journal, store and checkpoint suites under" \
-  "MALLOC_PERTURB_=165 =="
+# The node-aggregation, window-lifetime, journal, store and checkpoint
+# suites the same way: a leader's arrival buffer, each drained stream, the
+# reply and per-rank demux buffers, a journal frame and a fresh store page
+# written in full are not zero-filled, so a frame or length walker that
+# reads a byte the exchange never wrote changes a pinned figure here. A
+# released staging window must come back zero-filled, and a stage is freed
+# as soon as the next hop has consumed it, so a re-touched window that
+# skips its fill, or a frame view left pointing into a freed stage, reads
+# the pattern here instead of zeros by luck.
+echo "== node-aggregation, window-lifetime, journal, store and checkpoint" \
+  "suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
-  -j "$(nproc)" -R "NodeMap|NodeAggregator|Journal|Store|Checkpoint|"\
-"IntegrityOracle|ArtCheckpointOracle"
+  -j "$(nproc)" -R "NodeMap|NodeAggregator|WindowLifetime|Journal|Store|"\
+"Checkpoint|IntegrityOracle|ArtCheckpointOracle"
 
 # The open/write/close churn workload again, but with delegates resolved
 # from the environment: ownership verification must hold when the level-2

@@ -278,6 +278,8 @@ class RawBytes {
 class PackedSend {
  public:
   explicit PackedSend(std::vector<Bytes> counts);
+  /// A send to no destination (also what a spent send is reset to).
+  PackedSend() : PackedSend(std::vector<Bytes>{}) {}
 
   /// Copies `n` bytes from `src` to the next free bytes of `dst`'s part.
   void append(std::size_t dst, const void* src, Bytes n) {

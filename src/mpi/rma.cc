@@ -94,6 +94,10 @@ void Window::resizeLocal(Bytes new_size) {
   }
 }
 
+void Window::releaseLocalHost() {
+  comm_->proc().atomic([&] { memOf(comm_->rank()).release(); });
+}
+
 detail::TargetLock& Window::targetLock(Rank target) {
   TCIO_CHECK_MSG(target >= 0 && target < comm_->size(),
                  "lock target out of range");

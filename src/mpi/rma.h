@@ -50,6 +50,15 @@ class Window {
   /// survivor inside the same agreed recovery step.
   void resizeLocal(Bytes new_size);
 
+  /// Non-collective, local-only: gives back this rank's host bytes. The
+  /// memory then reads as zero, as before its first touch, and the next
+  /// touch allocates it again zero-filled; the logical size, the bounds and
+  /// the model's memory charge stay. Whatever the bytes held is lost, so
+  /// the caller must know that no peer's put since its last read matters
+  /// (TCIO's node aggregator releases drained staging slots, whose zero
+  /// headers already say "empty").
+  void releaseLocalHost();
+
   /// Acquire the (window, target) lock. Blocks until granted; charges the
   /// request/grant control round-trip.
   void lock(LockType type, Rank target);

@@ -83,7 +83,8 @@ struct TargetLock {
 /// One rank's window memory. `size` is the logical size: it bounds every
 /// access and is what the model charges. The host bytes are allocated,
 /// zero-filled, on first touch, so a rank whose window is never written
-/// costs no host memory however large the window is.
+/// costs no host memory however large the window is. Releasing them returns
+/// the memory to its untouched state: it reads as zero until touched again.
 struct WinMem {
   Bytes size = 0;
   std::vector<std::byte> host;  // empty until touched, then `size` bytes
@@ -97,6 +98,7 @@ struct WinMem {
     size = n;
     if (touched()) host.resize(static_cast<std::size_t>(n));
   }
+  void release() { std::vector<std::byte>().swap(host); }
 };
 
 /// Shared state of one RMA window across all ranks. Lives from the first

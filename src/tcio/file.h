@@ -478,9 +478,6 @@ class File {
   std::unique_ptr<topo::NodeAggregator> node_agg_;
   Level1Buffer level1_;
   std::vector<PendingRead> pending_reads_;
-  /// gatherPending's blocks, bucketed by owner. Kept between fetches so a
-  /// large fetch does not allocate and fault in a fresh array each time.
-  std::vector<mpi::Window::GetBlock> gather_blocks_;
   SegmentId pending_segment_ = -1;  // lazy-read segment group
   /// Staged writes (two-sided and node-aggregated paths): one
   /// [BlockMeta][payload] record per flushed extent, at its file offset.

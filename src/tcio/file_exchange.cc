@@ -2,8 +2,8 @@
 // the level-1 flush, the staged (two-sided and node-aggregated) write
 // exchanges, and the independent, collective and node-aggregated fetches.
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "common/bits.h"
@@ -198,37 +198,37 @@ void File::independentFetch(std::vector<PendingRead> reads) {
 void File::gatherPending(std::vector<PendingRead>& reads) {
   check::Checker* ck = comm_->world().checker();
   // One shared-lock epoch and one coalesced get per owner, in ascending
-  // owner order. The blocks are bucketed by owner in one array: a counting
-  // pass sizes each owner's run, and a second pass fills the runs in read
-  // order.
+  // owner order, each owner's blocks in read order. The reads are chained
+  // per owner (4 bytes a read), and each owner's blocks are built from its
+  // chain just before its get, so no array holds every read's block.
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  TCIO_CHECK_MSG(reads.size() < kNone, "too many pending reads to chain");
   std::set<SegmentId> segs;
-  // Per owner: the block count, then the start of its run, then (after the
-  // fill) the end of its run.
-  std::vector<std::size_t> next;
-  for (const PendingRead& r : reads) {
-    const SegmentId seg = map_.segmentOf(r.off);
+  std::vector<std::uint32_t> head;  // per owner: its first read
+  std::vector<std::uint32_t> next(reads.size());  // per read: its owner's next
+  for (std::size_t i = reads.size(); i-- > 0;) {
+    const SegmentId seg = map_.segmentOf(reads[i].off);
     const auto owner = static_cast<std::size_t>(ownerOf(seg));
-    if (owner >= next.size()) next.resize(owner + 1, 0);
-    ++next[owner];
+    if (owner >= head.size()) head.resize(owner + 1, kNone);
+    next[i] = head[owner];
+    head[owner] = static_cast<std::uint32_t>(i);
     if (ck != nullptr) segs.insert(seg);
   }
   noteTransfers(segs, kOverlayOwner, "File::gatherPending");
-  std::exclusive_scan(next.begin(), next.end(), next.begin(), std::size_t{0});
-  gather_blocks_.resize(reads.size());
-  for (const PendingRead& r : reads) {
-    const SegmentId seg = map_.segmentOf(r.off);
-    gather_blocks_[next[static_cast<std::size_t>(ownerOf(seg))]++] = {
-        dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len};
-  }
-  std::size_t begin = 0;
-  for (std::size_t owner = 0; owner < next.size(); ++owner) {
-    const std::size_t end = next[owner];
-    if (end == begin) continue;
+  std::vector<mpi::Window::GetBlock> blocks;
+  for (std::size_t owner = 0; owner < head.size(); ++owner) {
+    if (head[owner] == kNone) continue;
+    blocks.clear();
+    for (std::uint32_t i = head[owner]; i != kNone; i = next[i]) {
+      const PendingRead& r = reads[i];
+      const SegmentId seg = map_.segmentOf(r.off);
+      blocks.push_back(
+          {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
+    }
     const auto target = static_cast<Rank>(owner);
     window_->lock(mpi::LockType::kShared, target);
-    window_->getIndexed(target, {gather_blocks_.data() + begin, end - begin});
+    window_->getIndexed(target, blocks);
     window_->unlock(target);
-    begin = end;
   }
 }
 
@@ -407,12 +407,16 @@ void File::exchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   // Each owner's records in one stream, shipped by one sized exchange.
-  const mpi::SizedExchange got = mpi::sizedAlltoallv(
-      *comm_, packStaged(staged_, static_cast<std::size_t>(comm_->size()),
-                         integrity_on_, comm_->proc(), [&](Offset off) {
-                           return static_cast<std::size_t>(
-                               curOf(ownerOf(map_.segmentOf(off))));
-                         }));
+  mpi::PackedSend per_owner =
+      packStaged(staged_, static_cast<std::size_t>(comm_->size()),
+                 integrity_on_, comm_->proc(), [&](Offset off) {
+                   return static_cast<std::size_t>(
+                       curOf(ownerOf(map_.segmentOf(off))));
+                 });
+  // packStaged copied the log; its model charge goes after the exchange.
+  std::vector<std::byte>().swap(staged_);
+  const mpi::SizedExchange got = mpi::sizedAlltoallv(*comm_, per_owner);
+  per_owner = {};
   // Apply received blocks into the local window. Purely local work: capture
   // and agree (the segment-exchange agreement point) so a corrupt frame on
   // one rank surfaces on all of them instead of desynchronizing the job.
@@ -438,7 +442,6 @@ void File::exchangeStagedWrites() {
     comm_->chargeCopy(applied);
   });
   comm_->memory().release(staged_bytes_);
-  staged_.clear();
   staged_bytes_ = 0;
   collectiveAgreeOnError(err);
 }
@@ -453,6 +456,8 @@ void File::nodeExchangeStagedWrites() {
         return static_cast<std::size_t>(
             node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
       });
+  // packStaged copied the log; its model charge goes after the exchange.
+  std::vector<std::byte>().swap(staged_);
   const std::int64_t puts_before = node_agg_->stats().internode_puts;
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
   // Source-leader rewrite: merge adjacent same-segment extents contributed
@@ -527,7 +532,7 @@ void File::nodeExchangeStagedWrites() {
         }
         return out;
       };
-  const auto frames = node_agg_->exchange(std::move(per_node), coalesce);
+  auto frames = node_agg_->exchange(std::move(per_node), coalesce);
   // Destination leaders apply the received blocks into node-local owners'
   // windows — membus epochs, one per owner. Leader-local work: capture and
   // agree after the barrier below so a leader-side fault becomes the same
@@ -565,6 +570,7 @@ void File::nodeExchangeStagedWrites() {
     }
     stats_.intranode_bytes += applied;
   });
+  frames = {};  // the apply epochs above copied every block
   // The apply epochs above must land before any rank inspects or drains its
   // window (owner loads in collectiveFetch, drainToFs at close).
   comm_->barrier();
@@ -573,7 +579,6 @@ void File::nodeExchangeStagedWrites() {
   stats_.intranode_bytes +=
       node_agg_->stats().intranode_bytes - membus_before;
   comm_->memory().release(staged_bytes_);
-  staged_.clear();
   staged_bytes_ = 0;
   collectiveAgreeOnError(err);
 }
@@ -602,7 +607,7 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
     req.append(dn, &m, sizeof(m));
     order[dn].push_back(&r);
   }
-  const auto requests = node_agg_->exchange(std::move(req));
+  auto requests = node_agg_->exchange(std::move(req));
   // Serving leaders answer from node-local owners' windows. Reply streams
   // are framed per requester: [i32 requester][u64 len][bytes].
   const auto forEachRequest = [&](std::size_t s, const auto& fn) {
@@ -652,6 +657,7 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
       }
     });
   }
+  requests = {};  // every request is laid out in the replies
   // One shared-lock membus epoch per node-local owner.
   noteTransfers(served_segs, kOverlayOwner, "File::nodeAggregatedGather");
   for (auto& [owner, blocks] : by_owner) {
@@ -660,7 +666,7 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
     window_->unlock(owner);
   }
   stats_.intranode_bytes += served;
-  const auto answers = node_agg_->exchange(std::move(replies));
+  auto answers = node_agg_->exchange(std::move(replies));
   // Leaders demux replies per requester; each fragment is wrapped
   // [i32 serving node][u64 len][bytes] so the requester can route it to its
   // per-node request list. Counted first, then filled.
@@ -693,7 +699,9 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
     per_rank.append(q, header.data(), topo::kFrameHeader);
     per_rank.append(q, p.data(), static_cast<Bytes>(p.size()));
   });
+  answers = {};  // demuxed into per_rank
   const mpi::RawBytes mine = node_agg_->scatterToRanks(per_rank);
+  per_rank = {};
   // Route each serving node's answer bytes to the recorded reads in order.
   std::vector<std::size_t> next(sn, 0);
   topo::forEachFrame({mine.data(), mine.size()},

@@ -90,6 +90,8 @@ NodeAggregator::gatherToLeader(Received& got) {
     Bytes my_total = 0;
     for (const Bytes n : mine.counts()) my_total += n;
     if (my_total > 0) node.send(mine.data(), my_total, root, tag);
+    // The send copied the payload out and nothing views it here.
+    got.sent_ = {};
     return frames;  // non-leaders hold no outgoing streams
   }
 
@@ -154,6 +156,10 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
         got.rewritten_[d] = rewrite(static_cast<int>(d), frames[d]);
       }
     }
+    // The rewrite copied what it ships: the gathered payloads are spent.
+    frames.clear();
+    got.sent_ = {};
+    got.gathered_ = {};
   }
 
   // The outgoing wire streams: per-rank frames, or the rewritten stream.
@@ -261,6 +267,18 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
               : "node-aggregation leader exchange failed on a peer rank");
     }
     more = flags[0] != 0;
+  }
+  // Every slot is drained and its header zero, which is also how released
+  // window memory reads: give the host bytes back until this rank leads
+  // again. The only rank of its node leads the next round too and keeps
+  // them, as a peer may put that round's first chunk before this rank has
+  // left the allreduce above.
+  if (leader && map_->nodeSize() > 1) {
+    staging_->releaseLocalHost();
+  }
+  // The rewritten streams for other nodes have all been put.
+  for (std::size_t d = 0; d < got.rewritten_.size(); ++d) {
+    if (d != sme) std::vector<std::byte>().swap(got.rewritten_[d]);
   }
 
   // Phase 3: frame the drained streams in place. Under a rewrite the stream

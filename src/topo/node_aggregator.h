@@ -23,7 +23,9 @@
 // views into it, and an outgoing stream is put straight from those views. A
 // slot's 8-byte header carries the bytes of the stream still to come (this
 // chunk included), so the destination allocates each source's stream once,
-// at its first chunk.
+// at its first chunk. Each buffer is freed once the next hop has consumed
+// it, and the round's leader gives its staging window's host bytes back
+// when the exchange ends (every slot is drained by then).
 #pragma once
 
 #include <array>
@@ -96,7 +98,8 @@ class NodeAggregator {
   /// is ranksOnNode(n)[k % size] — round 0's is the static leader. Without
   /// rotation one rank's NIC and membus would carry ALL of its node's
   /// staging traffic for the whole job; the price is a staging window on
-  /// every rank (any rank may lead), not only on the static leaders.
+  /// every rank (any rank may lead), not only on the static leaders. Its
+  /// host bytes exist only while the rank leads.
   NodeAggregator(NodeMap& map, Bytes slot_bytes);
 
   NodeAggregator(const NodeAggregator&) = delete;
@@ -126,12 +129,15 @@ class NodeAggregator {
    private:
     friend class NodeAggregator;
     std::vector<std::vector<RankBlob>> frames_;
-    /// This rank's payload: the leader's own frames view it.
-    mpi::PackedSend sent_{std::vector<Bytes>{}};
-    /// The node members' payloads, as the leader received them.
+    /// This rank's payload: the leader's own frames view it. Freed once
+    /// spent: on a non-leader after its membus send, under a rewrite once
+    /// rewritten.
+    mpi::PackedSend sent_;
+    /// The node members' payloads, as the leader received them (freed under
+    /// a rewrite once rewritten).
     mpi::RawBytes gathered_;
-    /// Rewrite outputs, per destination node (the leader's own node's is
-    /// delivered from here).
+    /// Rewrite outputs, per destination node. The leader's own node's is
+    /// delivered from here; the others are freed once put.
     std::vector<std::vector<std::byte>> rewritten_;
     /// Each source node's stream, as drained from its staging slot.
     std::vector<mpi::RawBytes> streams_;

@@ -1,7 +1,8 @@
 // RMA window lifetime and host memory: a window is freed when the last rank
 // of its group drops its handle (MPI_Win_free), a dropped rank's memory
 // stays usable by peers that still hold the window (the crash path), and a
-// rank's host bytes exist only once its memory is touched.
+// rank's host bytes exist only once its memory is touched and until it gives
+// them back.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -141,6 +142,63 @@ TEST(WindowLifetimeTest, ResizeBeforeAndAfterFirstTouchKeepsBytes) {
       win.unlock(0);
       for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(got[i], static_cast<std::byte>(i + 1));
+      }
+    }
+  });
+}
+
+TEST(WindowLifetimeTest, ReleasedHostBytesReadZeroUntilTouchedAgain) {
+  runJob(cfg(2), [](Comm& comm, World& world) {
+    Window win = Window::create(comm, kSize);
+    const Bytes charged = comm.memory().used();
+    std::memset(win.localData(), 0xa5, static_cast<std::size_t>(kSize));
+    comm.barrier();
+    EXPECT_EQ(hostBytes(comm, world), 2 * kSize);
+    comm.barrier();
+    if (comm.rank() == 1) {
+      win.releaseLocalHost();
+      // Only this rank's bytes went; the logical size and charge stay.
+      EXPECT_EQ(hostBytes(comm, world), kSize);
+      EXPECT_EQ(win.localSize(), kSize);
+      EXPECT_EQ(comm.memory().used(), charged);
+    }
+    comm.barrier();
+    if (comm.rank() == 0) {
+      // A peer's get reads the released memory as zeros...
+      std::vector<std::byte> got(4096, std::byte{0xff});
+      win.lock(LockType::kShared, 1);
+      win.get(1, kSize - 4096, got.data(), 4096);
+      win.unlock(1);
+      for (std::byte b : got) ASSERT_EQ(b, std::byte{0});
+      // ...touching it again, zero-filled; a put lands and stays.
+      EXPECT_EQ(hostBytes(comm, world), 2 * kSize);
+      const std::int64_t v = 0x7e1ea5e;
+      win.lock(LockType::kShared, 1);
+      win.put(1, 64, &v, sizeof(v));
+      win.unlock(1);
+    }
+    comm.barrier();
+    if (comm.rank() == 1) {
+      const std::byte* mem = win.localData();
+      std::int64_t v = 0;
+      std::memcpy(&v, mem + 64, sizeof(v));
+      EXPECT_EQ(v, 0x7e1ea5e);
+      for (Bytes i = 0; i < kSize; ++i) {
+        if (i >= 64 && i < 64 + 8) continue;
+        ASSERT_EQ(mem[i], std::byte{0}) << "byte " << i;
+      }
+      // Released again and re-touched locally: zeros, no stale put.
+      win.releaseLocalHost();
+      EXPECT_EQ(hostBytes(comm, world), kSize);
+      mem = win.localData();
+      EXPECT_EQ(hostBytes(comm, world), 2 * kSize);
+      for (Bytes i = 0; i < kSize; ++i) ASSERT_EQ(mem[i], std::byte{0});
+    }
+    comm.barrier();
+    // The unreleased rank's bytes were never disturbed.
+    if (comm.rank() == 0) {
+      for (Bytes i = 0; i < kSize; ++i) {
+        ASSERT_EQ(win.localData()[i], std::byte{0xa5});
       }
     }
   });

@@ -162,6 +162,60 @@ TEST(TcioFileTest, LazyReadDoesNotMaterializeUntilFetch) {
   });
 }
 
+TEST(TcioFileTest, CollectiveFetchServesOwnersInAnyReadOrder) {
+  // Pending reads name their owners in descending, then interleaved order,
+  // several per owner and some straddling two owners' segments; the
+  // collective gather serves every byte to its own destination.
+  constexpr Bytes kSeg = 64;
+  constexpr Bytes kFile = 16 * kSeg;  // segment g is owned by rank g % 4
+  const auto byteAt = [](Offset o) {
+    return static_cast<std::byte>((o * 7 + 3) % 251);
+  };
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(4), [&](mpi::Comm& comm) {
+    const Bytes quarter = kFile / comm.size();
+    {
+      File w(comm, fsys, "order.dat", fs::kWrite | fs::kCreate,
+             smallTcio(kSeg, 4));
+      std::vector<std::byte> mine(static_cast<std::size_t>(quarter));
+      for (Bytes i = 0; i < quarter; ++i) {
+        mine[static_cast<std::size_t>(i)] = byteAt(comm.rank() * quarter + i);
+      }
+      w.writeAt(comm.rank() * quarter, mine.data(), quarter);
+      w.close();
+    }
+    struct Read {
+      Offset off;
+      Bytes len;
+    };
+    std::vector<Read> reads;
+    const Offset skew = comm.rank() * 5;
+    for (std::int64_t g = 15; g >= 0; --g) {  // owners 3, 2, 1, 0, 3, ...
+      reads.push_back({g * kSeg + skew, 8});
+    }
+    for (const std::int64_t g : {2, 0, 3, 1, 6, 4, 7, 5, 10, 8, 11, 9}) {
+      reads.push_back({g * kSeg + 20 + skew, 12});
+      reads.push_back({g * kSeg + 54, 20});  // runs into segment g + 1
+    }
+    File f(comm, fsys, "order.dat", fs::kRead, smallTcio(kSeg, 4));
+    std::vector<std::vector<std::byte>> got;
+    for (const Read& r : reads) {
+      got.emplace_back(static_cast<std::size_t>(r.len), std::byte{0xee});
+      f.readAt(r.off, got.back().data(), r.len);
+    }
+    f.fetch();
+    EXPECT_EQ(f.stats().collective_fetches, 1);
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      for (Bytes i = 0; i < reads[k].len; ++i) {
+        ASSERT_EQ(got[k][static_cast<std::size_t>(i)],
+                  byteAt(reads[k].off + i))
+            << "read " << k << " byte " << i;
+      }
+    }
+    f.close();
+  });
+}
+
 TEST(TcioFileTest, EagerReadAblationMaterializesImmediately) {
   fs::Filesystem fsys(fsCfg());
   mpi::runJob(job(2), [&](mpi::Comm& comm) {

@@ -363,6 +363,99 @@ TEST(NodeAggregatorTest, RewriteShipsOneLeaderAttributedBlob) {
   });
 }
 
+Bytes stagingHostBytes(mpi::Comm& comm, mpi::World& world) {
+  return comm.proc().atomic([&] { return world.windowHostBytes(); });
+}
+
+TEST(NodeAggregatorTest, StagingHostBytesLiveOnlyWhileLeading) {
+  // Two nodes of three ranks, 40-byte slot data: every exchange takes
+  // several rounds. Leadership visits every rank of a node over one
+  // exchange per node rank (plus one, so the first leader leads again);
+  // every other exchange ships a rewritten stream. Between exchanges no
+  // staging window holds host bytes, and every frame arrives intact.
+  const NodeAggregator::Rewrite concat =
+      [](int, const std::vector<NodeAggregator::RankBlob>& blobs) {
+        std::vector<std::byte> out;
+        for (const auto& b : blobs) {
+          out.insert(out.end(), b.data.begin(), b.data.end());
+        }
+        return out;
+      };
+  runJob(cfg(6, 3), [&](mpi::Comm& comm, mpi::World& world) {
+    NodeMap map(comm);
+    NodeAggregator agg(map, /*slot_bytes=*/48);
+    const int me = map.myNode();
+    int led = 0;
+    for (int round = 1; round <= map.nodeSize() + 1; ++round) {
+      const bool rewritten = round % 2 == 0;
+      const auto lenOf = [&](Rank src) {
+        return static_cast<std::size_t>(60 + 7 * src + round);
+      };
+      std::vector<std::vector<std::byte>> per_node;
+      for (int d = 0; d < map.numNodes(); ++d) {
+        per_node.push_back(payloadFor(comm.rank() + round, d,
+                                      lenOf(comm.rank())));
+      }
+      const auto frames = rewritten ? agg.exchange(pack(per_node), concat)
+                                    : agg.exchange(pack(per_node));
+      comm.barrier();
+      EXPECT_EQ(stagingHostBytes(comm, world), 0) << "round " << round;
+      comm.barrier();
+      if (!agg.isActiveLeader()) continue;
+      ++led;
+      for (int s = 0; s < map.numNodes(); ++s) {
+        const auto& from = frames[static_cast<std::size_t>(s)];
+        const std::vector<Rank>& srcs = map.ranksOnNode(s);
+        std::vector<std::byte> all;
+        for (std::size_t q = 0; q < srcs.size(); ++q) {
+          const auto p = payloadFor(srcs[q] + round, me, lenOf(srcs[q]));
+          if (!rewritten) {
+            ASSERT_EQ(from.size(), srcs.size());
+            EXPECT_EQ(bytesOf(from[q].data), p);
+          }
+          all.insert(all.end(), p.begin(), p.end());
+        }
+        if (rewritten) {
+          ASSERT_EQ(from.size(), 1u);
+          EXPECT_EQ(bytesOf(from[0].data), all);
+        }
+      }
+    }
+    EXPECT_GE(led, 1);  // every rank led at least one exchange
+    EXPECT_GT(agg.stats().rounds, map.nodeSize() + 1);
+  });
+}
+
+TEST(NodeAggregatorTest, OneRankNodeKeepsItsStagingWindowAcrossExchanges) {
+  // A one-rank node's only rank leads every round, so back-to-back
+  // exchanges reuse its window: a peer may put the next exchange's first
+  // chunk before this rank has finished the previous one.
+  constexpr Bytes kSlot = 40;
+  runJob(cfg(3, 1), [&](mpi::Comm& comm, mpi::World& world) {
+    NodeMap map(comm);
+    NodeAggregator agg(map, kSlot);
+    for (int round = 1; round <= 3; ++round) {
+      std::vector<std::vector<std::byte>> per_node;
+      for (int d = 0; d < map.numNodes(); ++d) {
+        per_node.push_back(payloadFor(comm.rank() * 5 + round, d,
+                                      static_cast<std::size_t>(90 + round)));
+      }
+      const auto frames = agg.exchange(pack(per_node));
+      ASSERT_TRUE(agg.isActiveLeader());
+      for (int s = 0; s < map.numNodes(); ++s) {
+        const auto& from = frames[static_cast<std::size_t>(s)];
+        ASSERT_EQ(from.size(), 1u);
+        EXPECT_EQ(bytesOf(from[0].data),
+                  payloadFor(s * 5 + round, map.myNode(),
+                             static_cast<std::size_t>(90 + round)));
+      }
+    }
+    comm.barrier();
+    EXPECT_EQ(stagingHostBytes(comm, world),
+              static_cast<Bytes>(map.numNodes()) * kSlot * comm.size());
+  });
+}
+
 /// A framed stream whose only frame claims `len` payload bytes and carries
 /// `carried`.
 std::vector<std::byte> frameClaiming(std::uint64_t len, std::size_t carried) {

@@ -21,10 +21,11 @@ workload::BenchmarkConfig tableII(workload::Method m) {
   workload::BenchmarkConfig c;
   c.method = m;
   c.array_elem_sizes = {4, 8};
-  // Paper: 4 Mi elements/array. Beyond the global 1/kScale, Fig. 5 shrinks
-  // per-rank data further (to 4 Ki elements) to keep the discrete-event
-  // count tractable at P=1024; segment count per rank and the
-  // every-rank-touches-every-segment structure are preserved.
+  // Paper: 4 Mi elements/array. Beyond the global 1/kScale (which gives
+  // 64 Ki elements, 48 segments of 16 KiB per rank), Fig. 5 shrinks per-rank
+  // data 16x further (to 4 Ki elements) to keep the discrete-event count
+  // tractable at P=1024. That leaves 3 segments per rank instead of 48; the
+  // every-rank-touches-every-segment structure is preserved.
   c.len_array = 4096;
   c.size_access = 1;
   c.tcio = paperTcio();

@@ -211,22 +211,19 @@ void File::recordRead(Offset off, std::byte* dst, Bytes n) {
     if (level1_.alignedSegment() == seg && !level1_.empty()) {
       flushLevel1();
     }
-    const PendingRead piece{off, take, dst};
     if (!cfg_.lazy_reads) {
-      independentFetch({piece});
-    } else if (cfg_.auto_fetch_on_segment_exit && cfg_.use_onesided &&
-               pending_segment_ != -1 && seg != pending_segment_) {
-      // The cached read domain left the level-1 window: resolve the
-      // accumulated group independently (paper §IV.A trigger), then start a
-      // new group.
-      std::vector<PendingRead> group;
-      group.swap(pending_reads_);
-      independentFetch(std::move(group));
-      pending_segment_ = seg;
-      pending_reads_.push_back(piece);
+      independentFetch(seg, {{dataDisp(slotOnOwner(seg), map_.dispOf(off)),
+                              dst, take}});
     } else {
+      if (cfg_.auto_fetch_on_segment_exit && cfg_.use_onesided &&
+          pending_segment_ != -1 && seg != pending_segment_) {
+        // The cached read domain left the level-1 window: resolve the
+        // accumulated group independently (paper §IV.A trigger), then start
+        // a new group.
+        fetchPendingGroup();
+      }
       pending_segment_ = seg;
-      pending_reads_.push_back(piece);
+      pending_reads_.add(off, dst, take);
     }
     off += take;
     dst += take;

@@ -40,6 +40,7 @@
 #include "tcio/journal.h"
 #include "tcio/ledger.h"
 #include "tcio/level1.h"
+#include "tcio/pending_reads.h"
 #include "tcio/segment_map.h"
 #include "topo/node_aggregator.h"
 #include "topo/node_map.h"
@@ -224,6 +225,8 @@ class File {
   bool isOpen() const { return open_; }
   Offset tell() const { return pointer_; }
   const TcioStats& stats() const { return stats_; }
+  /// Run records the lazy-read record holds now (tests bound its size).
+  std::size_t pendingReadRuns() const { return pending_reads_.runs().size(); }
   /// The leader exchange's counters; null unless node aggregation is on.
   const topo::NodeAggStats* nodeAggStats() const {
     return node_agg_ != nullptr ? &node_agg_->stats() : nullptr;
@@ -255,12 +258,6 @@ class File {
     return flags_region_ + slot * cfg_.segment_size + in_seg;
   }
 
-  struct PendingRead {
-    Offset off = 0;
-    Bytes len = 0;
-    std::byte* dst = nullptr;
-  };
-
   void writeBytes(Offset off, const std::byte* src, Bytes n);
   void recordRead(Offset off, std::byte* dst, Bytes n);
 
@@ -268,16 +265,22 @@ class File {
   /// the local staging area (two-sided ablation).
   void flushLevel1();
 
-  /// Independent materialization of `reads` (all in one segment group).
-  void independentFetch(std::vector<PendingRead> reads);
+  /// Independent materialization of `blocks`, all in segment `seg`.
+  void independentFetch(SegmentId seg,
+                        const std::vector<mpi::Window::GetBlock>& blocks);
+  /// Resolves the pending-read group (all in pending_segment_)
+  /// independently and empties the record.
+  void fetchPendingGroup();
   /// Collective materialization of all pending reads.
   void collectiveFetch();
   /// One-sided gets for pending reads, grouped per owner (assumes segments
   /// are resident in level-2).
-  void gatherPending(std::vector<PendingRead>& reads);
+  void gatherPending();
   /// Two-sided gather (collective): requests travel to the owners, which
   /// answer from their local windows (same residency assumption).
-  void twoSidedGather(std::vector<PendingRead>& reads);
+  void twoSidedGather();
+  /// The segments the pending reads touch (for the runtime checker).
+  std::set<SegmentId> pendingSegments() const;
 
   /// Collective: runs the staged exchange (node-aggregated or two-sided)
   /// when this configuration stages writes; false on the one-sided path.
@@ -300,7 +303,7 @@ class File {
   /// Node-aggregation read path (collective): pending-read requests and
   /// replies travel leader-to-leader; assumes the owner-load phase of
   /// collectiveFetch() made every needed segment resident.
-  void nodeAggregatedGather(std::vector<PendingRead>& reads);
+  void nodeAggregatedGather();
 
   /// Ensures the segment holding `off`..`off+n` is resident in its owner's
   /// window (independent path; reader loads from FS if needed). `scratch` is
@@ -365,6 +368,8 @@ class File {
   /// takeover overlay included.
   Rank ownerOf(SegmentId g) const;
   std::int64_t slotOnOwner(SegmentId g) const;
+  /// The takeover overlay as (segment, new owner) pairs, sorted by segment.
+  std::vector<std::pair<SegmentId, Rank>> movedSegments() const;
   /// Rank of `orig` in the current (possibly shrunk) communicator. Identity
   /// without crash tolerance; fails on a dead rank (routing must go through
   /// ownerOf first).
@@ -477,7 +482,7 @@ class File {
   std::unique_ptr<topo::NodeMap> node_map_;
   std::unique_ptr<topo::NodeAggregator> node_agg_;
   Level1Buffer level1_;
-  std::vector<PendingRead> pending_reads_;
+  PendingReads pending_reads_;
   SegmentId pending_segment_ = -1;  // lazy-read segment group
   /// Staged writes (two-sided and node-aggregated paths): one
   /// [BlockMeta][payload] record per flushed extent, at its file offset.

@@ -150,107 +150,112 @@ void File::ensureLoadedIndependent(SegmentId seg,
   window_->putIndexed(owner, blocks);
 }
 
-void File::independentFetch(std::vector<PendingRead> reads) {
+void File::independentFetch(SegmentId seg,
+                            const std::vector<mpi::Window::GetBlock>& blocks) {
   TCIO_CHECK_MSG(cfg_.use_onesided,
                  "independent fetch requires one-sided mode");
-  if (reads.empty()) return;
   ++stats_.independent_fetches;
-  // Group by segment; each segment is handled under one exclusive lock of
-  // its owner (exclusive because we may have to load-and-publish).
-  std::map<SegmentId, std::vector<PendingRead>> by_seg;
-  for (const PendingRead& r : reads) {
-    by_seg[map_.segmentOf(r.off)].push_back(r);
+  // The segment is handled under one lock of its owner: shared to gather a
+  // resident segment, exclusive when we may have to load-and-publish it.
+  const Rank owner = ownerOf(seg);
+  const std::int64_t slot = slotOnOwner(seg);
+  if (check::Checker* ck = comm_->world().checker()) {
+    comm_->proc().atomic([&] {
+      ck->onSegmentTransfer(name_, seg, owner, "File::independentFetch");
+    });
   }
-  for (auto& [seg, group] : by_seg) {
-    const Rank owner = ownerOf(seg);
-    const std::int64_t slot = slotOnOwner(seg);
-    std::vector<mpi::Window::GetBlock> blocks;
-    blocks.reserve(group.size());
-    for (const PendingRead& r : group) {
-      blocks.push_back({dataDisp(slot, map_.dispOf(r.off)), r.dst, r.len});
-    }
-    if (check::Checker* ck = comm_->world().checker()) {
-      comm_->proc().atomic([&] {
-        ck->onSegmentTransfer(name_, seg, owner, "File::independentFetch");
-      });
-    }
-    // Fast path: under a shared lock, check residency and gather. Only a
-    // non-resident segment needs the exclusive load-and-publish epoch.
-    std::byte flags[2];
-    window_->lock(mpi::LockType::kShared, owner);
-    window_->get(owner, flagsDisp(slot, 0), flags, kFlagBytes);
-    const bool resident = flags[kDirtyFlag] != std::byte{0} ||
-                          flags[kLoadedFlag] != std::byte{0};
-    if (resident) {
-      window_->getIndexed(owner, blocks);
-      window_->unlock(owner);
-      continue;
-    }
-    window_->unlock(owner);
-    window_->lock(mpi::LockType::kExclusive, owner);
-    std::vector<std::byte> scratch;  // outlives the unlock below (put source)
-    ensureLoadedIndependent(seg, scratch);  // re-checks under the lock
+  // Fast path: under a shared lock, check residency and gather. Only a
+  // non-resident segment needs the exclusive load-and-publish epoch.
+  std::byte flags[2];
+  window_->lock(mpi::LockType::kShared, owner);
+  window_->get(owner, flagsDisp(slot, 0), flags, kFlagBytes);
+  const bool resident = flags[kDirtyFlag] != std::byte{0} ||
+                        flags[kLoadedFlag] != std::byte{0};
+  if (resident) {
     window_->getIndexed(owner, blocks);
     window_->unlock(owner);
+    return;
   }
+  window_->unlock(owner);
+  window_->lock(mpi::LockType::kExclusive, owner);
+  std::vector<std::byte> scratch;  // outlives the unlock below (put source)
+  ensureLoadedIndependent(seg, scratch);  // re-checks under the lock
+  window_->getIndexed(owner, blocks);
+  window_->unlock(owner);
 }
 
-void File::gatherPending(std::vector<PendingRead>& reads) {
-  check::Checker* ck = comm_->world().checker();
-  // One shared-lock epoch and one coalesced get per owner, in ascending
-  // owner order, each owner's blocks in read order. The reads are chained
-  // per owner (4 bytes a read), and each owner's blocks are built from its
-  // chain just before its get, so no array holds every read's block.
-  constexpr std::uint32_t kNone = UINT32_MAX;
-  TCIO_CHECK_MSG(reads.size() < kNone, "too many pending reads to chain");
-  std::set<SegmentId> segs;
-  std::vector<std::uint32_t> head;  // per owner: its first read
-  std::vector<std::uint32_t> next(reads.size());  // per read: its owner's next
-  for (std::size_t i = reads.size(); i-- > 0;) {
-    const SegmentId seg = map_.segmentOf(reads[i].off);
-    const auto owner = static_cast<std::size_t>(ownerOf(seg));
-    if (owner >= head.size()) head.resize(owner + 1, kNone);
-    next[i] = head[owner];
-    head[owner] = static_cast<std::uint32_t>(i);
-    if (ck != nullptr) segs.insert(seg);
-  }
-  noteTransfers(segs, kOverlayOwner, "File::gatherPending");
+void File::fetchPendingGroup() {
+  if (pending_reads_.empty()) return;
+  const SegmentId seg = pending_segment_;
+  const std::int64_t slot = slotOnOwner(seg);
   std::vector<mpi::Window::GetBlock> blocks;
-  for (std::size_t owner = 0; owner < head.size(); ++owner) {
-    if (head[owner] == kNone) continue;
-    blocks.clear();
-    for (std::uint32_t i = head[owner]; i != kNone; i = next[i]) {
-      const PendingRead& r = reads[i];
-      const SegmentId seg = map_.segmentOf(r.off);
-      blocks.push_back(
-          {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
-    }
-    const auto target = static_cast<Rank>(owner);
-    window_->lock(mpi::LockType::kShared, target);
-    window_->getIndexed(target, blocks);
-    window_->unlock(target);
-  }
+  pending_reads_.forEach([&](const ReadPiece& r) {
+    TCIO_CHECK(map_.segmentOf(r.off) == seg);
+    blocks.push_back({dataDisp(slot, map_.dispOf(r.off)), r.dst, r.len});
+  });
+  pending_reads_.clear();
+  independentFetch(seg, blocks);
 }
 
-void File::twoSidedGather(std::vector<PendingRead>& reads) {
+std::set<SegmentId> File::pendingSegments() const {
+  std::set<SegmentId> segs;
+  for (const ReadRun& run : pending_reads_.runs()) {
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      segs.insert(map_.segmentOf(run.offOf(i)));
+    }
+  }
+  return segs;
+}
+
+void File::gatherPending() {
+  // One shared-lock epoch and one coalesced get per owner, in ascending
+  // owner order, each owner's blocks in read order. Each owner's blocks are
+  // built from the runs just before its get, so no array holds every read.
+  if (comm_->world().checker() != nullptr) {
+    noteTransfers(pendingSegments(), kOverlayOwner, "File::gatherPending");
+  }
+  const std::vector<std::pair<SegmentId, Rank>> moved = movedSegments();
+  std::vector<mpi::Window::GetBlock> blocks;
+  pending_reads_.forEachInGroups(
+      {map_, moved}, static_cast<std::size_t>(map_.numRanks()),
+      [](std::size_t owner, const auto& visit) {
+        visit(static_cast<Rank>(owner));
+      },
+      [&](std::size_t, const ReadPiece& r) {
+        const SegmentId seg = map_.segmentOf(r.off);
+        blocks.push_back(
+            {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
+      },
+      [&](std::size_t owner) {
+        const auto target = static_cast<Rank>(owner);
+        window_->lock(mpi::LockType::kShared, target);
+        window_->getIndexed(target, blocks);
+        window_->unlock(target);
+        blocks.clear();
+      });
+}
+
+void File::twoSidedGather() {
   // Requests travel to each block's owner; replies come back in request
   // order. The requester sums each owner's reply bytes from its own reads,
   // so only the request exchange needs a count step.
   const auto sp = static_cast<std::size_t>(comm_->size());
-  const auto ownerIndex = [&](const PendingRead& r) {
+  const auto ownerIndex = [&](const ReadPiece& r) {
     return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
   };
   std::vector<Bytes> meta_counts(sp, 0), reply_counts(sp, 0);
-  for (const PendingRead& r : reads) {
-    const std::size_t owner = ownerIndex(r);
-    meta_counts[owner] += sizeof(BlockMeta);
-    reply_counts[owner] += r.len;
+  for (const ReadRun& run : pending_reads_.runs()) {
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      const std::size_t owner = ownerIndex(run.piece(i));
+      meta_counts[owner] += sizeof(BlockMeta);
+      reply_counts[owner] += run.len;
+    }
   }
   mpi::PackedSend req_meta(std::move(meta_counts));
-  for (const PendingRead& r : reads) {
+  pending_reads_.forEach([&](const ReadPiece& r) {
     const BlockMeta m{r.off, r.len};
     req_meta.append(ownerIndex(r), &m, sizeof(m));
-  }
+  });
   const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
   // Answer each requester from the local window.
   const std::byte* local = window_->localData();
@@ -275,12 +280,12 @@ void File::twoSidedGather(std::vector<PendingRead>& reads) {
       mpi::alltoallvCounted(*comm_, replies, std::move(reply_counts));
   // Scatter: replies from each owner arrive in my request order.
   std::vector<Offset> cursor(payload.displs.begin(), payload.displs.end());
-  for (const PendingRead& r : reads) {
+  pending_reads_.forEach([&](const ReadPiece& r) {
     const std::size_t owner = ownerIndex(r);
     std::memcpy(r.dst, payload.data.data() + cursor[owner],
                 static_cast<std::size_t>(r.len));
     cursor[owner] += r.len;
-  }
+  });
   comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
 }
 
@@ -304,9 +309,11 @@ void File::collectiveFetch() {
   const std::int64_t total_segs =
       cfg_.segments_per_rank * static_cast<std::int64_t>(orig_size_);
   std::vector<std::uint64_t> bitmap(bitWords(total_segs), 0);
-  for (const PendingRead& r : pending_reads_) {
+  for (const ReadRun& run : pending_reads_.runs()) {
     // A pending piece never crosses a segment boundary (recordRead splits).
-    setBit(bitmap, map_.segmentOf(r.off));
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      setBit(bitmap, map_.segmentOf(run.offOf(i)));
+    }
   }
   comm_->allreduce(bitmap.data(), static_cast<std::int64_t>(bitmap.size()),
                    mpi::ReduceOp::kBitOr);
@@ -358,11 +365,11 @@ void File::collectiveFetch() {
   comm_->barrier();
   collectiveAgreeOnError(load_err);
   if (cfg_.node_aggregation) {
-    nodeAggregatedGather(pending_reads_);
+    nodeAggregatedGather();
   } else if (!twoSidedExchange()) {
-    gatherPending(pending_reads_);
+    gatherPending();
   } else {
-    twoSidedGather(pending_reads_);
+    twoSidedGather();
   }
   pending_reads_.clear();
   pending_segment_ = -1;
@@ -583,30 +590,26 @@ void File::nodeExchangeStagedWrites() {
   collectiveAgreeOnError(err);
 }
 
-void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
+void File::nodeAggregatedGather() {
   const int N = node_map_->numNodes();
   const auto sn = static_cast<std::size_t>(N);
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
-  // Requests travel to the node hosting each block's owner. Replies come
-  // back in request order, so remember the order per serving node.
-  const auto nodeOf = [&](const PendingRead& r) {
+  // Requests travel to the node hosting each block's owner, in read order.
+  const auto nodeOf = [&](Offset off) {
     return static_cast<std::size_t>(
-        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(r.off)))));
+        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
   };
   std::vector<Bytes> req_counts(sn, 0);
-  for (const PendingRead& r : reads) req_counts[nodeOf(r)] += sizeof(BlockMeta);
-  std::vector<std::vector<PendingRead*>> order(sn);
-  for (std::size_t d = 0; d < sn; ++d) {
-    order[d].reserve(static_cast<std::size_t>(req_counts[d]) /
-                     sizeof(BlockMeta));
+  for (const ReadRun& run : pending_reads_.runs()) {
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      req_counts[nodeOf(run.offOf(i))] += sizeof(BlockMeta);
+    }
   }
   mpi::PackedSend req(std::move(req_counts));
-  for (PendingRead& r : reads) {
-    const std::size_t dn = nodeOf(r);
+  pending_reads_.forEach([&](const ReadPiece& r) {
     const BlockMeta m{r.off, r.len};
-    req.append(dn, &m, sizeof(m));
-    order[dn].push_back(&r);
-  }
+    req.append(nodeOf(r.off), &m, sizeof(m));
+  });
   auto requests = node_agg_->exchange(std::move(req));
   // Serving leaders answer from node-local owners' windows. Reply streams
   // are framed per requester: [i32 requester][u64 len][bytes].
@@ -702,28 +705,48 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
   answers = {};  // demuxed into per_rank
   const mpi::RawBytes mine = node_agg_->scatterToRanks(per_rank);
   per_rank = {};
-  // Route each serving node's answer bytes to the recorded reads in order.
-  std::vector<std::size_t> next(sn, 0);
+  // Each serving node's answer frames, in arrival order (ascending node).
+  std::vector<std::vector<std::span<const std::byte>>> from(sn);
+  Bytes arrived = 0;
   topo::forEachFrame({mine.data(), mine.size()},
                      [&](std::int32_t serving, std::span<const std::byte> p) {
     const auto s = static_cast<std::size_t>(serving);
     TCIO_CHECK_MSG(serving >= 0 && s < sn,
                    "node-aggregated reply names no serving node");
-    std::size_t used = 0;
-    while (used < p.size()) {
-      TCIO_CHECK_MSG(next[s] < order[s].size(),
-                     "node-aggregated reply exceeds recorded reads");
-      PendingRead* r = order[s][next[s]++];
-      TCIO_CHECK(static_cast<std::size_t>(r->len) <= p.size() - used);
-      std::memcpy(r->dst, p.data() + used, static_cast<std::size_t>(r->len));
-      used += static_cast<std::size_t>(r->len);
-    }
+    from[s].push_back(p);
+    arrived += static_cast<Bytes>(p.size());
     comm_->chargeCopy(static_cast<Bytes>(p.size()));
   });
-  for (std::size_t s = 0; s < sn; ++s) {
-    TCIO_CHECK_MSG(next[s] == order[s].size(),
-                   "node-aggregated gather left reads unanswered");
-  }
+  // Route each serving node's answer bytes to its reads, node by node, each
+  // node's in read order: the order its leader answered them.
+  const std::vector<std::pair<SegmentId, Rank>> moved = movedSegments();
+  std::size_t frame = 0;
+  std::size_t used = 0;
+  Bytes placed = 0;
+  pending_reads_.forEachInGroups(
+      {map_, moved}, sn,
+      [&](std::size_t s, const auto& visit) {
+        for (const Rank q : node_map_->ranksOnNode(static_cast<int>(s))) {
+          const auto at = static_cast<std::size_t>(q);
+          visit(orig_of_cur_.empty() ? q : orig_of_cur_[at]);
+        }
+      },
+      [&](std::size_t s, const ReadPiece& r) {
+        while (frame < from[s].size() && used == from[s][frame].size()) {
+          ++frame;
+          used = 0;
+        }
+        TCIO_CHECK_MSG(frame < from[s].size(),
+                       "node-aggregated gather left reads unanswered");
+        const std::span<const std::byte> p = from[s][frame];
+        TCIO_CHECK(static_cast<std::size_t>(r.len) <= p.size() - used);
+        std::memcpy(r.dst, p.data() + used, static_cast<std::size_t>(r.len));
+        used += static_cast<std::size_t>(r.len);
+        placed += r.len;
+      },
+      [&](std::size_t) { frame = used = 0; });
+  TCIO_CHECK_MSG(placed == arrived,
+                 "node-aggregated reply exceeds recorded reads");
   stats_.intranode_bytes +=
       node_agg_->stats().intranode_bytes - membus_before;
 }

@@ -22,6 +22,13 @@ std::int64_t File::slotOnOwner(SegmentId g) const {
   return it == orphans_.end() ? map_.slotOf(g) : it->second.slot;
 }
 
+std::vector<std::pair<SegmentId, Rank>> File::movedSegments() const {
+  std::vector<std::pair<SegmentId, Rank>> moved;
+  moved.reserve(orphans_.size());
+  for (const auto& [g, t] : orphans_) moved.emplace_back(g, t.owner);
+  return moved;
+}
+
 Rank File::curOf(Rank orig) const {
   if (cur_of_orig_.empty()) return orig;
   const Rank cur = cur_of_orig_[static_cast<std::size_t>(orig)];

@@ -1,0 +1,445 @@
+#include "tcio/pending_reads.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <random>
+#include <vector>
+
+namespace tcio::core {
+
+void PrintTo(const ReadPiece& p, std::ostream* os) {
+  *os << "{off " << p.off << ", len " << p.len << ", dst "
+      << static_cast<const void*>(p.dst) << "}";
+}
+
+namespace {
+
+/// The file byte at `off`; never 0x5A, the byte MALLOC_PERTURB_=165 fills
+/// fresh heap with, so a piece that lands nowhere shows.
+std::byte fileByte(Offset off) {
+  return static_cast<std::byte>(1 + (off * 131) % 89);
+}
+
+/// Destination memory the patterns read into, left uninitialized.
+struct Pool {
+  explicit Pool(std::size_t n)
+      : size(n), bytes(std::make_unique_for_overwrite<std::byte[]>(n)) {}
+  std::byte* at(std::int64_t i) const { return bytes.get() + i; }
+  std::int64_t room() const { return static_cast<std::int64_t>(size); }
+  std::size_t size;
+  std::unique_ptr<std::byte[]> bytes;
+};
+
+/// A recorded sequence: the recorder and the flat (off, len, dst) list it
+/// must reproduce.
+struct Recording {
+  explicit Recording(Bytes segment) : seg(segment) {}
+
+  /// Records one read the way File::recordRead does: split at segment
+  /// boundaries, one piece per segment.
+  void read(Offset off, std::byte* dst, Bytes n) {
+    ++reads;
+    while (n > 0) {
+      const Bytes take = std::min(n, seg - off % seg);
+      rec.add(off, dst, take);
+      ref.push_back({off, take, dst});
+      off += take;
+      dst += take;
+      n -= take;
+    }
+  }
+
+  /// Reads split at a segment boundary: each adds a piece.
+  std::size_t straddles() const { return ref.size() - reads; }
+
+  Bytes seg;
+  PendingReads rec;
+  std::vector<ReadPiece> ref;
+  std::size_t reads = 0;
+};
+
+std::vector<ReadPiece> walk(const PendingReads& rec) {
+  std::vector<ReadPiece> out;
+  rec.forEach([&](const ReadPiece& p) { out.push_back(p); });
+  return out;
+}
+
+/// Destination bytes after applying `pieces` in order: the image of the
+/// pool and which of its bytes any piece wrote.
+struct Image {
+  std::vector<std::byte> bytes;
+  std::vector<bool> written;
+};
+
+Image expectedImage(const Pool& pool, const std::vector<ReadPiece>& pieces) {
+  Image img{std::vector<std::byte>(pool.size), std::vector<bool>(pool.size)};
+  for (const ReadPiece& p : pieces) {
+    const auto at = static_cast<std::size_t>(p.dst - pool.bytes.get());
+    for (Bytes b = 0; b < p.len; ++b) {
+      img.bytes[at + static_cast<std::size_t>(b)] = fileByte(p.off + b);
+      img.written[at + static_cast<std::size_t>(b)] = true;
+    }
+  }
+  return img;
+}
+
+void land(const ReadPiece& p) {
+  for (Bytes b = 0; b < p.len; ++b) p.dst[b] = fileByte(p.off + b);
+}
+
+void expectImage(const Pool& pool, const Image& img) {
+  for (std::size_t i = 0; i < pool.size; ++i) {
+    if (img.written[i]) {
+      ASSERT_EQ(*pool.at(i), img.bytes[i]) << "destination byte " << i;
+    }
+  }
+}
+
+// -- Pattern generators ------------------------------------------------------
+
+/// The Fig. 5 read: `arrays` arrays of the given element sizes, element i of
+/// every array of `rank` packed into one block, blocks round-robin over P.
+void interleavedArrays(Recording& r, const Pool& pool, std::size_t pool_off,
+                       const std::vector<Bytes>& elem, int P, int rank,
+                       std::int64_t len) {
+  Bytes block = 0;
+  for (Bytes e : elem) block += e;
+  std::size_t base = pool_off;
+  std::vector<std::size_t> array_at;
+  for (Bytes e : elem) {
+    array_at.push_back(base);
+    base += static_cast<std::size_t>(e * len) + 8;  // arrays apart
+  }
+  for (std::int64_t i = 0; i < len; ++i) {
+    Offset off = (i * P + rank) * block;
+    for (std::size_t j = 0; j < elem.size(); ++j) {
+      r.read(off, pool.at(static_cast<std::int64_t>(array_at[j]) + i * elem[j]),
+             elem[j]);
+      off += elem[j];
+    }
+  }
+}
+
+/// One read per element of each of `streams` arrays, round-robin, array j
+/// holding (j + 1)-byte elements; the arrays are separate heap objects, so
+/// their destinations share no stride.
+void manyStreams(Recording& r, std::vector<std::vector<std::byte>>& arrays,
+                 int streams, std::int64_t len, Offset file_off) {
+  arrays.clear();
+  Bytes block = 0;
+  for (int j = 0; j < streams; ++j) {
+    arrays.emplace_back(static_cast<std::size_t>(len * (j + 1)));
+    block += j + 1;
+  }
+  for (std::int64_t i = 0; i < len; ++i) {
+    Offset off = file_off + i * block;
+    for (int j = 0; j < streams; ++j) {
+      r.read(off, arrays[static_cast<std::size_t>(j)].data() + i * (j + 1),
+             j + 1);
+      off += j + 1;
+    }
+  }
+}
+
+/// Random reads from one of several shapes, seeded.
+void randomPattern(Recording& r, const Pool& pool, Bytes file_size,
+                   std::mt19937_64& rng) {
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const int phases = static_cast<int>(pick(2, 6));
+  for (int ph = 0; ph < phases; ++ph) {
+    const Bytes len = pick(1, 12);
+    const std::int64_t n = pick(1, 60);
+    const Offset stride = pick(-3 * r.seg, 3 * r.seg);
+    const std::int64_t dstride = pick(-2 * len, 2 * len);
+    // Start where every piece stays inside the file and the pool.
+    const Offset span = std::abs(stride) * n + len;
+    const std::int64_t dspan = std::abs(dstride) * n + len;
+    if (span >= file_size || dspan >= pool.room()) {
+      continue;
+    }
+    const Offset off0 = stride >= 0 ? pick(0, file_size - span)
+                                    : pick(span, file_size - len);
+    const std::int64_t d0 = dstride >= 0 ? pick(0, pool.room() - dspan)
+                                         : pick(dspan, pool.room() - len);
+    switch (pick(0, 3)) {
+      case 0:  // a strided run (descending and negative strides included)
+        for (std::int64_t i = 0; i < n; ++i) {
+          r.read(off0 + i * stride, pool.at(d0 + i * dstride), len);
+        }
+        break;
+      case 1:  // the same destination over and over (overlapping)
+        for (std::int64_t i = 0; i < n; ++i) {
+          r.read(off0 + i * stride, pool.at(d0), len);
+        }
+        break;
+      case 2:  // segment-straddling reads of up to three segments
+        for (std::int64_t i = 0; i < n / 8 + 1; ++i) {
+          const Bytes big = pick(1, 3 * r.seg);
+          if (big >= file_size || big >= pool.room()) break;
+          r.read(pick(0, file_size - big), pool.at(pick(0, pool.room() - big)),
+                 big);
+        }
+        break;
+      default:  // no pattern at all
+        for (std::int64_t i = 0; i < n; ++i) {
+          const Bytes l = pick(1, 16);
+          r.read(pick(0, file_size - l), pool.at(pick(0, pool.room() - l)), l);
+        }
+        break;
+    }
+  }
+}
+
+// -- Reference per-owner walks ------------------------------------------------
+
+using Moved = std::vector<std::pair<SegmentId, Rank>>;
+
+Rank refOwner(const Recording& r, int P, const Moved& moved, Offset off) {
+  const SegmentId g = off / r.seg;
+  for (const auto& [m, to] : moved) {
+    if (m == g) return to;
+  }
+  return static_cast<Rank>(g % P);
+}
+
+/// Each group's pieces, groups ascending, each in recorded order.
+std::vector<std::pair<std::size_t, ReadPiece>> refGrouped(
+    const Recording& r, int P, const Moved& moved,
+    const std::vector<std::size_t>& group_of, std::size_t groups) {
+  std::vector<std::pair<std::size_t, ReadPiece>> out;
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (const ReadPiece& p : r.ref) {
+      const auto o = static_cast<std::size_t>(refOwner(r, P, moved, p.off));
+      if (group_of[o] == g) out.emplace_back(g, p);
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<std::size_t, ReadPiece>> grouped(
+    const Recording& r, int P, const Moved& moved,
+    const std::vector<std::size_t>& group_of, std::size_t groups) {
+  const SegmentMap map(r.seg, P);
+  std::vector<std::pair<std::size_t, ReadPiece>> out;
+  std::size_t ended = 0;
+  r.rec.forEachInGroups(
+      {map, moved}, groups,
+      [&](std::size_t g, const auto& visit) {
+        // Visit the group's owners highest first: order must not matter.
+        for (std::size_t o = group_of.size(); o-- > 0;) {
+          if (group_of[o] == g) visit(static_cast<Rank>(o));
+        }
+      },
+      [&](std::size_t g, const ReadPiece& p) {
+        EXPECT_GE(g, ended) << "groups must come in ascending order";
+        out.emplace_back(g, p);
+      },
+      [&](std::size_t g) { ended = g + 1; });
+  return out;
+}
+
+/// Moves a few seeded segments to other owners (a crash takeover overlay).
+Moved randomMoved(std::mt19937_64& rng, std::int64_t total_segs, int P) {
+  std::map<SegmentId, Rank> m;
+  const int n = static_cast<int>(rng() % 6) + 1;
+  for (int i = 0; i < n; ++i) {
+    m[static_cast<SegmentId>(rng() % static_cast<std::uint64_t>(total_segs))] =
+        static_cast<Rank>(rng() % static_cast<std::uint64_t>(P));
+  }
+  return {m.begin(), m.end()};
+}
+
+void checkAll(const Recording& r, const Pool& pool, int P,
+              std::mt19937_64& rng) {
+  ASSERT_EQ(walk(r.rec), r.ref);
+  const Image img = expectedImage(pool, r.ref);
+  r.rec.forEach(land);
+  expectImage(pool, img);
+
+  std::int64_t total_segs = 1;
+  for (const ReadPiece& p : r.ref) {
+    total_segs = std::max<std::int64_t>(total_segs, p.off / r.seg + 1);
+  }
+  std::vector<std::size_t> per_owner(static_cast<std::size_t>(P));
+  std::vector<std::size_t> per_node(static_cast<std::size_t>(P));
+  for (std::size_t o = 0; o < per_owner.size(); ++o) {
+    per_owner[o] = o;
+    per_node[o] = o / 3;
+  }
+  const auto nodes = static_cast<std::size_t>((P + 2) / 3);
+  for (const Moved& moved : {Moved{}, randomMoved(rng, total_segs, P)}) {
+    EXPECT_EQ(grouped(r, P, moved, per_owner, per_owner.size()),
+              refGrouped(r, P, moved, per_owner, per_owner.size()));
+    EXPECT_EQ(grouped(r, P, moved, per_node, nodes),
+              refGrouped(r, P, moved, per_node, nodes));
+  }
+}
+
+// -- Tests --------------------------------------------------------------------
+
+TEST(PendingReadsTest, EmptyRecordWalksNothing) {
+  const PendingReads rec;
+  EXPECT_TRUE(rec.empty());
+  EXPECT_TRUE(walk(rec).empty());
+  const SegmentMap map(64, 4);
+  int calls = 0;
+  rec.forEachInGroups(
+      {map, {}}, 4, [](std::size_t, const auto&) {},
+      [&](std::size_t, const ReadPiece&) { ++calls; },
+      [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(PendingReadsTest, WithinMatchesBruteForce) {
+  std::mt19937_64 rng(3);
+  for (int t = 0; t < 2000; ++t) {
+    ReadRun run;
+    run.off = static_cast<Offset>(rng() % 100000) + 50000;
+    run.len = 1;
+    run.count = static_cast<std::uint32_t>(rng() % 40) + 1;
+    run.off_stride =
+        run.count == 1 ? 0 : static_cast<std::int32_t>(rng() % 2001) - 1000;
+    const Offset begin = run.off + static_cast<Offset>(rng() % 40001) - 20000;
+    const Offset end = begin + static_cast<Offset>(rng() % 3000) + 1;
+    const auto [lo, hi] = run.within(begin, end);
+    std::vector<std::uint32_t> in;
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      const Offset o = run.piece(i).off;
+      if (o >= begin && o < end) in.push_back(i);
+    }
+    if (in.empty()) {
+      EXPECT_EQ(lo, hi);
+    } else {
+      EXPECT_EQ(lo, in.front());
+      EXPECT_EQ(hi, in.back() + 1);
+      EXPECT_EQ(hi - lo, in.size());
+    }
+  }
+}
+
+TEST(PendingReadsTest, InterleavedArraysAreOneRunPerArray) {
+  // Fig. 5's pattern with segments that hold whole blocks: no read
+  // straddles a segment, and each array's reads form one run however many
+  // segments (and ranks) they cross.
+  for (const int P : {8, 32, 128}) {
+    Pool pool(64 * 12 + 64);
+    Recording r(/*segment=*/12 * 4);
+    interleavedArrays(r, pool, 0, {4, 8}, P, P / 2, 64);
+    EXPECT_EQ(r.rec.runs().size(), 2u) << "P=" << P;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(P));
+    checkAll(r, pool, P, rng);
+  }
+}
+
+TEST(PendingReadsTest, InterleavedArraysWithStraddlingReads) {
+  // A 1000-byte segment splits some 8-byte elements in two: each such read
+  // costs a few runs, a run-free recording would cost one per piece.
+  std::mt19937_64 rng(11);
+  std::size_t straddles = 0;
+  for (const int P : {8, 32}) {
+    for (int rank = 0; rank < P; rank += 5) {
+      Pool pool(2 * 12 * 256 + 64);
+      Recording r(/*segment=*/1000);
+      interleavedArrays(r, pool, 0, {4, 8}, P, rank, 256);
+      straddles += r.straddles();
+      EXPECT_LE(r.rec.runs().size(), 2 + 3 * r.straddles())
+          << "P=" << P << " rank=" << rank;
+      checkAll(r, pool, P, rng);
+    }
+  }
+  EXPECT_GT(straddles, 0u);
+}
+
+TEST(PendingReadsTest, MoreStreamsThanTheLookbackHolds) {
+  for (const int streams : {3, 4, 5, 7, 12}) {
+    Recording r(/*segment=*/256);
+    std::vector<std::vector<std::byte>> arrays;
+    manyStreams(r, arrays, streams, 50, 40);
+    EXPECT_EQ(walk(r.rec), r.ref) << streams << " streams";
+    EXPECT_LE(r.rec.runs().size(), r.ref.size());
+    if (streams <= static_cast<int>(PendingReads::kLookback)) {
+      // Each stream keeps extending its own run within the lookback. A
+      // straddling read adds up to two runs and may push every stream's run
+      // out of the lookback once.
+      EXPECT_LE(r.rec.runs().size(),
+                streams + (streams + 2) * r.straddles());
+    }
+    const SegmentMap map(r.seg, 4);
+    std::vector<ReadPiece> by_owner;
+    r.rec.forEachInGroups(
+        {map, {}}, 4,
+        [](std::size_t o, const auto& visit) { visit(static_cast<Rank>(o)); },
+        [&](std::size_t, const ReadPiece& p) { by_owner.push_back(p); },
+        [](std::size_t) {});
+    std::vector<ReadPiece> expect;
+    for (Rank o = 0; o < 4; ++o) {
+      for (const ReadPiece& p : r.ref) {
+        if (map.rankOf(map.segmentOf(p.off)) == o) expect.push_back(p);
+      }
+    }
+    EXPECT_EQ(by_owner, expect);
+  }
+}
+
+TEST(PendingReadsTest, DescendingOffsetsAndNegativeDestinationStrides) {
+  Pool pool(4096);
+  Recording r(/*segment=*/100);
+  for (int i = 99; i >= 0; --i) {  // descending file offsets
+    r.read(i * 24, pool.at((99 - i) * 8), 8);
+  }
+  for (int i = 0; i < 100; ++i) {  // descending destinations
+    r.read(3000 + i * 16, pool.at(4000 - i * 12), 4);
+  }
+  EXPECT_LE(r.rec.runs().size(), 2 + 3 * r.straddles());
+  std::mt19937_64 rng(5);
+  checkAll(r, pool, 6, rng);
+}
+
+TEST(PendingReadsTest, OverlappingDestinationsKeepRecordedOrder) {
+  // Every read lands on the same 8 bytes: the last one recorded must win.
+  Pool pool(64);
+  Recording r(/*segment=*/64);
+  for (int i = 0; i < 40; ++i) r.read(i * 8, pool.at(16), 8);
+  EXPECT_EQ(r.rec.runs().size(), 1u);
+  r.rec.forEach(land);
+  for (Bytes b = 0; b < 8; ++b) {
+    EXPECT_EQ(*pool.at(16 + b), fileByte(39 * 8 + b));
+  }
+  std::mt19937_64 rng(9);
+  checkAll(r, pool, 3, rng);
+}
+
+TEST(PendingReadsTest, RandomPatternsReproduceRecordedOrder) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937_64 rng(seed);
+    const Bytes seg = std::vector<Bytes>{16, 64, 100, 256, 4096}[seed % 5];
+    const int P = static_cast<int>(rng() % 9) + 1;
+    const Bytes file_size = seg * P * (static_cast<Bytes>(rng() % 6) + 1) + 64;
+    Pool pool(8192);
+    Recording r(seg);
+    randomPattern(r, pool, file_size, rng);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    checkAll(r, pool, P, rng);
+  }
+}
+
+TEST(PendingReadsTest, ClearStartsAFreshRecord) {
+  Pool pool(256);
+  Recording r(/*segment=*/64);
+  for (int i = 0; i < 10; ++i) r.read(i * 4, pool.at(i * 4), 4);
+  r.rec.clear();
+  r.ref.clear();
+  EXPECT_TRUE(r.rec.empty());
+  for (int i = 0; i < 10; ++i) r.read(100 + i * 8, pool.at(128 + i * 4), 4);
+  EXPECT_EQ(walk(r.rec), r.ref);
+  EXPECT_EQ(r.rec.runs().front().seq, 0u);
+}
+
+}  // namespace
+}  // namespace tcio::core

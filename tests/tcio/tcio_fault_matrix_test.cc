@@ -32,8 +32,6 @@ struct MatrixParam {
   Fault fault;
   bool node_agg;
   bool lazy;
-  /// >= 0: fail this FS write call (FaultConfig::fail_write_call), once.
-  std::int64_t one_shot = -1;
 };
 
 std::string paramName(const ::testing::TestParamInfo<MatrixParam>& info) {
@@ -113,7 +111,10 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
-RunResult runMatrix(const MatrixParam& p, std::uint64_t seed) {
+/// `one_shot` >= 0 fails that FS write call (FaultConfig::fail_write_call)
+/// once and grants one retry; only the one-shot test passes it.
+RunResult runMatrix(const MatrixParam& p, std::uint64_t seed,
+                    std::int64_t one_shot = -1) {
   const std::vector<std::byte> ref = referenceFile();
 
   fs::FsConfig fcfg;
@@ -121,10 +122,10 @@ RunResult runMatrix(const MatrixParam& p, std::uint64_t seed) {
   fcfg.stripe_size = kSegment;
   fcfg.default_stripe_count = 3;
   fs::Filesystem fsys(fcfg);
-  if (p.one_shot >= 0) {
-    FaultConfig one_shot;
-    one_shot.fail_write_call = p.one_shot;
-    fsys.installFaultPlan(one_shot);
+  if (one_shot >= 0) {
+    FaultConfig plan;
+    plan.fail_write_call = one_shot;
+    fsys.installFaultPlan(plan);
   }
 
   mpi::JobConfig jc;
@@ -171,7 +172,7 @@ RunResult runMatrix(const MatrixParam& p, std::uint64_t seed) {
       cfg.faults.straggler_multiplier = 8.0;
       break;
   }
-  if (p.one_shot >= 0) cfg.retry.max_attempts = 2;
+  if (one_shot >= 0) cfg.retry.max_attempts = 2;
 
   std::array<std::int32_t, kProcs> outcome{};
   std::array<std::array<std::int64_t, kStatFields>, kProcs> per_rank{};
@@ -332,8 +333,8 @@ TEST(TcioFaultMatrixOneShotTest, SingleTransientFaultCompletesByteIdentical) {
   } modes[] = {{false, true}, {false, false}, {true, true}};
   for (const auto& m : modes) {
     for (const std::int64_t after : {0, 3, 17}) {
-      MatrixParam p{Fault::kNone, m.node_agg, m.lazy, after};
-      const RunResult r = runMatrix(p, seed);
+      const RunResult r =
+          runMatrix({Fault::kNone, m.node_agg, m.lazy}, seed, after);
       ASSERT_EQ(r.outcome, 0)
           << "one-shot fault at write call " << after << " not absorbed";
       EXPECT_EQ(r.crc, referenceCrc());

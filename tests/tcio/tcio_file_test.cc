@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "mpi/runtime.h"
@@ -262,6 +265,123 @@ TEST(TcioFileTest, AutoIndependentFetchOnSegmentChange) {
     EXPECT_EQ(b, 20);
     f.close();
   });
+}
+
+// Fig. 5's read: each rank reads two arrays (4- and 8-byte elements) whose
+// element i sits in 12-byte block i * P + rank. 1000-byte segments split
+// some 8-byte elements across two segments.
+struct Fig5ReadMode {
+  const char* name;
+  bool onesided = true;
+  bool lazy = true;
+  bool auto_fetch = false;
+  bool node_agg = false;
+};
+
+struct Fig5ReadResult {
+  std::size_t max_runs = 0;       // largest pending record on any rank
+  std::size_t max_straddles = 0;  // most segment-straddling reads on a rank
+};
+
+Fig5ReadResult fig5Read(int P, const Fig5ReadMode& m) {
+  constexpr std::int64_t kLen = 200;
+  constexpr Bytes kSeg = 1000;
+  const auto byteAt = [](Offset o) {
+    return static_cast<std::byte>((o * 7 + 3) % 251);
+  };
+  const auto offsetOf = [P](int rank, std::int64_t i, int j) {
+    return (i * P + rank) * 12 + (j == 0 ? 0 : 4);
+  };
+  const std::string name = std::string("fig5_") + m.name + ".dat";
+  fs::Filesystem fsys(fsCfg());
+  mpi::JobConfig jc = job(P);
+  jc.net.ranks_per_node = 4;
+  std::vector<std::size_t> runs(static_cast<std::size_t>(P));
+  std::vector<std::size_t> straddles(static_cast<std::size_t>(P));
+  mpi::runJob(jc, [&](mpi::Comm& comm) {
+    const int r = comm.rank();
+    {
+      File w(comm, fsys, name, fs::kWrite | fs::kCreate, smallTcio(kSeg, 3));
+      for (std::int64_t i = 0; i < kLen; ++i) {
+        for (int j = 0; j < 2; ++j) {
+          const Bytes n = j == 0 ? 4 : 8;
+          std::byte e[8];
+          for (Bytes b = 0; b < n; ++b) e[b] = byteAt(offsetOf(r, i, j) + b);
+          w.writeAt(offsetOf(r, i, j), e, n);
+        }
+      }
+      w.close();
+    }
+    TcioConfig rc = smallTcio(kSeg, 3);
+    rc.use_onesided = m.onesided;
+    rc.lazy_reads = m.lazy;
+    rc.auto_fetch_on_segment_exit = m.auto_fetch;
+    rc.node_aggregation = m.node_agg;
+    File f(comm, fsys, name, fs::kRead, rc);
+    // Uninitialized destinations: a byte no piece lands on shows.
+    auto ints = std::make_unique_for_overwrite<std::byte[]>(4 * kLen);
+    auto dbls = std::make_unique_for_overwrite<std::byte[]>(8 * kLen);
+    std::size_t straddling = 0;
+    for (std::int64_t i = 0; i < kLen; ++i) {
+      f.readAt(offsetOf(r, i, 0), ints.get() + 4 * i, 4);
+      f.readAt(offsetOf(r, i, 1), dbls.get() + 8 * i, 8);
+      const Offset last = offsetOf(r, i, 1) + 7;
+      if (last / kSeg != offsetOf(r, i, 1) / kSeg) ++straddling;
+    }
+    runs[static_cast<std::size_t>(r)] = f.pendingReadRuns();
+    straddles[static_cast<std::size_t>(r)] = straddling;
+    f.fetch();
+    for (std::int64_t i = 0; i < kLen; ++i) {
+      for (Bytes b = 0; b < 4; ++b) {
+        ASSERT_EQ(ints[static_cast<std::size_t>(4 * i + b)],
+                  byteAt(offsetOf(r, i, 0) + b))
+            << m.name << " rank " << r << " int " << i;
+      }
+      for (Bytes b = 0; b < 8; ++b) {
+        ASSERT_EQ(dbls[static_cast<std::size_t>(8 * i + b)],
+                  byteAt(offsetOf(r, i, 1) + b))
+            << m.name << " rank " << r << " double " << i;
+      }
+    }
+    f.close();
+  });
+  return {*std::max_element(runs.begin(), runs.end()),
+          *std::max_element(straddles.begin(), straddles.end())};
+}
+
+TEST(TcioFileTest, Fig5ReadEveryModeLandsEveryByte) {
+  const Fig5ReadMode modes[] = {
+      {"onesided"},
+      {"twosided", /*onesided=*/false},
+      {"nodeagg", true, true, false, /*node_agg=*/true},
+      {"autofetch", true, true, /*auto_fetch=*/true},
+      {"eager", true, /*lazy=*/false},
+  };
+  for (const int P : {8, 32}) {
+    for (const Fig5ReadMode& m : modes) {
+      SCOPED_TRACE(std::string(m.name) + " P=" + std::to_string(P));
+      const Fig5ReadResult res = fig5Read(P, m);
+      if (m.lazy && !m.auto_fetch) {
+        // The lazy record holds a run per array plus a few per straddling
+        // read: O(arrays + straddles), whatever P and the read count are.
+        EXPECT_LE(res.max_runs, 2 + 3 * res.max_straddles);
+      }
+      if (!m.lazy) {
+        EXPECT_EQ(res.max_runs, 0u);
+      }
+    }
+  }
+}
+
+TEST(TcioFileTest, Fig5PendingRecordDoesNotGrowWithP) {
+  // The record holds two runs per rank plus a few per straddling read, at
+  // either P; one entry per datum would be 400 per rank.
+  for (const int P : {8, 32}) {
+    const Fig5ReadResult res = fig5Read(P, {"count"});
+    EXPECT_GE(res.max_straddles, 1u) << "P=" << P;
+    EXPECT_LE(res.max_straddles, 2u) << "P=" << P;
+    EXPECT_LE(res.max_runs, 8u) << "P=" << P;
+  }
 }
 
 TEST(TcioFileTest, InterleavedManyRanksMatchesReferenceModel) {

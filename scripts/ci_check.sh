@@ -3,7 +3,8 @@
 # full test suite with the runtime checker attached (TCIO_CHECK=1, see
 # src/check/ and DESIGN.md §9), with the integrity pipeline forced on
 # (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), with the chaos soak's
-# integrity faults armed (TCIO_CHAOS_INTEGRITY=1), and on a Release build.
+# integrity faults armed (TCIO_CHAOS_INTEGRITY=1), and on a Release build,
+# plus the fast delegate ablation bench, whose acceptance line is a gate.
 # The clang-tidy pass is STRICT — findings fail the job — when the pinned
 # major version (TCIO_TIDY_VERSION) is what runs: check sets drift
 # across majors, so only the pinned toolchain's verdict is authoritative. A
@@ -153,6 +154,12 @@ MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
 echo "== delegate churn under TCIO_CHECK=1, TCIO_DELEGATES=2 =="
 TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
   --output-on-failure -R 'DelegateChurnTest|DelegateQueueTest'
+
+# The delegate ablation's own acceptance as a gate: file CRC parity across
+# delegate counts, FS clients == delegate ranks {0..D-1}, crash recovery,
+# and churn rejections absorbed by busy retries. It exits 1 on FAIL.
+echo "== delegate ablation (TCIO_BENCH_FAST=1) =="
+TCIO_BENCH_FAST=1 "$BUILD/bench/bench_ablation_delegates"
 
 # The whole suite again with the end-to-end integrity pipeline forced on, by
 # itself and with delegates resolved from the environment: the one owner-side

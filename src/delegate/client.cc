@@ -19,37 +19,6 @@ namespace {
 /// session is misconfigured (watermark 0, or a wedged delegate).
 constexpr int kMaxBusyAttempts = 1 << 20;
 
-/// Splits `extents` into requests that fit one staging frame and the
-/// descriptor extent cap, in order: `send(chunk, offset, bytes)` per request,
-/// with the chunk's payload offset and size.
-template <typename Send>
-void forEachChunk(const std::vector<WireExtent>& extents, Bytes frame_bytes,
-                  Send&& send) {
-  std::vector<WireExtent> chunk;
-  Bytes chunk_bytes = 0;
-  Bytes consumed = 0;
-  const auto flush_chunk = [&] {
-    if (chunk.empty()) return;
-    send(std::move(chunk), consumed, chunk_bytes);
-    consumed += chunk_bytes;
-    chunk.clear();
-    chunk_bytes = 0;
-  };
-  for (const WireExtent& e : extents) {
-    const Bytes len = e.end - e.begin;
-    TCIO_CHECK_MSG(len <= frame_bytes,
-                   "one extent must fit the staging frame — split it");
-    if (!chunk.empty() &&
-        (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
-      flush_chunk();
-    }
-    chunk.push_back(e);
-    chunk_bytes += len;
-  }
-  flush_chunk();
-}
-
 /// Splits [off, off + n) on segment boundaries: `piece(g, in_seg, done,
 /// take)` per segment touched, with `done` bytes of the range before it.
 template <typename Piece>
@@ -90,63 +59,49 @@ Channel::Channel(Session& session)
 void Channel::sendOp(const PendingOp& op, std::int64_t seq) {
   RequestHeader h = requestHeader(op.op, comm_->rank(), seq, op.key);
   h.payload_bytes = op.payload_bytes;
-  h.n_extents = static_cast<std::int32_t>(op.extents.size());
-  sendDescriptor(op.owner, h, op.extents);
+  h.n_extents = 1;
+  sendDescriptor(op.owner, h, {&op.extent, 1});
 }
 
 void Channel::sendDescriptor(int delegate, const RequestHeader& h,
-                             const std::vector<WireExtent>& extents,
+                             std::span<const WireExtent> extents,
                              const std::string& name) {
-  std::vector<std::byte> msg(sizeof(h) +
-                             extents.size() * sizeof(WireExtent) +
-                             name.size());
-  std::memcpy(msg.data(), &h, sizeof(h));
-  std::byte* cursor = msg.data() + sizeof(h);
-  if (!extents.empty()) {
-    std::memcpy(cursor, extents.data(), extents.size() * sizeof(WireExtent));
-    cursor += extents.size() * sizeof(WireExtent);
+  const std::span<const std::byte> parts[] = {
+      std::as_bytes(std::span{&h, 1}), std::as_bytes(extents),
+      std::as_bytes(std::span{name})};
+  std::vector<std::byte> msg;
+  msg.reserve(sizeof(h) + extents.size_bytes() + name.size());
+  for (const std::span<const std::byte> part : parts) {
+    msg.insert(msg.end(), part.begin(), part.end());
   }
-  if (!name.empty()) std::memcpy(cursor, name.data(), name.size());
   comm_->send(msg.data(), static_cast<Bytes>(msg.size()), delegate, kReqTag);
 }
 
 bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out) {
-  std::deque<std::vector<std::byte>>& stash = stash_[delegate];
-  for (auto it = stash.begin(); it != stash.end(); ++it) {
-    std::memcpy(out, it->data(), sizeof(*out));
-    if (out->seq == seq) {
-      stash.erase(it);
-      return true;
-    }
+  mpi::RecvStatus st;
+  if (!s_->recvReply(reply_buf_.data(), static_cast<Bytes>(reply_buf_.size()),
+                     delegate, &st)) {
+    suspect(delegate);
+    return false;
   }
-  const Bytes capacity = static_cast<Bytes>(reply_buf_.size());
-  for (;;) {
-    mpi::RecvStatus st;
-    if (!s_->recvReply(reply_buf_.data(), capacity, delegate, &st)) {
-      suspect(delegate);
-      return false;
-    }
-    const std::span<const std::byte> msg{reply_buf_.data(),
-                                         static_cast<std::size_t>(st.count)};
-    ReplyMsg r;
-    TCIO_CHECK_MSG(msg.size() >= sizeof(r),
-                   "delegate reply shorter than its header");
-    std::memcpy(&r, msg.data(), sizeof(r));
-    if (r.kind == ReplyKind::kError && r.seq == seq) {
-      TCIO_CHECK_MSG(r.value2 >= 0 && static_cast<std::size_t>(r.value2) <=
-                                          msg.size() - sizeof(r),
-                     "delegate error text overruns the received reply");
-      const std::string text(
-          reinterpret_cast<const char*>(msg.data() + sizeof(r)),
-          static_cast<std::size_t>(r.value2));
-      mpi::throwTyped(static_cast<std::int32_t>(r.value), text);
-    }
-    if (r.seq == seq) {
-      *out = r;
-      return true;
-    }
-    stash.emplace_back(msg.begin(), msg.end());
+  const std::span<const std::byte> msg{reply_buf_.data(),
+                                       static_cast<std::size_t>(st.count)};
+  TCIO_CHECK_MSG(msg.size() >= sizeof(*out),
+                 "delegate reply shorter than its header");
+  std::memcpy(out, msg.data(), sizeof(*out));
+  if (out->kind == ReplyKind::kError && out->seq == seq) {
+    TCIO_CHECK_MSG(out->value2 >= 0 && static_cast<std::size_t>(out->value2) <=
+                                           msg.size() - sizeof(*out),
+                   "delegate error text overruns the received reply");
+    const std::string text(
+        reinterpret_cast<const char*>(msg.data() + sizeof(*out)),
+        static_cast<std::size_t>(out->value2));
+    mpi::throwTyped(static_cast<std::int32_t>(out->value), text);
   }
+  TCIO_CHECK_MSG(out->seq == seq,
+                 "delegate reply for another request — a client has one "
+                 "request in flight per delegate");
+  return true;
 }
 
 void Channel::suspect(int delegate) { setBit(suspected_, delegate); }
@@ -157,6 +112,11 @@ void Channel::open(const std::string& name, unsigned flags) {
   const std::uint64_t key = fileKey(name);
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
+    // A suspect may still answer a request this client abandoned; that late
+    // reply must never meet a new request.
+    TCIO_CHECK_MSG(!testBit(suspected_, d),
+                   "open with an unresolved delegate suspicion — flush or "
+                   "close the files already open first");
     RequestHeader h = requestHeader(Op::kOpen, comm_->rank(), next_seq_++, key);
     h.name_len = static_cast<std::int32_t>(name.size());
     h.aux = static_cast<std::int64_t>(flags);
@@ -172,38 +132,9 @@ void Channel::open(const std::string& name, unsigned flags) {
   }
 }
 
-// -- Puts ---------------------------------------------------------------------
+// -- Data requests ------------------------------------------------------------
 
-std::int64_t Channel::postPut(std::uint64_t key,
-                              std::vector<WireExtent> extents,
-                              std::vector<std::byte> payload) {
-  TCIO_CHECK(!extents.empty());
-  PendingOp op;
-  op.op = Op::kPut;
-  op.key = key;
-  op.owner = s_->ownerOfSegment(extents.front().seg);
-  op.payload_bytes = static_cast<Bytes>(payload.size());
-  op.extents = std::move(extents);
-  op.payload = std::move(payload);
-  // Digest each extent at staging time: the CRC rides the descriptor so the
-  // delegate can verify the RMA frame crossing against the source bytes.
-  if (integrity_on_) {
-    const std::byte* cursor = op.payload.data();
-    for (WireExtent& e : op.extents) {
-      const Bytes len = e.end - e.begin;
-      e.crc = crc32({cursor, static_cast<std::size_t>(len)});
-      e.has_crc = 1;
-      cursor += len;
-    }
-  }
-  op.deferred = testBit(suspected_, op.owner);
-  const std::int64_t seq = next_seq_++;
-  if (!op.deferred) sendOp(op, seq);
-  pending_.emplace(seq, std::move(op));
-  return seq;
-}
-
-bool Channel::awaitAdmission(PendingOp& op, std::int64_t seq,
+bool Channel::awaitAdmission(const PendingOp& op, std::int64_t seq,
                              std::int64_t* frame) {
   for (int attempt = 1;; ++attempt) {
     ReplyMsg r;
@@ -226,92 +157,75 @@ bool Channel::awaitAdmission(PendingOp& op, std::int64_t seq,
   }
 }
 
-bool Channel::finishPut(std::int64_t seq) {
-  const auto it = pending_.find(seq);
-  TCIO_CHECK(it != pending_.end());
-  PendingOp op = std::move(it->second);
-  pending_.erase(it);
-  if (op.deferred || testBit(suspected_, op.owner)) {
-    op.deferred = true;
-    deferred_.push_back(std::move(op));
-    return false;
+Channel::PendingOp Channel::dataOp(Op op, std::uint64_t key,
+                                   const WireExtent& extent) {
+  const Bytes len = extent.end - extent.begin;
+  TCIO_CHECK_MSG(len <= s_->frameBytes(),
+                 "one extent must fit the staging frame — split it");
+  PendingOp p;
+  p.op = op;
+  p.key = key;
+  p.owner = s_->ownerOfSegment(extent.seg);
+  p.extent = extent;
+  p.payload_bytes = len;
+  return p;
+}
+
+void Channel::put(std::uint64_t key, const WireExtent& extent,
+                  std::vector<std::byte> payload) {
+  PendingOp op = dataOp(Op::kPut, key, extent);
+  TCIO_CHECK(static_cast<Bytes>(payload.size()) == op.payload_bytes);
+  op.payload = std::move(payload);
+  // Digest the extent at staging time: the CRC rides the descriptor so the
+  // delegate can verify the RMA frame crossing against the source bytes.
+  if (integrity_on_) {
+    op.extent.crc = crc32(op.payload);
+    op.extent.has_crc = 1;
   }
+  const std::int64_t seq = next_seq_++;
+  if (testBit(suspected_, op.owner) || !deliverPut(op, seq)) {
+    deferred_.push_back(std::move(op));
+  }
+}
+
+bool Channel::deliverPut(const PendingOp& op, std::int64_t seq) {
+  sendOp(op, seq);
   std::int64_t frame = -1;
-  if (!awaitAdmission(op, seq, &frame)) {
-    op.deferred = true;
-    deferred_.push_back(std::move(op));
-    return false;
-  }
+  if (!awaitAdmission(op, seq, &frame)) return false;
   // Stage the payload into the granted frame with one passive-target epoch,
   // then tell the delegate the bytes are in place.
   mpi::Window& w = s_->window();
-  w.lock(mpi::LockType::kShared, op.owner);
-  w.put(op.owner, frame * s_->frameBytes(), op.payload.data(),
-        op.payload_bytes);
-  w.unlock(op.owner);
   const RequestHeader h =
       requestHeader(Op::kPutData, comm_->rank(), seq, op.key);
-  sendDescriptor(op.owner, h, {});
-  ReplyMsg r;
   for (;;) {
-    if (!awaitReply(op.owner, seq, &r)) {
-      // Acknowledgement lost to a death. The put may or may not have been
-      // journaled; resubmitting is idempotent either way.
-      op.deferred = true;
-      deferred_.push_back(std::move(op));
-      return false;
-    }
-    if (r.kind != ReplyKind::kPutRetry) break;
-    // The delegate found the staged frame corrupt (a bit flipped across the
-    // RMA crossing). This client still holds the pristine payload: re-stage
-    // it into the same frame (r.value) and resend kPutData.
     w.lock(mpi::LockType::kShared, op.owner);
-    w.put(op.owner, r.value * s_->frameBytes(), op.payload.data(),
+    w.put(op.owner, frame * s_->frameBytes(), op.payload.data(),
           op.payload_bytes);
     w.unlock(op.owner);
     sendDescriptor(op.owner, h, {});
+    ReplyMsg r;
+    // Acknowledgement lost to a death: the put may or may not have been
+    // journaled; resubmitting is idempotent either way.
+    if (!awaitReply(op.owner, seq, &r)) return false;
+    if (r.kind != ReplyKind::kPutRetry) {
+      TCIO_CHECK(r.kind == ReplyKind::kPutDone);
+      return true;
+    }
+    // The delegate found the staged frame corrupt (a bit flipped across the
+    // RMA crossing). This client still holds the pristine payload: re-stage
+    // it into the same frame (r.value) and resend kPutData.
+    frame = r.value;
   }
-  TCIO_CHECK(r.kind == ReplyKind::kPutDone);
-  return true;
 }
 
-void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
-                  std::vector<std::byte> payload) {
-  // Each chunk is one admission-controlled request.
-  forEachChunk(extents, s_->frameBytes(),
-               [&](std::vector<WireExtent> chunk, Bytes at, Bytes bytes) {
-                 std::vector<std::byte> slice(payload.begin() + at,
-                                              payload.begin() + at + bytes);
-                 finishPut(postPut(key, std::move(chunk), std::move(slice)));
-               });
-}
-
-// -- Gets ---------------------------------------------------------------------
-
-std::int64_t Channel::postGet(std::uint64_t key,
-                              std::vector<WireExtent> extents,
-                              Bytes payload_bytes) {
-  TCIO_CHECK(!extents.empty());
-  PendingOp op;
-  op.op = Op::kGet;
-  op.key = key;
-  op.owner = s_->ownerOfSegment(extents.front().seg);
-  op.payload_bytes = payload_bytes;
-  op.extents = std::move(extents);
+void Channel::get(std::uint64_t key, const WireExtent& extent,
+                  std::byte* out) {
+  const PendingOp op = dataOp(Op::kGet, key, extent);
   TCIO_CHECK_MSG(!testBit(suspected_, op.owner),
                  "reading from a crashed delegate is not supported — "
                  "resolve failures (flush) before reading");
   const std::int64_t seq = next_seq_++;
   sendOp(op, seq);
-  pending_.emplace(seq, std::move(op));
-  return seq;
-}
-
-void Channel::finishGet(std::int64_t seq, std::byte* out) {
-  const auto it = pending_.find(seq);
-  TCIO_CHECK(it != pending_.end());
-  PendingOp op = std::move(it->second);
-  pending_.erase(it);
   std::int64_t frame = -1;
   TCIO_CHECK_MSG(awaitAdmission(op, seq, &frame),
                  "delegate died while serving a get");
@@ -345,46 +259,36 @@ void Channel::finishGet(std::int64_t seq, std::byte* out) {
   sendDescriptor(op.owner, h, {});
 }
 
-void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
-                  std::byte* out) {
-  forEachChunk(extents, s_->frameBytes(),
-               [&](std::vector<WireExtent> chunk, Bytes at, Bytes bytes) {
-                 finishGet(postGet(key, std::move(chunk), bytes), out + at);
-               });
-}
-
 // -- Flush / close ------------------------------------------------------------
 
-void Channel::flushDelegates(std::uint64_t key) {
+std::vector<ReplyMsg> Channel::controlRound(Op op, std::uint64_t key,
+                                            ReplyKind done) {
   std::vector<std::pair<int, std::int64_t>> outstanding;
   for (const int d : s_->liveDelegates()) {
     if (testBit(suspected_, d)) continue;
-    const RequestHeader h =
-        requestHeader(Op::kFlush, comm_->rank(), next_seq_++, key);
+    const RequestHeader h = requestHeader(op, comm_->rank(), next_seq_++, key);
     sendDescriptor(d, h, {});
     outstanding.emplace_back(d, h.seq);
   }
+  std::vector<ReplyMsg> replies;
   for (const auto& [d, seq] : outstanding) {
     ReplyMsg r;
     if (!awaitReply(d, seq, &r)) continue;  // suspected; resolved by caller
-    TCIO_CHECK(r.kind == ReplyKind::kFlushDone);
+    TCIO_CHECK(r.kind == done);
+    replies.push_back(r);
   }
+  return replies;
+}
+
+void Channel::flushDelegates(std::uint64_t key) {
+  controlRound(Op::kFlush, key, ReplyKind::kFlushDone);
 }
 
 Bytes Channel::closeFile(std::uint64_t key) {
-  std::vector<std::pair<int, std::int64_t>> outstanding;
-  for (const int d : s_->liveDelegates()) {
-    if (testBit(suspected_, d)) continue;
-    const RequestHeader h =
-        requestHeader(Op::kClose, comm_->rank(), next_seq_++, key);
-    sendDescriptor(d, h, {});
-    outstanding.emplace_back(d, h.seq);
-  }
+  // A delegate that dies mid-drain is skipped: its adopter covers the shard.
   Bytes remote_max = 0;
-  for (const auto& [d, seq] : outstanding) {
-    ReplyMsg r;
-    if (!awaitReply(d, seq, &r)) continue;  // died mid-drain; adopter covers
-    TCIO_CHECK(r.kind == ReplyKind::kCloseDone);
+  for (const ReplyMsg& r : controlRound(Op::kClose, key,
+                                        ReplyKind::kCloseDone)) {
     remote_max = std::max<Bytes>(remote_max, r.value);
   }
   return remote_max;
@@ -438,9 +342,8 @@ void Channel::resubmitDeferred() {
   std::vector<PendingOp> work = std::move(deferred_);
   deferred_.clear();
   for (PendingOp& op : work) {
-    TCIO_CHECK(op.op == Op::kPut);
     ++s_->client_deferred_resubmissions;
-    finishPut(postPut(op.key, std::move(op.extents), std::move(op.payload)));
+    put(op.key, op.extent, std::move(op.payload));
   }
 }
 
@@ -460,7 +363,7 @@ void DFile::writeAt(Offset off, std::span<const std::byte> data) {
       off, data.size(), s_->config().segment_size,
       [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
         const auto bytes = data.subspan(done, static_cast<std::size_t>(take));
-        ch_->put(key_, {{g, in_seg, in_seg + take}},
+        ch_->put(key_, {g, in_seg, in_seg + take},
                  {bytes.begin(), bytes.end()});
       });
 }
@@ -470,7 +373,7 @@ void DFile::readAt(Offset off, std::span<std::byte> out) {
   forEachSegmentPiece(
       off, out.size(), s_->config().segment_size,
       [&](SegmentId g, Offset in_seg, std::size_t done, Bytes take) {
-        ch_->get(key_, {{g, in_seg, in_seg + take}}, out.data() + done);
+        ch_->get(key_, {g, in_seg, in_seg + take}, out.data() + done);
       });
 }
 

@@ -3,15 +3,17 @@
 // `Channel` is one client rank's connection to the delegate set: it frames
 // descriptors, moves payload through the staging windows, retries kBusy
 // rejections with simulated-time backoff, and — in crash mode — turns reply
-// timeouts into the suspicion/agreement/adoption protocol. `DFile` layers
-// the byte-offset file API on top: it splits accesses on segment boundaries
+// timeouts into the suspicion/agreement/adoption protocol. A data request
+// carries one extent of one segment, and the client awaits each request's
+// last reply before it sends the next one to that delegate, so every reply
+// it receives answers the request it is waiting on. `DFile` layers the
+// byte-offset file API on top: it splits accesses on segment boundaries
 // and sends each piece straight to its shard owner (intra-node aggregation
 // is core::File's, src/topo/).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,16 +35,14 @@ class Channel {
   /// Opens `name` at every live delegate (each owns a shard of the file).
   void open(const std::string& name, unsigned flags);
 
-  /// Writes `payload` (extents packed back to back) into one segment at its
-  /// current owner. Chunks the request to honour the frame size and the
-  /// descriptor extent cap. A dead/suspected owner defers the pieces for
-  /// resubmission at the next resolveFailures().
-  void put(std::uint64_t key, std::vector<WireExtent> extents,
+  /// Writes `payload` into `extent` (one segment piece, at most one
+  /// staging frame) at its current owner. A dead or suspected owner defers
+  /// the put for resubmission at the next resolveFailures().
+  void put(std::uint64_t key, const WireExtent& extent,
            std::vector<std::byte> payload);
 
-  /// Reads one segment's extents (packed) from its owner.
-  void get(std::uint64_t key, const std::vector<WireExtent>& extents,
-           std::byte* out);
+  /// Reads `extent` (one segment piece) from its owner into `out`.
+  void get(std::uint64_t key, const WireExtent& extent, std::byte* out);
 
   /// Per-delegate queue barrier: returns once every earlier request this
   /// client queued is serviced.
@@ -53,21 +53,6 @@ class Channel {
   /// collective — DFile::close wraps it into the collective protocol.
   Bytes closeFile(std::uint64_t key);
 
-  // -- Asynchronous primitives (multi-outstanding pressure in tests) ----------
-
-  /// Sends the put descriptor and returns its sequence number without
-  /// waiting for admission — the way to pile N requests onto one queue.
-  std::int64_t postPut(std::uint64_t key, std::vector<WireExtent> extents,
-                       std::vector<std::byte> payload);
-  /// Drives the posted put to completion (admission retry loop, payload
-  /// stage, kPutDone). Returns false when the owner died and the put was
-  /// deferred instead.
-  bool finishPut(std::int64_t seq);
-
-  std::int64_t postGet(std::uint64_t key, std::vector<WireExtent> extents,
-                       Bytes payload_bytes);
-  void finishGet(std::int64_t seq, std::byte* out);
-
   // -- Crash protocol ---------------------------------------------------------
 
   /// Collective over clientComm: agree on the suspected-dead set (kBitOr of
@@ -77,31 +62,41 @@ class Channel {
   void resolveFailures();
 
  private:
+  /// One data request: its descriptor fields and, for a put, the payload.
   struct PendingOp {
     Op op = Op::kPut;
     std::uint64_t key = 0;
     int owner = -1;
-    std::vector<WireExtent> extents;
+    WireExtent extent;
     std::vector<std::byte> payload;  // puts: bytes to stage; gets: unused
     Bytes payload_bytes = 0;
-    bool deferred = false;
   };
 
-  /// Sends the descriptor of `op` (its op, key, payload size and extents)
+  /// A put or get of `extent`, routed to the segment's current owner.
+  PendingOp dataOp(Op op, std::uint64_t key, const WireExtent& extent);
+  /// Sends the descriptor of `op` (its op, key, payload size and extent)
   /// under sequence number `seq` to its owner.
   void sendOp(const PendingOp& op, std::int64_t seq);
   /// Serializes and sends one descriptor on kReqTag.
   void sendDescriptor(int delegate, const RequestHeader& h,
-                      const std::vector<WireExtent>& extents,
+                      std::span<const WireExtent> extents,
                       const std::string& name = {});
-  /// Awaits the reply carrying `seq` from `delegate`, stashing out-of-order
-  /// replies. Returns false on a liveness timeout (crash mode only), after
-  /// marking the delegate suspected. A kError reply for `seq` rethrows
-  /// typed.
+  /// Awaits the reply to `seq` from `delegate`. Returns false on a liveness
+  /// timeout (crash mode only), after marking the delegate suspected. A
+  /// kError reply rethrows typed; any other reply must carry `seq`.
   bool awaitReply(int delegate, std::int64_t seq, ReplyMsg* out);
   /// Admission loop: resends the descriptor after each kBusy with
   /// exponential simulated-time backoff until kAccepted (or a timeout).
-  bool awaitAdmission(PendingOp& op, std::int64_t seq, std::int64_t* frame);
+  bool awaitAdmission(const PendingOp& op, std::int64_t seq,
+                      std::int64_t* frame);
+  /// Sends the put, stages its payload and awaits kPutDone. Returns false
+  /// when the owner timed out, so the caller defers the put.
+  bool deliverPut(const PendingOp& op, std::int64_t seq);
+  /// Sends `op` to every live, unsuspected delegate and awaits each reply,
+  /// which must be of kind `done`. A delegate that times out is skipped
+  /// (suspected; the caller resolves it). Returns the replies received.
+  std::vector<ReplyMsg> controlRound(Op op, std::uint64_t key,
+                                     ReplyKind done);
   void suspect(int delegate);
   void resubmitDeferred();
 
@@ -109,11 +104,7 @@ class Channel {
   mpi::Comm* comm_;
   bool integrity_on_ = false;
   std::int64_t next_seq_ = 1;
-  std::map<std::int64_t, PendingOp> pending_;
   std::vector<PendingOp> deferred_;
-  /// Replies received while awaiting a different sequence number, per
-  /// delegate, in arrival order.
-  std::map<int, std::deque<std::vector<std::byte>>> stash_;
   /// Every reply is received here; awaitReply copies out what it keeps.
   mpi::RawBytes reply_buf_;
   /// Local suspicion bitmap over the delegates (common/bits.h). The agreed

@@ -3,12 +3,13 @@
 // Delegates and clients talk over two reserved user tags on the session's
 // full communicator: descriptor messages (client -> delegate) on kReqTag and
 // replies (delegate -> client) on kRepTag. Descriptors are small typed
-// messages — a POD header, an extent list, and (for open) the file name —
-// while bulk payload never rides the two-sided path: an admitted data
-// request is assigned a staging *frame* in the delegate's RMA window and the
-// payload moves with one passive-target put/get epoch. That split is what
-// lets a delegate admit-or-reject thousands of clients per virtual second
-// without copying a byte for the rejected ones.
+// messages — a POD header, then one extent for a put or get, the dead list
+// for kAdopt, or the file name for open — while bulk payload never rides
+// the two-sided path: an admitted data request is assigned a staging
+// *frame* in the delegate's RMA window and the payload moves with one
+// passive-target put/get epoch. That split is what lets a delegate
+// admit-or-reject thousands of clients per virtual second without copying
+// a byte for the rejected ones.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +30,9 @@ inline constexpr int kRepTag = 7602;
 
 enum class Op : std::int32_t {
   kOpen = 1,   // open `name` at this delegate (aux = fs::OpenFlags)
-  kPut = 2,    // write extents of one segment; payload follows via RMA
+  kPut = 2,    // write one extent of one segment; payload follows via RMA
   kPutData = 3,  // payload is staged in the granted frame — service it
-  kGet = 4,    // read extents of one segment into a frame
+  kGet = 4,    // read one extent of one segment into a frame
   kGetAck = 5,   // client copied the frame out — free it
   kFlush = 6,  // per-client queue barrier: reply once my earlier work is done
   kClose = 7,  // close; the last close drains the shard and answers everyone
@@ -66,7 +67,8 @@ struct WireExtent {
 };
 
 /// Fixed-size head of every descriptor message. `n_extents` WireExtents and
-/// `name_len` name characters follow in the same message.
+/// `name_len` name characters follow in the same message; a kPut or kGet
+/// carries exactly one extent.
 struct RequestHeader {
   Op op = Op::kOpen;
   std::int32_t client = -1;  // requester's rank on the session communicator
@@ -86,8 +88,9 @@ struct Request {
 };
 
 /// Parses the `msg.size()` received bytes of one descriptor. A message
-/// shorter than its header, or whose extent count or name length claims
-/// more bytes than arrived, fails a TCIO_CHECK.
+/// shorter than its header, whose extent count or name length claims more
+/// bytes than arrived, or a kPut/kGet whose extent count is not 1, fails a
+/// TCIO_CHECK.
 Request parseRequest(std::span<const std::byte> msg);
 
 /// A descriptor header from `client`; the op-specific fields (payload and
@@ -124,8 +127,8 @@ inline std::uint64_t fileKey(const std::string& name) {
   return h;
 }
 
-/// Maximum extent descriptors per wire request; clients split larger
-/// submissions.
+/// Maximum extents per descriptor: the kAdopt verdict lists every dead
+/// delegate, so a session has at most this many delegates.
 inline constexpr std::int64_t kMaxWireExtents = 1024;
 
 /// Upper bound of one descriptor message (recv capacity).

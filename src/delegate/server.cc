@@ -30,6 +30,9 @@ Request parseRequest(std::span<const std::byte> msg) {
                      n_extents <= msg.size() / sizeof(WireExtent) &&
                      name_len <= msg.size() - n_extents * sizeof(WireExtent),
                  "delegate descriptor lengths overrun the received bytes");
+  TCIO_CHECK_MSG((q.h.op != Op::kPut && q.h.op != Op::kGet) ||
+                     q.h.n_extents == 1,
+                 "a put or get descriptor carries exactly one extent");
   q.extents.resize(n_extents);
   const std::size_t extent_bytes = n_extents * sizeof(WireExtent);
   if (extent_bytes > 0) {
@@ -282,34 +285,30 @@ void Server::serveOpen(Pending& p) {
 void Server::servePut(Pending& p) {
   crashPoint(CrashPoint::kAtCollective);
   FileState& f = fileFor(p.h.file_key);
-  TCIO_CHECK(!p.extents.empty());
-  const SegmentId g = p.extents.front().seg;
+  const WireExtent& e = p.extents.front();
+  const SegmentId g = e.seg;
+  const Bytes len = e.end - e.begin;
+  TCIO_CHECK(len == p.h.payload_bytes);
   noteAdoptedSegment(f, g);
   crashPoint(CrashPoint::kMidRma);  // payload staged, nothing applied yet
   SegBuf& sb = segBuf(f, g);
-  std::byte* src = frameData(p.frame);
+  const std::span<std::byte> payload{frameData(p.frame),
+                                     static_cast<std::size_t>(len)};
   if (corruption_->fires(CorruptSite::kStagingFrame)) {
-    corruption_->flipBit({src, static_cast<std::size_t>(p.h.payload_bytes)});
+    corruption_->flipBit(payload);
   }
-  // Verify the frame crossing against the digests the client took at staging
+  // Verify the frame crossing against the digest the client took at staging
   // time, before a byte is journaled or applied. A mismatch is repairable
   // without the WAL: the source rank still holds the pristine payload, so it
   // re-stages into the same frame and resends kPutData (once).
   if (integrity_on_) {
     bool clean = true;
-    const std::byte* check = src;
-    for (const WireExtent& e : p.extents) {
-      const Bytes len = e.end - e.begin;
-      if (e.has_crc != 0) {
-        ++stats_.crc_checks;
-        if (crc32({check, static_cast<std::size_t>(len)}) != e.crc) {
-          ++stats_.crc_mismatches;
-          clean = false;
-        }
-      }
-      check += len;
+    if (e.has_crc != 0) {
+      ++stats_.crc_checks;
+      clean = crc32(payload) == e.crc;
+      if (!clean) ++stats_.crc_mismatches;
     }
-    core::chargeChecksum(comm_->proc(), p.h.payload_bytes);
+    core::chargeChecksum(comm_->proc(), len);
     if (!clean) {
       if (p.retries >= 1) {
         ++stats_.unrepairable;
@@ -338,40 +337,22 @@ void Server::servePut(Pending& p) {
     f.journal = std::make_unique<core::Journal>(
         client_, core::journalPath(f.name, me_));
   }
-  if (journaling) f.journal->batchBegin();  // one device write per put
-  Bytes total = 0;
-  const std::byte* cursor = src;
-  for (const WireExtent& e : p.extents) {
-    TCIO_CHECK_MSG(e.seg == g, "one put must address a single segment");
-    const Bytes len = e.end - e.begin;
-    const std::span<const std::byte> payload{cursor,
-                                             static_cast<std::size_t>(len)};
-    if (journaling &&
-        !core::appendOrTear(*f.journal, crash_plan_.get(),
-                            CrashPoint::kMidJournal, g, e.begin, payload)) {
-      die();
-    }
-    std::memcpy(sb.data.data() + e.begin, cursor,
-                static_cast<std::size_t>(len));
-    if (integrity_on_ && e.has_crc != 0) {
-      sb.ledger.absorb(e.begin, {sb.data.data() + e.begin, payload.size()},
-                       e.crc);
-    }
-    sb.extents.push_back({e.begin, e.end});
-    ++sb.raw_extents;
-    cursor += len;
-    total += len;
+  if (journaling &&
+      !core::appendOrTear(*f.journal, crash_plan_.get(),
+                          CrashPoint::kMidJournal, g, e.begin, payload)) {
+    die();
   }
-  TCIO_CHECK(total == p.h.payload_bytes);
-  if (journaling) f.journal->batchEnd();
-  comm_->chargeCopy(total);
+  const std::span<std::byte> dst{sb.data.data() + e.begin, payload.size()};
+  std::memcpy(dst.data(), payload.data(), payload.size());
+  if (integrity_on_ && e.has_crc != 0) sb.ledger.absorb(e.begin, dst, e.crc);
+  sb.extents.push_back({e.begin, e.end});
+  ++sb.raw_extents;
+  comm_->chargeCopy(len);
   if (corruption_->fires(CorruptSite::kWindow)) {
     // Shard-buffer-at-rest flip, landing inside the extent just applied;
     // caught at the next ledger verification (get or drain) and healed by
     // WAL replay.
-    const WireExtent& e = p.extents.front();
-    corruption_->flipBit({sb.data.data() + e.begin,
-                          static_cast<std::size_t>(e.end - e.begin)});
+    corruption_->flipBit(dst);
   }
   if (check::Checker* ck = comm_->world().checker()) {
     comm_->proc().atomic([&] {
@@ -420,8 +401,10 @@ void Server::loadSegment(FileState& f, SegmentId g, SegBuf& sb) {
 void Server::serveGet(Pending& p) {
   crashPoint(CrashPoint::kAtCollective);
   FileState& f = fileFor(p.h.file_key);
-  TCIO_CHECK(!p.extents.empty());
-  const SegmentId g = p.extents.front().seg;
+  const WireExtent& e = p.extents.front();
+  const SegmentId g = e.seg;
+  const Bytes total = e.end - e.begin;
+  TCIO_CHECK(total == p.h.payload_bytes);
   SegBuf& sb = segBuf(f, g);
   if (!sb.loaded) loadSegment(f, g, sb);
   // Shard bytes are about to cross into the reply frame: re-verify the
@@ -431,15 +414,7 @@ void Server::serveGet(Pending& p) {
                          stats_, f.name);
   }
   std::byte* dst = frameData(p.frame);
-  Bytes total = 0;
-  for (const WireExtent& e : p.extents) {
-    TCIO_CHECK_MSG(e.seg == g, "one get must address a single segment");
-    const Bytes len = e.end - e.begin;
-    std::memcpy(dst + total, sb.data.data() + e.begin,
-                static_cast<std::size_t>(len));
-    total += len;
-  }
-  TCIO_CHECK(total == p.h.payload_bytes);
+  std::memcpy(dst, sb.data.data() + e.begin, static_cast<std::size_t>(total));
   comm_->chargeCopy(total);
   // Digest the staged reply so the client can verify its side of the RMA
   // frame crossing (pad == 1 flags a valid value2 CRC).

@@ -172,8 +172,6 @@ struct TcioStats {
   std::int64_t internode_messages_saved = 0;
   /// Fault-recovery accounting (all zero in healthy runs).
   TcioDegradedStats degraded;
-  /// Delegate request-queue accounting (all zero outside delegate sessions).
-  TcioDelegateStats delegate;
   /// End-to-end checksum accounting (all zero with integrity off).
   TcioIntegrityStats integrity;
 };

@@ -108,17 +108,19 @@ std::vector<std::byte> descriptor(const RequestHeader& h,
   return msg;
 }
 
-/// Expects parseRequest to fail its length check on `msg`.
-void expectRejected(std::span<const std::byte> msg) {
+/// Expects parseRequest to fail the TCIO_CHECK whose message contains `why`.
+void expectRejected(std::span<const std::byte> msg, const std::string& why) {
   try {
     parseRequest(msg);
     ADD_FAILURE() << "parsed a descriptor of " << msg.size() << " bytes";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("TCIO_CHECK failed"),
-              std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("TCIO_CHECK failed"), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
   }
 }
+
+constexpr const char* kOverrun = "lengths overrun the received bytes";
 
 TEST(DelegateProtocolTest, ParseRequestReadsWhatWasSent) {
   RequestHeader h = requestHeader(Op::kOpen, /*client=*/3, /*seq=*/9, 77);
@@ -138,23 +140,45 @@ TEST(DelegateProtocolTest, ParseRequestReadsWhatWasSent) {
 }
 
 TEST(DelegateProtocolTest, TruncatedRequestFailsItsLengthCheck) {
-  RequestHeader h = requestHeader(Op::kPut, /*client=*/1, /*seq=*/4, 77);
-  h.n_extents = 2;
-  const std::vector<WireExtent> extents(2);
-  const std::vector<std::byte> msg = descriptor(h, extents, "");
-  // One extent short, one byte short, and shorter than the header.
-  expectRejected({msg.data(), msg.size() - sizeof(WireExtent)});
-  expectRejected({msg.data(), msg.size() - 1});
-  expectRejected({msg.data(), sizeof(RequestHeader) - 1});
+  // A one-extent put: its extent missing, one byte short, and shorter than
+  // the header.
+  RequestHeader put = requestHeader(Op::kPut, /*client=*/1, /*seq=*/4, 77);
+  put.n_extents = 1;
+  put.payload_bytes = 16;
+  const std::vector<std::byte> msg = descriptor(put, {{4, 0, 16}}, "");
+  parseRequest(msg);  // whole, it parses
+  expectRejected({msg.data(), msg.size() - sizeof(WireExtent)}, kOverrun);
+  expectRejected({msg.data(), msg.size() - 1}, kOverrun);
+  expectRejected({msg.data(), sizeof(RequestHeader) - 1},
+                 "shorter than its header");
+  // The adoption verdict is the one extent list: one entry short.
+  RequestHeader adopt = requestHeader(Op::kAdopt, 1, 6);
+  adopt.n_extents = 2;
+  const std::vector<std::byte> verdict =
+      descriptor(adopt, {{0, 0, 0}, {1, 0, 0}}, "");
+  parseRequest(verdict);
+  expectRejected({verdict.data(), verdict.size() - sizeof(WireExtent)},
+                 kOverrun);
   // A name length that claims more bytes than arrived.
   RequestHeader named = requestHeader(Op::kOpen, 1, 5, 77);
   named.name_len = 6;
   const std::vector<std::byte> open = descriptor(named, {}, "a.dat");
-  expectRejected(open);
+  expectRejected(open, kOverrun);
   // Negative lengths never size a copy.
   named.name_len = 0;
   named.n_extents = -1;
-  expectRejected(descriptor(named, {}, ""));
+  expectRejected(descriptor(named, {}, ""), kOverrun);
+}
+
+TEST(DelegateProtocolTest, DataRequestCarriesOneExtent) {
+  // Correctly sized, but a put or get names exactly one extent.
+  constexpr const char* kOne = "carries exactly one extent";
+  RequestHeader put = requestHeader(Op::kPut, /*client=*/1, /*seq=*/4, 77);
+  put.n_extents = 2;
+  put.payload_bytes = 32;
+  expectRejected(descriptor(put, {{4, 0, 16}, {4, 32, 48}}, ""), kOne);
+  RequestHeader get = requestHeader(Op::kGet, 1, 5, 77);
+  expectRejected(descriptor(get, {}, ""), kOne);
 }
 
 // -- Core routing and data integrity ------------------------------------------
@@ -241,37 +265,32 @@ TEST(DelegateSessionTest, ShardRoutingSkipsTheDead) {
 TEST(DelegateQueueTest, BoundedCapacityRejectsAndRetries) {
   fs::Filesystem fsys(fsCfg());
   core::TcioDelegateStats stats;
-  mpi::runJob(job(2), [&](mpi::Comm& comm) {
-    // One delegate with a 4-deep queue; the single client floods 6 puts
-    // before finishing any, so at least two hit the watermark and ride the
-    // kBusy/backoff path.
+  constexpr int kClients = 6;
+  constexpr int kPuts = 2;  // per client
+  constexpr int kSegments = kClients * kPuts;
+  mpi::runJob(job(1 + kClients), [&](mpi::Comm& comm) {
+    // One delegate with a 4-deep queue; six clients put at once, so at
+    // least two find the queue full and ride the kBusy/backoff path.
     const core::TcioConfig cfg = delegated(/*d=*/1, /*capacity=*/4);
     runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
       ch.open("flood.dat", fs::kWrite | fs::kCreate);
       const std::uint64_t key = fileKey("flood.dat");
-      std::vector<std::int64_t> seqs;
-      std::vector<std::vector<std::byte>> blocks;
-      for (int i = 0; i < 6; ++i) {
-        const Offset base = static_cast<Offset>(i) * kSegment;
-        blocks.push_back(clientBlock(0, base, kSegment));
-        seqs.push_back(ch.postPut(
-            key, {{i, 0, kSegment}}, blocks.back()));
+      s.clientComm().barrier();
+      for (int i = 0; i < kPuts; ++i) {
+        const SegmentId g = c * kPuts + i;
+        ch.put(key, {g, 0, kSegment}, clientBlock(0, g * kSegment, kSegment));
       }
-      for (const std::int64_t seq : seqs) {
-        EXPECT_TRUE(ch.finishPut(seq));
-      }
-      EXPECT_EQ(ch.closeFile(key),
-                static_cast<Bytes>(6) * kSegment);
-      EXPECT_GT(s.client_busy_retries, 0);
+      EXPECT_EQ(ch.closeFile(key), static_cast<Bytes>(kSegments) * kSegment);
     }, &stats);
   });
   EXPECT_GT(stats.rejections, 0);
   EXPECT_GT(stats.busy_retries, 0);
-  EXPECT_EQ(stats.submissions, 6);
+  EXPECT_EQ(stats.submissions, kSegments);
   EXPECT_LE(stats.queue_high_watermark, 4);
   // Every rejected put eventually landed: the file is complete.
-  for (int i = 0; i < 6; ++i) {
-    const Offset base = static_cast<Offset>(i) * kSegment;
+  for (int g = 0; g < kSegments; ++g) {
+    const Offset base = static_cast<Offset>(g) * kSegment;
     EXPECT_EQ(peekBytes(fsys, "flood.dat", base, kSegment),
               clientBlock(0, base, kSegment));
   }
@@ -280,9 +299,9 @@ TEST(DelegateQueueTest, BoundedCapacityRejectsAndRetries) {
 TEST(DelegateQueueTest, RoundRobinKeepsHotClientFromStarvingOthers) {
   fs::Filesystem fsys(fsCfg());
   mpi::runJob(job(3), [&](mpi::Comm& comm) {
-    // One delegate, two clients. Client A floods four gets; client B posts
-    // one slightly later. Round-robin service must interleave B's request
-    // instead of finishing A's whole queue first.
+    // One delegate, two clients. Client A queues four gets at once; client
+    // B sends one slightly later. Round-robin service must interleave B's
+    // request instead of finishing A's whole queue first.
     const core::TcioConfig cfg = delegated(/*d=*/1);
     Session session(comm, fsys, cfg);
     SimTime b_done = 0;
@@ -295,20 +314,40 @@ TEST(DelegateQueueTest, RoundRobinKeepsHotClientFromStarvingOthers) {
       const std::uint64_t key = fileKey("fair.dat");
       session.clientComm().barrier();
       if (session.clientComm().rank() == 0) {  // hot client A
-        std::vector<std::int64_t> seqs;
+        // A Channel keeps one request in flight, so A speaks the wire
+        // protocol itself: four kGet descriptors, then every reply (four
+        // kAccepted as they are admitted, four kGetData as they are
+        // served), acking each served frame.
+        constexpr std::int64_t kFirstSeq = 100;
         for (int i = 0; i < 4; ++i) {
-          seqs.push_back(ch.postGet(key, {{i, 0, kSegment}}, kSegment));
+          RequestHeader h =
+              requestHeader(Op::kGet, comm.rank(), kFirstSeq + i, key);
+          h.payload_bytes = kSegment;
+          h.n_extents = 1;
+          const std::vector<std::byte> msg =
+              descriptor(h, {{i, 0, kSegment}}, "");
+          comm.send(msg.data(), static_cast<Bytes>(msg.size()), 0, kReqTag);
         }
-        std::vector<std::byte> sink(static_cast<std::size_t>(kSegment));
-        for (const std::int64_t seq : seqs) {
-          ch.finishGet(seq, sink.data());
+        std::map<std::int64_t, std::int64_t> frame_of;  // seq -> frame
+        for (int served = 0; served < 4;) {
+          ReplyMsg r;
+          comm.recv(&r, sizeof(r), 0, kRepTag);
+          if (r.kind == ReplyKind::kAccepted) {
+            frame_of[r.seq] = r.value;
+            continue;
+          }
+          ASSERT_EQ(r.kind, ReplyKind::kGetData);
+          RequestHeader ack =
+              requestHeader(Op::kGetAck, comm.rank(), r.seq, key);
+          ack.aux = frame_of.at(r.seq);
+          comm.send(&ack, sizeof(ack), 0, kReqTag);
+          ++served;
         }
         a_last = comm.proc().now();
       } else {  // client B: one request, a touch later
         comm.proc().advance(1.0e-6);
         std::vector<std::byte> sink(static_cast<std::size_t>(kSegment));
-        ch.finishGet(ch.postGet(key, {{9, 0, kSegment}}, kSegment),
-                     sink.data());
+        ch.get(key, {9, 0, kSegment}, sink.data());
         b_done = comm.proc().now();
       }
       // Share the two timestamps: B must complete before A's queue drains.
@@ -671,6 +710,114 @@ TEST(DelegateCrashTest, CrashRunsAreDeterministic) {
   const auto a = run();
   const auto b = run();
   EXPECT_EQ(a, b);
+}
+
+TEST(DelegateCrashTest, FalselySuspectedDelegateSelfFences) {
+  // No crash is scheduled: delegate 0 is alive but slow. The file is striped
+  // one segment per stripe over OSTs 0 and 1, so delegate 0's shard (the
+  // even segments) lies on OST 0, which straggles in the fenced run. There
+  // a segment read takes ~104 ms and a small write ~4 ms; the liveness
+  // window (30 ms) lies between, and outside the straggler everything is
+  // well inside it.
+  //
+  // Round 1 writes the file. In round 2 client 1 asks delegate 0 for
+  // segment 0 over the raw protocol and waits without a deadline, so the
+  // delegate spends ~104 ms loading it. Client 0's put to segment 2 arrives
+  // meanwhile, is not even admitted within the window, and delegate 0 is
+  // suspected. The agreement marks it dead, it self-fences on the kAdopt
+  // verdict, and delegate 1 takes the resubmitted put. Delegate 0's late
+  // kAccepted for that put is never read: client 0 sends it nothing more.
+  constexpr int kDelegates = 2;
+  constexpr int kClients = 2;
+  constexpr Bytes kPatch = 64;
+  constexpr Offset kPatchAt = 2 * kSegment + 128;  // segment 2: delegate 0
+  fs::FsConfig fc = fsCfg();
+  fc.stripe_size = kSegment;
+  fc.default_stripe_count = 2;
+  fc.cache_capacity_per_ost = 0;  // every read goes to the disk
+  fc.ost_read_bandwidth = 100.0 * kSegment;  // 10 ms per segment read
+  struct Outcome {
+    std::vector<std::byte> file;
+    core::TcioDelegateStats stats;
+    SimTime makespan = 0;
+  };
+  const auto run = [&](bool straggle) {
+    fs::Filesystem fsys(fc);
+    Outcome out;
+    mpi::runJob(job(kDelegates + kClients, /*seed=*/43), [&](mpi::Comm& comm) {
+      core::TcioConfig cfg = delegated(kDelegates);
+      cfg.crash.enabled = true;
+      cfg.crash.journal = true;
+      cfg.crash.liveness_window = 0.03;
+      if (straggle) {
+        cfg.faults.enabled = true;
+        cfg.faults.straggler_ost = 0;
+        cfg.faults.straggler_multiplier = 10.0;
+      }
+      runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+        const int c = s.clientComm().rank();
+        constexpr unsigned kFlags = fs::kRead | fs::kWrite | fs::kCreate;
+        {
+          DFile f(ch, "fenced.dat", kFlags);
+          const Offset base = static_cast<Offset>(c) * 2 * kSegment;
+          f.writeAt(base, clientBlock(c, base, 2 * kSegment));
+          f.close();
+        }
+        DFile f(ch, "fenced.dat", kFlags);
+        s.clientComm().barrier();
+        if (c == 1) {
+          RequestHeader h = requestHeader(Op::kGet, comm.rank(), /*seq=*/1000,
+                                          fileKey("fenced.dat"));
+          h.payload_bytes = kSegment;
+          h.n_extents = 1;
+          const std::vector<std::byte> msg =
+              descriptor(h, {{0, 0, kSegment}}, "");
+          comm.send(msg.data(), static_cast<Bytes>(msg.size()), 0, kReqTag);
+          ReplyMsg accepted;
+          ReplyMsg served;
+          comm.recv(&accepted, sizeof(accepted), 0, kRepTag);
+          comm.recv(&served, sizeof(served), 0, kRepTag);
+          ASSERT_EQ(accepted.kind, ReplyKind::kAccepted);
+          ASSERT_EQ(served.kind, ReplyKind::kGetData);
+          RequestHeader ack =
+              requestHeader(Op::kGetAck, comm.rank(), h.seq, h.file_key);
+          ack.aux = accepted.value;
+          comm.send(&ack, sizeof(ack), 0, kReqTag);
+        } else {
+          comm.proc().advance(1.0e-6);  // land behind the slow get
+          f.writeAt(kPatchAt, clientBlock(9, kPatchAt, kPatch));
+        }
+        EXPECT_EQ(f.close(), kPatchAt + kPatch);  // this session's extent
+        out.makespan = comm.proc().now();
+      }, &out.stats);
+    });
+    out.file = peekBytes(fsys, "fenced.dat", 0, fsys.peekSize("fenced.dat"));
+    return out;
+  };
+
+  const Outcome healthy = run(/*straggle=*/false);
+  EXPECT_EQ(healthy.stats.delegates_crashed, 0);
+  EXPECT_EQ(healthy.stats.deferred_resubmissions, 0);
+  std::vector<std::byte> want;
+  for (int c = 0; c < kClients; ++c) {
+    const std::vector<std::byte> block =
+        clientBlock(c, static_cast<Offset>(c) * 2 * kSegment, 2 * kSegment);
+    want.insert(want.end(), block.begin(), block.end());
+  }
+  const std::vector<std::byte> patch = clientBlock(9, kPatchAt, kPatch);
+  std::copy(patch.begin(), patch.end(), want.begin() + kPatchAt);
+  EXPECT_EQ(healthy.file, want);
+
+  const Outcome a = run(/*straggle=*/true);
+  EXPECT_EQ(a.stats.delegates_crashed, 1) << "delegate 0 was not fenced";
+  EXPECT_EQ(a.stats.shards_adopted, 1);
+  EXPECT_EQ(a.stats.deferred_resubmissions, 1);
+  EXPECT_EQ(a.file, healthy.file) << "the fenced run lost or changed bytes";
+
+  const Outcome b = run(/*straggle=*/true);
+  EXPECT_EQ(std::memcmp(&a.stats, &b.stats, sizeof(a.stats)), 0);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.file, b.file);
 }
 
 // -- Churn workload ------------------------------------------------------------

@@ -4,7 +4,8 @@
 # src/check/ and DESIGN.md §9), with the integrity pipeline forced on
 # (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), with the chaos soak's
 # integrity faults armed (TCIO_CHAOS_INTEGRITY=1), and on a Release build,
-# plus the fast delegate ablation bench, whose acceptance line is a gate.
+# plus the fast delegate, node-aggregation, integrity and fault-degradation
+# benches, whose acceptance lines are gates.
 # The clang-tidy pass is STRICT — findings fail the job — when the pinned
 # major version (TCIO_TIDY_VERSION) is what runs: check sets drift
 # across majors, so only the pinned toolchain's verdict is authoritative. A
@@ -160,6 +161,16 @@ TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
 # and churn rejections absorbed by busy retries. It exits 1 on FAIL.
 echo "== delegate ablation (TCIO_BENCH_FAST=1) =="
 TCIO_BENCH_FAST=1 "$BUILD/bench/bench_ablation_delegates"
+
+# Three more self-checking benches as gates, each exiting 1 on FAIL: node
+# aggregation sends strictly fewer NIC payload messages at 12 ranks per
+# node, the integrity pipeline costs at most 5% on every phase, and faulted
+# runs stay byte-identical with no retry give-ups and a journal under 10%.
+for bench in bench_ablation_node_agg bench_ablation_integrity \
+    bench_fault_degradation; do
+  echo "== $bench (TCIO_BENCH_FAST=1) =="
+  TCIO_BENCH_FAST=1 "$BUILD/bench/$bench"
+done
 
 # The whole suite again with the end-to-end integrity pipeline forced on, by
 # itself and with delegates resolved from the environment: the one owner-side

@@ -13,10 +13,10 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" "$@"
 
 # The fault and crash matrices exercise the error-recovery paths (retry
-# loops, chunk remapping, collective agreement, two-sided fallback, liveness
-# detection, communicator shrink, journal replay) that the healthy tier-1
-# run never enters; run them explicitly so a leak or UB in a catch block or
-# an unwound (crashed) rank cannot hide behind the happy path. The crash
+# loops, chunk remapping, collective agreement, liveness detection,
+# communicator shrink, journal replay) that the healthy tier-1 run never
+# enters; run them explicitly so a leak or UB in a catch block or an
+# unwound (crashed) rank cannot hide behind the happy path. The crash
 # seed is pinned so the sanitized run covers a known-interesting schedule.
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
 TCIO_FAULT_SEED=7 \

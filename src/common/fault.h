@@ -127,8 +127,8 @@ struct FaultConfig {
   /// Probability that one RMA payload (put payload / get reply) is dropped
   /// by the fabric and hardware-retransmitted after `rma_drop_delay`.
   /// Faulted transfers still complete — later, and counted — so one-sided
-  /// code keeps working but degrades; TCIO can fall back to two-sided
-  /// staging when drops pass `TcioConfig::rma_fault_fallback_threshold`.
+  /// code keeps working but degrades; TCIO reports the job-wide count as
+  /// `TcioDegradedStats::rma_drops`.
   double rma_drop_rate = 0.0;
   SimTime rma_drop_delay = 200.0e-6;
 

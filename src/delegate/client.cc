@@ -286,12 +286,12 @@ void Channel::flushDelegates(std::uint64_t key) {
 
 Bytes Channel::closeFile(std::uint64_t key) {
   // A delegate that dies mid-drain is skipped: its adopter covers the shard.
-  Bytes remote_max = 0;
+  Bytes size = 0;
   for (const ReplyMsg& r : controlRound(Op::kClose, key,
                                         ReplyKind::kCloseDone)) {
-    remote_max = std::max<Bytes>(remote_max, r.value);
+    size = std::max<Bytes>(size, r.value);
   }
-  return remote_max;
+  return size;
 }
 
 // -- Crash protocol -----------------------------------------------------------
@@ -388,9 +388,9 @@ Bytes DFile::close() {
   TCIO_CHECK(!closed_);
   flush();
   closed_ = true;
-  const Bytes remote_max = ch_->closeFile(key_);
+  const Bytes remote_size = ch_->closeFile(key_);
   ch_->resolveFailures();
-  Bytes size = std::max<Bytes>(local_max_, remote_max);
+  Bytes size = std::max<Bytes>(local_max_, remote_size);
   s_->clientComm().allreduce(&size, 1, mpi::ReduceOp::kMax);
   return size;
 }

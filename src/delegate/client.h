@@ -49,7 +49,7 @@ class Channel {
   void flushDelegates(std::uint64_t key);
 
   /// Sends kClose to every live delegate and collects the kCloseDone
-  /// verdicts; returns the max delegate-local written extent seen. NOT
+  /// verdicts; returns the largest file size a delegate saw. NOT
   /// collective — DFile::close wraps it into the collective protocol.
   Bytes closeFile(std::uint64_t key);
 

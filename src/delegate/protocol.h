@@ -47,7 +47,7 @@ enum class ReplyKind : std::int32_t {
   kPutDone = 4,
   kGetData = 5,   // payload staged in the frame; value = payload bytes
   kFlushDone = 6,
-  kCloseDone = 7,  // value = delegate-local max written file extent
+  kCloseDone = 7,  // value = file size after this delegate's drain
   kAdoptDone = 8,
   kShutdownDone = 9,  // a TcioDelegateStats blob follows the header
   kError = 10,        // value = mpi::CapturedError code; message text follows

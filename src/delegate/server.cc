@@ -437,9 +437,9 @@ void Server::serveClose(Pending& p) {
   ++f.closes;
   f.closers.push_back({p.h.client, p.h.seq});
   if (f.closes < f.opens) return;  // reply deferred until the drain
-  const Bytes local_max = drainAndClose(f);
+  const Bytes size = drainAndClose(f);
   for (const auto& [client, seq] : f.closers) {
-    reply(client, seq, ReplyKind::kCloseDone, local_max);
+    reply(client, seq, ReplyKind::kCloseDone, size);
   }
   f.closers.clear();
 }
@@ -471,12 +471,13 @@ Bytes Server::drainAndClose(FileState& f) {
     }
   }
   if (f.journal != nullptr) f.journal->commit();
-  client_.close(f.fsfile);
+  // The file may already reach past this session's writes.
+  const Bytes size = std::max(local_max, client_.close(f.fsfile));
   f.drained = true;
   if (ck != nullptr) {
     comm_->proc().atomic([&] { ck->onFileClosed(f.name, local_max, me_); });
   }
-  return local_max;
+  return size;
 }
 
 void Server::serveAdopt(Pending& p) {

@@ -102,8 +102,8 @@ class Server {
   void serveClose(Pending& p);
   void serveAdopt(Pending& p);
   void serveShutdown(Pending& p);
-  /// Writes the shard out and closes the file; returns the end of the
-  /// highest dirty extent (this delegate's share of the file size).
+  /// Writes the shard out and closes the file; returns the file's size as
+  /// this delegate sees it after its drain.
   Bytes drainAndClose(FileState& f);
   void adoptShard(int dead);
 

@@ -131,17 +131,19 @@ void FsClient::installFaultPlan(const FaultConfig& cfg) {
   proc_->atomic([&] { fs_->installFaultPlan(cfg); });
 }
 
-void FsClient::close(FsFile& f) {
+Bytes FsClient::close(FsFile& f) {
   TCIO_CHECK_MSG(f.valid(), "double close");
   for (int attempt = 1;; ++attempt) {
     try {
       SimTime done = 0;
+      Bytes size = 0;
       proc_->atomic([&] {
+        size = fs_->fileSize(f.inode_);
         done = fs_->close(client_, proc_->now(), f.inode_);
       });
       proc_->advanceTo(done);
       f.inode_ = -1;
-      return;
+      return size;
     } catch (const TransientFsError& e) {
       ++retry_stats_.transient_faults;
       if (attempt >= retry_.max_attempts) {

@@ -67,7 +67,9 @@ class FsClient {
   /// Current file size (cheap metadata query).
   Bytes size(const FsFile& f) const;
 
-  void close(FsFile& f);
+  /// Closes `f` and returns the file's size at close, read in the same
+  /// gated section as the close.
+  Bytes close(FsFile& f);
 
   /// Degraded mode: remap failed-OST chunks of [off, off+n) to surviving
   /// OSTs. Returns the number of chunks moved (0 = nothing remappable).

@@ -87,10 +87,10 @@ bool isAsyncSink(const std::string& callee) {
   return callee == "put" || callee == "putIndexed" || callee == "isend";
 }
 
-/// Tokens that close the epoch the sink queued into: passive-target unlock,
-/// request completion, or a fence.
+/// Tokens that close the epoch the sink queued into: passive-target unlock
+/// or request completion.
 bool isEpochClose(const std::string& s) {
-  return s == "unlock" || s == "waitAll" || s == "wait" || s == "fence";
+  return s == "unlock" || s == "waitAll" || s == "wait";
 }
 
 /// Calls that copy an element into a container (the `blocks.push_back({...,
@@ -204,7 +204,7 @@ void scanRmaInFunction(const std::vector<Token>& t, const FnBody& fn,
               {std::string(), it->line, "rma-source-lifetime",
                "'" + it->local +
                    "' is scope-local but feeds an asynchronous transfer; no "
-                   "epoch close (unlock/waitAll/fence) before its scope ends "
+                   "epoch close (unlock/waitAll) before its scope ends "
                    "— the transfer may read freed memory"});
         } else {
           out->push_back(
@@ -314,8 +314,8 @@ bool isCollective(const std::string& s) {
       "barrier",        "allreduce",       "bcast",
       "allgather",      "allgatherv",      "alltoall",
       "alltoallv",      "agreeOnError",    "agreeWithLiveness",
-      "exchangeDigests", "shrink",         "fence",
-      "sizedAlltoallv",   "alltoallvCounted",
+      "exchangeDigests", "shrink",         "sizedAlltoallv",
+      "alltoallvCounted",
   };
   return kColl.count(s) > 0;
 }

@@ -462,50 +462,6 @@ void Comm::scatter(const void* in, Bytes per, void* mine, Rank root) {
   }
 }
 
-RecvStatus Comm::sendrecv(const void* sendbuf, Bytes send_n, Rank dst,
-                          int send_tag, void* recvbuf, Bytes recv_cap,
-                          Rank src, int recv_tag) {
-  Request s = isend(sendbuf, send_n, dst, send_tag);
-  const RecvStatus st = recv(recvbuf, recv_cap, src, recv_tag);
-  wait(s);
-  return st;
-}
-
-void Comm::sendTyped(const void* buf, std::int64_t count,
-                     const mpi::Datatype& type, Rank dst, int tag) {
-  TCIO_CHECK_MSG(type.valid(), "sendTyped with invalid datatype");
-  std::vector<Extent> layout;
-  type.flatten(0, count, layout);
-  std::vector<std::byte> packed;
-  packed.reserve(static_cast<std::size_t>(count * type.size()));
-  const auto* base = static_cast<const std::byte*>(buf);
-  for (const Extent& e : layout) {
-    packed.insert(packed.end(), base + e.begin, base + e.end);
-  }
-  chargeCopy(static_cast<Bytes>(packed.size()));
-  send(packed.data(), static_cast<Bytes>(packed.size()), dst, tag);
-}
-
-RecvStatus Comm::recvTyped(void* buf, std::int64_t count,
-                           const mpi::Datatype& type, Rank src, int tag) {
-  TCIO_CHECK_MSG(type.valid(), "recvTyped with invalid datatype");
-  std::vector<Extent> layout;
-  type.flatten(0, count, layout);
-  const Bytes total = count * type.size();
-  std::vector<std::byte> packed(static_cast<std::size_t>(total));
-  const RecvStatus st = recv(packed.data(), total, src, tag);
-  TCIO_CHECK_MSG(st.count == total, "recvTyped: short message");
-  auto* base = static_cast<std::byte*>(buf);
-  Offset cursor = 0;
-  for (const Extent& e : layout) {
-    std::memcpy(base + e.begin, packed.data() + cursor,
-                static_cast<std::size_t>(e.size()));
-    cursor += e.size();
-  }
-  chargeCopy(total);
-  return st;
-}
-
 void Comm::allgather(const void* mine, Bytes per, void* out) {
   checkCollective(check::CollOp::kAllgather, -1, per, "Comm::allgather");
   const int P = size();

@@ -17,7 +17,6 @@
 
 #include "common/error.h"
 #include "common/types.h"
-#include "mpi/datatype.h"
 #include "mpi/request.h"
 #include "mpi/world.h"
 #include "sim/engine.h"
@@ -88,19 +87,6 @@ class Comm {
   bool recvUntil(void* buf, Bytes capacity, Rank src, int tag,
                  SimTime deadline, SimTime poll, RecvStatus* out = nullptr);
 
-  /// Combined send+receive without deadlock (MPI_Sendrecv).
-  RecvStatus sendrecv(const void* sendbuf, Bytes send_n, Rank dst,
-                      int send_tag, void* recvbuf, Bytes recv_cap, Rank src,
-                      int recv_tag);
-
-  /// Typed send/recv: packs `count` instances of a (possibly
-  /// non-contiguous) datatype from user memory, charging pack time
-  /// (MPI_Send with a derived datatype).
-  void sendTyped(const void* buf, std::int64_t count,
-                 const mpi::Datatype& type, Rank dst, int tag);
-  RecvStatus recvTyped(void* buf, std::int64_t count,
-                       const mpi::Datatype& type, Rank src, int tag);
-
   /// Completes one request; returns the receive status (zeros for sends).
   RecvStatus wait(Request& req);
   void waitAll(std::span<Request> reqs);
@@ -122,17 +108,6 @@ class Comm {
                      combineTyped<T>(static_cast<T*>(acc),
                                      static_cast<const T*>(in), count, op);
                    });
-  }
-
-  /// Binomial reduce of `count` T elements to `root`.
-  template <typename T>
-  void reduce(T* data, std::int64_t count, ReduceOp op, Rank root) {
-    reduceBytes(data, count * static_cast<Bytes>(sizeof(T)),
-                [op, count](void* acc, const void* in) {
-                  combineTyped<T>(static_cast<T*>(acc),
-                                  static_cast<const T*>(in), count, op);
-                },
-                root);
   }
 
   /// Gather `per` bytes from every rank to `root`'s `out` (rank order).

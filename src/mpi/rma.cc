@@ -293,9 +293,4 @@ void Window::getIndexed(Rank target, std::span<const GetBlock> blocks) {
   p.advanceTo(delivered);
 }
 
-void Window::fence() {
-  TCIO_CHECK_MSG(held_.empty(), "fence with passive locks held");
-  comm_->barrier();
-}
-
 }  // namespace tcio::mpi

@@ -88,10 +88,6 @@ class Window {
   };
   void getIndexed(Rank target, std::span<const GetBlock> blocks);
 
-  /// Collective fence (MPI_Win_fence): barrier + epoch close. Provided for
-  /// completeness and the one-sided-vs-fence ablation.
-  void fence();
-
   // Stats for tests/benches.
   std::int64_t oneSidedMessages() const { return rma_messages_; }
 

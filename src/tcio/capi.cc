@@ -49,8 +49,6 @@ void tcio_stats(tcio_file* fh, tcio_stats_t* out) {
   out->chunks_remapped = d.chunks_remapped;
   out->chunks_rebalanced = d.chunks_rebalanced;
   out->rma_drops = d.rma_drops;
-  out->fallback_exchanges = d.fallback_exchanges;
-  out->two_sided_fallback = d.two_sided_fallback ? 1 : 0;
   out->ranks_crashed = d.ranks_crashed;
   out->segments_taken_over = d.segments_taken_over;
   out->journal_records_replayed = d.journal_records_replayed;

@@ -58,8 +58,6 @@ struct tcio_stats_t {
   long long chunks_remapped;       // failed-OST chunks failed over
   long long chunks_rebalanced;     // remapped chunks moved home again
   long long rma_drops;             // dropped RMA payloads (job-wide)
-  long long fallback_exchanges;    // staged exchanges run post-fallback
-  int two_sided_fallback;          // 1 once the RMA degradation ladder fired
   long long ranks_crashed;         // dead ranks agreed by liveness
   long long segments_taken_over;   // orphaned segments this rank adopted
   long long journal_records_replayed;  // WAL records replayed here

@@ -36,6 +36,8 @@ struct TcioConfig {
   /// for interleaved patterns every rank crosses segments in lockstep and
   /// the per-segment exclusive load epochs serialize all readers; explicit
   /// (collective) fetch() lets owners load their own segments in parallel.
+  /// The independent fetch reads the owner's window with one-sided gets, so
+  /// open rejects this with use_onesided = false.
   bool auto_fetch_on_segment_exit = false;
 
   /// Topology-aware intra-node aggregation (src/topo/): level-1 flushes are
@@ -112,15 +114,6 @@ struct TcioConfig {
     int enabled = 0;
   };
   IntegrityConfig integrity;
-
-  /// Degradation ladder, RMA leg: once the network has dropped (and
-  /// retransmitted) at least this many RMA payloads, the next collective
-  /// point agrees to abandon one-sided epochs and run every remaining
-  /// exchange through the two-sided staged path. Only meaningful for plain
-  /// one-sided mode with lazy reads and no auto-fetch (the staged path only
-  /// moves data at collective calls; node aggregation keeps its own leader
-  /// funnel). 0 disables.
-  std::int64_t rma_fault_fallback_threshold = 0;
 };
 
 /// Failure-detector poll quantum inside a liveness window

@@ -25,9 +25,11 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
       orig_size_(comm.size()) {
   TCIO_CHECK(cfg_.segment_size > 0);
   TCIO_CHECK(cfg_.segments_per_rank > 0);
-  TCIO_CHECK_MSG(cfg_.use_onesided || cfg_.lazy_reads,
-                 "two-sided exchange requires lazy reads (no independent "
-                 "materialization path exists without one-sided access)");
+  TCIO_CHECK_MSG(cfg_.use_onesided ||
+                     (cfg_.lazy_reads && !cfg_.auto_fetch_on_segment_exit),
+                 "two-sided exchange requires lazy reads and no independent "
+                 "auto-fetch (no independent materialization path exists "
+                 "without one-sided access)");
   TCIO_CHECK_MSG(!cfg_.node_aggregation ||
                      (cfg_.use_onesided && cfg_.lazy_reads &&
                       !cfg_.auto_fetch_on_segment_exit),
@@ -215,8 +217,8 @@ void File::recordRead(Offset off, std::byte* dst, Bytes n) {
       independentFetch(seg, {{dataDisp(slotOnOwner(seg), map_.dispOf(off)),
                               dst, take}});
     } else {
-      if (cfg_.auto_fetch_on_segment_exit && cfg_.use_onesided &&
-          pending_segment_ != -1 && seg != pending_segment_) {
+      if (cfg_.auto_fetch_on_segment_exit && pending_segment_ != -1 &&
+          seg != pending_segment_) {
         // The cached read domain left the level-1 window: resolve the
         // accumulated group independently (paper §IV.A trigger), then start
         // a new group.
@@ -258,7 +260,6 @@ void File::flush() {
   // agreement detects any rank that died at or before this collective and
   // shrinks around it — only then is a plain collective safe to enter.
   if (cfg_.crash.enabled) agreeLevel1Flush();
-  maybeFallBackToTwoSided();
   exchangeWrites();
   // Digests from this flush reach their owners, then the background scrubber
   // spends its per-collective budget re-verifying owned segments.
@@ -273,11 +274,7 @@ void File::fetch() {
   check::ScopedLabel phase(comm_->world().checker(), comm_->proc().rank(),
                            "File::fetch");
   crashPoint(CrashPoint::kAtCollective);
-  // In crash mode collectiveFetch leads with its own liveness round, and the
-  // fallback allreduce must come after that detection.
-  if (!cfg_.crash.enabled) maybeFallBackToTwoSided();
   collectiveFetch();
-  if (cfg_.crash.enabled) maybeFallBackToTwoSided();
   scrubAndAgree();
   syncRecoveryStats();
 }
@@ -313,7 +310,6 @@ void File::close() {
     // the communicator shrinks, and their segments are adopted + replayed.
     accumulate(agreeAndRecover(captureLocal([&] { flushLevel1(); })));
   }
-  maybeFallBackToTwoSided();
   // Every agreement point below throws the *same* typed error on *all*
   // ranks, so catching locally and continuing the close sequence keeps the
   // ranks in lockstep.
@@ -437,25 +433,6 @@ void File::buildNodeAggregation() {
       *node_map_,
       static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
           kSlotSlack);
-}
-
-void File::maybeFallBackToTwoSided() {
-  if (cfg_.rma_fault_fallback_threshold <= 0 || fallback_two_sided_) return;
-  if (!cfg_.use_onesided || cfg_.node_aggregation || !cfg_.lazy_reads ||
-      cfg_.auto_fetch_on_segment_exit) {
-    return;  // no staged path to fall back to in these configurations
-  }
-  sim::Proc& p = comm_->proc();
-  const std::int64_t drops =
-      p.atomic([&] { return comm_->world().network().rmaDropCount(); });
-  // The drop counter is global but read at rank-local times; agree on the
-  // decision so every rank switches paths at the same collective call.
-  std::uint8_t trip = drops >= cfg_.rma_fault_fallback_threshold ? 1 : 0;
-  comm_->allreduce(&trip, 1, mpi::ReduceOp::kMax);
-  if (trip != 0) {
-    fallback_two_sided_ = true;
-    stats_.degraded.two_sided_fallback = true;
-  }
 }
 
 namespace {

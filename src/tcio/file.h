@@ -59,8 +59,6 @@ struct TcioDegradedStats {
   std::int64_t chunks_remapped = 0;      // failed-OST chunks failed over
   std::int64_t chunks_rebalanced = 0;    // remapped chunks moved home again
   std::int64_t rma_drops = 0;            // dropped RMA payloads (job-wide)
-  std::int64_t fallback_exchanges = 0;   // staged exchanges run post-fallback
-  bool two_sided_fallback = false;       // RMA degradation ladder engaged
   // Fail-stop crash tolerance (TcioConfig::crash; zero when disabled).
   std::int64_t ranks_crashed = 0;        // dead ranks agreed by liveness
   std::int64_t segments_taken_over = 0;  // orphaned segments this rank adopted
@@ -77,10 +75,10 @@ struct TcioDegradedStats {
   bool any() const {
     return fs_transient_faults != 0 || fs_retries != 0 ||
            fs_retry_giveups != 0 || chunks_remapped != 0 ||
-           chunks_rebalanced != 0 || rma_drops != 0 || two_sided_fallback ||
-           ranks_crashed != 0 || segments_taken_over != 0 ||
-           journal_records_replayed != 0 || journal_torn_records != 0 ||
-           unjournaled_segments_lost != 0 || window_remaps != 0;
+           chunks_rebalanced != 0 || rma_drops != 0 || ranks_crashed != 0 ||
+           segments_taken_over != 0 || journal_records_replayed != 0 ||
+           journal_torn_records != 0 || unjournaled_segments_lost != 0 ||
+           window_remaps != 0;
   }
 };
 
@@ -389,16 +387,9 @@ class File {
   /// adopted orphans.
   std::vector<std::pair<SegmentId, std::int64_t>> ownedSlots() const;
 
-  /// True when exchanges run through the two-sided staged path — either by
-  /// configuration or because the RMA degradation ladder tripped.
-  bool twoSidedExchange() const {
-    return !cfg_.use_onesided || fallback_two_sided_;
-  }
-
-  /// Collective: trips the one-sided -> two-sided fallback once the
-  /// network's RMA drop count passes the configured threshold (agreed by
-  /// allreduce so every rank switches at the same collective call).
-  void maybeFallBackToTwoSided();
+  /// True when exchanges run through the two-sided staged path; fixed by
+  /// the config at open.
+  bool twoSidedExchange() const { return !cfg_.use_onesided; }
 
   /// FS access with permanent-OST degradation: on OstFailedError, remap the
   /// failed chunks to surviving OSTs and retry once. Transients are already
@@ -489,7 +480,6 @@ class File {
   Offset pointer_ = 0;
   Bytes local_max_written_ = 0;
   bool open_ = false;
-  bool fallback_two_sided_ = false;
   /// Flush ordinal, used as the checker user tag for phase attribution.
   std::int64_t flush_calls_ = 0;
   TcioStats stats_;

@@ -412,7 +412,6 @@ void File::agreeLevel1Flush() {
 
 void File::exchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
-  if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   // Each owner's records in one stream, shipped by one sized exchange.
   mpi::PackedSend per_owner =
       packStaged(staged_, static_cast<std::size_t>(comm_->size()),

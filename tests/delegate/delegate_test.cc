@@ -221,6 +221,30 @@ TEST(DelegateSessionTest, WriteReadCloseRoundTrip) {
   }
 }
 
+TEST(DelegateSessionTest, CloseAfterReopenReturnsTheFileSize) {
+  // A 2,048-byte file is reopened and patched inside its old extent: close
+  // reports the file's size, not the end of this session's writes.
+  constexpr Bytes kFile = 4 * kSegment;
+  constexpr Offset kPatchAt = 2 * kSegment + 128;
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(4), [&](mpi::Comm& comm) {
+    runSession(comm, fsys, delegated(/*d=*/2), [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
+      constexpr unsigned kFlags = fs::kRead | fs::kWrite | fs::kCreate;
+      {
+        DFile f(ch, "reopen.dat", kFlags);
+        const Offset base = static_cast<Offset>(c) * 2 * kSegment;
+        f.writeAt(base, clientBlock(c, base, 2 * kSegment));
+        EXPECT_EQ(f.close(), kFile);
+      }
+      DFile f(ch, "reopen.dat", kFlags);
+      if (c == 0) f.writeAt(kPatchAt, clientBlock(0, kPatchAt, 64));
+      EXPECT_EQ(f.close(), kFile);
+    });
+  });
+  EXPECT_EQ(fsys.peekSize("reopen.dat"), kFile);
+}
+
 TEST(DelegateSessionTest, EnvVariableSelectsDelegates) {
   const char* outer = ::getenv("TCIO_DELEGATES");
   const std::string saved = outer != nullptr ? outer : "";
@@ -787,7 +811,7 @@ TEST(DelegateCrashTest, FalselySuspectedDelegateSelfFences) {
           comm.proc().advance(1.0e-6);  // land behind the slow get
           f.writeAt(kPatchAt, clientBlock(9, kPatchAt, kPatch));
         }
-        EXPECT_EQ(f.close(), kPatchAt + kPatch);  // this session's extent
+        EXPECT_EQ(f.close(), 2 * kClients * kSegment);  // the file's size
         out.makespan = comm.proc().now();
       }, &out.stats);
     });

@@ -1,8 +1,7 @@
-// Tests for the second batch of communication primitives: reduce-to-root,
-// gather, scatter, sendrecv, and typed (derived-datatype) sends.
+// Tests for the second batch of communication primitives: gather and
+// scatter.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <numeric>
 #include <vector>
 
@@ -20,19 +19,6 @@ JobConfig cfg(int p) {
 class Collectives2Test : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Sizes, Collectives2Test,
                          ::testing::Values(1, 2, 3, 5, 8, 16));
-
-TEST_P(Collectives2Test, ReduceToEveryRoot) {
-  const int P = GetParam();
-  runJob(cfg(P), [&](Comm& comm) {
-    for (Rank root = 0; root < P; ++root) {
-      std::int64_t v = comm.rank() + 1;
-      comm.reduce(&v, 1, ReduceOp::kSum, root);
-      if (comm.rank() == root) {
-        EXPECT_EQ(v, static_cast<std::int64_t>(P) * (P + 1) / 2);
-      }
-    }
-  });
-}
 
 TEST_P(Collectives2Test, GatherOrdersByRank) {
   const int P = GetParam();
@@ -79,92 +65,6 @@ TEST_P(Collectives2Test, GatherInvertsScatter) {
       for (int i = 0; i < P; ++i) {
         EXPECT_DOUBLE_EQ(back[static_cast<std::size_t>(i)], i * 1.5);
       }
-    }
-  });
-}
-
-TEST(Collectives2SingleTest, SendrecvRingRotation) {
-  const int P = 6;
-  runJob(cfg(P), [&](Comm& comm) {
-    const int right = (comm.rank() + 1) % P;
-    const int left = (comm.rank() - 1 + P) % P;
-    std::int64_t out = comm.rank() * 7;
-    std::int64_t in = -1;
-    comm.sendrecv(&out, 8, right, 5, &in, 8, left, 5);
-    EXPECT_EQ(in, left * 7);
-  });
-}
-
-TEST(Collectives2SingleTest, SendrecvSelf) {
-  runJob(cfg(1), [](Comm& comm) {
-    int out = 9, in = 0;
-    comm.sendrecv(&out, 4, 0, 1, &in, 4, 0, 1);
-    EXPECT_EQ(in, 9);
-  });
-}
-
-TEST(TypedSendTest, StridedColumnExchange) {
-  // Send a "column" of a row-major 4x4 matrix using a vector datatype; the
-  // receiver scatters it into its own matrix column.
-  runJob(cfg(2), [](Comm& comm) {
-    auto column =
-        mpi::Datatype::vector(4, 1, 4, mpi::Datatype::int32()).commit();
-    std::array<std::int32_t, 16> m{};
-    if (comm.rank() == 0) {
-      for (int i = 0; i < 16; ++i) m[static_cast<std::size_t>(i)] = i;
-      comm.sendTyped(m.data() + 1, 1, column, 1, 0);  // column 1
-    } else {
-      comm.recvTyped(m.data() + 2, 1, column, 0, 0);  // into column 2
-      EXPECT_EQ(m[2], 1);
-      EXPECT_EQ(m[6], 5);
-      EXPECT_EQ(m[10], 9);
-      EXPECT_EQ(m[14], 13);
-      EXPECT_EQ(m[0], 0);  // untouched
-    }
-  });
-}
-
-TEST(TypedSendTest, ContiguousTypeEquivalentToRawSend) {
-  runJob(cfg(2), [](Comm& comm) {
-    auto t = mpi::Datatype::contiguous(8, mpi::Datatype::float64()).commit();
-    if (comm.rank() == 0) {
-      std::vector<double> v(8);
-      std::iota(v.begin(), v.end(), 0.5);
-      comm.sendTyped(v.data(), 1, t, 1, 0);
-    } else {
-      std::vector<double> v(8, 0);
-      const RecvStatus st = comm.recvTyped(v.data(), 1, t, 0, 0);
-      EXPECT_EQ(st.count, 64);
-      EXPECT_DOUBLE_EQ(v[7], 7.5);
-    }
-  });
-}
-
-TEST(TypedSendTest, GappedVectorLeavesHolesUntouched) {
-  runJob(cfg(2), [](Comm& comm) {
-    // vector(2, 1, 2): ints at elements 0 and 2, gap at element 1.
-    auto gapped =
-        mpi::Datatype::vector(2, 1, 2, mpi::Datatype::int32()).commit();
-    if (comm.rank() == 0) {
-      const std::int32_t src[3] = {10, -1, 20};  // -1 sits in the gap
-      comm.sendTyped(src, 1, gapped, 1, 0);
-    } else {
-      std::int32_t dst[3] = {0, 7, 0};
-      comm.recvTyped(dst, 1, gapped, 0, 0);
-      EXPECT_EQ(dst[0], 10);
-      EXPECT_EQ(dst[1], 7);  // gap untouched
-      EXPECT_EQ(dst[2], 20);
-    }
-  });
-}
-
-TEST(Collectives2SingleTest, ReduceOnSubcommunicator) {
-  runJob(cfg(8), [](Comm& world) {
-    Comm sub = world.split(world.rank() % 2, world.rank());
-    std::int64_t v = world.rank();
-    sub.reduce(&v, 1, ReduceOp::kMax, 0);
-    if (sub.rank() == 0) {
-      EXPECT_EQ(v, world.rank() % 2 == 0 ? 6 : 7);
     }
   });
 }

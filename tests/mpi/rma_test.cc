@@ -232,14 +232,5 @@ TEST(RmaTest, MultipleWindowsAreIndependent) {
   });
 }
 
-TEST(RmaTest, FenceSynchronizes) {
-  runJob(cfg(4), [](Comm& comm) {
-    Window win = Window::create(comm, 8);
-    comm.proc().advance(static_cast<double>(comm.rank()));
-    win.fence();
-    EXPECT_GE(comm.proc().now(), 3.0);
-  });
-}
-
 }  // namespace
 }  // namespace tcio::mpi

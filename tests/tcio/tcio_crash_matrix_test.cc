@@ -95,7 +95,7 @@ std::vector<std::byte> referenceFile() {
 
 // Flattened stats (base + crash-recovery counters) for exact determinism
 // comparison across runs.
-constexpr std::size_t kStatFields = 16;
+constexpr std::size_t kStatFields = 15;
 constexpr std::size_t kRanksCrashedIdx = 7;
 constexpr std::size_t kTakenOverIdx = 8;
 constexpr std::size_t kReplayedIdx = 9;
@@ -119,8 +119,7 @@ std::array<std::int64_t, kStatFields> flatten(const TcioStats& s) {
           s.degraded.journal_torn_records,
           s.degraded.unjournaled_segments_lost,
           s.degraded.fs_transient_faults,
-          s.degraded.fs_retries,
-          s.degraded.fallback_exchanges};
+          s.degraded.fs_retries};
 }
 
 struct RunResult {

@@ -134,6 +134,33 @@ TEST(TcioEdgeTest, SeekEndAfterWrites) {
   });
 }
 
+TEST(TcioEdgeTest, OpenRejectsUnsupportedModeCombinations) {
+  struct Mode {
+    bool onesided, lazy, auto_fetch, node_agg;
+  };
+  // Every combination that needs a path the other settings switch off.
+  const Mode rejected[] = {
+      {false, false, false, false},  // two-sided eager reads
+      {false, true, true, false},    // two-sided independent auto-fetch
+      {false, true, false, true},    // node aggregation over two-sided
+      {true, false, false, true},    // node aggregation with eager reads
+      {true, true, true, true},      // node aggregation with auto-fetch
+  };
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(2), [&](mpi::Comm& comm) {
+    for (const Mode& m : rejected) {
+      TcioConfig cfg = smallTcio();
+      cfg.use_onesided = m.onesided;
+      cfg.lazy_reads = m.lazy;
+      cfg.auto_fetch_on_segment_exit = m.auto_fetch;
+      cfg.node_aggregation = m.node_agg;
+      EXPECT_THROW(
+          File(comm, fsys, "modes.dat", fs::kWrite | fs::kCreate, cfg), Error);
+    }
+  });
+  EXPECT_FALSE(fsys.exists("modes.dat"));  // rejected before the FS open
+}
+
 TEST(TcioEdgeTest, ReadOnlyHandleRejectsWrites) {
   fs::Filesystem fsys(fsCfg());
   EXPECT_THROW(

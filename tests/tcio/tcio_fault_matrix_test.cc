@@ -74,7 +74,7 @@ std::vector<std::byte> referenceFile() {
 
 // Flattened TcioStats for exact determinism comparison. Order matters only
 // for the named indices below.
-constexpr std::size_t kStatFields = 17;
+constexpr std::size_t kStatFields = 15;
 constexpr std::size_t kTransientIdx = 10;
 constexpr std::size_t kRetriesIdx = 11;
 constexpr std::size_t kChunksRemappedIdx = 13;
@@ -95,9 +95,7 @@ std::array<std::int64_t, kStatFields> flatten(const TcioStats& s) {
           s.degraded.fs_retries,
           s.degraded.fs_retry_giveups,
           s.degraded.chunks_remapped,
-          s.degraded.rma_drops,
-          s.degraded.fallback_exchanges,
-          s.degraded.two_sided_fallback ? 1 : 0};
+          s.degraded.rma_drops};
 }
 
 /// One run's full fingerprint (everything determinism must reproduce).
@@ -147,6 +145,7 @@ RunResult runMatrix(const MatrixParam& p, std::uint64_t seed,
   cfg.node_aggregation = p.node_agg;
   switch (p.fault) {
     case Fault::kNone:
+    case Fault::kRmaDrop:  // armed on the network above
       break;
     case Fault::kTransientFs:
       cfg.faults.enabled = true;
@@ -160,10 +159,6 @@ RunResult runMatrix(const MatrixParam& p, std::uint64_t seed,
       cfg.faults.seed = seed;
       cfg.faults.fail_ost = 1;
       cfg.faults.fail_ost_after_requests = 10;
-      break;
-    case Fault::kRmaDrop:
-      // The degradation ladder only applies to the plain one-sided path.
-      if (p.lazy && !p.node_agg) cfg.rma_fault_fallback_threshold = 3;
       break;
     case Fault::kStraggler:
       cfg.faults.enabled = true;
@@ -307,7 +302,7 @@ TEST_P(TcioFaultMatrixTest, SameOutcomeByteIdenticalAndDeterministic) {
       EXPECT_GT(a.stats_sum[kChunksRemappedIdx], 0);
       break;
     case Fault::kRmaDrop:
-      // Drops delay (and may trip the two-sided fallback); data survives.
+      // Drops only delay (every payload is retransmitted); data survives.
       ASSERT_EQ(a.outcome, 0);
       EXPECT_EQ(a.crc, base.crc);
       EXPECT_GT(a.stats_sum[kRmaDropsIdx], 0);

@@ -136,13 +136,13 @@ MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
 
 # The node-aggregation, window-lifetime, journal, store and checkpoint
 # suites the same way: a leader's arrival buffer, each drained stream, the
-# reply and per-rank demux buffers, a journal frame and a fresh store page
-# written in full are not zero-filled, so a frame or length walker that
-# reads a byte the exchange never wrote changes a pinned figure here. A
-# released staging window must come back zero-filled, and a stage is freed
-# as soon as the next hop has consumed it, so a re-touched window that
-# skips its fill, or a frame view left pointing into a freed stage, reads
-# the pattern here instead of zeros by luck.
+# rewritten (coalesced) write streams, a journal frame and a fresh store
+# page written in full are not zero-filled, so a record or length walker
+# that reads a byte the exchange never wrote changes a pinned figure here.
+# A released staging window must come back zero-filled, and a stage is
+# freed as soon as the next hop has consumed it, so a re-touched window
+# that skips its fill, or a blob view left pointing into a freed stage,
+# reads the pattern here instead of zeros by luck.
 echo "== node-aggregation, window-lifetime, journal, store and checkpoint" \
   "suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \

@@ -28,7 +28,6 @@ const char* collOpName(CollOp op) {
     case CollOp::kBcast: return "bcast";
     case CollOp::kReduce: return "reduce";
     case CollOp::kGather: return "gather";
-    case CollOp::kScatter: return "scatter";
     case CollOp::kAllgather: return "allgather";
     case CollOp::kAlltoallv: return "alltoallv";
     case CollOp::kWinCreate: return "win_create";

@@ -71,7 +71,6 @@ enum class CollOp : std::uint8_t {
   kBcast,
   kReduce,
   kGather,
-  kScatter,
   kAllgather,
   kAlltoallv,
   kWinCreate,

@@ -442,26 +442,6 @@ void Comm::gather(const void* mine, Bytes per, void* out, Rank root) {
   }
 }
 
-void Comm::scatter(const void* in, Bytes per, void* mine, Rank root) {
-  checkCollective(check::CollOp::kScatter, root, per, "Comm::scatter");
-  const int tag = nextCollectiveTag();
-  if (rank_ == root) {
-    const auto* src = static_cast<const std::byte*>(in);
-    std::vector<Request> reqs;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      reqs.push_back(
-          isend(src + static_cast<std::size_t>(r) * per, per, r, tag));
-    }
-    std::memcpy(mine, src + static_cast<std::size_t>(root) * per,
-                static_cast<std::size_t>(per));
-    chargeCopy(per);
-    waitAll(reqs);
-  } else {
-    recv(mine, per, root, tag);
-  }
-}
-
 void Comm::allgather(const void* mine, Bytes per, void* out) {
   checkCollective(check::CollOp::kAllgather, -1, per, "Comm::allgather");
   const int P = size();

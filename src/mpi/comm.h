@@ -113,9 +113,6 @@ class Comm {
   /// Gather `per` bytes from every rank to `root`'s `out` (rank order).
   void gather(const void* mine, Bytes per, void* out, Rank root);
 
-  /// Scatter `per` bytes per rank from `root`'s `in` to every rank.
-  void scatter(const void* in, Bytes per, void* mine, Rank root);
-
   /// Ring allgather: every rank contributes `per` bytes; `out` receives
   /// P*per bytes ordered by rank.
   void allgather(const void* mine, Bytes per, void* out);
@@ -258,19 +255,14 @@ class PackedSend {
 
   /// Copies `n` bytes from `src` to the next free bytes of `dst`'s part.
   void append(std::size_t dst, const void* src, Bytes n) {
-    std::byte* at = claim(dst, n);
-    if (n > 0) std::memcpy(at, src, static_cast<std::size_t>(n));
-  }
-
-  /// Counts the next `n` bytes of `dst`'s part as filled and returns where
-  /// they start, for a caller that writes them itself (a get target).
-  std::byte* claim(std::size_t dst, Bytes n) {
     TCIO_CHECK_MSG(dst < cursor_.size() && n >= 0 &&
                        cursor_[dst] + n <= displs_[dst] + counts_[dst],
                    "PackedSend fill overruns its destination's count");
-    std::byte* at = buf_.data() + cursor_[dst];
+    if (n > 0) {
+      std::memcpy(buf_.data() + cursor_[dst], src,
+                  static_cast<std::size_t>(n));
+    }
     cursor_[dst] += n;
-    return at;
   }
 
   /// True once every destination holds exactly its count.

@@ -40,13 +40,15 @@ struct TcioConfig {
   /// open rejects this with use_onesided = false.
   bool auto_fetch_on_segment_exit = false;
 
-  /// Topology-aware intra-node aggregation (src/topo/): level-1 flushes are
-  /// staged locally and shipped at collective points through per-node
-  /// leaders, so the NIC carries one coalesced epoch per (source node,
-  /// destination node) instead of one per (rank, destination rank). Requires
-  /// use_onesided && lazy_reads && !auto_fetch_on_segment_exit, because
-  /// staged data is only exchanged at collective calls. core::File only:
-  /// delegate::DFile sends every piece straight to its shard owner.
+  /// Topology-aware intra-node write aggregation (src/topo/): level-1
+  /// flushes are staged locally and shipped at collective points through
+  /// per-node leaders, so the NIC carries one coalesced epoch per (source
+  /// node, destination node) instead of one per (rank, destination rank).
+  /// Reads are not aggregated: fetch() takes the same one-sided gather as
+  /// without it. Requires use_onesided && lazy_reads &&
+  /// !auto_fetch_on_segment_exit, because staged data is only exchanged at
+  /// collective calls. core::File only: delegate::DFile sends every piece
+  /// straight to its shard owner.
   bool node_aggregation = false;
 
   // -- I/O delegate ranks (src/delegate/, DESIGN.md §10) ---------------------

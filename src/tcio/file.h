@@ -162,7 +162,7 @@ struct TcioStats {
   // Node-aggregation counters (all zero unless TcioConfig::node_aggregation).
   std::int64_t node_exchanges = 0;  // collective leader exchanges performed
   /// Aggregation bytes this rank funneled over the intra-node memory bus as
-  /// its node's leader (gather + scatter + window applies; leaders only).
+  /// its node's leader (member gather + window applies; leaders only).
   Bytes intranode_bytes = 0;
   /// Net NIC epochs removed by aggregation: epochs the per-rank shuffle
   /// would have issued to remote nodes, minus leader epochs actually
@@ -295,11 +295,6 @@ class File {
   /// node leaders; destination leaders apply them into node-local owners'
   /// windows over the memory bus.
   void nodeExchangeStagedWrites();
-
-  /// Node-aggregation read path (collective): pending-read requests and
-  /// replies travel leader-to-leader; assumes the owner-load phase of
-  /// collectiveFetch() made every needed segment resident.
-  void nodeAggregatedGather();
 
   /// Ensures the segment holding `off`..`off+n` is resident in its owner's
   /// window (independent path; reader loads from FS if needed). `scratch` is

@@ -1,6 +1,8 @@
 // core::File data movement between the level-1 buffer, level 2 and readers:
 // the level-1 flush, the staged (two-sided and node-aggregated) write
-// exchanges, and the independent, collective and node-aggregated fetches.
+// exchanges, and the independent and collective fetches. Node aggregation
+// covers writes only: a node-aggregated file fetches with the one-sided
+// gather.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -216,21 +218,17 @@ void File::gatherPending() {
   }
   const std::vector<std::pair<SegmentId, Rank>> moved = movedSegments();
   std::vector<mpi::Window::GetBlock> blocks;
-  pending_reads_.forEachInGroups(
-      {map_, moved}, static_cast<std::size_t>(map_.numRanks()),
-      [](std::size_t owner, const auto& visit) {
-        visit(static_cast<Rank>(owner));
-      },
-      [&](std::size_t, const ReadPiece& r) {
+  pending_reads_.forEachByOwner(
+      {map_, moved},
+      [&](const ReadPiece& r) {
         const SegmentId seg = map_.segmentOf(r.off);
         blocks.push_back(
             {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
       },
-      [&](std::size_t owner) {
-        const auto target = static_cast<Rank>(owner);
-        window_->lock(mpi::LockType::kShared, target);
-        window_->getIndexed(target, blocks);
-        window_->unlock(target);
+      [&](Rank owner) {
+        window_->lock(mpi::LockType::kShared, owner);
+        window_->getIndexed(owner, blocks);
+        window_->unlock(owner);
         blocks.clear();
       });
 }
@@ -364,13 +362,7 @@ void File::collectiveFetch() {
   }
   comm_->barrier();
   collectiveAgreeOnError(load_err);
-  if (cfg_.node_aggregation) {
-    nodeAggregatedGather();
-  } else if (!twoSidedExchange()) {
-    gatherPending();
-  } else {
-    twoSidedGather();
-  }
+  twoSidedExchange() ? twoSidedGather() : gatherPending();
   pending_reads_.clear();
   pending_segment_ = -1;
 }
@@ -587,167 +579,6 @@ void File::nodeExchangeStagedWrites() {
   comm_->memory().release(staged_bytes_);
   staged_bytes_ = 0;
   collectiveAgreeOnError(err);
-}
-
-void File::nodeAggregatedGather() {
-  const int N = node_map_->numNodes();
-  const auto sn = static_cast<std::size_t>(N);
-  const Bytes membus_before = node_agg_->stats().intranode_bytes;
-  // Requests travel to the node hosting each block's owner, in read order.
-  const auto nodeOf = [&](Offset off) {
-    return static_cast<std::size_t>(
-        node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
-  };
-  std::vector<Bytes> req_counts(sn, 0);
-  for (const ReadRun& run : pending_reads_.runs()) {
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      req_counts[nodeOf(run.offOf(i))] += sizeof(BlockMeta);
-    }
-  }
-  mpi::PackedSend req(std::move(req_counts));
-  pending_reads_.forEach([&](const ReadPiece& r) {
-    const BlockMeta m{r.off, r.len};
-    req.append(nodeOf(r.off), &m, sizeof(m));
-  });
-  auto requests = node_agg_->exchange(std::move(req));
-  // Serving leaders answer from node-local owners' windows. Reply streams
-  // are framed per requester: [i32 requester][u64 len][bytes].
-  const auto forEachRequest = [&](std::size_t s, const auto& fn) {
-    for (const auto& rb : requests[s]) {
-      TCIO_CHECK(rb.data.size() % sizeof(BlockMeta) == 0);
-      fn(rb.src, rb.data);
-    }
-  };
-  const auto metaAt = [](std::span<const std::byte> metas, std::size_t i) {
-    BlockMeta m;
-    std::memcpy(&m, metas.data() + i * sizeof(BlockMeta), sizeof(m));
-    return m;
-  };
-  // Only the serving leaders received requests; everywhere else the loops
-  // below see none.
-  std::vector<Bytes> reply_counts(sn, 0);
-  for (std::size_t s = 0; s < sn; ++s) {
-    forEachRequest(s, [&](Rank, std::span<const std::byte> metas) {
-      reply_counts[s] += topo::kFrameHeader;
-      for (std::size_t i = 0; i < metas.size() / sizeof(BlockMeta); ++i) {
-        reply_counts[s] += metaAt(metas, i).len;
-      }
-    });
-  }
-  mpi::PackedSend replies(std::move(reply_counts));
-  // Lay out each reply frame in the reply buffer; the get blocks write
-  // the payloads straight into it.
-  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
-  std::set<SegmentId> served_segs;
-  Bytes served = 0;
-  for (std::size_t s = 0; s < sn; ++s) {
-    forEachRequest(s, [&](Rank src, std::span<const std::byte> metas) {
-      const std::size_t nb = metas.size() / sizeof(BlockMeta);
-      Bytes total = 0;
-      for (std::size_t i = 0; i < nb; ++i) total += metaAt(metas, i).len;
-      const auto header =
-          topo::frameHeader(src, static_cast<std::uint64_t>(total));
-      replies.append(s, header.data(), topo::kFrameHeader);
-      for (std::size_t i = 0; i < nb; ++i) {
-        const BlockMeta m = metaAt(metas, i);
-        const SegmentId g = map_.segmentOf(m.off);
-        by_owner[ownerOf(g)].push_back(
-            {dataDisp(slotOnOwner(g), map_.dispOf(m.off)),
-             replies.claim(s, m.len), m.len});
-        served += m.len;
-        served_segs.insert(g);
-      }
-    });
-  }
-  requests = {};  // every request is laid out in the replies
-  // One shared-lock membus epoch per node-local owner.
-  noteTransfers(served_segs, kOverlayOwner, "File::nodeAggregatedGather");
-  for (auto& [owner, blocks] : by_owner) {
-    window_->lock(mpi::LockType::kShared, owner);
-    window_->getIndexed(owner, blocks);
-    window_->unlock(owner);
-  }
-  stats_.intranode_bytes += served;
-  auto answers = node_agg_->exchange(std::move(replies));
-  // Leaders demux replies per requester; each fragment is wrapped
-  // [i32 serving node][u64 len][bytes] so the requester can route it to its
-  // per-node request list. Counted first, then filled.
-  const std::vector<Rank>& members =
-      node_map_->ranksOnNode(node_map_->myNode());
-  std::map<Rank, std::size_t> node_rank_of;
-  for (std::size_t q = 0; q < members.size(); ++q) {
-    node_rank_of[members[q]] = q;
-  }
-  // Only the round's leader received answers.
-  const auto forEachAnswer = [&](const auto& fn) {
-    for (std::size_t s = 0; s < sn; ++s) {
-      for (const auto& rb : answers[s]) {
-        topo::forEachFrame(rb.data, [&](std::int32_t requester,
-                                        std::span<const std::byte> p) {
-          fn(s, node_rank_of.at(requester), p);
-        });
-      }
-    }
-  };
-  std::vector<Bytes> rank_counts(members.size(), 0);
-  forEachAnswer([&](std::size_t, std::size_t q, std::span<const std::byte> p) {
-    rank_counts[q] += topo::kFrameHeader + static_cast<Bytes>(p.size());
-  });
-  mpi::PackedSend per_rank(std::move(rank_counts));
-  forEachAnswer([&](std::size_t s, std::size_t q,
-                    std::span<const std::byte> p) {
-    const auto header = topo::frameHeader(static_cast<std::int32_t>(s),
-                                          static_cast<std::uint64_t>(p.size()));
-    per_rank.append(q, header.data(), topo::kFrameHeader);
-    per_rank.append(q, p.data(), static_cast<Bytes>(p.size()));
-  });
-  answers = {};  // demuxed into per_rank
-  const mpi::RawBytes mine = node_agg_->scatterToRanks(per_rank);
-  per_rank = {};
-  // Each serving node's answer frames, in arrival order (ascending node).
-  std::vector<std::vector<std::span<const std::byte>>> from(sn);
-  Bytes arrived = 0;
-  topo::forEachFrame({mine.data(), mine.size()},
-                     [&](std::int32_t serving, std::span<const std::byte> p) {
-    const auto s = static_cast<std::size_t>(serving);
-    TCIO_CHECK_MSG(serving >= 0 && s < sn,
-                   "node-aggregated reply names no serving node");
-    from[s].push_back(p);
-    arrived += static_cast<Bytes>(p.size());
-    comm_->chargeCopy(static_cast<Bytes>(p.size()));
-  });
-  // Route each serving node's answer bytes to its reads, node by node, each
-  // node's in read order: the order its leader answered them.
-  const std::vector<std::pair<SegmentId, Rank>> moved = movedSegments();
-  std::size_t frame = 0;
-  std::size_t used = 0;
-  Bytes placed = 0;
-  pending_reads_.forEachInGroups(
-      {map_, moved}, sn,
-      [&](std::size_t s, const auto& visit) {
-        for (const Rank q : node_map_->ranksOnNode(static_cast<int>(s))) {
-          const auto at = static_cast<std::size_t>(q);
-          visit(orig_of_cur_.empty() ? q : orig_of_cur_[at]);
-        }
-      },
-      [&](std::size_t s, const ReadPiece& r) {
-        while (frame < from[s].size() && used == from[s][frame].size()) {
-          ++frame;
-          used = 0;
-        }
-        TCIO_CHECK_MSG(frame < from[s].size(),
-                       "node-aggregated gather left reads unanswered");
-        const std::span<const std::byte> p = from[s][frame];
-        TCIO_CHECK(static_cast<std::size_t>(r.len) <= p.size() - used);
-        std::memcpy(r.dst, p.data() + used, static_cast<std::size_t>(r.len));
-        used += static_cast<std::size_t>(r.len);
-        placed += r.len;
-      },
-      [&](std::size_t) { frame = used = 0; });
-  TCIO_CHECK_MSG(placed == arrived,
-                 "node-aggregated reply exceeds recorded reads");
-  stats_.intranode_bytes +=
-      node_agg_->stats().intranode_bytes - membus_before;
 }
 
 }  // namespace tcio::core

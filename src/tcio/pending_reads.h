@@ -6,8 +6,8 @@
 //     address and read-sequence position each advance by a constant stride.
 //   * PendingReads — records pieces, extending one of the last kLookback
 //     runs when the piece continues its progression, and walks them back in
-//     read order (forEach) or per owner group (forEachInGroups) without ever
-//     listing the pieces.
+//     read order (forEach) or per owner (forEachByOwner, the one-sided
+//     gather's order) without ever listing the pieces.
 //
 // Every piece has its own sequence position (0, 1, 2, ... in recording
 // order), so both walks reproduce the recorded order exactly, whatever the
@@ -190,19 +190,17 @@ class PendingReads {
         fn);
   }
 
-  /// For each group 0..groups-1 in ascending order, calls onPiece(group,
-  /// piece) for every piece held by the group's owners, in recording order,
-  /// then onGroupEnd(group) if there was one. ownersOf(group, visit) calls
-  /// visit(owner) for each original-communicator rank in the group.
-  template <typename OwnersOf, typename OnPiece, typename OnGroupEnd>
-  void forEachInGroups(const Placement& where, std::size_t groups,
-                       const OwnersOf& ownersOf, OnPiece&& onPiece,
-                       OnGroupEnd&& onGroupEnd) const {
+  /// For each owner 0..P-1 in ascending order (P from `where.map`), calls
+  /// onPiece(piece) for every piece in the owner's segments, in recording
+  /// order, then onOwnerEnd(owner) if there was one.
+  template <typename OnPiece, typename OnOwnerEnd>
+  void forEachByOwner(const Placement& where, OnPiece&& onPiece,
+                      OnOwnerEnd&& onOwnerEnd) const {
     if (runs_.empty()) return;
     const OwnerIndex index(runs_, where);
     std::vector<PieceRange> ranges;
-    for (std::size_t g = 0; g < groups; ++g) {
-      ownersOf(g, [&](Rank owner) { index.appendRanges(owner, ranges); });
+    for (Rank owner = 0; owner < where.map.numRanks(); ++owner) {
+      index.appendRanges(owner, ranges);
       if (ranges.empty()) continue;
       // Latest first, so the merge pulls from the back.
       std::sort(ranges.begin(), ranges.end(),
@@ -217,8 +215,8 @@ class PendingReads {
             ranges.pop_back();
             return r;
           },
-          [&](const ReadPiece& p) { onPiece(g, p); });
-      onGroupEnd(g);
+          onPiece);
+      onOwnerEnd(owner);
     }
   }
 

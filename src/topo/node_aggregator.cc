@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
 #include "common/error.h"
 #include "mpi/agreement.h"
@@ -14,37 +13,6 @@ namespace {
 /// Per-slot header: bytes of the stream still to come, this round's chunk
 /// included. The chunk is min(header, slot data); 0 means an empty slot.
 constexpr Bytes kSlotHeader = static_cast<Bytes>(sizeof(std::uint64_t));
-
-/// One destination's outgoing stream as a gather list (frame headers and
-/// payload views, in wire order), put chunk by chunk without assembling it.
-struct Outgoing {
-  std::vector<std::span<const std::byte>> pieces;
-  Bytes size = 0;
-  Bytes sent = 0;
-  std::size_t piece = 0;  // the next unsent byte is pieces[piece][at]
-  std::size_t at = 0;
-
-  void add(std::span<const std::byte> p) {
-    pieces.push_back(p);
-    size += static_cast<Bytes>(p.size());
-  }
-  /// Appends the next `n` stream bytes to `blocks`, from target `disp` on.
-  void take(Bytes n, Offset disp, std::vector<mpi::Window::PutBlock>& blocks) {
-    sent += n;
-    while (n > 0) {
-      const std::span<const std::byte> p = pieces[piece];
-      const Bytes len = std::min(n, static_cast<Bytes>(p.size() - at));
-      blocks.push_back({disp, p.data() + at, len});
-      disp += len;
-      n -= len;
-      at += static_cast<std::size_t>(len);
-      if (at == p.size()) {
-        ++piece;
-        at = 0;
-      }
-    }
-  }
-};
 
 }  // namespace
 
@@ -148,43 +116,21 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
   // Phase 1: funnel to the leader (membus traffic only).
   std::vector<std::vector<RankBlob>> frames = gatherToLeader(got);
   const bool leader = isActiveLeader();
-  // Cross-rank coalescing happens here, before any byte pays the NIC.
-  if (rewrite && leader) {
-    got.rewritten_.resize(sn);
+  // Cross-rank coalescing happens here, before any byte pays the NIC: the
+  // rewritten streams are what the leader ships.
+  std::vector<std::vector<std::byte>>& out = got.rewritten_;
+  if (leader) {
+    out.resize(sn);
     for (std::size_t d = 0; d < sn; ++d) {
-      if (!frames[d].empty()) {
-        got.rewritten_[d] = rewrite(static_cast<int>(d), frames[d]);
-      }
+      if (!frames[d].empty()) out[d] = rewrite(static_cast<int>(d), frames[d]);
     }
     // The rewrite copied what it ships: the gathered payloads are spent.
     frames.clear();
     got.sent_ = {};
     got.gathered_ = {};
-  }
-
-  // The outgoing wire streams: per-rank frames, or the rewritten stream.
-  // Frame headers live in a deque, so views into it stay put as it grows.
-  std::vector<Outgoing> out(sn);
-  std::deque<std::array<std::byte, kFrameHeader>> headers;
-  if (leader) {
-    for (std::size_t d = 0; d < sn; ++d) {
-      if (d == sme) continue;
-      if (rewrite) {
-        if (!got.rewritten_[d].empty()) out[d].add(got.rewritten_[d]);
-        continue;
-      }
-      for (const RankBlob& f : frames[d]) {
-        headers.push_back(
-            frameHeader(f.src, static_cast<std::uint64_t>(f.data.size())));
-        out[d].add(headers.back());
-        out[d].add(f.data);
-      }
-    }
     // The leader's own node needs no staging.
-    if (!rewrite) {
-      got.frames_[sme] = std::move(frames[sme]);
-    } else if (!got.rewritten_[sme].empty()) {
-      got.frames_[sme].push_back({activeLeaderOf(me), got.rewritten_[sme]});
+    if (!out[sme].empty()) {
+      got.frames_[sme].push_back({activeLeaderOf(me), out[sme]});
     }
   }
 
@@ -192,6 +138,7 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
   // slot's worth of each stream with a single RMA epoch per destination
   // node; slots are disjoint per source node, so shared locks suffice.
   std::vector<Bytes> drained(sn, 0);
+  std::vector<Bytes> sent(sn, 0);
   std::vector<mpi::Window::PutBlock> blocks;
   const Bytes slot_data = slot_bytes_ - kSlotHeader;
   // Leader-local failures (a bad put, a corrupt slot) are captured and
@@ -205,15 +152,16 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
     try {
       if (leader && !err.set()) {
         for (std::size_t d = 0; d < sn; ++d) {
-          Outgoing& o = out[d];
-          const Bytes remaining = o.size - o.sent;
+          const Bytes remaining = static_cast<Bytes>(out[d].size()) - sent[d];
           if (d == sme || remaining <= 0) continue;
           const Bytes chunk = std::min(remaining, slot_data);
           const auto header = static_cast<std::uint64_t>(remaining);
           const Offset slot_base = static_cast<Offset>(me) * slot_bytes_;
           blocks.clear();
           blocks.push_back({slot_base, &header, kSlotHeader});
-          o.take(chunk, slot_base + kSlotHeader, blocks);
+          blocks.push_back(
+              {slot_base + kSlotHeader, out[d].data() + sent[d], chunk});
+          sent[d] += chunk;
           const Rank target = activeLeaderOf(static_cast<int>(d));
           staging_->lock(mpi::LockType::kShared, target);
           staging_->putIndexed(target, blocks);
@@ -251,7 +199,8 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
           std::memset(slot, 0, static_cast<std::size_t>(kSlotHeader));
         }
         for (std::size_t d = 0; d < sn && !local_more; ++d) {
-          local_more = d != sme && out[d].sent < out[d].size;
+          local_more =
+              d != sme && sent[d] < static_cast<Bytes>(out[d].size());
         }
       }
     } catch (const std::exception& e) {
@@ -277,69 +226,20 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
     staging_->releaseLocalHost();
   }
   // The rewritten streams for other nodes have all been put.
-  for (std::size_t d = 0; d < got.rewritten_.size(); ++d) {
-    if (d != sme) std::vector<std::byte>().swap(got.rewritten_[d]);
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    if (d != sme) std::vector<std::byte>().swap(out[d]);
   }
 
-  // Phase 3: frame the drained streams in place. Under a rewrite the stream
-  // is one raw leader-attributed blob; otherwise it carries per-rank frames.
+  // Phase 3: each drained stream is one blob from its source node's leader.
   for (std::size_t s = 0; s < sn; ++s) {
     const mpi::RawBytes& stream = got.streams_[s];
     if (s == sme || stream.size() == 0) continue;
     TCIO_CHECK_MSG(drained[s] == static_cast<Bytes>(stream.size()),
                    "node-aggregation stream ended short of its length");
-    const std::span<const std::byte> all(stream.data(), stream.size());
-    if (rewrite) {
-      got.frames_[s].push_back({activeLeaderOf(static_cast<int>(s)), all});
-    } else {
-      forEachFrame(all, [&](std::int32_t src, std::span<const std::byte> b) {
-        got.frames_[s].push_back({src, b});
-      });
-    }
+    got.frames_[s].push_back({activeLeaderOf(static_cast<int>(s)),
+                              {stream.data(), stream.size()}});
   }
   return got;
-}
-
-mpi::RawBytes NodeAggregator::scatterToRanks(
-    const mpi::PackedSend& per_rank) {
-  mpi::Comm& node = map_->nodeComm();
-  const int Q = node.size();
-  const int tag = node.nextCollectiveTag();
-  // Scatter from the round's active leader (the rank exchange() left the
-  // leader-held data on), not from a fixed node root.
-  const Rank root = leaderNodeRank();
-  std::vector<Bytes> sizes(static_cast<std::size_t>(Q), 0);
-  Bytes my_size = 0;
-  if (node.rank() == root) {
-    TCIO_CHECK(static_cast<int>(per_rank.counts().size()) == Q &&
-               per_rank.filled());
-    std::copy(per_rank.counts().begin(), per_rank.counts().end(),
-              sizes.begin());
-  }
-  node.scatter(sizes.data(), sizeof(Bytes), &my_size, root);
-  mpi::RawBytes mine(static_cast<std::size_t>(my_size));
-  if (node.rank() == root) {
-    std::vector<mpi::Request> reqs;
-    for (int q = 0; q < Q; ++q) {
-      const auto sq = static_cast<std::size_t>(q);
-      if (q == root || sizes[sq] == 0) continue;
-      reqs.push_back(node.isend(per_rank.data() + per_rank.displs()[sq],
-                                sizes[sq], q, tag));
-      stats_.intranode_bytes += sizes[sq];
-    }
-    node.waitAll(reqs);
-    if (my_size > 0) {
-      std::memcpy(mine.data(),
-                  per_rank.data() +
-                      per_rank.displs()[static_cast<std::size_t>(root)],
-                  static_cast<std::size_t>(my_size));
-    }
-    return mine;
-  }
-  if (my_size > 0) {
-    node.recv(mine.data(), my_size, root, tag);
-  }
-  return mine;
 }
 
 }  // namespace tcio::topo

@@ -14,28 +14,27 @@
 // fixed-size slot per source node. A round is: leaders put the next chunk of
 // each outgoing stream into the destination leader's slot (shared lock —
 // slots are disjoint), a barrier, destination leaders drain their slots, and
-// an allreduce decides whether any stream has bytes left. Streams are framed
-// per contributing rank, so receivers get back (source rank, blob) pairs.
+// an allreduce decides whether any stream has bytes left. The source leader
+// rewrites its members' payloads for each destination node into one stream
+// (the caller's coalescing hook), so a destination leader receives one blob
+// per source node, attributed to that node's leader.
 //
 // Host buffers: each hop lands in one buffer allocated at its final size
 // and never zero-filled. The leader receives its members' payloads into one
-// arrival buffer sized from the gathered size table; frames are (rank, span)
-// views into it, and an outgoing stream is put straight from those views. A
-// slot's 8-byte header carries the bytes of the stream still to come (this
-// chunk included), so the destination allocates each source's stream once,
-// at its first chunk. Each buffer is freed once the next hop has consumed
-// it, and the round's leader gives its staging window's host bytes back
-// when the exchange ends (every slot is drained by then).
+// arrival buffer sized from the gathered size table; the rewrite reads
+// (rank, span) views into it, and its output is put straight from where it
+// returned it. A slot's 8-byte header carries the bytes of the stream still
+// to come (this chunk included), so the destination allocates each source's
+// stream once, at its first chunk. Each buffer is freed once the next hop
+// has consumed it, and the round's leader gives its staging window's host
+// bytes back when the exchange ends (every slot is drained by then).
 #pragma once
 
-#include <array>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "common/error.h"
 #include "common/types.h"
 #include "mpi/comm.h"
 #include "mpi/rma.h"
@@ -49,43 +48,10 @@ struct NodeAggStats {
   std::int64_t internode_puts = 0;  // leader->leader NIC epochs issued
   std::int64_t rounds = 0;          // staging rounds across all exchanges
   /// Aggregation bytes funneled through this rank as node leader (gathered
-  /// from and scattered to node-local ranks over the membus; leaders only).
+  /// from node-local ranks over the membus; leaders only).
   Bytes intranode_bytes = 0;
   Bytes internode_bytes = 0;        // leader->leader payload bytes sent
 };
-
-/// Wire frame of one contribution: [i32 id][u64 len][len bytes].
-inline constexpr Bytes kFrameHeader =
-    static_cast<Bytes>(sizeof(std::int32_t) + sizeof(std::uint64_t));
-
-/// The header of a frame carrying `len` bytes from `id`.
-inline std::array<std::byte, kFrameHeader> frameHeader(std::int32_t id,
-                                                       std::uint64_t len) {
-  std::array<std::byte, kFrameHeader> h;
-  std::memcpy(h.data(), &id, sizeof(id));
-  std::memcpy(h.data() + sizeof(id), &len, sizeof(len));
-  return h;
-}
-
-/// Calls `fn(id, bytes)` for each frame of a framed stream. A header or a
-/// payload that runs past the end of the stream fails a TCIO_CHECK.
-template <typename Fn>
-void forEachFrame(std::span<const std::byte> stream, Fn&& fn) {
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    TCIO_CHECK_MSG(
-        stream.size() - pos >= static_cast<std::size_t>(kFrameHeader),
-        "truncated frame header");
-    std::int32_t id = 0;
-    std::uint64_t len = 0;
-    std::memcpy(&id, stream.data() + pos, sizeof(id));
-    std::memcpy(&len, stream.data() + pos + sizeof(id), sizeof(len));
-    pos += static_cast<std::size_t>(kFrameHeader);
-    TCIO_CHECK_MSG(len <= stream.size() - pos, "truncated frame payload");
-    fn(id, stream.subspan(pos, static_cast<std::size_t>(len)));
-    pos += static_cast<std::size_t>(len);
-  }
-}
 
 class NodeAggregator {
  public:
@@ -105,18 +71,20 @@ class NodeAggregator {
   NodeAggregator(const NodeAggregator&) = delete;
   NodeAggregator& operator=(const NodeAggregator&) = delete;
 
-  /// One contributing rank's payload, as received by a destination leader.
-  /// `data` views storage the Received it came from owns.
+  /// One rank's payload: a node member's contribution as the rewrite sees
+  /// it, or a source node's rewritten stream as a destination leader
+  /// receives it (attributed to that node's leader). `data` views storage
+  /// the exchange owns.
   struct RankBlob {
     Rank src = -1;  // rank within map.comm()
     std::span<const std::byte> data;
   };
 
-  /// What exchange() delivered. On a node's leader, [s] holds the frames
-  /// from source node `s` ordered by contributing rank (or one leader-
-  /// attributed blob per source node under a rewrite); on other ranks every
-  /// [s] is empty. The frames view buffers this object owns, so they live as
-  /// long as it does.
+  /// What exchange() delivered. On a node's leader, [s] holds source node
+  /// `s`'s rewritten stream as one blob attributed to that node's leader, or
+  /// nothing when the stream was empty; on other ranks every [s] is empty.
+  /// The blobs view buffers this object owns, so they live as long as it
+  /// does.
   class Received {
    public:
     std::size_t size() const { return frames_.size(); }
@@ -130,11 +98,11 @@ class NodeAggregator {
     friend class NodeAggregator;
     std::vector<std::vector<RankBlob>> frames_;
     /// This rank's payload: the leader's own frames view it. Freed once
-    /// spent: on a non-leader after its membus send, under a rewrite once
+    /// spent: on a non-leader after its membus send, on the leader once
     /// rewritten.
     mpi::PackedSend sent_;
-    /// The node members' payloads, as the leader received them (freed under
-    /// a rewrite once rewritten).
+    /// The node members' payloads, as the leader received them (freed once
+    /// rewritten).
     mpi::RawBytes gathered_;
     /// Rewrite outputs, per destination node. The leader's own node's is
     /// delivered from here; the others are freed once put.
@@ -144,24 +112,18 @@ class NodeAggregator {
   };
 
   /// Source-leader rewrite hook: receives the destination node index and
-  /// the per-rank frames headed there, returns the raw stream to ship
-  /// instead. This is where cross-rank coalescing happens (e.g. merging
-  /// adjacent write extents from the node's ranks) BEFORE the bytes pay the
-  /// NIC. When a rewrite is used, per-rank attribution is gone: receivers
-  /// get one blob per source node, attributed to that node's leader.
+  /// the node members' frames headed there, in node-rank order, and returns
+  /// the raw stream to ship instead. This is where cross-rank coalescing
+  /// happens (e.g. merging adjacent write extents from the node's ranks)
+  /// BEFORE the bytes pay the NIC. Per-rank attribution ends here:
+  /// receivers get one blob per source node, attributed to its leader.
   using Rewrite = std::function<std::vector<std::byte>(
       int dst_node, const std::vector<RankBlob>&)>;
 
   /// Collective over map.comm(). `per_node` holds this rank's payload for
-  /// each node `d` as its part d, filled to its count; the result keeps it.
-  /// `rewrite` must be passed uniformly (all ranks null or all non-null) —
-  /// it changes the wire format.
-  Received exchange(mpi::PackedSend per_node, const Rewrite& rewrite = {});
-
-  /// Collective over map.nodeComm(): the leader passes one part per
-  /// node-local rank (indexed by node rank), filled to its count; every rank
-  /// returns its own part. Other ranks' `per_rank` is ignored.
-  mpi::RawBytes scatterToRanks(const mpi::PackedSend& per_rank);
+  /// each node `d` as its part d, filled to its count. Only the round's
+  /// leaders call `rewrite`.
+  Received exchange(mpi::PackedSend per_node, const Rewrite& rewrite);
 
   /// Releases the staging window and its memory accounting. Safe to call
   /// more than once; the destructor calls it too.
@@ -171,9 +133,8 @@ class NodeAggregator {
   const NodeAggStats& stats() const { return stats_; }
   NodeMap& map() { return *map_; }
 
-  /// Rank leading node `n` in the current round. scatterToRanks() uses the
-  /// round of the last exchange(), so callers can keep leader-held data
-  /// across the pair.
+  /// Rank leading node `n` in the current round: the round of the last
+  /// exchange(), so callers can act on leader-held data after it.
   Rank activeLeaderOf(int n) const {
     const std::vector<Rank>& rs = map_->ranksOnNode(n);
     return rs[static_cast<std::size_t>(round_ % static_cast<std::int64_t>(

@@ -7,12 +7,12 @@
 // the checkpoint file. Engine events are left out: the runtime checker
 // (TCIO_CHECK=1) adds its own. One grid moves every stream in a single
 // staging round, one uses segments small enough that streams take several
-// rounds, and one flips a bit in a rank's staging frame. The goldens were
-// recorded before the exchange's host buffers were restructured: a change
-// to the host side of the exchange (buffer layout, frame walking, the slot
-// header) must leave every pinned value untouched. A deliberate change to
-// the model re-pins them from the failure message, which prints the
-// observed figures in the table's own initializer syntax.
+// rounds, and one flips a bit in a rank's staging frame. The restart's
+// fetches take the one-sided gather: node aggregation covers writes only.
+// A change to the host side of the exchange (buffer layout, the rewrite,
+// the slot header) must leave every pinned value untouched. A deliberate
+// change to the model re-pins them from the failure message, which prints
+// the observed figures in the table's own initializer syntax.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -184,22 +184,22 @@ TEST(ArtCheckpointOracleTest, TwoNodesOneRoundPerExchange) {
   // Every exchange takes one staging round (rounds == exchanges).
   expectFigures(
       runOracleJob({24, 16_KiB, -1}),
-      {0x1.0d6d87477a074p-3, 0x1.7b6a9db312f0dp-4,
-       {11139, 2765778, 7569, 2273730, 2058, 1512, 26, 26, 414224,
-        414224, 96, 121, 419064, 0, 336, 10, 336, 1285328, 467904, 144,
-        2167136, 62, 275, 0, 0, 0, 96, 26, 0, 0},
+      {0x1.0c8f536157368p-3, 0x1.7b6a9db312f0dp-4,
+       {10229, 1606282, 6571, 1118154, 2106, 1552, 26, 26, 414224,
+        414224, 96, 121, 419064, 0, 144, 2, 144, 381816, 218448, 144,
+        796040, 62, 275, 0, 0, 0, 96, 26, 0, 0},
        0x49c31f50u});
 }
 
 TEST(ArtCheckpointOracleTest, ThreeNodesMultiRoundStaging) {
   // 1 KiB segments give 16 KiB slots: streams move in several rounds
-  // (756 rounds over 504 exchanges).
+  // (324 rounds over 216 exchanges).
   expectFigures(
       runOracleJob({36, 1_KiB, -1}),
-      {0x1.35f4e8e6cadd7p-1, 0x1.d9eb270a05428p-2,
-       {23871, 3171493, 13853, 2457861, 6175, 3843, 405, 405, 414224,
-        414224, 144, 500, 434224, 404, 504, 54, 756, 1359088, 642072, 216,
-        2268736, 324, 1412, 0, 0, 0, 144, 405, 0, 0},
+      {0x1.35c455499dc8fp-1, 0x1.d9eb270a05428p-2,
+       {23277, 1835813, 12012, 1136933, 6483, 4782, 405, 405, 414224,
+        414224, 144, 500, 434224, 404, 216, 19, 324, 390144, 289728, 216,
+        804368, 324, 1412, 0, 0, 0, 144, 405, 0, 0},
        0x49c31f50u});
 }
 
@@ -212,10 +212,10 @@ TEST(ArtCheckpointOracleTest, StagingFrameCorruption) {
   // FS traffic (24 opens and reads).
   expectFigures(
       runOracleJob({24, 16_KiB, 5}),
-      {0x1.72a23723b42f4p-3, 0x1.22e9feb5c3ef7p-3,
-       {11139, 2765778, 7569, 2273730, 2058, 1512, 26, 50, 414224,
-        833288, 120, 121, 419064, 0, 336, 10, 336, 1285328, 467904, 144,
-        2167136, 62, 275, 1, 1, 0, 96, 26, 0, 0},
+      {0x1.71c4033d91597p-3, 0x1.22e9feb5c3ef7p-3,
+       {10229, 1606282, 6571, 1118154, 2106, 1552, 26, 50, 414224,
+        833288, 120, 121, 419064, 0, 144, 2, 144, 381816, 218448, 144,
+        796040, 62, 275, 1, 1, 0, 96, 26, 0, 0},
        0x49c31f50u});
 }
 

@@ -205,9 +205,9 @@ TEST(IntegrityOracleTest, TwoSided) {
 TEST(IntegrityOracleTest, NodeAggregation) {
   expectFigures(runOracleJob(Mode::kNodeAgg),
                 {652, 24, 60, 0, 0, 0,
-                 {0x1.093338a38190bp-5, 0x1.093338a38190bp-5,
-                  0x1.09326236635a5p-5, 0x1.09380c800cd88p-5,
-                  0x1.09369442d4e2dp-5, 0x1.09369442d4e2dp-5},
+                 {0x1.08c4336740971p-5, 0x1.08c4336740971p-5,
+                  0x1.08c35cfa2260bp-5, 0x1.08c90743cbdeep-5,
+                  0x1.08c78f0693e93p-5, 0x1.08c78f0693e93p-5},
                  0x29b9bc08u});
 }
 

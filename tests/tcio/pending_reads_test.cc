@@ -208,39 +208,34 @@ Rank refOwner(const Recording& r, int P, const Moved& moved, Offset off) {
   return static_cast<Rank>(g % P);
 }
 
-/// Each group's pieces, groups ascending, each in recorded order.
-std::vector<std::pair<std::size_t, ReadPiece>> refGrouped(
-    const Recording& r, int P, const Moved& moved,
-    const std::vector<std::size_t>& group_of, std::size_t groups) {
-  std::vector<std::pair<std::size_t, ReadPiece>> out;
-  for (std::size_t g = 0; g < groups; ++g) {
+/// Each owner's pieces, owners ascending, each in recorded order.
+std::vector<std::pair<Rank, ReadPiece>> refByOwner(const Recording& r, int P,
+                                                   const Moved& moved) {
+  std::vector<std::pair<Rank, ReadPiece>> out;
+  for (Rank o = 0; o < P; ++o) {
     for (const ReadPiece& p : r.ref) {
-      const auto o = static_cast<std::size_t>(refOwner(r, P, moved, p.off));
-      if (group_of[o] == g) out.emplace_back(g, p);
+      if (refOwner(r, P, moved, p.off) == o) out.emplace_back(o, p);
     }
   }
   return out;
 }
 
-std::vector<std::pair<std::size_t, ReadPiece>> grouped(
-    const Recording& r, int P, const Moved& moved,
-    const std::vector<std::size_t>& group_of, std::size_t groups) {
+std::vector<std::pair<Rank, ReadPiece>> byOwner(const Recording& r, int P,
+                                                const Moved& moved) {
   const SegmentMap map(r.seg, P);
-  std::vector<std::pair<std::size_t, ReadPiece>> out;
-  std::size_t ended = 0;
-  r.rec.forEachInGroups(
-      {map, moved}, groups,
-      [&](std::size_t g, const auto& visit) {
-        // Visit the group's owners highest first: order must not matter.
-        for (std::size_t o = group_of.size(); o-- > 0;) {
-          if (group_of[o] == g) visit(static_cast<Rank>(o));
-        }
-      },
-      [&](std::size_t g, const ReadPiece& p) {
-        EXPECT_GE(g, ended) << "groups must come in ascending order";
-        out.emplace_back(g, p);
-      },
-      [&](std::size_t g) { ended = g + 1; });
+  std::vector<std::pair<Rank, ReadPiece>> out;
+  std::vector<ReadPiece> pieces;
+  Rank ended = -1;
+  r.rec.forEachByOwner(
+      {map, moved}, [&](const ReadPiece& p) { pieces.push_back(p); },
+      [&](Rank o) {
+        EXPECT_GT(o, ended) << "owners must come in ascending order";
+        EXPECT_FALSE(pieces.empty()) << "owner " << o << " ended empty";
+        ended = o;
+        for (const ReadPiece& p : pieces) out.emplace_back(o, p);
+        pieces.clear();
+      });
+  EXPECT_TRUE(pieces.empty()) << "pieces after the last owner's end";
   return out;
 }
 
@@ -266,18 +261,8 @@ void checkAll(const Recording& r, const Pool& pool, int P,
   for (const ReadPiece& p : r.ref) {
     total_segs = std::max<std::int64_t>(total_segs, p.off / r.seg + 1);
   }
-  std::vector<std::size_t> per_owner(static_cast<std::size_t>(P));
-  std::vector<std::size_t> per_node(static_cast<std::size_t>(P));
-  for (std::size_t o = 0; o < per_owner.size(); ++o) {
-    per_owner[o] = o;
-    per_node[o] = o / 3;
-  }
-  const auto nodes = static_cast<std::size_t>((P + 2) / 3);
   for (const Moved& moved : {Moved{}, randomMoved(rng, total_segs, P)}) {
-    EXPECT_EQ(grouped(r, P, moved, per_owner, per_owner.size()),
-              refGrouped(r, P, moved, per_owner, per_owner.size()));
-    EXPECT_EQ(grouped(r, P, moved, per_node, nodes),
-              refGrouped(r, P, moved, per_node, nodes));
+    EXPECT_EQ(byOwner(r, P, moved), refByOwner(r, P, moved));
   }
 }
 
@@ -289,10 +274,8 @@ TEST(PendingReadsTest, EmptyRecordWalksNothing) {
   EXPECT_TRUE(walk(rec).empty());
   const SegmentMap map(64, 4);
   int calls = 0;
-  rec.forEachInGroups(
-      {map, {}}, 4, [](std::size_t, const auto&) {},
-      [&](std::size_t, const ReadPiece&) { ++calls; },
-      [&](std::size_t) { ++calls; });
+  rec.forEachByOwner(
+      {map, {}}, [&](const ReadPiece&) { ++calls; }, [&](Rank) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -372,11 +355,9 @@ TEST(PendingReadsTest, MoreStreamsThanTheLookbackHolds) {
     }
     const SegmentMap map(r.seg, 4);
     std::vector<ReadPiece> by_owner;
-    r.rec.forEachInGroups(
-        {map, {}}, 4,
-        [](std::size_t o, const auto& visit) { visit(static_cast<Rank>(o)); },
-        [&](std::size_t, const ReadPiece& p) { by_owner.push_back(p); },
-        [](std::size_t) {});
+    r.rec.forEachByOwner(
+        {map, {}}, [&](const ReadPiece& p) { by_owner.push_back(p); },
+        [](Rank) {});
     std::vector<ReadPiece> expect;
     for (Rank o = 0; o < 4; ++o) {
       for (const ReadPiece& p : r.ref) {

@@ -373,6 +373,51 @@ TEST(TcioFileTest, Fig5ReadEveryModeLandsEveryByte) {
   }
 }
 
+TEST(TcioFileTest, NodeAggregatedFetchRunsNoLeaderExchange) {
+  // Node aggregation covers writes only: a fetch reads through the
+  // one-sided gather. Its one leader exchange is the write exchange every
+  // collective call runs, empty here after the flush, so no byte crosses a
+  // node's memory bus for the reads.
+  constexpr int kP = 24;
+  constexpr std::int64_t kLen = 64;
+  const auto valueAt = [](std::int64_t block) {
+    return static_cast<std::uint64_t>(block) * 0x9E3779B97F4A7C15ULL + 1;
+  };
+  fs::Filesystem fsys(fsCfg());
+  mpi::JobConfig jc = job(kP);
+  jc.net.ranks_per_node = 12;
+  mpi::runJob(jc, [&](mpi::Comm& comm) {
+    TcioConfig c = smallTcio();
+    c.node_aggregation = true;
+    File f(comm, fsys, "nodeagg_rw.dat", fs::kRead | fs::kWrite | fs::kCreate,
+           c);
+    const int r = comm.rank();
+    for (std::int64_t i = 0; i < kLen; ++i) {  // block i * P + rank
+      const std::int64_t block = i * kP + r;
+      const std::uint64_t v = valueAt(block);
+      f.writeAt(block * 8, &v, 8);
+    }
+    f.flush();
+    std::vector<std::uint64_t> all(kLen * kP, 0);
+    for (std::size_t b = 0; b < all.size(); ++b) {
+      f.readAt(static_cast<Offset>(b) * 8, &all[b], 8);
+    }
+    ASSERT_NE(f.nodeAggStats(), nullptr);
+    const topo::NodeAggStats agg = *f.nodeAggStats();
+    const Bytes membus = f.stats().intranode_bytes;
+    f.fetch();
+    EXPECT_EQ(f.nodeAggStats()->exchanges, agg.exchanges + 1);
+    EXPECT_EQ(f.nodeAggStats()->internode_bytes, agg.internode_bytes);
+    EXPECT_EQ(f.nodeAggStats()->intranode_bytes, agg.intranode_bytes);
+    EXPECT_EQ(f.stats().intranode_bytes, membus);
+    for (std::size_t b = 0; b < all.size(); ++b) {
+      ASSERT_EQ(all[b], valueAt(static_cast<std::int64_t>(b)))
+          << "rank " << r << " block " << b;
+    }
+    f.close();
+  });
+}
+
 TEST(TcioFileTest, Fig5PendingRecordDoesNotGrowWithP) {
   // The record holds two runs per rank plus a few per straddling read, at
   // either P; one entry per datum would be 400 per rank.

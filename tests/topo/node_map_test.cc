@@ -51,8 +51,28 @@ std::vector<std::byte> bytesOf(std::span<const std::byte> s) {
   return {s.begin(), s.end()};
 }
 
-std::vector<std::byte> bytesOf(const mpi::RawBytes& b) {
-  return bytesOf({b.data(), b.size()});
+/// The rewrite most tests ship: the members' payloads concatenated in
+/// node-rank order.
+const NodeAggregator::Rewrite kConcat =
+    [](int, const std::vector<NodeAggregator::RankBlob>& blobs) {
+      std::vector<std::byte> out;
+      for (const auto& b : blobs) {
+        out.insert(out.end(), b.data.begin(), b.data.end());
+      }
+      return out;
+    };
+
+/// What kConcat delivers from node `s`: the payload `payload(src)` of each
+/// rank of `s`, in rank order.
+template <typename Payload>
+std::vector<std::byte> concatFrom(const NodeMap& map, int s,
+                                  const Payload& payload) {
+  std::vector<std::byte> all;
+  for (const Rank src : map.ranksOnNode(s)) {
+    const std::vector<std::byte> p = payload(src);
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  return all;
 }
 
 TEST(NodeMapTest, MatchesNetworkTopology) {
@@ -99,27 +119,24 @@ TEST(NodeAggregatorTest, ExchangeRoutesFramesBetweenLeaders) {
           comm.rank(), d, 16 + static_cast<std::size_t>(comm.rank()) * 8 +
                               static_cast<std::size_t>(d)));
     }
-    const auto frames = agg.exchange(pack(per_node));
+    const auto frames = agg.exchange(pack(per_node), kConcat);
     ASSERT_EQ(static_cast<int>(frames.size()), map.numNodes());
     if (!agg.isActiveLeader()) {
       for (const auto& fs : frames) EXPECT_TRUE(fs.empty());
       return;
     }
-    // The round's leader of node d holds, per source node s, one frame per
-    // rank of s in ascending rank order, with the payload that rank
-    // addressed to d.
+    // The round's leader of node d holds, per source node s, one blob from
+    // s's leader: the payloads s's ranks addressed to d, in rank order.
     const int d = map.myNode();
     for (int s = 0; s < map.numNodes(); ++s) {
-      const std::vector<Rank>& srcs = map.ranksOnNode(s);
-      ASSERT_EQ(frames[static_cast<std::size_t>(s)].size(), srcs.size());
-      for (std::size_t q = 0; q < srcs.size(); ++q) {
-        const auto& fb = frames[static_cast<std::size_t>(s)][q];
-        EXPECT_EQ(fb.src, srcs[q]);
-        EXPECT_EQ(bytesOf(fb.data),
-                  payloadFor(srcs[q], d,
-                             16 + static_cast<std::size_t>(srcs[q]) * 8 +
-                                 static_cast<std::size_t>(d)));
-      }
+      const auto& from = frames[static_cast<std::size_t>(s)];
+      ASSERT_EQ(from.size(), 1u);
+      EXPECT_EQ(from[0].src, agg.activeLeaderOf(s));
+      EXPECT_EQ(bytesOf(from[0].data), concatFrom(map, s, [&](Rank src) {
+                  return payloadFor(src, d,
+                                    16 + static_cast<std::size_t>(src) * 8 +
+                                        static_cast<std::size_t>(d));
+                }));
     }
   });
 }
@@ -134,34 +151,17 @@ TEST(NodeAggregatorTest, PayloadsLargerThanSlotTakeMultipleRounds) {
     const int other = 1 - map.myNode();
     per_node[static_cast<std::size_t>(other)] =
         payloadFor(comm.rank(), other, 1000);
-    const auto frames = agg.exchange(pack(per_node));
+    const auto frames = agg.exchange(pack(per_node), kConcat);
     if (agg.isActiveLeader()) {
       EXPECT_GT(agg.stats().rounds, 1);
       const auto& from_other = frames[static_cast<std::size_t>(other)];
-      ASSERT_EQ(from_other.size(), 2u);  // both ranks of the other node
-      for (const auto& fb : from_other) {
-        EXPECT_EQ(bytesOf(fb.data), payloadFor(fb.src, map.myNode(), 1000));
-      }
+      ASSERT_EQ(from_other.size(), 1u);
+      // Both ranks of the other node, in rank order.
+      EXPECT_EQ(bytesOf(from_other[0].data),
+                concatFrom(map, other, [&](Rank src) {
+                  return payloadFor(src, map.myNode(), 1000);
+                }));
     }
-  });
-}
-
-TEST(NodeAggregatorTest, ScatterToRanksDeliversPerRankBlobs) {
-  runJob(cfg(6, 3), [](mpi::Comm& comm) {
-    NodeMap map(comm);
-    NodeAggregator agg(map, /*slot_bytes=*/1024);
-    // No exchange yet: round 0 is led by the node's static leader.
-    ASSERT_EQ(agg.isActiveLeader(), map.isLeader());
-    std::vector<std::vector<std::byte>> per_rank;
-    if (agg.isActiveLeader()) {
-      for (int q = 0; q < map.nodeSize(); ++q) {
-        const Rank target = map.ranksOnNode(map.myNode())[
-            static_cast<std::size_t>(q)];
-        per_rank.push_back(payloadFor(target, map.myNode(), 40));
-      }
-    }
-    const mpi::RawBytes mine = agg.scatterToRanks(pack(per_rank));
-    EXPECT_EQ(bytesOf(mine), payloadFor(comm.rank(), map.myNode(), 40));
   });
 }
 
@@ -184,7 +184,7 @@ TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
             32 + static_cast<std::size_t>(round) * 8 +
                 static_cast<std::size_t>(d)));
       }
-      const auto frames = agg.exchange(pack(per_node));
+      const auto frames = agg.exchange(pack(per_node), kConcat);
       EXPECT_EQ(agg.round(), round);
       EXPECT_EQ(agg.activeLeaderOf(map.myNode()), expect_leader);
       EXPECT_EQ(agg.isActiveLeader(), comm.rank() == expect_leader);
@@ -192,17 +192,18 @@ TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
         for (const auto& fr : frames) EXPECT_TRUE(fr.empty());
         continue;
       }
-      // The rotated leader receives every rank's frame, data intact.
+      // The rotated leader receives every rank's payload, data intact, from
+      // each source node's rotated leader.
       const int d = map.myNode();
       for (int s = 0; s < map.numNodes(); ++s) {
-        const std::vector<Rank>& srcs = map.ranksOnNode(s);
-        ASSERT_EQ(frames[static_cast<std::size_t>(s)].size(), srcs.size());
-        for (std::size_t q = 0; q < srcs.size(); ++q) {
-          EXPECT_EQ(bytesOf(frames[static_cast<std::size_t>(s)][q].data),
-                    payloadFor(srcs[q], d,
-                               32 + static_cast<std::size_t>(round) * 8 +
-                                   static_cast<std::size_t>(d)));
-        }
+        const auto& from = frames[static_cast<std::size_t>(s)];
+        ASSERT_EQ(from.size(), 1u);
+        EXPECT_EQ(from[0].src, agg.activeLeaderOf(s));
+        EXPECT_EQ(bytesOf(from[0].data), concatFrom(map, s, [&](Rank src) {
+                    return payloadFor(src, d,
+                                      32 + static_cast<std::size_t>(round) * 8 +
+                                          static_cast<std::size_t>(d));
+                  }));
       }
     }
     // The NIC/membus hot spot actually moved: distinct leaders across rounds.
@@ -214,39 +215,9 @@ TEST(NodeAggregatorTest, RotationMovesTheActiveLeaderEachExchange) {
   });
 }
 
-TEST(NodeAggregatorTest, ScatterFollowsTheRotatedLeader) {
-  // Regression: scatterToRanks must scatter from the round's ACTIVE leader
-  // (where exchange() left the data), not from the node's static rank 0.
-  runJob(cfg(6, 3), [](mpi::Comm& comm) {
-    NodeMap map(comm);
-    NodeAggregator agg(map, /*slot_bytes=*/1024);
-    for (int round = 0; round < 3; ++round) {
-      // Advance the rotation with a real exchange first.
-      std::vector<std::vector<std::byte>> per_node(
-          static_cast<std::size_t>(map.numNodes()));
-      per_node[static_cast<std::size_t>(map.myNode())] =
-          payloadFor(comm.rank(), map.myNode(), 24);
-      agg.exchange(pack(per_node));
-      std::vector<std::vector<std::byte>> per_rank;
-      if (agg.isActiveLeader()) {
-        for (int q = 0; q < map.nodeSize(); ++q) {
-          const Rank target = map.ranksOnNode(map.myNode())[
-              static_cast<std::size_t>(q)];
-          per_rank.push_back(
-              payloadFor(target, round, 16 + static_cast<std::size_t>(q)));
-        }
-      }
-      const mpi::RawBytes mine = agg.scatterToRanks(pack(per_rank));
-      EXPECT_EQ(bytesOf(mine),
-                payloadFor(comm.rank(), round,
-                           16 + static_cast<std::size_t>(map.nodeRank())));
-    }
-  });
-}
-
 TEST(NodeAggregatorTest, MultiSlotStreamsCarryEveryFrame) {
-  // 56-byte slot data: every stream spans several rounds, and frames and
-  // headers straddle chunk boundaries.
+  // 56-byte slot data: every stream spans several rounds, and the members'
+  // payloads straddle chunk boundaries.
   constexpr Bytes kSlot = 64;
   constexpr Bytes kSlotData = kSlot - 8;
   const auto lenOf = [](Rank src, int dst) {
@@ -259,26 +230,24 @@ TEST(NodeAggregatorTest, MultiSlotStreamsCarryEveryFrame) {
     for (int d = 0; d < map.numNodes(); ++d) {
       per_node.push_back(payloadFor(comm.rank(), d, lenOf(comm.rank(), d)));
     }
-    const auto frames = agg.exchange(pack(per_node));
+    const auto frames = agg.exchange(pack(per_node), kConcat);
     if (!agg.isActiveLeader()) return;
     const int me = map.myNode();
     std::int64_t puts = 0;
     Bytes wire = 0;
     for (int s = 0; s < map.numNodes(); ++s) {
-      const std::vector<Rank>& srcs = map.ranksOnNode(s);
       const auto& from = frames[static_cast<std::size_t>(s)];
-      ASSERT_EQ(from.size(), srcs.size());
-      for (std::size_t q = 0; q < srcs.size(); ++q) {
-        EXPECT_EQ(from[q].src, srcs[q]);
-        EXPECT_EQ(bytesOf(from[q].data),
-                  payloadFor(srcs[q], me, lenOf(srcs[q], me)));
-      }
-      // What this leader put to node s: one framed stream, one slot's
+      ASSERT_EQ(from.size(), 1u);
+      EXPECT_EQ(from[0].src, agg.activeLeaderOf(s));
+      EXPECT_EQ(bytesOf(from[0].data), concatFrom(map, s, [&](Rank src) {
+                  return payloadFor(src, me, lenOf(src, me));
+                }));
+      // What this leader put to node s: one rewritten stream, one slot's
       // data per round.
       if (s == me) continue;
       Bytes stream = 0;
       for (const Rank r : map.ranksOnNode(me)) {
-        stream += 12 + static_cast<Bytes>(lenOf(r, s));
+        stream += static_cast<Bytes>(lenOf(r, s));
       }
       puts += (stream + kSlotData - 1) / kSlotData;
       wire += stream;
@@ -296,7 +265,8 @@ TEST(NodeAggregatorTest, EmptyStreamsDeliverNoFrames) {
     // Nothing at all: one round, no frames, no puts.
     const auto none = agg.exchange(
         pack(std::vector<std::vector<std::byte>>(
-            static_cast<std::size_t>(map.numNodes()))));
+            static_cast<std::size_t>(map.numNodes()))),
+        kConcat);
     for (const auto& fs : none) EXPECT_TRUE(fs.empty());
     EXPECT_EQ(agg.stats().rounds, 1);
     EXPECT_EQ(agg.stats().internode_puts, 0);
@@ -304,7 +274,7 @@ TEST(NodeAggregatorTest, EmptyStreamsDeliverNoFrames) {
     std::vector<std::vector<std::byte>> per_node(
         static_cast<std::size_t>(map.numNodes()));
     if (comm.rank() % 2 == 0) per_node[0] = payloadFor(comm.rank(), 0, 300);
-    const auto frames = agg.exchange(pack(per_node));
+    const auto frames = agg.exchange(pack(per_node), kConcat);
     if (!agg.isActiveLeader()) return;
     for (int s = 0; s < map.numNodes(); ++s) {
       const auto& from = frames[static_cast<std::size_t>(s)];
@@ -312,9 +282,10 @@ TEST(NodeAggregatorTest, EmptyStreamsDeliverNoFrames) {
         EXPECT_TRUE(from.empty());
         continue;
       }
-      ASSERT_EQ(from.size(), 1u);  // the node's even rank
-      EXPECT_EQ(from[0].src % 2, 0);
-      EXPECT_EQ(bytesOf(from[0].data), payloadFor(from[0].src, 0, 300));
+      // Only the node's even rank contributed.
+      ASSERT_EQ(from.size(), 1u);
+      EXPECT_EQ(bytesOf(from[0].data),
+                payloadFor(map.ranksOnNode(s)[0], 0, 300));
     }
   });
 }
@@ -370,24 +341,15 @@ Bytes stagingHostBytes(mpi::Comm& comm, mpi::World& world) {
 TEST(NodeAggregatorTest, StagingHostBytesLiveOnlyWhileLeading) {
   // Two nodes of three ranks, 40-byte slot data: every exchange takes
   // several rounds. Leadership visits every rank of a node over one
-  // exchange per node rank (plus one, so the first leader leads again);
-  // every other exchange ships a rewritten stream. Between exchanges no
-  // staging window holds host bytes, and every frame arrives intact.
-  const NodeAggregator::Rewrite concat =
-      [](int, const std::vector<NodeAggregator::RankBlob>& blobs) {
-        std::vector<std::byte> out;
-        for (const auto& b : blobs) {
-          out.insert(out.end(), b.data.begin(), b.data.end());
-        }
-        return out;
-      };
+  // exchange per node rank (plus one, so the first leader leads again).
+  // Between exchanges no staging window holds host bytes, and every
+  // payload arrives intact.
   runJob(cfg(6, 3), [&](mpi::Comm& comm, mpi::World& world) {
     NodeMap map(comm);
     NodeAggregator agg(map, /*slot_bytes=*/48);
     const int me = map.myNode();
     int led = 0;
     for (int round = 1; round <= map.nodeSize() + 1; ++round) {
-      const bool rewritten = round % 2 == 0;
       const auto lenOf = [&](Rank src) {
         return static_cast<std::size_t>(60 + 7 * src + round);
       };
@@ -396,8 +358,7 @@ TEST(NodeAggregatorTest, StagingHostBytesLiveOnlyWhileLeading) {
         per_node.push_back(payloadFor(comm.rank() + round, d,
                                       lenOf(comm.rank())));
       }
-      const auto frames = rewritten ? agg.exchange(pack(per_node), concat)
-                                    : agg.exchange(pack(per_node));
+      const auto frames = agg.exchange(pack(per_node), kConcat);
       comm.barrier();
       EXPECT_EQ(stagingHostBytes(comm, world), 0) << "round " << round;
       comm.barrier();
@@ -405,20 +366,10 @@ TEST(NodeAggregatorTest, StagingHostBytesLiveOnlyWhileLeading) {
       ++led;
       for (int s = 0; s < map.numNodes(); ++s) {
         const auto& from = frames[static_cast<std::size_t>(s)];
-        const std::vector<Rank>& srcs = map.ranksOnNode(s);
-        std::vector<std::byte> all;
-        for (std::size_t q = 0; q < srcs.size(); ++q) {
-          const auto p = payloadFor(srcs[q] + round, me, lenOf(srcs[q]));
-          if (!rewritten) {
-            ASSERT_EQ(from.size(), srcs.size());
-            EXPECT_EQ(bytesOf(from[q].data), p);
-          }
-          all.insert(all.end(), p.begin(), p.end());
-        }
-        if (rewritten) {
-          ASSERT_EQ(from.size(), 1u);
-          EXPECT_EQ(bytesOf(from[0].data), all);
-        }
+        ASSERT_EQ(from.size(), 1u);
+        EXPECT_EQ(bytesOf(from[0].data), concatFrom(map, s, [&](Rank src) {
+                    return payloadFor(src + round, me, lenOf(src));
+                  }));
       }
     }
     EXPECT_GE(led, 1);  // every rank led at least one exchange
@@ -440,7 +391,7 @@ TEST(NodeAggregatorTest, OneRankNodeKeepsItsStagingWindowAcrossExchanges) {
         per_node.push_back(payloadFor(comm.rank() * 5 + round, d,
                                       static_cast<std::size_t>(90 + round)));
       }
-      const auto frames = agg.exchange(pack(per_node));
+      const auto frames = agg.exchange(pack(per_node), kConcat);
       ASSERT_TRUE(agg.isActiveLeader());
       for (int s = 0; s < map.numNodes(); ++s) {
         const auto& from = frames[static_cast<std::size_t>(s)];
@@ -454,41 +405,6 @@ TEST(NodeAggregatorTest, OneRankNodeKeepsItsStagingWindowAcrossExchanges) {
     EXPECT_EQ(stagingHostBytes(comm, world),
               static_cast<Bytes>(map.numNodes()) * kSlot * comm.size());
   });
-}
-
-/// A framed stream whose only frame claims `len` payload bytes and carries
-/// `carried`.
-std::vector<std::byte> frameClaiming(std::uint64_t len, std::size_t carried) {
-  const auto h = frameHeader(7, len);
-  std::vector<std::byte> s(h.size() + carried, std::byte{1});
-  std::copy(h.begin(), h.end(), s.begin());
-  return s;
-}
-
-TEST(FrameWalkerTest, WalksWellFormedFrames) {
-  std::vector<std::byte> s = frameClaiming(3, 3);
-  const std::vector<std::byte> t = frameClaiming(0, 0);
-  s.insert(s.end(), t.begin(), t.end());
-  std::vector<std::size_t> lens;
-  forEachFrame(s, [&](std::int32_t id, std::span<const std::byte> b) {
-    EXPECT_EQ(id, 7);
-    lens.push_back(b.size());
-  });
-  EXPECT_EQ(lens, (std::vector<std::size_t>{3, 0}));
-}
-
-TEST(FrameWalkerTest, RejectsLengthsPastTheStream) {
-  const auto walk = [](const std::vector<std::byte>& s) {
-    forEachFrame(s, [](std::int32_t, std::span<const std::byte>) {});
-  };
-  // One byte short, a length that wraps pos + len, and the largest length.
-  EXPECT_THROW(walk(frameClaiming(4, 3)), Error);
-  EXPECT_THROW(walk(frameClaiming(~std::uint64_t{0} - 5, 8)), Error);
-  EXPECT_THROW(walk(frameClaiming(~std::uint64_t{0}, 0)), Error);
-  // A header cut short.
-  std::vector<std::byte> cut = frameClaiming(0, 0);
-  cut.pop_back();
-  EXPECT_THROW(walk(cut), Error);
 }
 
 }  // namespace

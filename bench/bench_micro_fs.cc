@@ -111,28 +111,39 @@ void BM_StripingParallelism(benchmark::State& state) {
 BENCHMARK(BM_StripingParallelism)->Arg(1)->Arg(4)->Arg(30);
 
 // Host throughput of each CRC-32 kernel (bytes/s is the kernel's GB/s);
-// hw=1 is the PCLMULQDQ kernel, skipped on CPUs without it.
+// hw=0 is slicing-by-16, hw=1 the PCLMULQDQ kernel and hw=2 the VPCLMULQDQ
+// kernel, each skipped on CPUs without it.
 void BM_Crc32(benchmark::State& state) {
-  const bool hardware = state.range(1) != 0;
-  if (hardware && !detail::crc32HardwareAvailable()) {
-    state.SkipWithError("PCLMULQDQ kernel not supported on this CPU");
+  struct Kernel {
+    std::uint32_t (*fn)(std::span<const std::byte>, std::uint32_t);
+    bool available;
+    const char* missing;
+  };
+  const Kernel kernels[] = {
+      {&detail::crc32Portable, true, ""},
+      {&detail::crc32Hardware, detail::crc32HardwareAvailable(),
+       "PCLMULQDQ kernel not supported on this CPU"},
+      {&detail::crc32Wide, detail::crc32WideAvailable(),
+       "VPCLMULQDQ kernel not supported on this CPU"},
+  };
+  const Kernel& k = kernels[state.range(1)];
+  if (!k.available) {
+    state.SkipWithError(k.missing);
     return;
   }
-  const auto kernel =
-      hardware ? &detail::crc32Hardware : &detail::crc32Portable;
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < buf.size(); ++i) {
     buf[i] = static_cast<std::byte>(i * 131 + 7);
   }
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = kernel(buf, crc);
+    crc = k.fn(buf, crc);
     benchmark::DoNotOptimize(crc);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)
-    ->ArgsProduct({{24, 4 << 10, 1 << 20}, {0, 1}})
+    ->ArgsProduct({{24, 1 << 10, 4 << 10, 16 << 10, 1 << 20}, {0, 1, 2}})
     ->ArgNames({"bytes", "hw"})
     ->UseRealTime();
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -105,8 +106,8 @@ std::string rankFileName(const std::string& base, int rank) {
   return base + "." + std::to_string(rank);
 }
 
-FttTree parseAndVerify(const std::vector<std::byte>& blob,
-                       std::uint32_t want_crc, const std::string& name) {
+FttTree parseAndVerify(std::span<const std::byte> blob, std::uint32_t want_crc,
+                       const std::string& name) {
   const std::uint32_t got = crc32(blob);
   if (got != want_crc) {
     throw FsError("checkpoint corruption detected in " + name +
@@ -273,7 +274,9 @@ std::vector<FttTree> loadCheckpoint(mpi::Comm& comm, fs::Filesystem& fsys,
     if (num_trees > 0) readAt(16, table.data(), num_trees * 24);
     finish();
     const auto mine = treesOfRank(num_trees, comm.rank(), comm.size());
-    std::vector<std::vector<std::byte>> blobs;
+    // The blobs are not zero-filled: the read overwrites every byte, and
+    // parseAndVerify's CRC catches a piece the gather drops.
+    std::vector<mpi::RawBytes> blobs;
     blobs.reserve(mine.size());
     for (std::int64_t id : mine) {
       const TableEntry& e = table[static_cast<std::size_t>(id)];
@@ -283,7 +286,8 @@ std::vector<FttTree> loadCheckpoint(mpi::Comm& comm, fs::Filesystem& fsys,
     finish();
     for (std::size_t i = 0; i < blobs.size(); ++i) {
       const TableEntry& e = table[static_cast<std::size_t>(mine[i])];
-      out.push_back(parseAndVerify(blobs[i], e.crc, name));
+      out.push_back(parseAndVerify({blobs[i].data(), blobs[i].size()}, e.crc,
+                                   name));
     }
   };
 

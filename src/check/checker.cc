@@ -315,13 +315,21 @@ Checker::FileRec& Checker::fileRec(const std::string& name, const char* site) {
 
 void Checker::registerFile(const std::string& name, int num_ranks,
                            Bytes segment_size,
-                           std::int64_t segments_per_rank) {
+                           std::int64_t segments_per_rank,
+                           unsigned open_flags) {
   FileRec& fr = files_[name];
   if (fr.session_done || fr.num_ranks == 0) {
     fr = FileRec{};
     fr.num_ranks = num_ranks;
     fr.segment_size = segment_size;
     fr.segments_per_rank = segments_per_rank;
+    fr.open_flags = open_flags;
+  } else if (fr.open_flags != open_flags) {
+    std::ostringstream os;
+    os << "file '" << name << "' opened with divergent open flags: 0x"
+       << std::hex << fr.open_flags << " vs 0x" << open_flags << std::dec
+       << " — the access mode must be the same on every rank";
+    fail(os.str());
   } else if (fr.num_ranks != num_ranks || fr.segment_size != segment_size ||
              fr.segments_per_rank != segments_per_rank) {
     std::ostringstream os;

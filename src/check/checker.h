@@ -170,9 +170,11 @@ class Checker {
   // -- TCIO segment ownership and drain coverage ------------------------------
 
   /// Declares a TCIO file session. A new session for a name whose previous
-  /// session closed resets that file's state (reopen patterns).
+  /// session closed resets that file's state (reopen patterns). Every rank
+  /// of a session must pass the same geometry and the same open flags: the
+  /// collectives a file runs depend on its access mode.
   void registerFile(const std::string& name, int num_ranks, Bytes segment_size,
-                    std::int64_t segments_per_rank);
+                    std::int64_t segments_per_rank, unsigned open_flags);
 
   /// Marks `name`'s session aborted (close surfaced an agreed error): drain
   /// coverage is not evaluated and a later reopen starts a fresh session.
@@ -269,6 +271,7 @@ class Checker {
     int num_ranks = 0;
     Bytes segment_size = 0;
     std::int64_t segments_per_rank = 0;
+    unsigned open_flags = 0;
     int registered = 0;
     int closed = 0;
     /// Largest close-reported size. Sharded backends (delegates) report each

@@ -1,6 +1,6 @@
-// CRC-32 kernels behind tcio::crc32 (crc32.h). Both compute the reflected
-// IEEE 802.3 CRC; internally they work on the raw register, and only the
-// entry points at the bottom of this file apply init and xorout:
+// CRC-32 kernels behind tcio::crc32 (crc32.h). All three compute the
+// reflected IEEE 802.3 CRC; internally they work on the raw register, and
+// only the entry points at the bottom of this file apply init and xorout:
 //
 //  - Portable: slicing-by-16. Sixteen 256-entry tables, built at compile
 //    time, consume 16 input bytes per step with independent lookups, so the
@@ -11,10 +11,15 @@
 //    Computation for Generic Polynomials Using PCLMULQDQ Instruction",
 //    Intel, 2009). The portable kernel takes the unaligned head and the
 //    sub-16-byte tail.
+//  - Wide (x86-64 with AVX-512 and VPCLMULQDQ): the same fold on 512-bit
+//    registers. Four of them advance 256 bytes per step; they fold into one,
+//    its four 128-bit lanes fold into one, and the hardware kernel's tail and
+//    Barrett step finish. Spans with fewer than 256 aligned bytes take the
+//    hardware kernel.
 //
 // The fold and Barrett constants are derived from the polynomial at compile
 // time rather than written out. crc32() probes the CPU once and then always
-// takes the same kernel.
+// takes the same kernel: wide, else hardware, else portable.
 //
 // crc32Combine needs no data: with init and xorout both ~0, their
 // contributions cancel, and crc(A·B) = crc(A)·x^(8|B|) + crc(B) mod P.
@@ -123,12 +128,13 @@ constexpr std::uint64_t barrettQuotient() {
 }
 
 // Fold constant pairs: the low 64-bit half of an accumulator is multiplied by
-// the first, the high half by the second. Four accumulators advance 512 bits
-// per step; a single one advances 128 bits.
-constexpr std::uint64_t kFold512Lo = foldConstant(4 * 128 + 32);
-constexpr std::uint64_t kFold512Hi = foldConstant(4 * 128 - 32);
-constexpr std::uint64_t kFold128Lo = foldConstant(128 + 32);
-constexpr std::uint64_t kFold128Hi = foldConstant(128 - 32);
+// the first, the high half by the second, which moves it `bits` forward.
+// Four 128-bit accumulators advance 512 bits per step, four 512-bit ones
+// 2,048; a single 128-bit one advances 128 bits.
+// consteval: the kernels call these inline, and the loop in foldConstant
+// must not run per call.
+consteval std::uint64_t foldLo(int bits) { return foldConstant(bits + 32); }
+consteval std::uint64_t foldHi(int bits) { return foldConstant(bits - 32); }
 constexpr std::uint64_t kFold64 = foldConstant(64);
 constexpr std::uint64_t kBarrettQuotient = barrettQuotient();
 
@@ -150,22 +156,13 @@ TCIO_CRC_TARGET inline __m128i load128(const unsigned char* p) {
   return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-/// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 64.
-TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
-                                         std::size_t n, std::uint32_t reg) {
-  const __m128i by512 = pair(kFold512Lo, kFold512Hi);
-  const __m128i by128 = pair(kFold128Lo, kFold128Hi);
-  __m128i acc[4];
-  for (int i = 0; i < 4; ++i) acc[i] = load128(p + 16 * i);
-  acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(static_cast<int>(reg)));
-  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
-    for (int i = 0; i < 4; ++i) {
-      acc[i] = fold(acc[i], by512, load128(p + 16 * i));
-    }
-  }
-  __m128i x = fold(acc[0], by128, acc[1]);
-  x = fold(x, by128, acc[2]);
-  x = fold(x, by128, acc[3]);
+/// Folds the remaining 16-byte blocks of [p, p + n) into `x`, then reduces
+/// it to the 32-bit register. Requires `p` 16-byte aligned and `n` a
+/// multiple of 16. Always inlined, so the wide kernel runs it VEX-encoded:
+/// legacy SSE code after 512-bit code pays the AVX-SSE transition.
+TCIO_CRC_TARGET inline __attribute__((always_inline)) std::uint32_t
+finishBlocks(__m128i x, const unsigned char* p, std::size_t n) {
+  const __m128i by128 = pair(foldLo(128), foldHi(128));
   for (; n >= 16; p += 16, n -= 16) x = fold(x, by128, load128(p));
 
   // 128 -> 64 bits, then 64 -> 32 bits.
@@ -184,6 +181,98 @@ TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
       _mm_extract_epi32(_mm_xor_si128(x, t), 1));
 }
 
+/// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 64.
+TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
+                                         std::size_t n, std::uint32_t reg) {
+  const __m128i by512 = pair(foldLo(512), foldHi(512));
+  const __m128i by128 = pair(foldLo(128), foldHi(128));
+  __m128i acc[4];
+  for (int i = 0; i < 4; ++i) acc[i] = load128(p + 16 * i);
+  acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(static_cast<int>(reg)));
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    for (int i = 0; i < 4; ++i) {
+      acc[i] = fold(acc[i], by512, load128(p + 16 * i));
+    }
+  }
+  __m128i x = fold(acc[0], by128, acc[1]);
+  x = fold(x, by128, acc[2]);
+  x = fold(x, by128, acc[3]);
+  return finishBlocks(x, p, n);
+}
+
+// GCC 12 under -Werror: _mm512_broadcast_i32x4 and _mm512_extracti32x4_epi32
+// pass an undefined operand and trip -Wuninitialized, so constants are built
+// with _mm512_set_epi64 and lanes are taken with the zero-masked extract.
+#define TCIO_CRC_WIDE_TARGET \
+  __attribute__((target("avx512f,avx512vl,vpclmulqdq,pclmul,sse4.1")))
+
+/// Lane i of the result moves forward by the distance of (lo[i], hi[i]).
+TCIO_CRC_WIDE_TARGET inline __m512i lanePairs(
+    std::uint64_t lo0, std::uint64_t hi0, std::uint64_t lo1, std::uint64_t hi1,
+    std::uint64_t lo2, std::uint64_t hi2, std::uint64_t lo3,
+    std::uint64_t hi3) {
+  const auto ll = [](std::uint64_t v) { return static_cast<long long>(v); };
+  return _mm512_set_epi64(ll(hi3), ll(lo3), ll(hi2), ll(lo2), ll(hi1), ll(lo1),
+                          ll(hi0), ll(lo0));
+}
+
+TCIO_CRC_WIDE_TARGET inline __m512i everyLane(std::uint64_t lo,
+                                              std::uint64_t hi) {
+  return lanePairs(lo, hi, lo, hi, lo, hi, lo, hi);
+}
+
+/// fold() on each 128-bit lane: the two products and `next` are added in one
+/// three-way XOR.
+TCIO_CRC_WIDE_TARGET inline __m512i fold512(__m512i acc, __m512i k,
+                                            __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                   next, 0x96);
+}
+
+TCIO_CRC_WIDE_TARGET inline __m512i load512(const unsigned char* p) {
+  return _mm512_loadu_si512(p);
+}
+
+/// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 256.
+TCIO_CRC_WIDE_TARGET std::uint32_t foldBlocksWide(const unsigned char* p,
+                                                  std::size_t n,
+                                                  std::uint32_t reg) {
+  const __m512i by2048 = everyLane(foldLo(2048), foldHi(2048));
+  const __m512i by512 = everyLane(foldLo(512), foldHi(512));
+  // Named accumulators, not an array: an array of __m512i is kept on the
+  // stack.
+  __m512i a0 = _mm512_xor_si512(load512(p),
+                                _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, reg));
+  __m512i a1 = load512(p + 64);
+  __m512i a2 = load512(p + 128);
+  __m512i a3 = load512(p + 192);
+  for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+    a0 = fold512(a0, by2048, load512(p));
+    a1 = fold512(a1, by2048, load512(p + 64));
+    a2 = fold512(a2, by2048, load512(p + 128));
+    a3 = fold512(a3, by2048, load512(p + 192));
+  }
+  __m512i x = fold512(a0, by512, a1);
+  x = fold512(x, by512, a2);
+  x = fold512(x, by512, a3);
+  for (; n >= 64; p += 64, n -= 64) x = fold512(x, by512, load512(p));
+  // Lanes 0..2 move forward to lane 3 (by 384, 256 and 128 bits), which
+  // passes through unmultiplied; the XOR of the four lanes is the remainder.
+  const __m512i to_last =
+      lanePairs(foldLo(384), foldHi(384), foldLo(256), foldHi(256),
+                foldLo(128), foldHi(128), 0, 0);
+  const __m512i y = fold512(x, to_last, _mm512_maskz_mov_epi64(0xC0, x));
+  const __m128i lanes01 =
+      _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(0xF, y, 0),
+                    _mm512_maskz_extracti32x4_epi32(0xF, y, 1));
+  const __m128i lanes23 =
+      _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(0xF, y, 2),
+                    _mm512_maskz_extracti32x4_epi32(0xF, y, 3));
+  return finishBlocks(_mm_xor_si128(lanes01, lanes23), p, n);
+}
+
+#undef TCIO_CRC_WIDE_TARGET
 #undef TCIO_CRC_TARGET
 
 #endif  // __x86_64__
@@ -218,6 +307,37 @@ std::uint32_t crc32Portable(std::span<const std::byte> data,
 
 #if defined(__x86_64__)
 
+namespace {
+
+/// Bytes before the first 16-byte boundary at or after `p`.
+std::size_t headOf(const unsigned char* p) {
+  return -reinterpret_cast<std::uintptr_t>(p) & 15u;
+}
+
+/// The portable kernel takes the unaligned head and the sub-16-byte tail,
+/// `fold_blocks` the aligned body between them, when that body holds at
+/// least `min_body` bytes.
+template <typename FoldBlocks>
+std::uint32_t foldSpan(std::span<const std::byte> data, std::uint32_t seed,
+                       std::size_t min_body, FoldBlocks fold_blocks) {
+  const unsigned char* p = bytesOf(data);
+  std::size_t n = data.size();
+  std::uint32_t reg = ~seed;
+  const std::size_t head = headOf(p);
+  if (n >= head + min_body) {
+    reg = sliceBy16(p, head, reg);
+    p += head;
+    n -= head;
+    const std::size_t body = n & ~std::size_t{15};
+    reg = fold_blocks(p, body, reg);
+    p += body;
+    n -= body;
+  }
+  return ~sliceBy16(p, n, reg);
+}
+
+}  // namespace
+
 bool crc32HardwareAvailable() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
@@ -225,20 +345,20 @@ bool crc32HardwareAvailable() {
 
 std::uint32_t crc32Hardware(std::span<const std::byte> data,
                             std::uint32_t seed) {
-  const unsigned char* p = bytesOf(data);
-  std::size_t n = data.size();
-  std::uint32_t reg = ~seed;
-  const std::size_t head = -reinterpret_cast<std::uintptr_t>(p) & 15u;
-  if (n >= head + 64) {
-    reg = sliceBy16(p, head, reg);
-    p += head;
-    n -= head;
-    const std::size_t body = n & ~std::size_t{15};
-    reg = foldBlocks(p, body, reg);
-    p += body;
-    n -= body;
+  return foldSpan(data, seed, 64, foldBlocks);
+}
+
+bool crc32WideAvailable() {
+  return crc32HardwareAvailable() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("vpclmulqdq");
+}
+
+std::uint32_t crc32Wide(std::span<const std::byte> data, std::uint32_t seed) {
+  if (data.size() < headOf(bytesOf(data)) + 256) {
+    return crc32Hardware(data, seed);
   }
-  return ~sliceBy16(p, n, reg);
+  return foldSpan(data, seed, 256, foldBlocksWide);
 }
 
 #else
@@ -250,14 +370,24 @@ std::uint32_t crc32Hardware(std::span<const std::byte> data,
   return crc32Portable(data, seed);
 }
 
+bool crc32WideAvailable() { return false; }
+
+std::uint32_t crc32Wide(std::span<const std::byte> data, std::uint32_t seed) {
+  return crc32Portable(data, seed);
+}
+
 #endif  // __x86_64__
 
 }  // namespace detail
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const bool hardware = detail::crc32HardwareAvailable();
-  return hardware ? detail::crc32Hardware(data, seed)
-                  : detail::crc32Portable(data, seed);
+  using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+  static const Kernel kernel = detail::crc32WideAvailable()
+                                   ? &detail::crc32Wide
+                               : detail::crc32HardwareAvailable()
+                                   ? &detail::crc32Hardware
+                                   : &detail::crc32Portable;
+  return kernel(data, seed);
 }
 
 std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,

@@ -8,8 +8,8 @@
 namespace tcio {
 
 /// Incremental CRC-32: pass the previous return value as `seed` to chain.
-/// Runs the carry-less-multiply kernel where the CPU has one and the
-/// portable kernel otherwise; both give bit-identical values.
+/// Runs the widest carry-less-multiply kernel the CPU has (512-bit, then
+/// 128-bit) and the portable kernel otherwise; all give bit-identical values.
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
 /// CRC-32 of A followed by B, from crc32(A), crc32(B) and B's length alone:
@@ -33,6 +33,16 @@ bool crc32HardwareAvailable();
 /// Only call it when crc32HardwareAvailable() is true.
 std::uint32_t crc32Hardware(std::span<const std::byte> data,
                             std::uint32_t seed = 0);
+
+/// True when this CPU can run crc32Wide() (crc32HardwareAvailable() plus
+/// AVX-512F, AVX-512VL and VPCLMULQDQ).
+bool crc32WideAvailable();
+
+/// VPCLMULQDQ kernel folding 256 bytes per step on 512-bit registers; same
+/// contract as crc32(). Spans with fewer than 256 aligned bytes go to
+/// crc32Hardware(). Only call it when crc32WideAvailable() is true.
+std::uint32_t crc32Wide(std::span<const std::byte> data,
+                        std::uint32_t seed = 0);
 
 }  // namespace detail
 

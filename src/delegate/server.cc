@@ -267,12 +267,13 @@ void Server::serveOpen(Pending& p) {
   if (f.opens == 0) {
     TCIO_CHECK(!p.name.empty());
     f.name = p.name;
-    f.fsfile = client_.open(f.name, static_cast<unsigned>(p.h.aux));
+    const auto flags = static_cast<unsigned>(p.h.aux);
+    f.fsfile = client_.open(f.name, flags);
     if (check::Checker* ck = comm_->world().checker()) {
       comm_->proc().atomic([&] {
         ck->registerFile(f.name, s_->numDelegates(),
                          s_->config().segment_size,
-                         s_->config().segments_per_rank);
+                         s_->config().segments_per_rank, flags);
       });
     }
   } else {

@@ -62,6 +62,15 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
     }
   }
   mpi::agreeOnError(*comm_, open_err);
+  // Registered before the first collective that branches on the access mode
+  // (the journal agreement below), so a divergent open fails here, naming
+  // the file, instead of hanging in a later collective.
+  if (check::Checker* ck = comm_->world().checker()) {
+    comm_->proc().atomic([&] {
+      ck->registerFile(name_, orig_size_, cfg_.segment_size,
+                       cfg_.segments_per_rank, flags_);
+    });
+  }
   if (cfg_.crash.enabled) {
     crash_plan_ = std::make_unique<CrashPlan>(cfg_.faults, orig_rank_);
   }
@@ -74,7 +83,7 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   // integrity on it is the repair source for window corruption the scrubber
   // finds. Its open is a real MDS operation (it can fault), so it is
   // captured and agreed like the data-file open above.
-  if (cfg_.crash.enabled || (integrity_on_ && (flags_ & fs::kWrite) != 0)) {
+  if (cfg_.crash.enabled || (integrity_on_ && writable())) {
     mpi::CapturedError jerr;
     if (!cfg_.crash.enabled || cfg_.crash.journal) {
       try {
@@ -84,7 +93,12 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
         jerr.capture(e);
       }
     }
-    mpi::agreeOnError(*comm_, jerr);
+    try {
+      mpi::agreeOnError(*comm_, jerr);
+    } catch (...) {
+      noteSessionAborted();  // a reopen starts a fresh checker session
+      throw;
+    }
   }
   if (cfg_.crash.enabled) {
     // A reserved block of communicator contexts for post-death shrinks.
@@ -103,12 +117,6 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
       *comm_, flags_region_ + slotCount() * cfg_.segment_size));
   if (cfg_.node_aggregation) buildNodeAggregation();
   comm_->memory().allocate(cfg_.segment_size, "TCIO level-1 buffer");
-  if (check::Checker* ck = comm_->world().checker()) {
-    comm_->proc().atomic([&] {
-      ck->registerFile(name_, orig_size_, cfg_.segment_size,
-                       cfg_.segments_per_rank);
-    });
-  }
   open_ = true;
 }
 
@@ -155,7 +163,7 @@ void File::writeAt(Offset off, const void* data, Bytes n) {
 
 void File::writeBytes(Offset off, const std::byte* src, Bytes n) {
   TCIO_CHECK_MSG(open_, "write on closed TCIO file");
-  TCIO_CHECK_MSG((flags_ & fs::kWrite) != 0, "write on read-only TCIO file");
+  TCIO_CHECK_MSG(writable(), "write on read-only TCIO file");
   TCIO_CHECK(off >= 0 && n >= 0);
   TCIO_CHECK_MSG(off + n <= capacity(),
                  "write beyond TCIO capacity — raise segments_per_rank");
@@ -260,10 +268,15 @@ void File::flush() {
   // agreement detects any rank that died at or before this collective and
   // shrinks around it — only then is a plain collective safe to enter.
   if (cfg_.crash.enabled) agreeLevel1Flush();
-  exchangeWrites();
-  // Digests from this flush reach their owners, then the background scrubber
-  // spends its per-collective budget re-verifying owned segments.
-  exchangeDigests();
+  // A read-only file has no writes and no digests to send (writeBytes
+  // rejects it), so it runs neither exchange.
+  if (writable()) {
+    exchangeWrites();
+    // Digests from this flush reach their owners before the scrub below.
+    exchangeDigests();
+  }
+  // The background scrubber spends its per-collective budget re-verifying
+  // owned segments.
   scrubAndAgree();
   comm_->barrier();  // tcio_flush is collective (paper §IV.B)
   syncRecoveryStats();
@@ -316,7 +329,8 @@ void File::close() {
   if ((flags_ & fs::kRead) != 0 && agreed_code == mpi::CapturedError::kNone) {
     err = captureLocal([&] { collectiveFetch(); });  // pending lazy reads
   }
-  if (!err.set() && agreed_code == mpi::CapturedError::kNone) {
+  // A read-only file skips the write-side steps (nothing to send).
+  if (writable() && !err.set() && agreed_code == mpi::CapturedError::kNone) {
     // One-sided: local + RMA only, agreed below (crash mode already flushed
     // the residue in the detection round).
     err = captureLocal([&] {
@@ -326,7 +340,9 @@ void File::close() {
   // The final exchange's digests reach their owners before the close-time
   // scrub below (aligned: agreed_code is collectively agreed, so every live
   // rank takes the same branch).
-  if (agreed_code == mpi::CapturedError::kNone) exchangeDigests();
+  if (writable() && agreed_code == mpi::CapturedError::kNone) {
+    exchangeDigests();
+  }
   // Aggregate file size across ranks (pre-existing contents included).
   // Journal replays above fold a dead rank's extents into the survivors'
   // local_max_written_, so its tail still counts toward the agreed size.
@@ -340,7 +356,7 @@ void File::close() {
   // the collectives.
   const auto draining = [&] {
     return !err.set() && agreed_code == mpi::CapturedError::kNone &&
-           (flags_ & fs::kWrite) != 0;
+           writable();
   };
   // The scrub comes before the barrier: a repair replays every writer's
   // journal, and a writer truncates its journal (commit, below) only after

@@ -385,6 +385,9 @@ class File {
   /// True when exchanges run through the two-sided staged path; fixed by
   /// the config at open.
   bool twoSidedExchange() const { return !cfg_.use_onesided; }
+  /// Opened with fs::kWrite. The access mode is one per collective open, so
+  /// every rank takes the same branch on it.
+  bool writable() const { return (flags_ & fs::kWrite) != 0; }
 
   /// FS access with permanent-OST degradation: on OstFailedError, remap the
   /// failed chunks to surviving OSTs and retry once. Transients are already

@@ -296,12 +296,17 @@ void File::collectiveFetch() {
   // or the survivors hang in it. The residue flush carries crash points
   // (kMidJournal/kMidRma); a rank killed by one unwinds, uncaptured.
   if (cfg_.crash.enabled) agreeLevel1Flush();
-  exchangeWrites();
-  // Every writer's pending digests reach the segment owners before any data
-  // is served below (one routed exchange — collectively aligned: integrity
-  // is uniform across ranks, and in crash mode the agreement above already
-  // shrank the communicator around any dead peers and settled the owners).
-  exchangeDigests();
+  // A read-only file has nothing to exchange: it skips both write-side
+  // collectives (the access mode is uniform, so every rank skips them).
+  if (writable()) {
+    exchangeWrites();
+    // Every writer's pending digests reach the segment owners before any
+    // data is served below (one routed exchange — collectively aligned:
+    // integrity is uniform across ranks, and in crash mode the agreement
+    // above already shrank the communicator around any dead peers and
+    // settled the owners).
+    exchangeDigests();
+  }
   // Union of needed segments across ranks (segment ids span the original
   // communicator's domain even after a crash shrink).
   const std::int64_t total_segs =

@@ -184,22 +184,23 @@ TEST(ArtCheckpointOracleTest, TwoNodesOneRoundPerExchange) {
   // Every exchange takes one staging round (rounds == exchanges).
   expectFigures(
       runOracleJob({24, 16_KiB, -1}),
-      {0x1.0c8f536157368p-3, 0x1.7b6a9db312f0dp-4,
-       {10229, 1606282, 6571, 1118154, 2106, 1552, 26, 26, 414224,
-        414224, 96, 121, 419064, 0, 144, 2, 144, 381816, 218448, 144,
-        796040, 62, 275, 0, 0, 0, 96, 26, 0, 0},
+      {0x1.0a0e70a112e92p-3, 0x1.7b6a9db312f0dp-4,
+       {5699, 1579682, 3981, 1103314, 626, 1092, 26, 26, 414224, 414224, 96,
+        121, 419064, 0, 24, 2, 24, 381816, 218448, 24, 796040, 62, 275, 0, 0,
+        0, 96, 26, 0, 0},
        0x49c31f50u});
 }
 
 TEST(ArtCheckpointOracleTest, ThreeNodesMultiRoundStaging) {
   // 1 KiB segments give 16 KiB slots: streams move in several rounds
-  // (324 rounds over 216 exchanges).
+  // (144 rounds over 36 exchanges, all in the dump; the read-only restart
+  // runs none).
   expectFigures(
       runOracleJob({36, 1_KiB, -1}),
-      {0x1.35c455499dc8fp-1, 0x1.d9eb270a05428p-2,
-       {23277, 1835813, 12012, 1136933, 6483, 4782, 405, 405, 414224,
-        414224, 144, 500, 434224, 404, 216, 19, 324, 390144, 289728, 216,
-        804368, 324, 1412, 0, 0, 0, 144, 405, 0, 0},
+      {0x1.34a4899b2c8d4p-1, 0x1.d9eb270a05428p-2,
+       {13952, 1777253, 8017, 1113413, 2083, 3852, 405, 405, 414224, 414224,
+        144, 500, 434224, 404, 36, 19, 144, 390144, 289728, 36, 804368, 324,
+        1412, 0, 0, 0, 144, 405, 0, 0},
        0x49c31f50u});
 }
 
@@ -212,10 +213,10 @@ TEST(ArtCheckpointOracleTest, StagingFrameCorruption) {
   // FS traffic (24 opens and reads).
   expectFigures(
       runOracleJob({24, 16_KiB, 5}),
-      {0x1.71c4033d91597p-3, 0x1.22e9feb5c3ef7p-3,
-       {10229, 1606282, 6571, 1118154, 2106, 1552, 26, 50, 414224,
-        833288, 120, 121, 419064, 0, 144, 2, 144, 381816, 218448, 144,
-        796040, 62, 275, 1, 1, 0, 96, 26, 0, 0},
+      {0x1.6f43207d4d3dp-3, 0x1.22e9feb5c3ef7p-3,
+       {5699, 1579682, 3981, 1103314, 626, 1092, 26, 50, 414224, 833288, 120,
+        121, 419064, 0, 24, 2, 24, 381816, 218448, 24, 796040, 62, 275, 1, 1,
+        0, 96, 26, 0, 0},
        0x49c31f50u});
 }
 

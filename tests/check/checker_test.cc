@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "fs/filesystem.h"
 #include "mpi/comm.h"
 #include "mpi/rma.h"
 #include "mpi/runtime.h"
+#include "tcio/file.h"
 
 namespace tcio {
 namespace {
@@ -374,10 +376,12 @@ TEST(CheckerDeadlockTest, WaitAllReceiveCycleStillCaught) {
 
 // -- TCIO segment ownership (checker unit level) ------------------------------
 
+constexpr unsigned kRw = fs::kRead | fs::kWrite;
+
 TEST(CheckerOwnershipTest, TransferToNonOwnedSlotCaught) {
   Checker ck(2);
   ck.registerFile("f", /*num_ranks=*/2, /*segment_size=*/1024,
-                  /*segments_per_rank=*/4);
+                  /*segments_per_rank=*/4, kRw);
   ck.onSegmentTransfer("f", /*g=*/2, /*dest=*/0, "test");  // 2 % 2 == 0: ok
   try {
     // Segment 3 belongs to rank 3 % 2 == 1; landing it on rank 0 is the
@@ -395,7 +399,7 @@ TEST(CheckerOwnershipTest, TransferToNonOwnedSlotCaught) {
 
 TEST(CheckerOwnershipTest, TakeoverRemapChangesExpectedOwner) {
   Checker ck(4);
-  ck.registerFile("f", 4, 1024, 4);
+  ck.registerFile("f", 4, 1024, 4, kRw);
   ck.noteDeath("f", 1);
   ck.noteRemap("f", /*g=*/5, /*new_owner=*/2);  // 5 % 4 == 1 died
   ck.onSegmentTransfer("f", 5, 2, "replay");    // new owner: fine
@@ -404,7 +408,7 @@ TEST(CheckerOwnershipTest, TakeoverRemapChangesExpectedOwner) {
 
 TEST(CheckerOwnershipTest, DoubleDrainCaught) {
   Checker ck(2);
-  ck.registerFile("f", 2, 1024, 4);
+  ck.registerFile("f", 2, 1024, 4, kRw);
   ck.noteDirty("f", 0);
   ck.onDrain("f", 0, 0, "close");
   try {
@@ -417,8 +421,8 @@ TEST(CheckerOwnershipTest, DoubleDrainCaught) {
 
 TEST(CheckerOwnershipTest, MissingDrainFailsCoverageAtClose) {
   Checker ck(2);
-  ck.registerFile("f", 2, 1024, 4);
-  ck.registerFile("f", 2, 1024, 4);
+  ck.registerFile("f", 2, 1024, 4, kRw);
+  ck.registerFile("f", 2, 1024, 4, kRw);
   ck.noteDirty("f", 0);
   ck.noteDirty("f", 1);
   ck.onDrain("f", 0, 0, "close");
@@ -435,8 +439,8 @@ TEST(CheckerOwnershipTest, MissingDrainFailsCoverageAtClose) {
 
 TEST(CheckerOwnershipTest, TruncatedAndLostSegmentsAreExemptFromCoverage) {
   Checker ck(2);
-  ck.registerFile("f", 2, 1024, 4);
-  ck.registerFile("f", 2, 1024, 4);
+  ck.registerFile("f", 2, 1024, 4, kRw);
+  ck.registerFile("f", 2, 1024, 4, kRw);
   ck.noteDirty("f", 0);
   ck.noteDirty("f", 2);  // beyond final size: truncated away
   ck.noteDirty("f", 1);
@@ -445,6 +449,61 @@ TEST(CheckerOwnershipTest, TruncatedAndLostSegmentsAreExemptFromCoverage) {
   ck.onFileClosed("f", /*final_size=*/1024, 0);
   ck.onFileClosed("f", /*final_size=*/1024, 1);  // must not throw
   EXPECT_EQ(ck.violations(), 0);
+}
+
+// -- One access mode per open ------------------------------------------------
+
+TEST(CheckerOpenModeTest, DivergentOpenFlagsCaught) {
+  Checker ck(2);
+  ck.registerFile("f", 2, 1024, 4, kRw);
+  try {
+    ck.registerFile("f", 2, 1024, 4, fs::kRead);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string msg = e.what();
+    expectContains(msg, "file 'f'");
+    expectContains(msg, "divergent open flags");
+  }
+}
+
+TEST(CheckerOpenModeTest, ReopenInAnotherModeStartsAFreshSession) {
+  Checker ck(2);
+  ck.registerFile("f", 2, 1024, 4, kRw);
+  ck.registerFile("f", 2, 1024, 4, kRw);
+  ck.onFileClosed("f", /*final_size=*/0, 0);
+  ck.onFileClosed("f", /*final_size=*/0, 1);
+  ck.registerFile("f", 2, 1024, 4, fs::kRead);  // must not throw
+  ck.registerFile("f", 2, 1024, 4, fs::kRead);
+  EXPECT_EQ(ck.violations(), 0);
+}
+
+TEST(CheckerOpenModeTest, TcioOpenWithDivergentModeNamesTheFile) {
+  // A read-only file skips the write-side collectives, so a rank that opens
+  // in another mode than its peers would leave them waiting; the checker
+  // stops the open instead, before any collective that depends on the mode.
+  fs::Filesystem fsys(fs::FsConfig{});
+  mpi::JobConfig jc;
+  jc.num_ranks = 3;
+  core::TcioConfig cfg;
+  cfg.segment_size = 256;
+  cfg.segments_per_rank = 4;
+  try {
+    mpi::runJob(jc, [&](Comm& comm) {
+      core::File(comm, fsys, "mode.dat", fs::kWrite | fs::kCreate, cfg)
+          .close();
+      core::File f(comm, fsys, "mode.dat",
+                   comm.rank() == 1 ? fs::kRead : kRw, cfg);
+      std::int64_t v = 0;
+      f.readAt(0, &v, sizeof v);
+      f.fetch();
+      f.close();
+    });
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string msg = e.what();
+    expectContains(msg, "file 'mode.dat'");
+    expectContains(msg, "divergent open flags");
+  }
 }
 
 }  // namespace

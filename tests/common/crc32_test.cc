@@ -101,6 +101,38 @@ TEST_P(Crc32KernelTest, MegabyteBufferWithOddTail) {
   EXPECT_EQ(run(buf), oracle(buf));
 }
 
+TEST_P(Crc32KernelTest, AgreesWithPortableAtEveryLengthAndOffset) {
+  // Every length from 0 to 1,024 at every start offset from 0 to 63 of a
+  // 64-byte-aligned buffer: every head, both fold thresholds (64 and 256
+  // aligned bytes), every 512-bit register alignment and every tail.
+  alignas(64) std::array<std::byte, 64 + 1024> buf{};
+  const std::vector<std::byte> src = randomBytes(buf.size(), 21);
+  std::memcpy(buf.data(), src.data(), buf.size());
+  Rng rng(22);
+  for (std::size_t k = 0; k < 64; ++k) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::span<const std::byte> s(buf.data() + k, n);
+      const auto seed = static_cast<std::uint32_t>(rng.next());
+      ASSERT_EQ(run(s, seed), detail::crc32Portable(s, seed))
+          << "offset " << k << " length " << n;
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, LongSpansWithChainedSeeds) {
+  // Spans past 64 KiB, each seeded with the CRC of those before it.
+  const std::vector<std::byte> buf = randomBytes(3 * 70001 + 7, 23);
+  const std::span<const std::byte> all(buf);
+  std::uint32_t crc = 0x5EEDu;
+  std::size_t at = 0;
+  for (const std::size_t n : {std::size_t{65536 + 13}, std::size_t{70001},
+                              std::size_t{65537}, std::size_t{9}}) {
+    crc = run(all.subspan(at, n), crc);
+    at += n;
+  }
+  EXPECT_EQ(crc, oracle(all.first(at), 0x5EEDu));
+}
+
 /// crc32Combine over pieces whose CRCs the kernel under test computed.
 class Crc32CombineTest : public Crc32KernelTest {};
 
@@ -150,7 +182,8 @@ bool always() { return true; }
 const auto kKernels = ::testing::Values(
     KernelCase{"portable", &detail::crc32Portable, &always},
     KernelCase{"hardware", &detail::crc32Hardware,
-               &detail::crc32HardwareAvailable});
+               &detail::crc32HardwareAvailable},
+    KernelCase{"wide", &detail::crc32Wide, &detail::crc32WideAvailable});
 
 std::string kernelName(const ::testing::TestParamInfo<KernelCase>& info) {
   return info.param.name;

@@ -418,6 +418,47 @@ TEST(TcioFileTest, NodeAggregatedFetchRunsNoLeaderExchange) {
   });
 }
 
+TEST(TcioFileTest, ReadOnlyFetchRunsNoWriteExchange) {
+  // A file opened without fs::kWrite has nothing to send, so neither its
+  // fetch nor its close runs the write exchange: the node leaders stay idle.
+  constexpr int kP = 24;
+  constexpr std::int64_t kLen = 64;
+  const auto valueAt = [](std::int64_t block) {
+    return static_cast<std::uint64_t>(block) * 0x9E3779B97F4A7C15ULL + 1;
+  };
+  fs::Filesystem fsys(fsCfg());
+  mpi::JobConfig jc = job(kP);
+  jc.net.ranks_per_node = 12;
+  mpi::runJob(jc, [&](mpi::Comm& comm) {
+    TcioConfig c = smallTcio();
+    c.node_aggregation = true;
+    const int r = comm.rank();
+    {
+      File w(comm, fsys, "nodeagg_ro.dat", fs::kWrite | fs::kCreate, c);
+      for (std::int64_t i = 0; i < kLen; ++i) {  // block i * P + rank
+        const std::int64_t block = i * kP + r;
+        const std::uint64_t v = valueAt(block);
+        w.writeAt(block * 8, &v, 8);
+      }
+      w.close();
+    }
+    File f(comm, fsys, "nodeagg_ro.dat", fs::kRead, c);
+    std::vector<std::uint64_t> all(kLen * kP, 0);
+    for (std::size_t b = 0; b < all.size(); ++b) {
+      f.readAt(static_cast<Offset>(b) * 8, &all[b], 8);
+    }
+    ASSERT_NE(f.nodeAggStats(), nullptr);
+    f.fetch();
+    EXPECT_EQ(f.nodeAggStats()->exchanges, 0);
+    for (std::size_t b = 0; b < all.size(); ++b) {
+      ASSERT_EQ(all[b], valueAt(static_cast<std::int64_t>(b)))
+          << "rank " << r << " block " << b;
+    }
+    f.close();
+    EXPECT_EQ(f.nodeAggStats()->exchanges, 0);
+  });
+}
+
 TEST(TcioFileTest, Fig5PendingRecordDoesNotGrowWithP) {
   // The record holds two runs per rank plus a few per straddling read, at
   // either P; one entry per datum would be 400 per rank.
@@ -589,7 +630,47 @@ TEST(TcioFileTest, TwoSidedExchangeMessageCounts) {
     }).network_messages;
   };
   EXPECT_EQ(run(/*round_trip=*/false), 98);  // write + flush + close
-  EXPECT_EQ(run(/*round_trip=*/true), 256);  // write + close, read + fetch
+  // write + close, then a read-only read + fetch + close, which runs no
+  // write exchange
+  EXPECT_EQ(run(/*round_trip=*/true), 202);
+}
+
+TEST(TcioFileTest, ReadOnlyOneSidedIntegrityMessageCounts) {
+  // One-sided with integrity on: a read-only fetch and close send only read
+  // work. There is no level-1 flush agreement and no digest exchange, so the
+  // read-back's messages are those of the needed-segment union, the gets,
+  // the scrub rounds, and the close's size reduction and barrier.
+  const int P = 4;
+  const auto run = [&](bool read_back) {
+    fs::Filesystem fsys(fsCfg());
+    TcioConfig cfg = smallTcio();
+    cfg.integrity.enabled = 1;
+    return mpi::runJob(job(P), [&](mpi::Comm& comm) {
+      const auto r = static_cast<std::int64_t>(comm.rank());
+      {
+        File w(comm, fsys, "ro_msgs.dat", fs::kWrite | fs::kCreate, cfg);
+        for (SegmentId g = 0; g < P; ++g) {  // segment g is owned by rank g
+          const std::int64_t v = g * 100 + r;
+          w.writeAt(g * cfg.segment_size + r * 8, &v, 8);
+        }
+        w.close();
+      }
+      if (!read_back) return;
+      File f(comm, fsys, "ro_msgs.dat", fs::kRead, cfg);
+      std::vector<std::int64_t> got(P, -1);
+      const std::int64_t peer = (r + 1) % P;
+      for (SegmentId g = 0; g < P; ++g) {
+        f.readAt(g * cfg.segment_size + peer * 8,
+                 &got[static_cast<std::size_t>(g)], 8);
+      }
+      f.fetch();
+      for (SegmentId g = 0; g < P; ++g) {
+        EXPECT_EQ(got[static_cast<std::size_t>(g)], g * 100 + peer);
+      }
+      f.close();
+    }).network_messages;
+  };
+  EXPECT_EQ(run(/*read_back=*/true) - run(/*read_back=*/false), 184);
 }
 
 TEST(TcioFileTest, CapacityOverflowRejected) {

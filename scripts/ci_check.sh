@@ -4,8 +4,8 @@
 # src/check/ and DESIGN.md §9), with the integrity pipeline forced on
 # (TCIO_INTEGRITY=1, alone and with TCIO_DELEGATES=2), with the chaos soak's
 # integrity faults armed (TCIO_CHAOS_INTEGRITY=1), and on a Release build,
-# plus the fast delegate, node-aggregation, integrity and fault-degradation
-# benches, whose acceptance lines are gates.
+# plus the fast delegate, node-aggregation, integrity, fault-degradation and
+# lazy-read benches, whose acceptance lines are gates.
 # The clang-tidy pass is STRICT — findings fail the job — when the pinned
 # major version (TCIO_TIDY_VERSION) is what runs: check sets drift
 # across majors, so only the pinned toolchain's verdict is authoritative. A
@@ -166,12 +166,13 @@ TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
 echo "== delegate ablation (TCIO_BENCH_FAST=1) =="
 TCIO_BENCH_FAST=1 "$BUILD/bench/bench_ablation_delegates"
 
-# Three more self-checking benches as gates, each exiting 1 on FAIL: node
+# Four more self-checking benches as gates, each exiting 1 on FAIL: node
 # aggregation sends strictly fewer NIC payload messages at 12 ranks per
-# node, the integrity pipeline costs at most 5% on every phase, and faulted
-# runs stay byte-identical with no retry give-ups and a journal under 10%.
+# node, the integrity pipeline costs at most 5% on every phase, faulted
+# runs stay byte-identical with no retry give-ups and a journal under 10%,
+# and lazy reads beat eager ones at every P with every byte verified.
 for bench in bench_ablation_node_agg bench_ablation_integrity \
-    bench_fault_degradation; do
+    bench_fault_degradation bench_ablation_lazy_read; do
   echo "== $bench (TCIO_BENCH_FAST=1) =="
   TCIO_BENCH_FAST=1 "$BUILD/bench/$bench"
 done

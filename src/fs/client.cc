@@ -28,11 +28,13 @@ FsFile FsClient::open(const std::string& name, unsigned flags,
   for (int attempt = 1;; ++attempt) {
     try {
       Filesystem::OpenResult res;
+      Bytes size = 0;
       proc_->atomic([&] {
         res = fs_->open(client_, proc_->now(), name, flags, stripe_count);
+        size = fs_->fileSize(res.inode);
       });
       proc_->advanceTo(res.done);
-      return FsFile(res.inode, flags);
+      return FsFile(res.inode, flags, size);
     } catch (const TransientFsError& e) {
       // Transient MDS faults only — FileNotFound is not a TransientFsError
       // and surfaces immediately.

@@ -23,12 +23,17 @@ class FsFile {
   /// default-constructed or already-closed FsFile.
   bool valid() const { return inode_ >= 0; }
   int inode() const { return inode_; }
+  /// The file's size when this handle opened it, read in the open's gated
+  /// section: 0 for a file the open created or truncated.
+  Bytes sizeAtOpen() const { return size_at_open_; }
 
  private:
   friend class FsClient;
-  FsFile(int inode, unsigned flags) : inode_(inode), flags_(flags) {}
+  FsFile(int inode, unsigned flags, Bytes size_at_open)
+      : inode_(inode), flags_(flags), size_at_open_(size_at_open) {}
   int inode_ = -1;
   unsigned flags_ = 0;
+  Bytes size_at_open_ = 0;
 };
 
 /// One rank's view of the file system.

@@ -45,10 +45,13 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   // Open failures (e.g. FileNotFound in read mode) are captured and agreed
   // so every rank reaches the barrier and throws the same typed error —
   // rank 0 must never abandon peers already waiting inside the barrier.
+  // The handle always reads: an owner loads a segment's existing bytes
+  // before the drain writes the whole segment back, write-only files too.
+  const unsigned fs_flags = flags_ | fs::kRead;
   mpi::CapturedError open_err;
   if (comm_->rank() == 0) {
     try {
-      fsfile_ = client_.open(name_, flags_);
+      fsfile_ = client_.open(name_, fs_flags);
     } catch (const std::exception& e) {
       open_err.capture(e);
     }
@@ -56,7 +59,7 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   comm_->barrier();
   if (comm_->rank() != 0) {
     try {
-      fsfile_ = client_.open(name_, flags_ & ~(fs::kCreate | fs::kTruncate));
+      fsfile_ = client_.open(name_, fs_flags & ~(fs::kCreate | fs::kTruncate));
     } catch (const std::exception& e) {
       open_err.capture(e);
     }
@@ -115,9 +118,33 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   }
   window_ = std::make_unique<mpi::Window>(mpi::Window::create(
       *comm_, flags_region_ + slotCount() * cfg_.segment_size));
+  if (writable()) loadExistingBytes();
   if (cfg_.node_aggregation) buildNodeAggregation();
   comm_->memory().allocate(cfg_.segment_size, "TCIO level-1 buffer");
   open_ = true;
+}
+
+void File::loadExistingBytes() {
+  // Every rank opened after rank 0's create or truncate and before any
+  // drain, so every rank sees the same size and takes the same branch.
+  const Bytes existing = fsfile_.sizeAtOpen();
+  if (existing == 0) return;
+  mpi::CapturedError err;
+  try {
+    loadOwnedSlots(existing,
+                   [&](SegmentId g) { return map_.baseOf(g) < existing; });
+  } catch (const std::exception& e) {
+    err.capture(e);
+  }
+  // No rank leaves the agreement before every owner has loaded, so no put
+  // lands in a slot that is still to be loaded.
+  try {
+    mpi::agreeOnError(*comm_, err);
+  } catch (...) {
+    comm_->memory().release(window_->localSize());
+    noteSessionAborted();
+    throw;
+  }
 }
 
 File::~File() {

@@ -22,6 +22,7 @@
 // arbitrary dynamically-sized blocks — the three OCIO pain points §I lists.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -193,7 +194,10 @@ class File {
   /// tcio_write_at: write at an explicit offset (does not move the pointer).
   void writeAt(Offset off, const void* data, std::int64_t count,
                const mpi::Datatype& type);
-  /// tcio_read / tcio_read_at (lazy: data lands at fetch()).
+  /// tcio_read / tcio_read_at (lazy: data lands at fetch()). When two
+  /// pending reads of one fetch target the same destination byte, which one
+  /// lands last is unspecified, as for two pending MPI receives into one
+  /// buffer.
   void read(void* data, std::int64_t count, const mpi::Datatype& type);
   void readAt(Offset off, void* data, std::int64_t count,
               const mpi::Datatype& type);
@@ -312,6 +316,19 @@ class File {
 
   /// Writes this rank's dirty slots to the file system.
   void drainToFs(Bytes file_size);
+  /// Collective, at a writable open: each owner loads the bytes its slots
+  /// already hold in the file, so the drain, which writes whole segments,
+  /// keeps the bytes this session does not rewrite. A created or truncated
+  /// file has none.
+  void loadExistingBytes();
+  /// Loads each owned slot that `needed` names and that holds neither
+  /// session writes nor an earlier load with the file's bytes below `fsize`,
+  /// and marks it loaded. Purely local.
+  void loadOwnedSlots(Bytes fsize,
+                      const std::function<bool(SegmentId)>& needed);
+  /// Reads segment `g`'s file bytes below `fsize` into `dst`; returns how
+  /// many (at most one segment).
+  Bytes preadSegment(SegmentId g, Bytes fsize, std::byte* dst);
 
   // -- Fault recovery (see DESIGN.md "Failure model and recovery") -----------
 

@@ -136,11 +136,8 @@ void File::ensureLoadedIndependent(SegmentId seg,
   // owner's window — pure one-sided, no remote progress needed. The bytes go
   // through caller-owned scratch because a put source must stay untouched
   // until the caller's unlock closes the epoch.
-  const Offset base = map_.baseOf(seg);
-  const Bytes fsize = client_.size(fsfile_);
-  const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
-  scratch.assign(static_cast<std::size_t>(len), std::byte{0});
-  if (len > 0) preadDegraded(base, scratch.data(), len);
+  scratch.resize(static_cast<std::size_t>(cfg_.segment_size));
+  const Bytes len = preadSegment(seg, client_.size(fsfile_), scratch.data());
   if (check::Checker* ck = comm_->world().checker()) {
     comm_->proc().atomic([&] {
       ck->onSegmentTransfer(name_, seg, owner, "File::ensureLoadedIndependent");
@@ -201,18 +198,15 @@ void File::fetchPendingGroup() {
 
 std::set<SegmentId> File::pendingSegments() const {
   std::set<SegmentId> segs;
-  for (const ReadRun& run : pending_reads_.runs()) {
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      segs.insert(map_.segmentOf(run.offOf(i)));
-    }
-  }
+  pending_reads_.forEach(
+      [&](const ReadPiece& r) { segs.insert(map_.segmentOf(r.off)); });
   return segs;
 }
 
 void File::gatherPending() {
   // One shared-lock epoch and one coalesced get per owner, in ascending
-  // owner order, each owner's blocks in read order. Each owner's blocks are
-  // built from the runs just before its get, so no array holds every read.
+  // owner order. Each owner's blocks are built from the runs just before its
+  // get, so no array holds every read.
   if (comm_->world().checker() != nullptr) {
     noteTransfers(pendingSegments(), kOverlayOwner, "File::gatherPending");
   }
@@ -242,13 +236,11 @@ void File::twoSidedGather() {
     return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
   };
   std::vector<Bytes> meta_counts(sp, 0), reply_counts(sp, 0);
-  for (const ReadRun& run : pending_reads_.runs()) {
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      const std::size_t owner = ownerIndex(run.piece(i));
-      meta_counts[owner] += sizeof(BlockMeta);
-      reply_counts[owner] += run.len;
-    }
-  }
+  pending_reads_.forEach([&](const ReadPiece& r) {
+    const std::size_t owner = ownerIndex(r);
+    meta_counts[owner] += sizeof(BlockMeta);
+    reply_counts[owner] += r.len;
+  });
   mpi::PackedSend req_meta(std::move(meta_counts));
   pending_reads_.forEach([&](const ReadPiece& r) {
     const BlockMeta m{r.off, r.len};
@@ -312,12 +304,9 @@ void File::collectiveFetch() {
   const std::int64_t total_segs =
       cfg_.segments_per_rank * static_cast<std::int64_t>(orig_size_);
   std::vector<std::uint64_t> bitmap(bitWords(total_segs), 0);
-  for (const ReadRun& run : pending_reads_.runs()) {
-    // A pending piece never crosses a segment boundary (recordRead splits).
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      setBit(bitmap, map_.segmentOf(run.offOf(i)));
-    }
-  }
+  // A pending piece never crosses a segment boundary (recordRead splits).
+  pending_reads_.forEach(
+      [&](const ReadPiece& r) { setBit(bitmap, map_.segmentOf(r.off)); });
   comm_->allreduce(bitmap.data(), static_cast<std::int64_t>(bitmap.size()),
                    mpi::ReduceOp::kBitOr);
   const auto needed = [&](SegmentId g) { return testBit(bitmap, g); };
@@ -338,20 +327,7 @@ void File::collectiveFetch() {
   }
   mpi::CapturedError load_err;
   try {
-    const Bytes fsize = client_.size(fsfile_);
-    std::byte* local_win = window_->localData();
-    for (const auto& [g, slot] : ownedSlots()) {
-      if (!needed(g)) continue;
-      std::byte& dirty = local_win[flagsDisp(slot, kDirtyFlag)];
-      std::byte& loaded = local_win[flagsDisp(slot, kLoadedFlag)];
-      if (dirty != std::byte{0} || loaded != std::byte{0}) continue;
-      const Offset base = map_.baseOf(g);
-      const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
-      if (len > 0) {
-        preadDegraded(base, local_win + dataDisp(slot, 0), len);
-      }
-      loaded = kFlagSet;
-    }
+    loadOwnedSlots(client_.size(fsfile_), needed);
     // Integrity gate on the read path: every needed segment this rank owns
     // is re-verified against its digest ledger *before* any byte of it is
     // served to a reader — a corrupted window region is repaired from the
@@ -370,6 +346,26 @@ void File::collectiveFetch() {
   twoSidedExchange() ? twoSidedGather() : gatherPending();
   pending_reads_.clear();
   pending_segment_ = -1;
+}
+
+void File::loadOwnedSlots(Bytes fsize,
+                          const std::function<bool(SegmentId)>& needed) {
+  std::byte* local_win = window_->localData();
+  for (const auto& [g, slot] : ownedSlots()) {
+    if (!needed(g)) continue;
+    std::byte& dirty = local_win[flagsDisp(slot, kDirtyFlag)];
+    std::byte& loaded = local_win[flagsDisp(slot, kLoadedFlag)];
+    if (dirty != std::byte{0} || loaded != std::byte{0}) continue;
+    preadSegment(g, fsize, local_win + dataDisp(slot, 0));
+    loaded = kFlagSet;
+  }
+}
+
+Bytes File::preadSegment(SegmentId g, Bytes fsize, std::byte* dst) {
+  const Offset base = map_.baseOf(g);
+  const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
+  if (len > 0) preadDegraded(base, dst, len);
+  return len;
 }
 
 void File::noteTransfers(const std::set<SegmentId>& segs, Rank owner,

@@ -317,13 +317,17 @@ void File::replayOrphans(
       scratch.assign(static_cast<std::size_t>(cfg_.segment_size),
                      std::byte{0});
     }
+    std::byte* const seg_bytes =
+        drained_ ? scratch.data() : local + dataDisp(slot, 0);
     bool any = false;
     for (const Journal::Parsed& log : logs) {
       for (const Journal::Record& rec : log.records) {
         if (rec.seg != g) continue;
-        std::byte* dst = drained_ ? scratch.data() + rec.disp
-                                  : local + dataDisp(slot, rec.disp);
-        std::memcpy(dst, rec.payload.data(), rec.payload.size());
+        // The journals hold this session's writes only: they replay over the
+        // bytes the file held at open, as the dead owner's slot did.
+        if (!any) preadSegment(g, fsfile_.sizeAtOpen(), seg_bytes);
+        std::memcpy(seg_bytes + rec.disp, rec.payload.data(),
+                    rec.payload.size());
         if (integrity_on_ && !drained_) {
           // The adopted segment joins this rank's checksum domain: the dead
           // owner's ledger died with it, so rebuild digests from the clean

@@ -1,5 +1,6 @@
 #include "tcio/pending_reads.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.h"
@@ -23,7 +24,7 @@ std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-bool ReadRun::extend(Offset o, std::uintptr_t d, Bytes n, std::uint32_t s) {
+bool ReadRun::extend(Offset o, std::uintptr_t d, Bytes n) {
   if (n != len) return false;
   if (count == 1) {
     const std::int64_t doff = o - off;
@@ -31,12 +32,11 @@ bool ReadRun::extend(Offset o, std::uintptr_t d, Bytes n, std::uint32_t s) {
     if (!fitsI32(doff) || !fitsI32(ddst)) return false;
     off_stride = static_cast<std::int32_t>(doff);
     dst_stride = static_cast<std::int32_t>(ddst);
-    seq_stride = s - seq;
     count = 2;
     return true;
   }
   if (count == std::numeric_limits<std::uint32_t>::max() ||
-      s != seqOf(count) || o != offOf(count) || d != dstOf(count)) {
+      o != offOf(count) || d != dstOf(count)) {
     return false;
   }
   ++count;
@@ -144,17 +144,13 @@ void OwnerIndex::appendRunRanges(std::uint32_t r, Rank owner,
 void PendingReads::add(Offset off, std::byte* dst, Bytes len) {
   TCIO_CHECK_MSG(len > 0 && len <= std::numeric_limits<std::uint32_t>::max(),
                  "a pending read piece must hold 1 B to 4 GiB");
-  TCIO_CHECK_MSG(next_seq_ < std::numeric_limits<std::uint32_t>::max(),
-                 "too many pending reads before a fetch");
-  const std::uint32_t seq = next_seq_++;
   const auto addr = reinterpret_cast<std::uintptr_t>(dst);
   const std::size_t stop =
       runs_.size() > kLookback ? runs_.size() - kLookback : 0;
   for (std::size_t r = runs_.size(); r-- > stop;) {
-    if (runs_[r].extend(off, addr, len, seq)) return;
+    if (runs_[r].extend(off, addr, len)) return;
   }
-  runs_.push_back({off, addr, static_cast<std::uint32_t>(len), 1, 0, 0, seq,
-                   0});
+  runs_.push_back({off, addr, static_cast<std::uint32_t>(len), 1, 0, 0});
 }
 
 }  // namespace tcio::core

@@ -24,6 +24,7 @@
 
 #include "common/crc32.h"
 #include "common/env.h"
+#include "fs/client.h"
 #include "mpi/agreement.h"
 #include "mpi/runtime.h"
 #include "tcio/file.h"
@@ -41,6 +42,9 @@ struct CrashParam {
   /// Extra fault classes layered on top of the crash (combined tests).
   bool straggler = false;
   bool transient_eio = false;
+  /// The file already holds other bytes, and the job rewrites only the
+  /// first half of each chunk: the rest must keep its old bytes.
+  bool preexisting = false;
 };
 
 std::string paramName(const ::testing::TestParamInfo<CrashParam>& info) {
@@ -64,6 +68,7 @@ std::string paramName(const ::testing::TestParamInfo<CrashParam>& info) {
   if (!info.param.journal) name += "_nojournal";
   if (info.param.straggler) name += "_straggler";
   if (info.param.transient_eio) name += "_eio";
+  if (info.param.preexisting) name += "_preexisting";
   return name;
 }
 
@@ -85,12 +90,37 @@ std::byte expected(Offset off) {
   return static_cast<std::byte>((off * 13 + off / kSegment) % 251 + 1);
 }
 
-std::vector<std::byte> referenceFile() {
+/// What a file held before the job, where it held anything.
+std::byte previous(Offset off) { return ~expected(off); }
+
+/// How many leading bytes of each chunk the job writes.
+Bytes writtenPerChunk(const CrashParam& p) {
+  return p.preexisting ? kChunk / 2 : kChunk;
+}
+
+std::vector<std::byte> referenceFile(const CrashParam& p = {}) {
   std::vector<std::byte> ref(static_cast<std::size_t>(kTotal));
   for (Offset off = 0; off < kTotal; ++off) {
-    ref[static_cast<std::size_t>(off)] = expected(off);
+    ref[static_cast<std::size_t>(off)] =
+        off % kChunk < writtenPerChunk(p) ? expected(off) : previous(off);
   }
   return ref;
+}
+
+/// Fills the whole file with previous() before the job runs.
+void writePrevious(fs::Filesystem& fsys) {
+  mpi::JobConfig jc;
+  jc.num_ranks = 1;
+  mpi::runJob(jc, [&](mpi::Comm& comm) {
+    std::vector<std::byte> old(static_cast<std::size_t>(kTotal));
+    for (Offset off = 0; off < kTotal; ++off) {
+      old[static_cast<std::size_t>(off)] = previous(off);
+    }
+    fs::FsClient client(fsys, comm.proc());
+    fs::FsFile f = client.open("crash.dat", fs::kWrite | fs::kCreate);
+    client.pwrite(f, 0, old.data(), kTotal);
+    client.close(f);
+  });
 }
 
 // Flattened stats (base + crash-recovery counters) for exact determinism
@@ -162,6 +192,7 @@ RunResult runCrash(const CrashParam& p, std::uint64_t seed, bool crash) {
   fcfg.stripe_size = kSegment;
   fcfg.default_stripe_count = 3;
   fs::Filesystem fsys(fcfg);
+  if (p.preexisting) writePrevious(fsys);
 
   mpi::JobConfig jc;
   jc.num_ranks = kProcs;
@@ -185,7 +216,7 @@ RunResult runCrash(const CrashParam& p, std::uint64_t seed, bool crash) {
           for (Bytes i = 0; i < kChunk; ++i) {
             buf[static_cast<std::size_t>(i)] = expected(cur + i);
           }
-          f.writeAt(cur, buf.data(), kChunk);
+          f.writeAt(cur, buf.data(), writtenPerChunk(p));
         }
       };
       writeRange(begin, begin + kPerRank / 2);
@@ -271,7 +302,14 @@ INSTANTIATE_TEST_SUITE_P(
         CrashParam{CrashPoint::kAtCollective, 1, Mode::kLazy, true,
                    /*straggler=*/true, false},
         CrashParam{CrashPoint::kMidRma, 0, Mode::kLazy, true, false,
-                   /*transient_eio=*/true}),
+                   /*transient_eio=*/true},
+        // A file with old bytes the job does not rewrite: the survivors
+        // replay orphaned segments over them, before the drain and after
+        // it.
+        CrashParam{CrashPoint::kAtCollective, 1, Mode::kLazy, true, false,
+                   false, /*preexisting=*/true},
+        CrashParam{CrashPoint::kMidClose, 0, Mode::kLazy, true, false, false,
+                   /*preexisting=*/true}),
     paramName);
 
 TEST_P(TcioCrashMatrixTest, SurvivorsCompleteMaskedIdenticalDeterministic) {
@@ -286,7 +324,7 @@ TEST_P(TcioCrashMatrixTest, SurvivorsCompleteMaskedIdenticalDeterministic) {
         << "healthy rank " << r << " failed";
   }
   ASSERT_EQ(base.file_size, kTotal);
-  ASSERT_EQ(base.contents, referenceFile());
+  ASSERT_EQ(base.contents, referenceFile(p));
 
   const RunResult a = runCrash(p, seed, /*crash=*/true);
 

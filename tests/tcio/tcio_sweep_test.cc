@@ -1,7 +1,7 @@
 // Parameterized property sweep: TCIO must produce byte-identical files to a
 // sequential reference model across process counts, segment sizes, exchange
 // modes (one-sided / two-sided / node-aggregated), read laziness, and access
-// patterns.
+// patterns, and read them back both in slices and one read per write.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -198,6 +198,30 @@ TEST_P(TcioSweepTest, FileMatchesReferenceAndReadsBack) {
         ASSERT_EQ(got[static_cast<std::size_t>(i)],
                   reference[static_cast<std::size_t>(my_begin + i)])
             << "read-back mismatch at " << my_begin + i;
+      }
+      f.close();
+    }
+    // Read it back again, one readAt per op, packed in op order: per-datum
+    // records that stride and straddle segments, on every fetch path.
+    {
+      File f(comm, fsys, "sweep.dat", fs::kRead, cfg);
+      Bytes packed = 0;
+      for (const Op& op : ops) packed += op.len;
+      std::vector<std::byte> got(static_cast<std::size_t>(packed));
+      Bytes at = 0;
+      for (const Op& op : ops) {
+        f.readAt(op.off, got.data() + at, op.len);
+        at += op.len;
+      }
+      f.fetch();
+      at = 0;
+      for (const Op& op : ops) {
+        for (Bytes i = 0; i < op.len; ++i) {
+          ASSERT_EQ(got[static_cast<std::size_t>(at + i)],
+                    reference[static_cast<std::size_t>(op.off + i)])
+              << "per-op read-back mismatch at " << op.off + i;
+        }
+        at += op.len;
       }
       f.close();
     }

@@ -146,12 +146,17 @@ MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
 # tree blobs are not zero-filled either: a piece the gather drops leaves
 # the pattern and fails the table CRC check. The read-only TCIO tests ride
 # along: a read-only fetch runs no write exchange, so every byte it reads
-# back comes from the one-sided gather alone.
-echo "== node-aggregation, window-lifetime, journal, store and checkpoint" \
-  "suites under MALLOC_PERTURB_=165 =="
+# back comes from the one-sided gather alone. RMA window host bytes are
+# allocated uninitialised and zeroed lazily, a chunk at a time, and a store
+# page holds bytes only up to its highest written one: the RMA suite and
+# the store tests read around partial puts and writes, so a byte the lazy
+# zeroing skips reads the pattern here. The FTT suite rides along: its
+# parser is what reads the restart's tree blobs, which are not zero-filled.
+echo "== node-aggregation, window-lifetime, RMA, journal, store, FTT and" \
+  "checkpoint suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
-  -j "$(nproc)" -R "NodeMap|NodeAggregator|WindowLifetime|Journal|Store|"\
-"Checkpoint|IntegrityOracle|ArtCheckpointOracle|ReadOnly"
+  -j "$(nproc)" -R "NodeMap|NodeAggregator|WindowLifetime|Rma|Journal|"\
+"Store|Ftt|Checkpoint|IntegrityOracle|ArtCheckpointOracle|ReadOnly"
 
 # The open/write/close churn workload again, but with delegates resolved
 # from the environment: ownership verification must hold when the level-2

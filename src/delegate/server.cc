@@ -293,8 +293,9 @@ void Server::servePut(Pending& p) {
   noteAdoptedSegment(f, g);
   crashPoint(CrashPoint::kMidRma);  // payload staged, nothing applied yet
   SegBuf& sb = segBuf(f, g);
-  const std::span<std::byte> payload{frameData(p.frame),
-                                     static_cast<std::size_t>(len)};
+  const std::span<std::byte> payload{
+      s_->window().localRange(frameDisp(p.frame), len),
+      static_cast<std::size_t>(len)};
   if (corruption_->fires(CorruptSite::kStagingFrame)) {
     corruption_->flipBit(payload);
   }
@@ -414,7 +415,7 @@ void Server::serveGet(Pending& p) {
     core::verifyOrRepair(sb.ledger, g, sb.data, ownWal(f), comm_->proc(),
                          stats_, f.name);
   }
-  std::byte* dst = frameData(p.frame);
+  std::byte* dst = s_->window().localOverwrite(frameDisp(p.frame), total);
   std::memcpy(dst, sb.data.data() + e.begin, static_cast<std::size_t>(total));
   comm_->chargeCopy(total);
   // Digest the staged reply so the client can verify its side of the RMA
@@ -636,9 +637,9 @@ core::WalSource Server::ownWal(FileState& f) {
   };
 }
 
-std::byte* Server::frameData(std::int64_t frame) {
+Offset Server::frameDisp(std::int64_t frame) const {
   TCIO_CHECK(frame >= 0 && frame < s_->queueCapacity());
-  return s_->window().localData() + frame * s_->frameBytes();
+  return frame * s_->frameBytes();
 }
 
 void Server::freeFrame(std::int64_t frame) {

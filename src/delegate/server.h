@@ -111,7 +111,8 @@ class Server {
   SegBuf& segBuf(FileState& f, SegmentId g);
   /// Faults the FS contents of segment `g` into `sb` (dirty bytes win).
   void loadSegment(FileState& f, SegmentId g, SegBuf& sb);
-  std::byte* frameData(std::int64_t frame);
+  /// Where staging frame `frame` starts in this delegate's window.
+  Offset frameDisp(std::int64_t frame) const;
   void freeFrame(std::int64_t frame);
   [[noreturn]] void die();
   void crashPoint(CrashPoint point);

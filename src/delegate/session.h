@@ -24,6 +24,60 @@
 #include "tcio/config.h"
 #include "tcio/file.h"
 
+namespace tcio::core {
+
+/// Per-delegate request-queue counters (all zero unless the job runs a
+/// delegate::Session). POD on purpose: delegates ship this blob
+/// verbatim to the client leader at session teardown.
+struct TcioDelegateStats {
+  std::int64_t submissions = 0;      // requests admitted into the queue
+  std::int64_t rejections = 0;       // admissions refused (queue/frames full)
+  std::int64_t busy_retries = 0;     // client resubmits after DelegateBusy
+  std::int64_t queue_high_watermark = 0;  // max total queued requests seen
+  std::int64_t batches = 0;          // coalesced FS submissions at drain
+  std::int64_t batched_extents = 0;  // raw extents those batches absorbed
+  SimTime service_time = 0;          // virtual seconds spent servicing
+  std::int64_t fs_transient_faults = 0;  // injected FS faults absorbed
+  std::int64_t fs_retries = 0;           // FS retry attempts those cost
+  std::int64_t delegates_crashed = 0;    // dead delegates agreed by liveness
+  std::int64_t shards_adopted = 0;       // dead delegates whose shard moved here
+  std::int64_t shards_readopted = 0;     // of those, inherited from a dead ADOPTER
+  std::int64_t journal_records_replayed = 0;  // WAL records replayed on adopt
+  std::int64_t deferred_resubmissions = 0;    // requests rerouted after a death
+  // End-to-end integrity at the delegate (TcioConfig::integrity).
+  std::int64_t crc_checks = 0;       // extent digests verified at the server
+  std::int64_t crc_mismatches = 0;   // verifications that found corruption
+  std::int64_t repaired = 0;         // healed (client re-stage / WAL replay)
+  std::int64_t unrepairable = 0;     // surfaced as IntegrityError
+
+  void merge(const TcioDelegateStats& o) {
+    submissions += o.submissions;
+    rejections += o.rejections;
+    busy_retries += o.busy_retries;
+    queue_high_watermark =
+        queue_high_watermark > o.queue_high_watermark ? queue_high_watermark
+                                                      : o.queue_high_watermark;
+    batches += o.batches;
+    batched_extents += o.batched_extents;
+    service_time += o.service_time;
+    fs_transient_faults += o.fs_transient_faults;
+    fs_retries += o.fs_retries;
+    delegates_crashed =
+        delegates_crashed > o.delegates_crashed ? delegates_crashed
+                                                : o.delegates_crashed;
+    shards_adopted += o.shards_adopted;
+    shards_readopted += o.shards_readopted;
+    journal_records_replayed += o.journal_records_replayed;
+    deferred_resubmissions += o.deferred_resubmissions;
+    crc_checks += o.crc_checks;
+    crc_mismatches += o.crc_mismatches;
+    repaired += o.repaired;
+    unrepairable += o.unrepairable;
+  }
+};
+
+}  // namespace tcio::core
+
 namespace tcio::delegate {
 
 class Session {

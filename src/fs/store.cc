@@ -13,18 +13,9 @@ void SparseStore::write(Offset off, std::span<const std::byte> data) {
     const Offset in_page = cur % kPageSize;
     const std::size_t n = std::min<std::size_t>(
         data.size() - consumed, static_cast<std::size_t>(kPageSize - in_page));
-    auto& storage = pages_[page];
-    const std::byte* src = data.data() + consumed;
-    if (!storage.empty()) {
-      std::memcpy(storage.data() + in_page, src, n);
-    } else {
-      // A fresh page: zeros before and after the written bytes (they read
-      // back as a hole), each byte of the page written once.
-      storage.reserve(static_cast<std::size_t>(kPageSize));
-      storage.resize(static_cast<std::size_t>(in_page));
-      storage.insert(storage.end(), src, src + n);
-      storage.resize(static_cast<std::size_t>(kPageSize));
-    }
+    const auto it = pages_.try_emplace(page, kPageSize).first;
+    std::memcpy(it->second.overwrite(in_page, static_cast<Bytes>(n)),
+                data.data() + consumed, n);
     consumed += n;
     cur += static_cast<Offset>(n);
   }
@@ -44,7 +35,7 @@ void SparseStore::read(Offset off, std::span<std::byte> out) const {
     if (it == pages_.end()) {
       std::memset(out.data() + produced, 0, n);
     } else {
-      std::memcpy(out.data() + produced, it->second.data() + in_page, n);
+      it->second.read(in_page, out.data() + produced, static_cast<Bytes>(n));
     }
     produced += n;
     cur += static_cast<Offset>(n);

@@ -1,15 +1,20 @@
 // Sparse byte store backing simulated files.
 //
 // Stores real data so every layer above can be verified end-to-end. Pages
-// are allocated lazily; holes read back as zero (POSIX semantics).
+// are allocated lazily; holes read back as zero (POSIX semantics). A page
+// is a LazyBytes: each of its 4 KiB chunks holds bytes up to its highest
+// written one and reads as zero past it, so a fresh page is not zero-filled
+// ahead of the appends that fill it (journal batches, drained segments
+// smaller than a page), and a write past a chunk's held bytes zeroes only
+// the gap before it in that chunk.
 #pragma once
 
 #include <cstring>
 #include <map>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
+#include "common/lazy_bytes.h"
 #include "common/types.h"
 
 namespace tcio::fs {
@@ -31,13 +36,14 @@ class SparseStore {
     size_ = 0;
   }
 
-  /// Bytes of actually allocated pages (for memory accounting in tests).
+  /// Bytes of allocated pages, a whole page each however little of it is
+  /// written (for memory accounting in tests).
   Bytes allocatedBytes() const {
     return static_cast<Bytes>(pages_.size()) * kPageSize;
   }
 
  private:
-  std::map<std::int64_t, std::vector<std::byte>> pages_;
+  std::map<std::int64_t, LazyBytes> pages_;  // page index -> its bytes
   Bytes size_ = 0;
 };
 

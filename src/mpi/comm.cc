@@ -59,6 +59,10 @@ SimTime sendLocked(World& world, sim::Proc& proc, int context, Rank src,
     detail::PendingRecv& pr = **it;
     if (!matches(pr, src, tag, context)) continue;
     TCIO_CHECK_MSG(n <= pr.capacity, "message truncation in recv");
+    if (pr.owned != nullptr) {
+      *pr.owned = RawBytes(static_cast<std::size_t>(n));
+      pr.buf = pr.owned->data();
+    }
     if (n > 0) std::memcpy(pr.buf, buf, static_cast<std::size_t>(n));
     pr.src = src;
     pr.tag = tag;
@@ -73,10 +77,8 @@ SimTime sendLocked(World& world, sim::Proc& proc, int context, Rank src,
   env.tag = tag;
   env.context = context;
   env.delivered = times.delivered;
-  if (n > 0) {
-    env.data.assign(static_cast<const std::byte*>(buf),
-                    static_cast<const std::byte*>(buf) + n);
-  }
+  env.data = RawBytes(static_cast<std::size_t>(n));
+  if (n > 0) std::memcpy(env.data.data(), buf, static_cast<std::size_t>(n));
   mb.unexpected.push_back(std::move(env));
   return times.sender_free;
 }
@@ -90,7 +92,11 @@ bool postRecvLocked(World& world, sim::Proc& proc, Rank world_dst,
     if (!matches(*pr, it->src, it->tag, it->context)) continue;
     const Bytes n = static_cast<Bytes>(it->data.size());
     TCIO_CHECK_MSG(n <= pr->capacity, "message truncation in recv");
-    if (n > 0) std::memcpy(pr->buf, it->data.data(), it->data.size());
+    if (pr->owned != nullptr) {
+      *pr->owned = std::move(it->data);
+    } else if (n > 0) {
+      std::memcpy(pr->buf, it->data.data(), it->data.size());
+    }
     pr->src = it->src;
     pr->tag = it->tag;
     pr->received = n;
@@ -118,6 +124,17 @@ RecvStatus Comm::recv(void* buf, Bytes capacity, Rank src, int tag) {
   return wait(req);
 }
 
+RawBytes Comm::recvOwned(Bytes capacity, Rank src, int tag,
+                         RecvStatus* status) {
+  RawBytes out;
+  auto pr = newPendingRecv(context_, nullptr, capacity, src, tag);
+  pr->owned = &out;
+  Request req = postRecv(std::move(pr));
+  const RecvStatus st = wait(req);
+  if (status != nullptr) *status = st;
+  return out;
+}
+
 Request Comm::isend(const void* buf, Bytes n, Rank dst, int tag) {
   sim::Proc& p = *proc_;
   auto st = std::make_shared<detail::ReqState>();
@@ -130,9 +147,13 @@ Request Comm::isend(const void* buf, Bytes n, Rank dst, int tag) {
 }
 
 Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
+  return postRecv(newPendingRecv(context_, buf, capacity, src, tag));
+}
+
+Request Comm::postRecv(std::shared_ptr<detail::PendingRecv> pr) {
   sim::Proc& p = *proc_;
   auto st = std::make_shared<detail::ReqState>();
-  st->recv = newPendingRecv(context_, buf, capacity, src, tag);
+  st->recv = std::move(pr);
   auto& pr_ev_owner = st->recv;  // keep alive until matched
   p.atomic([&] {
     if (postRecvLocked(*world_, p, p.rank(), pr_ev_owner)) {

@@ -74,6 +74,14 @@ class Comm {
   /// Blocking receive. `src` may be kAnySource, `tag` may be kAnyTag.
   RecvStatus recv(void* buf, Bytes capacity, Rank src, int tag);
 
+  /// Blocking receive that hands over the message's own buffer instead of
+  /// copying it into the caller's: an unexpected message's payload moves
+  /// out of its envelope, and a receive posted first gets a fresh buffer of
+  /// the message's size that the send copies into. Matching, truncation
+  /// (`capacity`), finish time and engine events are those of recv.
+  RawBytes recvOwned(Bytes capacity, Rank src, int tag,
+                     RecvStatus* status = nullptr);
+
   /// Nonblocking variants.
   Request isend(const void* buf, Bytes n, Rank dst, int tag);
   Request irecv(void* buf, Bytes capacity, Rank src, int tag);
@@ -172,6 +180,9 @@ class Comm {
                    const std::function<void(void*, const void*)>& combine,
                    Rank root);
 
+  /// Posts `pr` (matching an unexpected message at once if one waits).
+  Request postRecv(std::shared_ptr<detail::PendingRecv> pr);
+
   /// wait() body; `track` controls per-request deadlock-checker registration
   /// (waitAll registers one AND-wait for the whole set instead).
   RecvStatus waitInternal(Request& req, bool track);
@@ -219,26 +230,6 @@ class Comm {
   std::vector<Rank> group_;
   int coll_seq_ = 0;
   std::size_t win_seq_ = 0;
-};
-
-/// A byte buffer whose bytes start indeterminate, for buffers that are
-/// written in full before they are read: unlike std::vector<std::byte>, it
-/// does not zero-fill first.
-class RawBytes {
- public:
-  RawBytes() = default;
-  explicit RawBytes(std::size_t n)
-      : bytes_(n > 0 ? std::make_unique_for_overwrite<std::byte[]>(n)
-                     : nullptr),
-        size_(n) {}
-
-  std::byte* data() { return bytes_.get(); }
-  const std::byte* data() const { return bytes_.get(); }
-  std::size_t size() const { return size_; }
-
- private:
-  std::unique_ptr<std::byte[]> bytes_;
-  std::size_t size_ = 0;
 };
 
 /// The send side of sizedAlltoallv/alltoallvCounted: every destination's

@@ -54,7 +54,7 @@ Window Window::create(Comm& comm, Bytes local_size) {
   detail::WinState* ws = nullptr;
   p.atomic([&] {
     ws = &comm.world().windowAt(comm.context(), seq, comm.size());
-    ws->mem[static_cast<std::size_t>(comm.rank())].size = local_size;
+    ws->mem[static_cast<std::size_t>(comm.rank())] = LazyBytes(local_size);
     ++ws->registered;
   });
   // Registered: from here on the handle owns one release, also when the
@@ -76,10 +76,23 @@ Window::~Window() {
   if (state_ != nullptr) world_->releaseWindow(*state_);
 }
 
-std::byte* Window::localData() { return memOf(comm_->rank()).touch(); }
+std::byte* Window::localRange(Offset disp, Bytes n) {
+  checkLocalRange(disp, n);
+  return memOf(comm_->rank()).range(disp, n);
+}
+
+std::byte* Window::localOverwrite(Offset disp, Bytes n) {
+  checkLocalRange(disp, n);
+  return memOf(comm_->rank()).overwrite(disp, n);
+}
+
+void Window::checkLocalRange(Offset disp, Bytes n) const {
+  TCIO_CHECK_MSG(disp >= 0 && n >= 0 && disp + n <= localSize(),
+                 "local window range outside its bounds");
+}
 
 Bytes Window::localSize() const {
-  return state_->mem[static_cast<std::size_t>(comm_->rank())].size;
+  return state_->mem[static_cast<std::size_t>(comm_->rank())].size();
 }
 
 void Window::resizeLocal(Bytes new_size) {
@@ -245,12 +258,13 @@ void Window::putIndexed(Rank target, std::span<const PutBlock> blocks) {
     }
     const net::TransferTimes times = world.network().transfer(
         p.now(), p.rank(), comm_->worldRank(target), total, /*rdma=*/true);
-    detail::WinMem& mem = memOf(target);
+    LazyBytes& mem = memOf(target);
     for (const PutBlock& b : blocks) {
-      TCIO_CHECK_MSG(b.target_disp >= 0 && b.target_disp + b.len <= mem.size,
+      TCIO_CHECK_MSG(b.target_disp >= 0 && b.len >= 0 &&
+                         b.target_disp + b.len <= mem.size(),
                      "put outside window bounds");
       if (b.len > 0) {
-        std::memcpy(mem.touch() + b.target_disp, b.src,
+        std::memcpy(mem.overwrite(b.target_disp, b.len), b.src,
                     static_cast<std::size_t>(b.len));
       }
     }
@@ -277,14 +291,12 @@ void Window::getIndexed(Rank target, std::span<const GetBlock> blocks) {
             .delivered;
     const net::TransferTimes times = world.network().transfer(
         req_arrived, comm_->worldRank(target), p.rank(), total, /*rdma=*/true);
-    detail::WinMem& mem = memOf(target);
+    LazyBytes& mem = memOf(target);
     for (const GetBlock& b : blocks) {
-      TCIO_CHECK_MSG(b.target_disp >= 0 && b.target_disp + b.len <= mem.size,
+      TCIO_CHECK_MSG(b.target_disp >= 0 && b.len >= 0 &&
+                         b.target_disp + b.len <= mem.size(),
                      "get outside window bounds");
-      if (b.len > 0) {
-        std::memcpy(b.dst, mem.touch() + b.target_disp,
-                    static_cast<std::size_t>(b.len));
-      }
+      mem.read(b.target_disp, b.dst, b.len);
     }
     delivered = times.delivered;
   });

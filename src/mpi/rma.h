@@ -27,21 +27,29 @@ enum class LockType { kExclusive, kShared };
 class Window {
  public:
   /// Collective: every rank contributes `local_size` bytes of window memory.
-  /// Must be called by all ranks in the same program order. The host bytes
-  /// of a rank's memory are allocated, zero-filled, when it is first touched
-  /// (localData(), a put or a get); the model charges `local_size` now.
+  /// Must be called by all ranks in the same program order. The memory reads
+  /// as zero until written. Its host bytes are allocated by the first put or
+  /// local access and zeroed lazily, a chunk at a time, where nothing wrote
+  /// them (LazyBytes); a get never allocates. The model charges
+  /// `local_size` now.
   static Window create(Comm& comm, Bytes local_size);
 
   Window(Window&& other) noexcept;
   Window& operator=(Window&&) = delete;
   ~Window();
 
-  /// This rank's window memory (touches it).
-  std::byte* localData();
+  /// This rank's window memory at [disp, disp + n), every byte holding the
+  /// window's content (what read as zero is zeroed now). The pointer stays
+  /// valid until resizeLocal or releaseLocalHost; bytes outside the range
+  /// may not be accessed through it.
+  std::byte* localRange(Offset disp, Bytes n);
+  /// As localRange, for a caller that writes all `n` bytes before anything
+  /// reads them: nothing in the range is zeroed first.
+  std::byte* localOverwrite(Offset disp, Bytes n);
   Bytes localSize() const;
 
   /// Non-collective, local-only resize of this rank's window memory
-  /// (existing bytes are preserved; growth is zero-filled). Legal because
+  /// (existing bytes are preserved; growth reads as zero). Legal because
   /// every RMA access bounds-checks the *target's* current size at access
   /// time inside the origin's atomic section — there is no cached remote
   /// size to invalidate. Callers that change the window's layout (TCIO's
@@ -51,8 +59,8 @@ class Window {
   void resizeLocal(Bytes new_size);
 
   /// Non-collective, local-only: gives back this rank's host bytes. The
-  /// memory then reads as zero, as before its first touch, and the next
-  /// touch allocates it again zero-filled; the logical size, the bounds and
+  /// memory then reads as zero, as before its first write, and the next
+  /// write allocates it again; the logical size, the bounds and
   /// the model's memory charge stay. Whatever the bytes held is lost, so
   /// the caller must know that no peer's put since its last read matters
   /// (TCIO's node aggregator releases drained staging slots, whose zero
@@ -96,8 +104,9 @@ class Window {
       : comm_(&comm), world_(&comm.world()), state_(&state) {}
 
   void requireLocked(Rank target) const;
+  void checkLocalRange(Offset disp, Bytes n) const;
   detail::TargetLock& targetLock(Rank target);
-  detail::WinMem& memOf(Rank r) {
+  LazyBytes& memOf(Rank r) {
     return state_->mem[static_cast<std::size_t>(r)];
   }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/checker.h"
+#include "common/lazy_bytes.h"
 #include "common/memory_tracker.h"
 #include "common/types.h"
 #include "net/network.h"
@@ -33,6 +34,26 @@ struct MpiConfig {
   double memcpy_bandwidth = 6.0e9;
 };
 
+/// A byte buffer whose bytes start indeterminate, for buffers that are
+/// written in full before they are read: unlike std::vector<std::byte>, it
+/// does not zero-fill first.
+class RawBytes {
+ public:
+  RawBytes() = default;
+  explicit RawBytes(std::size_t n)
+      : bytes_(n > 0 ? std::make_unique_for_overwrite<std::byte[]>(n)
+                     : nullptr),
+        size_(n) {}
+
+  std::byte* data() { return bytes_.get(); }
+  const std::byte* data() const { return bytes_.get(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::unique_ptr<std::byte[]> bytes_;
+  std::size_t size_ = 0;
+};
+
 namespace detail {
 
 /// A message that arrived before a matching receive was posted.
@@ -40,7 +61,7 @@ struct Envelope {
   Rank src = -1;  // rank within the communicator's group
   int tag = 0;
   int context = 0;  // communicator context id — isolates communicators
-  std::vector<std::byte> data;
+  RawBytes data;    // the sender's bytes, copied once at the send
   SimTime delivered = 0;
 };
 
@@ -51,6 +72,11 @@ struct PendingRecv {
   int context = 0;
   std::byte* buf = nullptr;
   Bytes capacity = 0;
+  /// Set for a receive that takes the message's own buffer
+  /// (Comm::recvOwned): the match moves an unexpected envelope's payload
+  /// into *owned, or, when the receive was posted first, copies the send
+  /// into a fresh buffer there.
+  RawBytes* owned = nullptr;
   // Filled by the matching send:
   Rank src = -1;
   int tag = 0;
@@ -80,27 +106,6 @@ struct TargetLock {
   std::vector<Rank> holders;
 };
 
-/// One rank's window memory. `size` is the logical size: it bounds every
-/// access and is what the model charges. The host bytes are allocated,
-/// zero-filled, on first touch, so a rank whose window is never written
-/// costs no host memory however large the window is. Releasing them returns
-/// the memory to its untouched state: it reads as zero until touched again.
-struct WinMem {
-  Bytes size = 0;
-  std::vector<std::byte> host;  // empty until touched, then `size` bytes
-
-  bool touched() const { return !host.empty(); }
-  std::byte* touch() {
-    if (!touched()) host.resize(static_cast<std::size_t>(size));
-    return host.data();
-  }
-  void resize(Bytes n) {
-    size = n;
-    if (touched()) host.resize(static_cast<std::size_t>(n));
-  }
-  void release() { std::vector<std::byte>().swap(host); }
-};
-
 /// Shared state of one RMA window across all ranks. Lives from the first
 /// rank's create until the last registered rank releases its handle
 /// (MPI_Win_free), so a crashed rank's memory outlives it while survivors
@@ -108,7 +113,9 @@ struct WinMem {
 struct WinState {
   int context = 0;  // registry key: (context, seq)
   std::size_t seq = 0;
-  std::vector<WinMem> mem;        // per rank
+  /// Per rank: the logical size bounds every access and is what the model
+  /// charges; host bytes exist once written, zeroed lazily (LazyBytes).
+  std::vector<LazyBytes> mem;
   std::vector<TargetLock> locks;  // per target rank
   int registered = 0;             // ranks that completed create
   int released = 0;               // handles released so far
@@ -178,9 +185,7 @@ class World {
   Bytes windowHostBytes() const {
     Bytes total = 0;
     for (const auto& [key, ws] : windows_) {
-      for (const detail::WinMem& m : ws->mem) {
-        total += static_cast<Bytes>(m.host.size());
-      }
+      for (const LazyBytes& m : ws->mem) total += m.allocatedBytes();
     }
     return total;
   }

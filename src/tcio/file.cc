@@ -453,14 +453,14 @@ void File::close() {
 
 void File::drainToFs(Bytes file_size) {
   check::Checker* ck = comm_->world().checker();
-  const std::byte* local = window_->localData();
+  const std::byte* flags = localFlags();
   for (const auto& [g, slot] : ownedSlots()) {
-    if (local[flagsDisp(slot, kDirtyFlag)] == std::byte{0}) continue;
+    if (flags[flagsDisp(slot, kDirtyFlag)] == std::byte{0}) continue;
     const Offset base = map_.baseOf(g);
     if (base >= file_size) continue;
     crashPoint(CrashPoint::kMidClose);
     const Bytes len = std::min(cfg_.segment_size, file_size - base);
-    pwriteDegraded(base, local + dataDisp(slot, 0), len);
+    pwriteDegraded(base, window_->localRange(dataDisp(slot, 0), len), len);
     if (ck != nullptr) {
       comm_->proc().atomic(
           [&] { ck->onDrain(name_, g, orig_rank_, "File::drainToFs"); });

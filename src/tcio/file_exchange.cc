@@ -248,7 +248,6 @@ void File::twoSidedGather() {
   });
   const mpi::SizedExchange got_meta = mpi::sizedAlltoallv(*comm_, req_meta);
   // Answer each requester from the local window.
-  const std::byte* local = window_->localData();
   std::vector<Bytes> serve_counts(sp, 0);
   for (std::size_t s = 0; s < sp; ++s) {
     got_meta.forEachRecord<BlockMeta>(
@@ -259,8 +258,10 @@ void File::twoSidedGather() {
   for (std::size_t s = 0; s < sp; ++s) {
     got_meta.forEachRecord<BlockMeta>(s, [&](const BlockMeta& b) {
       const SegmentId g = map_.segmentOf(b.off);
-      replies.append(
-          s, local + dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.len);
+      replies.append(s,
+                     window_->localRange(
+                         dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.len),
+                     b.len);
       served_segs.insert(g);
     });
   }
@@ -350,21 +351,34 @@ void File::collectiveFetch() {
 
 void File::loadOwnedSlots(Bytes fsize,
                           const std::function<bool(SegmentId)>& needed) {
-  std::byte* local_win = window_->localData();
+  std::byte* flags = localFlags();
   for (const auto& [g, slot] : ownedSlots()) {
     if (!needed(g)) continue;
-    std::byte& dirty = local_win[flagsDisp(slot, kDirtyFlag)];
-    std::byte& loaded = local_win[flagsDisp(slot, kLoadedFlag)];
+    std::byte& dirty = flags[flagsDisp(slot, kDirtyFlag)];
+    std::byte& loaded = flags[flagsDisp(slot, kLoadedFlag)];
     if (dirty != std::byte{0} || loaded != std::byte{0}) continue;
-    preadSegment(g, fsize, local_win + dataDisp(slot, 0));
+    // Nothing wrote the slot, so it reads as zero: the read lands straight
+    // in it, and the slot's tail past the file's end stays zero unwritten.
+    const Bytes len = segmentBytesBelow(g, fsize);
+    std::byte* dst = window_->localOverwrite(dataDisp(slot, 0), len);
+    try {
+      preadSegment(g, fsize, dst);
+    } catch (...) {
+      // A failed read leaves the slot as it was, reading as zero.
+      std::memset(dst, 0, static_cast<std::size_t>(len));
+      throw;
+    }
     loaded = kFlagSet;
   }
 }
 
+Bytes File::segmentBytesBelow(SegmentId g, Bytes fsize) const {
+  return std::clamp<Bytes>(fsize - map_.baseOf(g), 0, cfg_.segment_size);
+}
+
 Bytes File::preadSegment(SegmentId g, Bytes fsize, std::byte* dst) {
-  const Offset base = map_.baseOf(g);
-  const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
-  if (len > 0) preadDegraded(base, dst, len);
+  const Bytes len = segmentBytesBelow(g, fsize);
+  if (len > 0) preadDegraded(map_.baseOf(g), dst, len);
   return len;
 }
 
@@ -420,7 +434,7 @@ void File::exchangeStagedWrites() {
   // and agree (the segment-exchange agreement point) so a corrupt frame on
   // one rank surfaces on all of them instead of desynchronizing the job.
   const mpi::CapturedError err = captureLocal([&] {
-    std::byte* local = window_->localData();
+    std::byte* flags = localFlags();
     std::set<SegmentId> applied_segs;
     Bytes applied = 0;
     for (std::size_t s = 0; s < got.counts.size(); ++s) {
@@ -428,10 +442,11 @@ void File::exchangeStagedWrites() {
         const SegmentId g = map_.segmentOf(b.off);
         const std::int64_t slot = slotOnOwner(g);
         checkHop(b, p, comm_->proc(), stats_.integrity);
-        std::memcpy(local + dataDisp(slot, map_.dispOf(b.off)), p,
-                    static_cast<std::size_t>(b.len));
+        std::memcpy(
+            window_->localOverwrite(dataDisp(slot, map_.dispOf(b.off)), b.len),
+            p, static_cast<std::size_t>(b.len));
         applied += b.len;
-        local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+        flags[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
         applied_segs.insert(g);
       });
     }

@@ -67,9 +67,9 @@ void File::exchangeDigests() {
 void File::verifySlot(SegmentId g, std::int64_t slot) {
   const auto it = ledger_.find(g);
   if (it == ledger_.end() || it->second.empty()) return;
-  std::byte* local = window_->localData();
-  if (local[flagsDisp(slot, kDirtyFlag)] == std::byte{0} &&
-      local[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
+  std::byte* flags = localFlags();
+  if (flags[flagsDisp(slot, kDirtyFlag)] == std::byte{0} &&
+      flags[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
     return;  // not resident — nothing the ledger describes is in the window
   }
   // Any rank may have contributed extents to this segment, so a repair
@@ -77,11 +77,12 @@ void File::verifySlot(SegmentId g, std::int64_t slot) {
   // reads, same discipline as crash recovery.
   WalSource wal;
   if (journal_ != nullptr) wal = [this] { return readAllJournals(); };
-  if (verifyOrRepair(it->second, g,
-                     {local + dataDisp(slot, 0),
-                      static_cast<std::size_t>(cfg_.segment_size)},
-                     wal, comm_->proc(), stats_.integrity, name_)) {
-    local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+  if (verifyOrRepair(
+          it->second, g,
+          {window_->localRange(dataDisp(slot, 0), cfg_.segment_size),
+           static_cast<std::size_t>(cfg_.segment_size)},
+          wal, comm_->proc(), stats_.integrity, name_)) {
+    flags[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
   }
 }
 
@@ -129,8 +130,9 @@ void File::maybeCorruptWindow() {
     if (it == ledger_.end() || it->second.empty()) continue;
     if (!corruption_->fires(CorruptSite::kWindow)) return;
     const DigestRun& run = it->second.front();
-    corruption_->flipBit({window_->localData() + dataDisp(slot, run.disp),
-                          static_cast<std::size_t>(run.len)});
+    corruption_->flipBit(
+        {window_->localRange(dataDisp(slot, run.disp), run.len),
+         static_cast<std::size_t>(run.len)});
     return;
   }
 }

@@ -62,7 +62,7 @@ void File::growTakeoverCapacity(std::int64_t new_cap) {
   // opened between the old and new flag boundaries is cleared (the new
   // slots' flags must read as clean/non-resident).
   comm_->proc().atomic([&] {
-    std::byte* mem = window_->localData();
+    std::byte* mem = window_->localRange(0, window_->localSize());
     for (std::int64_t s = slot_cap_ - 1; s >= 0; --s) {
       std::memmove(mem + new_flags + s * cfg_.segment_size,
                    mem + old_flags + s * cfg_.segment_size,
@@ -302,7 +302,6 @@ void File::replayOrphans(
     // never silently re-applied.
     stats_.degraded.unjournaled_segments_lost += log.corrupt_records;
   }
-  std::byte* local = drained_ ? nullptr : window_->localData();
   std::vector<std::byte> scratch;
   for (const auto& [g, slot] : mine) {
     // Cascade point: an adopter can die while replaying the very segments
@@ -318,7 +317,8 @@ void File::replayOrphans(
                      std::byte{0});
     }
     std::byte* const seg_bytes =
-        drained_ ? scratch.data() : local + dataDisp(slot, 0);
+        drained_ ? scratch.data()
+                 : window_->localRange(dataDisp(slot, 0), cfg_.segment_size);
     bool any = false;
     for (const Journal::Parsed& log : logs) {
       for (const Journal::Record& rec : log.records) {
@@ -366,7 +366,7 @@ void File::replayOrphans(
             [&] { ck->onDrain(name_, g, orig_rank_, "File::replayOrphans"); });
       }
     } else {
-      local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+      localFlags()[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
       if (ck != nullptr) {
         comm_->proc().atomic([&] {
           ck->onSegmentTransfer(name_, g, orig_rank_, "File::replayOrphans");

@@ -99,7 +99,8 @@ using WalSource = std::function<std::vector<Journal::Parsed>()>;
 /// The owner-side gate: verifies `ledger` over `segment`; on a mismatch
 /// repairs from the journals `wal` loads and re-verifies. Both passes are
 /// charged to `proc`; the counters land in `stats`, a TcioIntegrityStats or
-/// TcioDelegateStats (they name them alike). Returns true when a repair ran.
+/// a delegate's TcioDelegateStats (they name them alike). Returns true when
+/// a repair ran.
 /// Throws IntegrityError naming `file` and `g` when no journal exists (`wal`
 /// is empty) or the replayed bytes still mismatch.
 template <class Stats>

@@ -63,26 +63,23 @@ NodeAggregator::gatherToLeader(Received& got) {
     return frames;  // non-leaders hold no outgoing streams
   }
 
-  // Leader: every member's message lands in one arrival buffer, sized from
-  // the size table; frames view it (and, for the leader's own payload, the
-  // send buffer).
-  Bytes arriving = 0;
-  for (int q = 0; q < node.size(); ++q) {
-    if (q != root) arriving += totalOf(q);
-  }
-  got.gathered_ = mpi::RawBytes(static_cast<std::size_t>(arriving));
-  std::byte* next = got.gathered_.data();
+  // Leader: keeps each member's message in the buffer it arrived in, whose
+  // size the size table gives; frames view those buffers (and, for the
+  // leader's own payload, the send buffer).
+  got.gathered_.resize(static_cast<std::size_t>(node.size()));
   const std::vector<Rank>& members = map_->ranksOnNode(map_->myNode());
   for (int q = 0; q < node.size(); ++q) {
     const std::byte* from = mine.data();
     if (q != root) {
       const Bytes total = totalOf(q);
+      mpi::RawBytes& arrived = got.gathered_[static_cast<std::size_t>(q)];
       if (total > 0) {
-        node.recv(next, total, q, tag);
+        arrived = node.recvOwned(total, q, tag);
+        TCIO_CHECK_MSG(static_cast<Bytes>(arrived.size()) == total,
+                       "node member sent other than its size table says");
         stats_.intranode_bytes += total;
       }
-      from = next;
-      next += total;
+      from = arrived.data();
     }
     const Bytes* sizes = all_sizes.data() + static_cast<std::size_t>(q) * sn;
     const Rank src = members[static_cast<std::size_t>(q)];
@@ -127,7 +124,7 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
     // The rewrite copied what it ships: the gathered payloads are spent.
     frames.clear();
     got.sent_ = {};
-    got.gathered_ = {};
+    std::vector<mpi::RawBytes>().swap(got.gathered_);
     // The leader's own node needs no staging.
     if (!out[sme].empty()) {
       got.frames_[sme].push_back({activeLeaderOf(me), out[sme]});
@@ -177,12 +174,12 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
     bool local_more = false;
     try {
       if (leader && !err.set()) {
-        std::byte* local = staging_->localData();
         for (std::size_t s = 0; s < sn; ++s) {
           if (s == sme) continue;
-          std::byte* slot = local + static_cast<Offset>(s) * slot_bytes_;
+          const Offset slot_base = static_cast<Offset>(s) * slot_bytes_;
+          std::byte* header = staging_->localRange(slot_base, kSlotHeader);
           std::uint64_t left = 0;
-          std::memcpy(&left, slot, sizeof(left));
+          std::memcpy(&left, header, sizeof(left));
           if (left == 0) continue;
           mpi::RawBytes& stream = got.streams_[s];
           if (drained[s] == 0) {
@@ -193,10 +190,11 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
                          "node-aggregation slot header disagrees with the "
                          "bytes of its stream still to come");
           const Bytes chunk = std::min(static_cast<Bytes>(left), slot_data);
-          std::memcpy(stream.data() + drained[s], slot + kSlotHeader,
+          std::memcpy(stream.data() + drained[s],
+                      staging_->localRange(slot_base + kSlotHeader, chunk),
                       static_cast<std::size_t>(chunk));
           drained[s] += chunk;
-          std::memset(slot, 0, static_cast<std::size_t>(kSlotHeader));
+          std::memset(header, 0, static_cast<std::size_t>(kSlotHeader));
         }
         for (std::size_t d = 0; d < sn && !local_more; ++d) {
           local_more =

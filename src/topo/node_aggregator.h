@@ -20,9 +20,10 @@
 // per source node, attributed to that node's leader.
 //
 // Host buffers: each hop lands in one buffer allocated at its final size
-// and never zero-filled. The leader receives its members' payloads into one
-// arrival buffer sized from the gathered size table; the rewrite reads
-// (rank, span) views into it, and its output is put straight from where it
+// and never zero-filled. The leader keeps each member's payload in the
+// buffer the message arrived in (mpi::Comm::recvOwned), so a payload is
+// copied once on its way there, at the send; the rewrite reads (rank, span)
+// views into those buffers, and its output is put straight from where it
 // returned it. A slot's 8-byte header carries the bytes of the stream still
 // to come (this chunk included), so the destination allocates each source's
 // stream once, at its first chunk. Each buffer is freed once the next hop
@@ -101,9 +102,9 @@ class NodeAggregator {
     /// spent: on a non-leader after its membus send, on the leader once
     /// rewritten.
     mpi::PackedSend sent_;
-    /// The node members' payloads, as the leader received them (freed once
-    /// rewritten).
-    mpi::RawBytes gathered_;
+    /// The node members' payloads, one buffer per node rank as the leader
+    /// received it (freed once rewritten).
+    std::vector<mpi::RawBytes> gathered_;
     /// Rewrite outputs, per destination node. The leader's own node's is
     /// delivered from here; the others are freed once put.
     std::vector<std::vector<std::byte>> rewritten_;
@@ -147,7 +148,7 @@ class NodeAggregator {
 
  private:
   /// Gathers every node rank's per-destination payloads (got.sent_) to the
-  /// leader, into got.gathered_; returns (on the leader) the frames headed
+  /// leader, into got.gathered_ (one buffer per node rank); returns (on the leader) the frames headed
   /// to each destination node, in node-rank order.
   std::vector<std::vector<RankBlob>> gatherToLeader(Received& got);
 

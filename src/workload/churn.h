@@ -11,10 +11,10 @@
 #include <string>
 
 #include "common/types.h"
+#include "delegate/session.h"
 #include "fs/filesystem.h"
 #include "mpi/comm.h"
 #include "tcio/config.h"
-#include "tcio/file.h"
 
 namespace tcio::workload {
 

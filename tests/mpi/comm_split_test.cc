@@ -101,7 +101,7 @@ TEST(CommSplitTest, WindowsOnSubcommunicators) {
     } else {
       sub.recv(nullptr, 0, 0, 0);
       std::int64_t got = 0;
-      std::memcpy(&got, win.localData(), 8);
+      std::memcpy(&got, win.localRange(0, 8), 8);
       // My group's sub-rank 0 has world rank = my parity.
       EXPECT_EQ(got, 100 + world.rank() % 2);
     }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <ios>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "mpi/mpi.h"
@@ -184,6 +186,87 @@ TEST(P2pTest, SelfSendViaBufferedSemantics) {
     comm.recv(&got, 4, 0, 0);
     EXPECT_EQ(got, 5);
   });
+}
+
+// -- recvOwned: a receive that keeps the message's own buffer ---------------
+
+/// Rank 0 sends `n` patterned bytes to rank 1 at virtual time `send_at`;
+/// rank 1 posts its receive at `recv_at`, with recv or recvOwned. Returns
+/// the job's engine events; `finish` gets rank 1's clock after the receive.
+std::int64_t patternedExchange(bool owned, SimTime send_at, SimTime recv_at,
+                               Bytes n, SimTime* finish) {
+  return runJob(cfg(2),
+                [&](Comm& comm) {
+                  std::vector<std::byte> bytes(static_cast<std::size_t>(n));
+                  for (std::size_t i = 0; i < bytes.size(); ++i) {
+                    bytes[i] = static_cast<std::byte>(i * 7 + 3);
+                  }
+                  if (comm.rank() == 0) {
+                    comm.proc().advance(send_at);
+                    comm.send(bytes.data(), n, 1, 5);
+                    return;
+                  }
+                  comm.proc().advance(recv_at);
+                  RecvStatus st;
+                  if (owned) {
+                    const RawBytes got = comm.recvOwned(n, 0, 5, &st);
+                    ASSERT_EQ(got.size(), bytes.size());
+                    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                                           got.data()));
+                  } else {
+                    std::vector<std::byte> got(bytes.size());
+                    st = comm.recv(got.data(), n, 0, 5);
+                    EXPECT_EQ(got, bytes);
+                  }
+                  EXPECT_EQ(st.source, 0);
+                  EXPECT_EQ(st.tag, 5);
+                  EXPECT_EQ(st.count, n);
+                  *finish = comm.proc().now();
+                })
+      .engine_events;
+}
+
+TEST(P2pTest, RecvOwnedMatchesRecvWhetherSentBeforeOrAfterPosting) {
+  // Sent long before the receive is posted (the unexpected envelope's
+  // buffer moves out), then long after (a fresh buffer takes the send).
+  for (const auto& [send_at, recv_at] :
+       {std::pair{0.0, 1.0e-3}, std::pair{1.0e-3, 0.0}}) {
+    SimTime recv_finish = 0, owned_finish = 0;
+    const std::int64_t recv_events =
+        patternedExchange(false, send_at, recv_at, 3000, &recv_finish);
+    const std::int64_t owned_events =
+        patternedExchange(true, send_at, recv_at, 3000, &owned_finish);
+    EXPECT_EQ(owned_events, recv_events);
+    EXPECT_EQ(owned_finish, recv_finish);
+    EXPECT_GE(owned_finish, std::max(send_at, recv_at));
+  }
+}
+
+TEST(P2pTest, RecvOwnedOfAnEmptyMessageHoldsNoBytes) {
+  runJob(cfg(2), [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send(nullptr, 0, 1, 2);
+    } else {
+      EXPECT_EQ(comm.recvOwned(8, 0, 2).size(), 0u);
+    }
+  });
+}
+
+TEST(P2pTest, RecvOwnedTruncationIsAnError) {
+  for (const bool posted_first : {false, true}) {
+    EXPECT_THROW(runJob(cfg(2),
+                        [&](Comm& comm) {
+                          if (comm.rank() == 0) {
+                            if (posted_first) comm.proc().advance(1.0e-3);
+                            std::vector<std::byte> big(100);
+                            comm.send(big.data(), 100, 1, 0);
+                          } else {
+                            if (!posted_first) comm.proc().advance(1.0e-3);
+                            comm.recvOwned(10, 0, 0);
+                          }
+                        }),
+                 Error);
+  }
 }
 
 // -- recvUntil: the polling receive of the liveness protocol and the delegate

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -27,7 +28,7 @@ TEST(RmaTest, PutIntoRemoteWindow) {
     } else {
       comm.recv(nullptr, 0, 0, 0);
       std::int64_t got = 0;
-      std::memcpy(&got, win.localData() + 8, 8);
+      std::memcpy(&got, win.localRange(8, 8), 8);
       EXPECT_EQ(got, 0xDEADBEEF);
     }
   });
@@ -38,7 +39,7 @@ TEST(RmaTest, GetFromRemoteWindow) {
     Window win = Window::create(comm, 32);
     if (comm.rank() == 1) {
       const double v = 2.75;
-      std::memcpy(win.localData(), &v, 8);
+      std::memcpy(win.localOverwrite(0, 8), &v, 8);
       comm.send(nullptr, 0, 0, 0);
       comm.recv(nullptr, 0, 0, 1);
     } else {
@@ -68,10 +69,46 @@ TEST(RmaTest, PutIndexedCoalescesBlocks) {
       comm.send(nullptr, 0, 1, 0);
     } else {
       comm.recv(nullptr, 0, 0, 0);
-      EXPECT_EQ(win.localData()[10], std::byte{1});
-      EXPECT_EQ(win.localData()[13], std::byte{4});
-      EXPECT_EQ(win.localData()[50], std::byte{9});
-      EXPECT_EQ(win.localData()[51], std::byte{8});
+      const std::byte* mem = win.localRange(0, 100);
+      EXPECT_EQ(mem[10], std::byte{1});
+      EXPECT_EQ(mem[13], std::byte{4});
+      EXPECT_EQ(mem[50], std::byte{9});
+      EXPECT_EQ(mem[51], std::byte{8});
+      // Untouched bytes around and between the blocks read as zero.
+      EXPECT_EQ(mem[0], std::byte{0});
+      EXPECT_EQ(mem[30], std::byte{0});
+      EXPECT_EQ(mem[99], std::byte{0});
+    }
+  });
+}
+
+TEST(RmaTest, PutIndexedBlocksInDescendingOrderKeepEachOther) {
+  // Into untouched memory, the later blocks land below the earlier ones in
+  // the same chunk: none may zero what another wrote.
+  runJob(cfg(2), [](Comm& comm) {
+    constexpr Bytes kSize = 2 * LazyBytes::kChunk;
+    Window win = Window::create(comm, kSize);
+    const std::vector<std::byte> a(16, std::byte{0xa1});
+    const std::vector<std::byte> b(16, std::byte{0xb2});
+    const std::vector<std::byte> c(16, std::byte{0xc3});
+    std::vector<std::byte> expect(kSize, std::byte{0});
+    std::fill_n(expect.begin() + 3000, 16, std::byte{0xa1});
+    std::fill_n(expect.begin() + 1000, 16, std::byte{0xb2});
+    std::fill_n(expect.begin() + 10, 16, std::byte{0xc3});
+    if (comm.rank() == 0) {
+      const Window::PutBlock blocks[] = {
+          {3000, a.data(), 16}, {1000, b.data(), 16}, {10, c.data(), 16}};
+      std::vector<std::byte> got(kSize, std::byte{0xff});
+      win.lock(LockType::kExclusive, 1);
+      win.putIndexed(1, blocks);
+      win.get(1, 0, got.data(), kSize);
+      win.unlock(1);
+      EXPECT_EQ(got, expect);
+      comm.send(nullptr, 0, 1, 0);
+    } else {
+      comm.recv(nullptr, 0, 0, 0);
+      const std::byte* mem = win.localRange(0, kSize);
+      EXPECT_EQ(std::vector<std::byte>(mem, mem + kSize), expect);
     }
   });
 }
@@ -79,8 +116,9 @@ TEST(RmaTest, PutIndexedCoalescesBlocks) {
 TEST(RmaTest, GetIndexedGathersBlocks) {
   runJob(cfg(2), [](Comm& comm) {
     Window win = Window::create(comm, 16);
+    std::byte* mem = win.localOverwrite(0, 16);
     for (int i = 0; i < 16; ++i) {
-      win.localData()[i] = static_cast<std::byte>(comm.rank() * 16 + i);
+      mem[i] = static_cast<std::byte>(comm.rank() * 16 + i);
     }
     comm.barrier();
     if (comm.rank() == 0) {
@@ -104,7 +142,7 @@ TEST(RmaTest, ExclusiveLockSerializesCriticalSections) {
     Window win = Window::create(comm, 8);
     if (comm.rank() == 0) {
       std::int64_t zero = 0;
-      std::memcpy(win.localData(), &zero, 8);
+      std::memcpy(win.localOverwrite(0, 8), &zero, 8);
     }
     comm.barrier();
     for (int iter = 0; iter < 4; ++iter) {
@@ -118,7 +156,7 @@ TEST(RmaTest, ExclusiveLockSerializesCriticalSections) {
     comm.barrier();
     if (comm.rank() == 0) {
       std::int64_t v = 0;
-      std::memcpy(&v, win.localData(), 8);
+      std::memcpy(&v, win.localRange(0, 8), 8);
       EXPECT_EQ(v, P * 4);
     }
   });
@@ -224,8 +262,8 @@ TEST(RmaTest, MultipleWindowsAreIndependent) {
     } else {
       comm.recv(nullptr, 0, 0, 0);
       std::int32_t va = 0, vb = 0;
-      std::memcpy(&va, a.localData(), 4);
-      std::memcpy(&vb, b.localData(), 4);
+      std::memcpy(&va, a.localRange(0, 4), 4);
+      std::memcpy(&vb, b.localRange(0, 4), 4);
       EXPECT_EQ(va, 1);
       EXPECT_EQ(vb, 2);
     }

@@ -152,11 +152,17 @@ MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
 # the store tests read around partial puts and writes, so a byte the lazy
 # zeroing skips reads the pattern here. The FTT suite rides along: its
 # parser is what reads the restart's tree blobs, which are not zero-filled.
-echo "== node-aggregation, window-lifetime, RMA, journal, store, FTT and" \
-  "checkpoint suites under MALLOC_PERTURB_=165 =="
+# So do the integrity matrix and the CRC-32 suite: the staging log's chunks,
+# the coalesced streams and the journal batch start uninitialised, and each
+# hop's CRC is taken inside the copy that fills them (crc32Copy), so a copy
+# that skips a byte leaves the pattern under a pinned counter or a CRC-32
+# guard byte check.
+echo "== node-aggregation, window-lifetime, RMA, journal, store, FTT," \
+  "checkpoint, integrity-matrix and CRC-32 suites under MALLOC_PERTURB_=165 =="
 MALLOC_PERTURB_=165 ctest --test-dir "$BUILD" --output-on-failure \
   -j "$(nproc)" -R "NodeMap|NodeAggregator|WindowLifetime|Rma|Journal|"\
-"Store|Ftt|Checkpoint|IntegrityOracle|ArtCheckpointOracle|ReadOnly"
+"Store|Ftt|Checkpoint|IntegrityOracle|ArtCheckpointOracle|ReadOnly|"\
+"TcioIntegrityMatrix|Crc32"
 
 # The open/write/close churn workload again, but with delegates resolved
 # from the environment: ownership verification must hold when the level-2

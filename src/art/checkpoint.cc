@@ -106,14 +106,21 @@ std::string rankFileName(const std::string& base, int rank) {
   return base + "." + std::to_string(rank);
 }
 
+/// One pass over the blob: the CRC is taken inside the parser's copies. A
+/// blob that fails its CRC throws FsError even when the parser fails first;
+/// only then does the CRC get a pass of its own.
 FttTree parseAndVerify(std::span<const std::byte> blob, std::uint32_t want_crc,
                        const std::string& name) {
-  const std::uint32_t got = crc32(blob);
-  if (got != want_crc) {
-    throw FsError("checkpoint corruption detected in " + name +
-                  " (CRC mismatch)");
+  try {
+    std::uint32_t got = 0;
+    FttTree tree =
+        parseTree(blob.data(), static_cast<Bytes>(blob.size()), got);
+    if (got == want_crc) return tree;
+  } catch (...) {
+    if (crc32(blob) == want_crc) throw;
   }
-  return parseTree(blob.data(), static_cast<Bytes>(blob.size()));
+  throw FsError("checkpoint corruption detected in " + name +
+                " (CRC mismatch)");
 }
 
 // ---------------------------------------------------------------------------

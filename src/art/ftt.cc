@@ -1,7 +1,10 @@
 #include "art/ftt.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "common/crc32.h"
 #include "common/error.h"
 
 namespace tcio::art {
@@ -136,22 +139,50 @@ void forEachArray(const FttTree& tree,
   }
 }
 
-FttTree parseTree(const std::byte* data, Bytes size) {
+namespace {
+
+/// Parses a serialized tree front to back. With `crc`, every byte of the
+/// blob is folded into *crc: the arrays inside the parser's copies, the
+/// bytes past the last array after it. Every length is checked against the
+/// bytes left before anything is allocated from it, so an unverified blob
+/// cannot ask for more memory than it could fill.
+FttTree parse(const std::byte* data, Bytes size, std::uint32_t* crc) {
   const std::byte* p = data;
-  const std::byte* end = data + size;
-  auto take = [&](void* dst, Bytes n) {
-    TCIO_CHECK_MSG(p + n <= end, "truncated FTT record");
-    std::memcpy(dst, p, static_cast<std::size_t>(n));
+  const std::byte* const end = data + size;
+  std::uint32_t c = 0;
+  const auto left = [&] { return static_cast<Bytes>(end - p); };
+  const auto take = [&](void* dst, Bytes n) {
+    TCIO_CHECK_MSG(n <= left(), "truncated FTT record");
+    const std::span<const std::byte> src{p, static_cast<std::size_t>(n)};
+    if (crc != nullptr) {
+      c = crc32Copy(static_cast<std::byte*>(dst), src, c);
+    } else if (n > 0) {
+      std::memcpy(dst, src.data(), src.size());
+    }
     p += n;
   };
   TreeHeader hdr;
   take(&hdr, sizeof(hdr));
   TCIO_CHECK_MSG(hdr.magic == 0x46545431, "bad FTT magic");
+  // Each level starts with an 8-byte cell count and holds num_vars arrays;
+  // a blob names no more levels than it has cell counts, and no more arrays
+  // than it has bytes.
+  TCIO_CHECK_MSG(hdr.depth >= 0 && hdr.depth <= left() / 8,
+                 "FTT depth overruns its record");
+  TCIO_CHECK_MSG(hdr.num_vars >= 0 &&
+                     hdr.num_vars <= std::min<Bytes>(
+                                         std::numeric_limits<int>::max(),
+                                         left() / std::max<Bytes>(hdr.depth, 1)),
+                 "FTT variable count overruns its record");
   FttTree tree;
   tree.id = hdr.id;
+  tree.levels.reserve(static_cast<std::size_t>(hdr.depth));
   for (std::int64_t level = 0; level < hdr.depth; ++level) {
     std::int64_t cells = 0;
     take(&cells, 8);
+    // A cell holds a 4-byte flag and one 8-byte value per variable.
+    TCIO_CHECK_MSG(cells >= 0 && cells <= left() / (4 + 8 * hdr.num_vars),
+                   "FTT level overruns its record");
     FttLevel lvl;
     lvl.refine.resize(static_cast<std::size_t>(cells));
     take(lvl.refine.data(), cells * 4);
@@ -162,7 +193,20 @@ FttTree parseTree(const std::byte* data, Bytes size) {
     }
     tree.levels.push_back(std::move(lvl));
   }
+  if (crc != nullptr) {
+    *crc = crc32({p, static_cast<std::size_t>(left())}, c);
+  }
   return tree;
+}
+
+}  // namespace
+
+FttTree parseTree(const std::byte* data, Bytes size) {
+  return parse(data, size, nullptr);
+}
+
+FttTree parseTree(const std::byte* data, Bytes size, std::uint32_t& crc) {
+  return parse(data, size, &crc);
 }
 
 std::string validateTree(const FttTree& tree) {

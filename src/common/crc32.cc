@@ -21,6 +21,12 @@
 // time rather than written out. crc32() probes the CPU once and then always
 // takes the same kernel: wide, else hardware, else portable.
 //
+// crc32Copy() runs the same kernels with a destination: every block the fold
+// loads is also stored to the destination from the register it was loaded
+// into, so the bytes are read from memory once for both the copy and the
+// checksum. Each kernel body is a template on kCopy, and the checksum-only
+// instantiation compiles to the code it replaces.
+//
 // crc32Combine needs no data: with init and xorout both ~0, their
 // contributions cancel, and crc(A·B) = crc(A)·x^(8|B|) + crc(B) mod P.
 #include "common/crc32.h"
@@ -80,18 +86,31 @@ std::uint32_t sliceWord(std::uint32_t w, std::size_t after) {
          kTables[after + 1][(w >> 16) & 0xFFu] ^ kTables[after][w >> 24];
 }
 
+/// With kCopy, also copies [p, p + n) to `d`; without it `d` is unused.
+template <bool kCopy>
 std::uint32_t sliceBy16(const unsigned char* p, std::size_t n,
-                        std::uint32_t reg) {
+                        std::uint32_t reg, unsigned char* d) {
   for (; n >= 16; p += 16, n -= 16) {
+    if constexpr (kCopy) {
+      std::memcpy(d, p, 16);
+      d += 16;
+    }
     reg = sliceWord(load32le(p) ^ reg, 12) ^ sliceWord(load32le(p + 4), 8) ^
           sliceWord(load32le(p + 8), 4) ^ sliceWord(load32le(p + 12), 0);
   }
-  for (; n > 0; ++p, --n) reg = kTables[0][(reg ^ *p) & 0xFFu] ^ (reg >> 8);
+  for (; n > 0; ++p, --n) {
+    if constexpr (kCopy) *d++ = *p;
+    reg = kTables[0][(reg ^ *p) & 0xFFu] ^ (reg >> 8);
+  }
   return reg;
 }
 
 const unsigned char* bytesOf(std::span<const std::byte> data) {
   return reinterpret_cast<const unsigned char*>(data.data());
+}
+
+unsigned char* bytesOf(std::byte* dst) {
+  return reinterpret_cast<unsigned char*>(dst);
 }
 
 #if defined(__x86_64__)
@@ -156,14 +175,32 @@ TCIO_CRC_TARGET inline __m128i load128(const unsigned char* p) {
   return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-/// Folds the remaining 16-byte blocks of [p, p + n) into `x`, then reduces
-/// it to the 32-bit register. Requires `p` 16-byte aligned and `n` a
-/// multiple of 16. Always inlined, so the wide kernel runs it VEX-encoded:
-/// legacy SSE code after 512-bit code pays the AVX-SSE transition.
+// The block kernels index the source and the destination with one offset
+// `at`; the destination is only touched with kCopy (it is null without).
+
+/// Loads the aligned block at p + at; with kCopy also stores it at d + at,
+/// which may be unaligned.
+template <bool kCopy>
+TCIO_CRC_TARGET inline __attribute__((always_inline)) __m128i
+load128(const unsigned char* p, unsigned char* d, std::size_t at) {
+  const __m128i v = load128(p + at);
+  if constexpr (kCopy) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + at), v);
+  }
+  return v;
+}
+
+/// Folds the 16-byte blocks of [p + at, p + n) into `x` (copying them with
+/// kCopy), then reduces it to the 32-bit register. Requires `p` 16-byte
+/// aligned and `n - at` a multiple of 16. Always inlined, so the wide kernel
+/// runs it VEX-encoded: legacy SSE code after 512-bit code pays the AVX-SSE
+/// transition.
+template <bool kCopy>
 TCIO_CRC_TARGET inline __attribute__((always_inline)) std::uint32_t
-finishBlocks(__m128i x, const unsigned char* p, std::size_t n) {
+finishBlocks(__m128i x, const unsigned char* p, unsigned char* d,
+             std::size_t at, std::size_t n) {
   const __m128i by128 = pair(foldLo(128), foldHi(128));
-  for (; n >= 16; p += 16, n -= 16) x = fold(x, by128, load128(p));
+  for (; at < n; at += 16) x = fold(x, by128, load128<kCopy>(p, d, at));
 
   // 128 -> 64 bits, then 64 -> 32 bits.
   const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
@@ -182,22 +219,25 @@ finishBlocks(__m128i x, const unsigned char* p, std::size_t n) {
 }
 
 /// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 64.
+template <bool kCopy>
 TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
-                                         std::size_t n, std::uint32_t reg) {
+                                         std::size_t n, std::uint32_t reg,
+                                         unsigned char* d) {
   const __m128i by512 = pair(foldLo(512), foldHi(512));
   const __m128i by128 = pair(foldLo(128), foldHi(128));
   __m128i acc[4];
-  for (int i = 0; i < 4; ++i) acc[i] = load128(p + 16 * i);
+  for (int i = 0; i < 4; ++i) acc[i] = load128<kCopy>(p, d, 16 * i);
   acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(static_cast<int>(reg)));
-  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+  std::size_t at = 64;
+  for (; n - at >= 64; at += 64) {
     for (int i = 0; i < 4; ++i) {
-      acc[i] = fold(acc[i], by512, load128(p + 16 * i));
+      acc[i] = fold(acc[i], by512, load128<kCopy>(p, d, at + 16 * i));
     }
   }
   __m128i x = fold(acc[0], by128, acc[1]);
   x = fold(x, by128, acc[2]);
   x = fold(x, by128, acc[3]);
-  return finishBlocks(x, p, n);
+  return finishBlocks<kCopy>(x, p, d, at, n);
 }
 
 // GCC 12 under -Werror: _mm512_broadcast_i32x4 and _mm512_extracti32x4_epi32
@@ -230,33 +270,43 @@ TCIO_CRC_WIDE_TARGET inline __m512i fold512(__m512i acc, __m512i k,
                                    next, 0x96);
 }
 
-TCIO_CRC_WIDE_TARGET inline __m512i load512(const unsigned char* p) {
-  return _mm512_loadu_si512(p);
+/// Loads the 64 bytes at p + at; with kCopy also stores them at d + at.
+template <bool kCopy>
+TCIO_CRC_WIDE_TARGET inline __attribute__((always_inline)) __m512i
+load512(const unsigned char* p, unsigned char* d, std::size_t at) {
+  const __m512i v = _mm512_loadu_si512(p + at);
+  if constexpr (kCopy) _mm512_storeu_si512(d + at, v);
+  return v;
 }
 
 /// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 256.
+template <bool kCopy>
 TCIO_CRC_WIDE_TARGET std::uint32_t foldBlocksWide(const unsigned char* p,
                                                   std::size_t n,
-                                                  std::uint32_t reg) {
+                                                  std::uint32_t reg,
+                                                  unsigned char* d) {
   const __m512i by2048 = everyLane(foldLo(2048), foldHi(2048));
   const __m512i by512 = everyLane(foldLo(512), foldHi(512));
   // Named accumulators, not an array: an array of __m512i is kept on the
   // stack.
-  __m512i a0 = _mm512_xor_si512(load512(p),
+  __m512i a0 = _mm512_xor_si512(load512<kCopy>(p, d, 0),
                                 _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, reg));
-  __m512i a1 = load512(p + 64);
-  __m512i a2 = load512(p + 128);
-  __m512i a3 = load512(p + 192);
-  for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
-    a0 = fold512(a0, by2048, load512(p));
-    a1 = fold512(a1, by2048, load512(p + 64));
-    a2 = fold512(a2, by2048, load512(p + 128));
-    a3 = fold512(a3, by2048, load512(p + 192));
+  __m512i a1 = load512<kCopy>(p, d, 64);
+  __m512i a2 = load512<kCopy>(p, d, 128);
+  __m512i a3 = load512<kCopy>(p, d, 192);
+  std::size_t at = 256;
+  for (; n - at >= 256; at += 256) {
+    a0 = fold512(a0, by2048, load512<kCopy>(p, d, at));
+    a1 = fold512(a1, by2048, load512<kCopy>(p, d, at + 64));
+    a2 = fold512(a2, by2048, load512<kCopy>(p, d, at + 128));
+    a3 = fold512(a3, by2048, load512<kCopy>(p, d, at + 192));
   }
   __m512i x = fold512(a0, by512, a1);
   x = fold512(x, by512, a2);
   x = fold512(x, by512, a3);
-  for (; n >= 64; p += 64, n -= 64) x = fold512(x, by512, load512(p));
+  for (; n - at >= 64; at += 64) {
+    x = fold512(x, by512, load512<kCopy>(p, d, at));
+  }
   // Lanes 0..2 move forward to lane 3 (by 384, 256 and 128 bits), which
   // passes through unmultiplied; the XOR of the four lanes is the remainder.
   const __m512i to_last =
@@ -269,7 +319,7 @@ TCIO_CRC_WIDE_TARGET std::uint32_t foldBlocksWide(const unsigned char* p,
   const __m128i lanes23 =
       _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(0xF, y, 2),
                     _mm512_maskz_extracti32x4_epi32(0xF, y, 3));
-  return finishBlocks(_mm_xor_si128(lanes01, lanes23), p, n);
+  return finishBlocks<kCopy>(_mm_xor_si128(lanes01, lanes23), p, d, at, n);
 }
 
 #undef TCIO_CRC_WIDE_TARGET
@@ -302,7 +352,13 @@ constexpr Pow2Table kPow2 = makePow2Table();
 
 std::uint32_t crc32Portable(std::span<const std::byte> data,
                             std::uint32_t seed) {
-  return ~sliceBy16(bytesOf(data), data.size(), ~seed);
+  return ~sliceBy16<false>(bytesOf(data), data.size(), ~seed, nullptr);
+}
+
+std::uint32_t crc32CopyPortable(std::byte* dst,
+                                std::span<const std::byte> src,
+                                std::uint32_t seed) {
+  return ~sliceBy16<true>(bytesOf(src), src.size(), ~seed, bytesOf(dst));
 }
 
 #if defined(__x86_64__)
@@ -316,24 +372,41 @@ std::size_t headOf(const unsigned char* p) {
 
 /// The portable kernel takes the unaligned head and the sub-16-byte tail,
 /// `fold_blocks` the aligned body between them, when that body holds at
-/// least `min_body` bytes.
-template <typename FoldBlocks>
+/// least `min_body` bytes. With kCopy every byte also goes to `d`.
+template <bool kCopy, typename FoldBlocks>
 std::uint32_t foldSpan(std::span<const std::byte> data, std::uint32_t seed,
-                       std::size_t min_body, FoldBlocks fold_blocks) {
+                       unsigned char* d, std::size_t min_body,
+                       FoldBlocks fold_blocks) {
   const unsigned char* p = bytesOf(data);
   std::size_t n = data.size();
   std::uint32_t reg = ~seed;
   const std::size_t head = headOf(p);
   if (n >= head + min_body) {
-    reg = sliceBy16(p, head, reg);
+    reg = sliceBy16<kCopy>(p, head, reg, d);
+    const std::size_t body = (n - head) & ~std::size_t{15};
+    if constexpr (kCopy) d += head;
     p += head;
-    n -= head;
-    const std::size_t body = n & ~std::size_t{15};
-    reg = fold_blocks(p, body, reg);
+    reg = fold_blocks(p, body, reg, d);
+    if constexpr (kCopy) d += body;
     p += body;
-    n -= body;
+    n -= head + body;
   }
-  return ~sliceBy16(p, n, reg);
+  return ~sliceBy16<kCopy>(p, n, reg, d);
+}
+
+template <bool kCopy>
+std::uint32_t hardwareSpan(std::span<const std::byte> data,
+                           std::uint32_t seed, unsigned char* d) {
+  return foldSpan<kCopy>(data, seed, d, 64, foldBlocks<kCopy>);
+}
+
+template <bool kCopy>
+std::uint32_t wideSpan(std::span<const std::byte> data, std::uint32_t seed,
+                       unsigned char* d) {
+  if (data.size() < headOf(bytesOf(data)) + 256) {
+    return hardwareSpan<kCopy>(data, seed, d);
+  }
+  return foldSpan<kCopy>(data, seed, d, 256, foldBlocksWide<kCopy>);
 }
 
 }  // namespace
@@ -345,7 +418,13 @@ bool crc32HardwareAvailable() {
 
 std::uint32_t crc32Hardware(std::span<const std::byte> data,
                             std::uint32_t seed) {
-  return foldSpan(data, seed, 64, foldBlocks);
+  return hardwareSpan<false>(data, seed, nullptr);
+}
+
+std::uint32_t crc32CopyHardware(std::byte* dst,
+                                std::span<const std::byte> src,
+                                std::uint32_t seed) {
+  return hardwareSpan<true>(src, seed, bytesOf(dst));
 }
 
 bool crc32WideAvailable() {
@@ -355,10 +434,12 @@ bool crc32WideAvailable() {
 }
 
 std::uint32_t crc32Wide(std::span<const std::byte> data, std::uint32_t seed) {
-  if (data.size() < headOf(bytesOf(data)) + 256) {
-    return crc32Hardware(data, seed);
-  }
-  return foldSpan(data, seed, 256, foldBlocksWide);
+  return wideSpan<false>(data, seed, nullptr);
+}
+
+std::uint32_t crc32CopyWide(std::byte* dst, std::span<const std::byte> src,
+                            std::uint32_t seed) {
+  return wideSpan<true>(src, seed, bytesOf(dst));
 }
 
 #else
@@ -370,24 +451,56 @@ std::uint32_t crc32Hardware(std::span<const std::byte> data,
   return crc32Portable(data, seed);
 }
 
+std::uint32_t crc32CopyHardware(std::byte* dst,
+                                std::span<const std::byte> src,
+                                std::uint32_t seed) {
+  return crc32CopyPortable(dst, src, seed);
+}
+
 bool crc32WideAvailable() { return false; }
 
 std::uint32_t crc32Wide(std::span<const std::byte> data, std::uint32_t seed) {
   return crc32Portable(data, seed);
 }
 
+std::uint32_t crc32CopyWide(std::byte* dst, std::span<const std::byte> src,
+                            std::uint32_t seed) {
+  return crc32CopyPortable(dst, src, seed);
+}
+
 #endif  // __x86_64__
 
 }  // namespace detail
 
+namespace {
+
+/// The CPU is probed once; crc32() and crc32Copy() then always take the
+/// same kernel: wide, else hardware, else portable.
+struct Kernels {
+  std::uint32_t (*crc)(std::span<const std::byte>, std::uint32_t);
+  std::uint32_t (*copy)(std::byte*, std::span<const std::byte>,
+                        std::uint32_t);
+};
+
+const Kernels& kernels() {
+  static const Kernels k =
+      detail::crc32WideAvailable()
+          ? Kernels{&detail::crc32Wide, &detail::crc32CopyWide}
+      : detail::crc32HardwareAvailable()
+          ? Kernels{&detail::crc32Hardware, &detail::crc32CopyHardware}
+          : Kernels{&detail::crc32Portable, &detail::crc32CopyPortable};
+  return k;
+}
+
+}  // namespace
+
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
-  static const Kernel kernel = detail::crc32WideAvailable()
-                                   ? &detail::crc32Wide
-                               : detail::crc32HardwareAvailable()
-                                   ? &detail::crc32Hardware
-                                   : &detail::crc32Portable;
-  return kernel(data, seed);
+  return kernels().crc(data, seed);
+}
+
+std::uint32_t crc32Copy(std::byte* dst, std::span<const std::byte> src,
+                        std::uint32_t seed) {
+  return kernels().copy(dst, src, seed);
 }
 
 std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,

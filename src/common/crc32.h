@@ -12,6 +12,13 @@ namespace tcio {
 /// 128-bit) and the portable kernel otherwise; all give bit-identical values.
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
+/// Copies `src` to `dst` and returns crc32(src, seed), reading each byte
+/// once: the kernel stores every block it loads for the fold. `dst` holds at
+/// least src.size() bytes, any alignment, and does not overlap `src`. Same
+/// kernel choice as crc32().
+std::uint32_t crc32Copy(std::byte* dst, std::span<const std::byte> src,
+                        std::uint32_t seed = 0);
+
 /// CRC-32 of A followed by B, from crc32(A), crc32(B) and B's length alone:
 /// crc_a is carried over len_b zero bytes by a multiply in GF(2)[x] mod the
 /// polynomial, then crc_b is added. Costs O(log len_b), reads no data.
@@ -24,6 +31,11 @@ namespace detail {
 std::uint32_t crc32Portable(std::span<const std::byte> data,
                             std::uint32_t seed = 0);
 
+/// crc32Copy() on the slicing-by-16 kernel.
+std::uint32_t crc32CopyPortable(std::byte* dst,
+                                std::span<const std::byte> src,
+                                std::uint32_t seed = 0);
+
 /// True when this CPU can run crc32Hardware() (x86-64 with PCLMULQDQ and
 /// SSE4.1).
 bool crc32HardwareAvailable();
@@ -34,6 +46,11 @@ bool crc32HardwareAvailable();
 std::uint32_t crc32Hardware(std::span<const std::byte> data,
                             std::uint32_t seed = 0);
 
+/// crc32Copy() on the PCLMULQDQ kernel; same precondition as crc32Hardware().
+std::uint32_t crc32CopyHardware(std::byte* dst,
+                                std::span<const std::byte> src,
+                                std::uint32_t seed = 0);
+
 /// True when this CPU can run crc32Wide() (crc32HardwareAvailable() plus
 /// AVX-512F, AVX-512VL and VPCLMULQDQ).
 bool crc32WideAvailable();
@@ -43,6 +60,10 @@ bool crc32WideAvailable();
 /// crc32Hardware(). Only call it when crc32WideAvailable() is true.
 std::uint32_t crc32Wide(std::span<const std::byte> data,
                         std::uint32_t seed = 0);
+
+/// crc32Copy() on the VPCLMULQDQ kernel; same precondition as crc32Wide().
+std::uint32_t crc32CopyWide(std::byte* dst, std::span<const std::byte> src,
+                            std::uint32_t seed = 0);
 
 }  // namespace detail
 

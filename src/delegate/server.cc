@@ -416,17 +416,21 @@ void Server::serveGet(Pending& p) {
                          stats_, f.name);
   }
   std::byte* dst = s_->window().localOverwrite(frameDisp(p.frame), total);
-  std::memcpy(dst, sb.data.data() + e.begin, static_cast<std::size_t>(total));
-  comm_->chargeCopy(total);
-  // Digest the staged reply so the client can verify its side of the RMA
-  // frame crossing (pad == 1 flags a valid value2 CRC).
+  const std::span<const std::byte> src{sb.data.data() + e.begin,
+                                       static_cast<std::size_t>(total)};
+  // With integrity on, the staged reply is digested inside its copy, so
+  // the client can verify its side of the RMA frame crossing (pad == 1
+  // flags a valid value2 CRC).
   std::int64_t reply_crc = 0;
   std::int32_t has_reply_crc = 0;
   if (integrity_on_) {
-    reply_crc = crc32({dst, static_cast<std::size_t>(total)});
+    reply_crc = crc32Copy(dst, src);
     has_reply_crc = 1;
-    core::chargeChecksum(comm_->proc(), total);
+  } else {
+    std::memcpy(dst, src.data(), src.size());
   }
+  comm_->chargeCopy(total);
+  if (integrity_on_) core::chargeChecksum(comm_->proc(), total);
   --data_queued_;  // queue slot freed; the frame is held until kGetAck
   p.frame = -1;    // ownership moved to the client — the error path must
                    // neither free the frame nor re-drop data_queued_
@@ -554,12 +558,12 @@ void Server::adoptShard(int dead) {
           die();
         }
         SegBuf& sb = segBuf(f, r.seg);
-        std::memcpy(sb.data.data() + r.disp, r.payload.data(),
-                    r.payload.size());
+        std::byte* dst = sb.data.data() + r.disp;
         if (integrity_on_) {
-          sb.ledger.absorb(r.disp,
-                           {sb.data.data() + r.disp, r.payload.size()},
-                           crc32(r.payload));
+          sb.ledger.absorb(r.disp, {dst, r.payload.size()},
+                           crc32Copy(dst, r.payload));
+        } else {
+          std::memcpy(dst, r.payload.data(), r.payload.size());
         }
         sb.extents.push_back(
             {r.disp, r.disp + static_cast<Offset>(r.payload.size())});

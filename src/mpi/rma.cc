@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/crc32.h"
+
 namespace tcio::mpi {
 
 namespace {
@@ -264,8 +266,15 @@ void Window::putIndexed(Rank target, std::span<const PutBlock> blocks) {
                          b.target_disp + b.len <= mem.size(),
                      "put outside window bounds");
       if (b.len > 0) {
-        std::memcpy(mem.overwrite(b.target_disp, b.len), b.src,
-                    static_cast<std::size_t>(b.len));
+        std::byte* dst = mem.overwrite(b.target_disp, b.len);
+        if (b.crc == nullptr) {
+          std::memcpy(dst, b.src, static_cast<std::size_t>(b.len));
+        } else {
+          *b.crc = crc32Copy(dst, {static_cast<const std::byte*>(b.src),
+                                   static_cast<std::size_t>(b.len)});
+        }
+      } else if (b.crc != nullptr) {
+        *b.crc = 0;  // the CRC of no bytes
       }
     }
     held_[target].last_delivery =

@@ -81,11 +81,14 @@ class Window {
 
   /// One coalesced transfer of several disjoint blocks (the paper's
   /// MPI_Type_indexed + single one-sided call optimization): one network
-  /// message carrying the sum of the block sizes.
+  /// message carrying the sum of the block sizes. A block with `crc` set
+  /// gets the CRC-32 of its bytes there, taken inside the copy into the
+  /// target's memory (host work only: the model charges nothing for it).
   struct PutBlock {
     Offset target_disp = 0;
     const void* src = nullptr;
     Bytes len = 0;
+    std::uint32_t* crc = nullptr;
   };
   void putIndexed(Rank target, std::span<const PutBlock> blocks);
 

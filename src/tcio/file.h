@@ -43,6 +43,7 @@
 #include "tcio/level1.h"
 #include "tcio/pending_reads.h"
 #include "tcio/segment_map.h"
+#include "tcio/staging_log.h"
 #include "topo/node_aggregator.h"
 #include "topo/node_map.h"
 
@@ -444,7 +445,7 @@ class File {
   SegmentId pending_segment_ = -1;  // lazy-read segment group
   /// Staged writes (two-sided and node-aggregated paths): one
   /// [BlockMeta][payload] record per flushed extent, at its file offset.
-  std::vector<std::byte> staged_;
+  StagingLog staged_;
   Bytes staged_bytes_ = 0;
   Offset pointer_ = 0;
   Bytes local_max_written_ = 0;

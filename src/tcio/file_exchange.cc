@@ -5,6 +5,7 @@
 // gather.
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
 
@@ -15,22 +16,19 @@ namespace tcio::core {
 namespace {
 
 /// Packs a staging log's [BlockMeta][payload] records into one stream per
-/// destination, `dest(off)` naming each record's. With `digest` each
-/// payload's CRC rides in its record, taken here and charged to `proc`.
+/// destination, `dest(off)` naming each record's. A digested record's CRC
+/// was taken by the copy into the log; it is charged to `proc` here, where
+/// the sender ships it.
 template <typename Dest>
-mpi::PackedSend packStaged(std::span<const std::byte> log, std::size_t n,
-                           bool digest, sim::Proc& proc, const Dest& dest) {
+mpi::PackedSend packStaged(const StagingLog& log, std::size_t n,
+                           sim::Proc& proc, const Dest& dest) {
   std::vector<Bytes> counts(n, 0);
-  forEachBlock(log, [&](const BlockMeta& m, const std::byte*) {
+  log.forEachBlock([&](const BlockMeta& m, const std::byte*) {
     counts[dest(m.off)] += static_cast<Bytes>(sizeof(m)) + m.len;
   });
   mpi::PackedSend out(std::move(counts));
-  forEachBlock(log, [&](BlockMeta m, const std::byte* p) {
-    if (digest) {
-      m.crc = crc32({p, static_cast<std::size_t>(m.len)});
-      m.has_crc = 1;
-      chargeChecksum(proc, m.len);
-    }
+  log.forEachBlock([&](const BlockMeta& m, const std::byte* p) {
+    if (m.has_crc != 0) chargeChecksum(proc, m.len);
     const std::size_t d = dest(m.off);
     out.append(d, &m, sizeof(m));
     out.append(d, p, m.len);
@@ -104,12 +102,13 @@ void File::flushLevel1() {
     window_->unlock(owner);
   } else {
     // Two-sided ablation / node aggregation: stage locally until the next
-    // collective exchange.
+    // collective exchange. With integrity on, each record's hop digest is
+    // taken inside this copy, after the injection point above.
     for (const Extent& e : extents) {
-      const BlockMeta m{map_.baseOf(seg) + e.begin, e.size()};
-      appendBytes(staged_, &m, sizeof(m));
-      appendBytes(staged_, level1_.data() + e.begin,
-                  static_cast<std::size_t>(e.size()));
+      staged_.append(map_.baseOf(seg) + e.begin,
+                     {level1_.data() + e.begin,
+                      static_cast<std::size_t>(e.size())},
+                     integrity_on_);
       staged_bytes_ += e.size();
       comm_->memory().allocate(e.size(), "TCIO staged writes");
     }
@@ -420,14 +419,13 @@ void File::agreeLevel1Flush() {
 void File::exchangeStagedWrites() {
   flushLevel1();  // move any level-1 residue into the staging area
   // Each owner's records in one stream, shipped by one sized exchange.
-  mpi::PackedSend per_owner =
-      packStaged(staged_, static_cast<std::size_t>(comm_->size()),
-                 integrity_on_, comm_->proc(), [&](Offset off) {
-                   return static_cast<std::size_t>(
-                       curOf(ownerOf(map_.segmentOf(off))));
-                 });
+  mpi::PackedSend per_owner = packStaged(
+      staged_, static_cast<std::size_t>(comm_->size()), comm_->proc(),
+      [&](Offset off) {
+        return static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
+      });
   // packStaged copied the log; its model charge goes after the exchange.
-  std::vector<std::byte>().swap(staged_);
+  staged_.clear();
   const mpi::SizedExchange got = mpi::sizedAlltoallv(*comm_, per_owner);
   per_owner = {};
   // Apply received blocks into the local window. Purely local work: capture
@@ -441,10 +439,13 @@ void File::exchangeStagedWrites() {
       forEachBlock(got.from(s), [&](const BlockMeta& b, const std::byte* p) {
         const SegmentId g = map_.segmentOf(b.off);
         const std::int64_t slot = slotOnOwner(g);
-        checkHop(b, p, comm_->proc(), stats_.integrity);
-        std::memcpy(
-            window_->localOverwrite(dataDisp(slot, map_.dispOf(b.off)), b.len),
-            p, static_cast<std::size_t>(b.len));
+        // The rank -> owner hop, verified inside the copy that applies it.
+        chargeHop(b, comm_->proc(), stats_.integrity);
+        noteHopCrc(b,
+                   copyBlock(window_->localOverwrite(
+                                 dataDisp(slot, map_.dispOf(b.off)), b.len),
+                             b, p),
+                   stats_.integrity);
         applied += b.len;
         flags[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
         applied_segs.insert(g);
@@ -465,13 +466,13 @@ void File::nodeExchangeStagedWrites() {
   ++stats_.node_exchanges;
   // Stage records addressed to the *node* hosting each block's owner.
   mpi::PackedSend per_node = packStaged(
-      staged_, static_cast<std::size_t>(node_map_->numNodes()), integrity_on_,
-      comm_->proc(), [&](Offset off) {
+      staged_, static_cast<std::size_t>(node_map_->numNodes()), comm_->proc(),
+      [&](Offset off) {
         return static_cast<std::size_t>(
             node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
       });
   // packStaged copied the log; its model charge goes after the exchange.
-  std::vector<std::byte>().swap(staged_);
+  staged_.clear();
   const std::int64_t puts_before = node_agg_->stats().internode_puts;
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
   // Source-leader rewrite: merge adjacent same-segment extents contributed
@@ -480,27 +481,21 @@ void File::nodeExchangeStagedWrites() {
   // per-rank extents into few large ones before they pay the NIC.
   const auto coalesce =
       [this](int, const std::vector<topo::NodeAggregator::RankBlob>& blobs) {
-        struct Rec {
-          Offset off = 0;
-          Bytes len = 0;
-          const std::byte* src = nullptr;
-          std::uint32_t crc = 0;  // of the bytes that arrived
-        };
-        std::vector<Rec> recs;
+        std::vector<std::pair<BlockMeta, const std::byte*>> recs;
         Bytes payload = 0;
         for (const auto& rb : blobs) {
           forEachBlock(rb.data, [&](const BlockMeta& m, const std::byte* p) {
-            // Verify the rank -> source-leader hop before coalescing, so a
-            // flip in one contribution cannot hide inside a merged run.
-            const std::uint32_t crc =
-                checkHop(m, p, comm_->proc(), stats_.integrity);
-            recs.push_back({m.off, m.len, p, crc});
+            // The rank -> source-leader hop is verified piece by piece, so
+            // a flip in one contribution cannot hide inside a merged run;
+            // its CRC is taken by the copy into the rewritten stream below.
+            chargeHop(m, comm_->proc(), stats_.integrity);
+            recs.emplace_back(m, p);
             payload += m.len;
           });
         }
         std::stable_sort(recs.begin(), recs.end(),
-                         [](const Rec& a, const Rec& b) {
-                           return a.off < b.off;
+                         [](const auto& a, const auto& b) {
+                           return a.first.off < b.first.off;
                          });
         // Run boundaries first, so the stream is allocated at its size.
         std::vector<std::size_t> run_ends;
@@ -508,40 +503,45 @@ void File::nodeExchangeStagedWrites() {
         while (i < recs.size()) {
           // A merged run must stay inside one segment: its owner and slot
           // are derived from the run's first offset at apply time.
+          const SegmentId seg = map_.segmentOf(recs[i].first.off);
           std::size_t j = i + 1;
           while (j < recs.size() &&
-                 recs[j].off == recs[j - 1].off + recs[j - 1].len &&
-                 map_.segmentOf(recs[j].off) == map_.segmentOf(recs[i].off)) {
+                 recs[j].first.off ==
+                     recs[j - 1].first.off + recs[j - 1].first.len &&
+                 map_.segmentOf(recs[j].first.off) == seg) {
             ++j;
           }
           run_ends.push_back(j);
           i = j;
         }
-        std::vector<std::byte> out;
-        out.reserve(run_ends.size() * sizeof(BlockMeta) +
-                    static_cast<std::size_t>(payload));
+        mpi::RawBytes out(run_ends.size() * sizeof(BlockMeta) +
+                          static_cast<std::size_t>(payload));
+        std::byte* at = out.data();
         i = 0;
         for (const std::size_t j : run_ends) {
-          BlockMeta m{recs[i].off, 0};
-          for (std::size_t k = i; k < j; ++k) m.len += recs[k].len;
-          if (integrity_on_) {
-            // The merged run's digest, combined from the pieces' CRCs of
-            // the bytes that arrived, covers the leader -> destination hop
-            // end to end.
-            std::uint32_t c = recs[i].crc;
-            for (std::size_t k = i + 1; k < j; ++k) {
-              c = crc32Combine(c, recs[k].crc,
-                               static_cast<std::size_t>(recs[k].len));
+          std::byte* const meta_at = at;
+          at += sizeof(BlockMeta);
+          BlockMeta m{recs[i].first.off, 0};
+          // Each piece's CRC of the bytes that arrived is taken inside its
+          // copy; combined, they are the merged run's digest, which covers
+          // the leader -> destination hop end to end.
+          std::uint32_t c = 0;
+          for (std::size_t k = i; k < j; ++k) {
+            const BlockMeta& piece = recs[k].first;
+            const std::uint32_t got = copyBlock(at, piece, recs[k].second);
+            noteHopCrc(piece, got, stats_.integrity);
+            if (piece.has_crc != 0) {
+              c = crc32Combine(c, got, static_cast<std::size_t>(piece.len));
             }
+            at += piece.len;
+            m.len += piece.len;
+          }
+          if (integrity_on_) {
             m.crc = c;
             m.has_crc = 1;
             chargeChecksum(comm_->proc(), m.len);
           }
-          appendBytes(out, &m, sizeof(m));
-          for (std::size_t k = i; k < j; ++k) {
-            appendBytes(out, recs[k].src,
-                        static_cast<std::size_t>(recs[k].len));
-          }
+          std::memcpy(meta_at, &m, sizeof(m));
           i = j;
         }
         return out;
@@ -556,6 +556,9 @@ void File::nodeExchangeStagedWrites() {
     std::map<Rank, std::vector<mpi::Window::PutBlock>> by_owner;
     std::map<Rank, std::set<std::int64_t>> flagged;
     std::set<SegmentId> applied_segs;
+    // The digest of each checked block and the CRC its put takes of the
+    // bytes that arrived (a deque: the puts keep pointers into it).
+    std::deque<std::pair<BlockMeta, std::uint32_t>> hops;
     Bytes applied = 0;
     for (const auto& from_node : frames) {
       for (const auto& rb : from_node) {
@@ -563,13 +566,18 @@ void File::nodeExchangeStagedWrites() {
           const SegmentId g = map_.segmentOf(m.off);
           const Rank owner = ownerOf(g);  // window target: original rank
           const std::int64_t slot = slotOnOwner(g);
-          // The inter-node NIC hop, verified at the destination leader.
-          checkHop(m, p, comm_->proc(), stats_.integrity);
           auto& blocks = by_owner[owner];
           if (flagged[owner].insert(slot).second) {
             blocks.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
           }
-          blocks.push_back({dataDisp(slot, map_.dispOf(m.off)), p, m.len});
+          // The inter-node NIC hop, verified at the destination leader
+          // inside the put that applies the block.
+          std::uint32_t* crc = nullptr;
+          if (chargeHop(m, comm_->proc(), stats_.integrity)) {
+            crc = &hops.emplace_back(m, 0).second;
+          }
+          blocks.push_back(
+              {dataDisp(slot, map_.dispOf(m.off)), p, m.len, crc});
           applied += m.len;
           applied_segs.insert(g);
         });
@@ -582,6 +590,7 @@ void File::nodeExchangeStagedWrites() {
       window_->putIndexed(owner, blocks);
       window_->unlock(owner);
     }
+    for (const auto& [m, got] : hops) noteHopCrc(m, got, stats_.integrity);
     stats_.intranode_bytes += applied;
   });
   frames = {};  // the apply epochs above copied every block

@@ -12,16 +12,16 @@ namespace {
 
 /// CRC over the frame body: seg, disp, len, gen, payload (magic and the CRC
 /// field itself excluded; the reserved word is excluded too so it stays
-/// free for future use without a format bump).
-std::uint32_t frameCrc(std::int64_t seg, std::int64_t disp, std::int64_t len,
-                       std::uint32_t gen,
-                       std::span<const std::byte> payload) {
+/// free for future use without a format bump). This is its first part, the
+/// fields; the payload's bytes chain on.
+std::uint32_t fieldsCrc(std::int64_t seg, std::int64_t disp, std::int64_t len,
+                        std::uint32_t gen) {
   std::byte fields[28];
   std::memcpy(fields + 0, &seg, 8);
   std::memcpy(fields + 8, &disp, 8);
   std::memcpy(fields + 16, &len, 8);
   std::memcpy(fields + 24, &gen, 4);
-  return crc32(payload, crc32({fields, sizeof(fields)}));
+  return crc32({fields, sizeof(fields)});
 }
 
 }  // namespace
@@ -56,17 +56,6 @@ void Journal::append(std::int64_t seg, Offset disp,
                      std::int64_t torn_prefix, std::uint32_t gen) {
   TCIO_CHECK_MSG(file_.valid(), "append on a closed journal");
   const auto len = static_cast<std::int64_t>(payload.size());
-  std::byte header[kHeaderBytes];
-  const std::uint32_t magic = kMagic;
-  const std::uint32_t crc = frameCrc(seg, disp, len, gen, payload);
-  const std::uint32_t reserved = 0;
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &crc, 4);
-  std::memcpy(header + 8, &seg, 8);
-  std::memcpy(header + 16, &disp, 8);
-  std::memcpy(header + 24, &len, 8);
-  std::memcpy(header + 32, &gen, 4);
-  std::memcpy(header + 36, &reserved, 4);
   ++records_;
   // The frame goes straight into the batch. A crash mid-append lets only a
   // prefix of it reach the platter: the torn record is unreadable (short
@@ -76,11 +65,43 @@ void Journal::append(std::int64_t seg, Offset disp,
   const Bytes keep =
       torn_prefix >= 0 ? std::min<Bytes>(frame, torn_prefix) : frame;
   const Bytes keep_header = std::min<Bytes>(keep, kHeaderBytes);
-  batch_.insert(batch_.end(), header, header + keep_header);
-  batch_.insert(batch_.end(), payload.begin(),
-                payload.begin() + static_cast<std::ptrdiff_t>(
-                                      keep - keep_header));
+  std::byte* at = growBatch(static_cast<std::size_t>(keep));
+  std::uint32_t crc = fieldsCrc(seg, disp, len, gen);
+  if (keep == frame) {
+    // The payload's CRC is taken inside its copy into the batch.
+    crc = crc32Copy(at + kHeaderBytes, payload, crc);
+  } else {
+    crc = crc32(payload, crc);
+    if (keep > keep_header) {
+      std::memcpy(at + keep_header, payload.data(),
+                  static_cast<std::size_t>(keep - keep_header));
+    }
+  }
+  std::byte header[kHeaderBytes];
+  const std::uint32_t magic = kMagic;
+  const std::uint32_t reserved = 0;
+  std::memcpy(header + 0, &magic, 4);
+  std::memcpy(header + 4, &crc, 4);
+  std::memcpy(header + 8, &seg, 8);
+  std::memcpy(header + 16, &disp, 8);
+  std::memcpy(header + 24, &len, 8);
+  std::memcpy(header + 32, &gen, 4);
+  std::memcpy(header + 36, &reserved, 4);
+  if (keep_header > 0) {
+    std::memcpy(at, header, static_cast<std::size_t>(keep_header));
+  }
   if (torn_prefix >= 0 || !batching_) flushBatch();
+}
+
+std::byte* Journal::growBatch(std::size_t n) {
+  if (batch_.size() - batch_size_ < n) {
+    mpi::RawBytes bigger(std::max(2 * batch_.size(), batch_size_ + n));
+    if (batch_size_ > 0) std::memcpy(bigger.data(), batch_.data(), batch_size_);
+    batch_ = std::move(bigger);
+  }
+  std::byte* at = batch_.data() + batch_size_;
+  batch_size_ += n;
+  return at;
 }
 
 void Journal::batchBegin() { batching_ = true; }
@@ -91,16 +112,16 @@ void Journal::batchEnd() {
 }
 
 void Journal::flushBatch() {
-  if (batch_.empty()) return;
+  if (batch_size_ == 0) return;
   client_->appendJournal(file_, cursor_, batch_.data(),
-                         static_cast<Bytes>(batch_.size()));
-  cursor_ += static_cast<Offset>(batch_.size());
-  batch_.clear();
+                         static_cast<Bytes>(batch_size_));
+  cursor_ += static_cast<Offset>(batch_size_);
+  batch_size_ = 0;
 }
 
 void Journal::commit() {
   TCIO_CHECK_MSG(file_.valid(), "commit on a closed journal");
-  batch_.clear();  // committed bytes supersede anything still buffered
+  batch_size_ = 0;  // committed bytes supersede anything still buffered
   batching_ = false;
   if (cursor_ == 0) return;
   // Truncating reopen: the journal's bytes are superseded by the committed
@@ -141,7 +162,7 @@ Journal::Parsed Journal::parse(std::span<const std::byte> raw) {
     const std::span<const std::byte> payload(
         raw.data() + pos + static_cast<std::size_t>(kHeaderBytes),
         static_cast<std::size_t>(len));
-    if (frameCrc(seg, disp, len, gen, payload) != crc) {
+    if (crc32(payload, fieldsCrc(seg, disp, len, gen)) != crc) {
       // Complete frame, valid magic, in-bounds length — the framing is
       // intact and only the body is corrupt (a flipped bit on the journal
       // device, not a torn append). Drop this record and keep scanning.

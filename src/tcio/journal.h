@@ -28,6 +28,7 @@
 
 #include "common/types.h"
 #include "fs/client.h"
+#include "mpi/world.h"
 
 namespace tcio::core {
 
@@ -106,13 +107,19 @@ class Journal {
 
  private:
   void flushBatch();
+  /// The next `n` bytes of the batch, uninitialised: the caller writes all
+  /// of them. Grows the buffer (keeping what it holds) when they do not fit.
+  std::byte* growBatch(std::size_t n);
 
   fs::FsClient* client_;
   std::string path_;
   fs::FsFile file_;
   Offset cursor_ = 0;
   std::int64_t records_ = 0;
-  std::vector<std::byte> batch_;
+  /// Frames buffered for the next device write: batch_size_ bytes of
+  /// batch_. The buffer is kept across batches.
+  mpi::RawBytes batch_;
+  std::size_t batch_size_ = 0;
   bool batching_ = false;
 };
 

@@ -115,7 +115,7 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
   const bool leader = isActiveLeader();
   // Cross-rank coalescing happens here, before any byte pays the NIC: the
   // rewritten streams are what the leader ships.
-  std::vector<std::vector<std::byte>>& out = got.rewritten_;
+  std::vector<mpi::RawBytes>& out = got.rewritten_;
   if (leader) {
     out.resize(sn);
     for (std::size_t d = 0; d < sn; ++d) {
@@ -126,8 +126,9 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
     got.sent_ = {};
     std::vector<mpi::RawBytes>().swap(got.gathered_);
     // The leader's own node needs no staging.
-    if (!out[sme].empty()) {
-      got.frames_[sme].push_back({activeLeaderOf(me), out[sme]});
+    if (out[sme].size() > 0) {
+      got.frames_[sme].push_back(
+          {activeLeaderOf(me), {out[sme].data(), out[sme].size()}});
     }
   }
 
@@ -225,7 +226,7 @@ NodeAggregator::Received NodeAggregator::exchange(mpi::PackedSend per_node,
   }
   // The rewritten streams for other nodes have all been put.
   for (std::size_t d = 0; d < out.size(); ++d) {
-    if (d != sme) std::vector<std::byte>().swap(out[d]);
+    if (d != sme) out[d] = {};
   }
 
   // Phase 3: each drained stream is one blob from its source node's leader.

@@ -107,7 +107,7 @@ class NodeAggregator {
     std::vector<mpi::RawBytes> gathered_;
     /// Rewrite outputs, per destination node. The leader's own node's is
     /// delivered from here; the others are freed once put.
-    std::vector<std::vector<std::byte>> rewritten_;
+    std::vector<mpi::RawBytes> rewritten_;
     /// Each source node's stream, as drained from its staging slot.
     std::vector<mpi::RawBytes> streams_;
   };
@@ -118,7 +118,7 @@ class NodeAggregator {
   /// happens (e.g. merging adjacent write extents from the node's ranks)
   /// BEFORE the bytes pay the NIC. Per-rank attribution ends here:
   /// receivers get one blob per source node, attributed to its leader.
-  using Rewrite = std::function<std::vector<std::byte>(
+  using Rewrite = std::function<mpi::RawBytes(
       int dst_node, const std::vector<RankBlob>&)>;
 
   /// Collective over map.comm(). `per_node` holds this rank's payload for

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "art/checkpoint.h"
+#include "fs/client.h"
 #include "mpi/runtime.h"
 
 namespace tcio::art {
@@ -131,6 +132,49 @@ TEST_P(CrcBackendTest, CorruptionIsDetectedOnRestart) {
   dump(fsys);
   EXPECT_EQ(fsys.stats().corruptions_injected, 1);
 
+  EXPECT_THROW(
+      mpi::runJob(job(P),
+                  [&](mpi::Comm& comm) {
+                    loadCheckpoint(comm, fsys, "c.chk", cpCfg(backend));
+                  }),
+      FsError);
+}
+
+TEST_P(CrcBackendTest, FlippedCellCountIsACrcMismatchNotAnAllocation) {
+  // A flip in the high bytes of tree 0's level-0 cell count (2^40 + 1
+  // cells): the restart parser must reject the count before allocating
+  // from it, and the blob's CRC then names the corruption.
+  const Backend backend = GetParam();
+  const int P = 2;
+  const std::int64_t ntrees = 4;
+  fs::FsConfig fcfg = fsCfg();
+  fcfg.integrity = -1;  // the checkpoint's own CRC must see the flip
+  fs::Filesystem fsys(fcfg);
+  mpi::runJob(job(P), [&](mpi::Comm& comm) {
+    dumpCheckpoint(comm, fsys, "c.chk", makeTrees(comm.rank(), P, ntrees),
+                   ntrees, cpCfg(backend));
+  });
+  // Tree 0's table entry: after magic and count in the shared file, after
+  // the count in writer 0's file of the file-per-process backend.
+  const bool per_process = backend == Backend::kFilePerProcess;
+  const std::string file = per_process ? "c.chk.0" : "c.chk";
+  Offset blob = 0;
+  fsys.peek(file, per_process ? 8 : 16,
+            {reinterpret_cast<std::byte*>(&blob), sizeof(blob)});
+  std::int64_t cells = 0;  // after the 32-byte tree header
+  fsys.peek(file, blob + 32,
+            {reinterpret_cast<std::byte*>(&cells), sizeof(cells)});
+  ASSERT_EQ(cells, 1);  // the root level
+  const Offset cells_byte5 = blob + 32 + 5;
+  std::byte b{};
+  fsys.peek(file, cells_byte5, {&b, 1});
+  b ^= std::byte{0x01};
+  mpi::runJob(job(1), [&](mpi::Comm& comm) {
+    fs::FsClient fc(fsys, comm.proc());
+    fs::FsFile f = fc.open(file, fs::kWrite);
+    fc.pwrite(f, cells_byte5, &b, 1);
+    fc.close(f);
+  });
   EXPECT_THROW(
       mpi::runJob(job(P),
                   [&](mpi::Comm& comm) {

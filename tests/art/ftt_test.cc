@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/error.h"
 
 namespace tcio::art {
@@ -79,6 +82,53 @@ TEST(FttTest, ParseRejectsTruncatedBlob) {
 TEST(FttTest, ParseRejectsBadMagic) {
   std::vector<std::byte> junk(64, std::byte{0x5A});
   EXPECT_THROW(parseTree(junk.data(), 64), Error);
+}
+
+std::vector<std::byte> serialize(const FttTree& t) {
+  std::vector<std::byte> blob;
+  forEachArray(t, [&](const void* data, Bytes n) {
+    const auto* p = static_cast<const std::byte*>(data);
+    blob.insert(blob.end(), p, p + n);
+  });
+  return blob;
+}
+
+TEST(FttTest, ParseRejectsNegativeAndOversizedFields) {
+  // Header: magic, id, depth (byte 16), num_vars (byte 24); level 0's cell
+  // count follows at byte 32. Each bad value must be a typed Error, raised
+  // before the parser allocates from it: the blob is a few hundred bytes.
+  const std::vector<std::byte> good = serialize(generateTree(5, 3, {}));
+  ASSERT_LT(good.size(), 4096u);
+  for (const std::size_t field : {std::size_t{16}, std::size_t{24},
+                                  std::size_t{32}}) {
+    for (const std::int64_t bad :
+         {std::int64_t{-1}, std::numeric_limits<std::int64_t>::min(),
+          std::int64_t{1} << 40, std::numeric_limits<std::int64_t>::max(),
+          static_cast<std::int64_t>(good.size())}) {
+      std::vector<std::byte> blob = good;
+      std::memcpy(blob.data() + field, &bad, sizeof(bad));
+      EXPECT_THROW(parseTree(blob.data(), static_cast<Bytes>(blob.size())),
+                   Error)
+          << "field at byte " << field << " = " << bad;
+      std::uint32_t crc = 0;
+      EXPECT_THROW(
+          parseTree(blob.data(), static_cast<Bytes>(blob.size()), crc), Error)
+          << "field at byte " << field << " = " << bad;
+    }
+  }
+}
+
+TEST(FttTest, ParseCrcCoversEveryByteOfTheBlob) {
+  const FttTree t = generateTree(9, 17, TreeGenConfig{});
+  std::vector<std::byte> blob = serialize(t);
+  for (int trailing = 0; trailing < 3; ++trailing) {
+    std::uint32_t crc = 0;
+    const FttTree back =
+        parseTree(blob.data(), static_cast<Bytes>(blob.size()), crc);
+    EXPECT_EQ(back, t);
+    EXPECT_EQ(crc, crc32(blob)) << trailing << " trailing bytes";
+    blob.push_back(static_cast<std::byte>(0x40 + trailing));
+  }
 }
 
 TEST(FttTest, AdvanceKeepsTreeParsable) {

@@ -37,10 +37,13 @@ std::vector<std::byte> randomBytes(std::size_t n, std::uint64_t seed) {
 }
 
 using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+using CopyKernel = std::uint32_t (*)(std::byte*, std::span<const std::byte>,
+                                     std::uint32_t);
 
 struct KernelCase {
   const char* name;
   Kernel fn;
+  CopyKernel copy;
   bool (*available)();
 };
 
@@ -55,6 +58,10 @@ class Crc32KernelTest : public ::testing::TestWithParam<KernelCase> {
   }
   std::uint32_t run(std::span<const std::byte> data, std::uint32_t seed = 0) {
     return GetParam().fn(data, seed);
+  }
+  std::uint32_t copy(std::byte* dst, std::span<const std::byte> src,
+                     std::uint32_t seed = 0) {
+    return GetParam().copy(dst, src, seed);
   }
 };
 
@@ -133,6 +140,86 @@ TEST_P(Crc32KernelTest, LongSpansWithChainedSeeds) {
   EXPECT_EQ(crc, oracle(all.first(at), 0x5EEDu));
 }
 
+/// crc32Copy on the kernel under test: it must store exactly what memcpy
+/// would and return what crc32 would, whatever the alignment of either side.
+class Crc32CopyTest : public Crc32KernelTest {
+ protected:
+  static constexpr std::size_t kGuard = 64;
+  static constexpr std::byte kGuardByte{0xA5};
+
+  /// Copies `src` to `dst_offset` bytes past a 64-byte boundary of a
+  /// guarded buffer and checks the bytes, the CRC and both guards.
+  void expectCopy(std::span<const std::byte> src, std::size_t dst_offset,
+                  std::uint32_t seed) {
+    std::vector<std::byte> buf(kGuard + 64 + src.size() + kGuard, kGuardByte);
+    std::byte* base = buf.data() + kGuard;
+    base += (64 - reinterpret_cast<std::uintptr_t>(base) % 64) % 64;
+    std::byte* dst = base + dst_offset;
+    ASSERT_EQ(copy(dst, src, seed), oracle(src, seed))
+        << "length " << src.size() << " dst offset " << dst_offset;
+    ASSERT_TRUE(src.empty() ||
+                std::memcmp(dst, src.data(), src.size()) == 0)
+        << "length " << src.size() << " dst offset " << dst_offset;
+    for (std::byte* g = buf.data(); g < dst; ++g) {
+      ASSERT_EQ(*g, kGuardByte) << "byte " << (dst - g) << " before dst";
+    }
+    for (std::byte* g = dst + src.size(); g < buf.data() + buf.size(); ++g) {
+      ASSERT_EQ(*g, kGuardByte) << "byte " << (g - dst) << " past dst";
+    }
+  }
+};
+
+TEST_P(Crc32CopyTest, EqualsMemcpyThenCrcAtEveryLength) {
+  const std::vector<std::byte> buf = randomBytes(600, 31);
+  const std::span<const std::byte> all(buf);
+  for (std::size_t n = 0; n <= buf.size(); ++n) {
+    expectCopy(all.first(n), 0, 0);
+  }
+}
+
+TEST_P(Crc32CopyTest, MegabyteWithOddTail) {
+  const std::vector<std::byte> buf = randomBytes((1u << 20) + 13, 32);
+  expectCopy(buf, 0, 0);
+  expectCopy(buf, 7, 0x1234u);
+}
+
+TEST_P(Crc32CopyTest, EverySourceAndDestinationMisalignment) {
+  // Source offsets 0..63 of a 64-byte-aligned buffer cover every head before
+  // the 16-byte fold body and every 512-bit load alignment; destination
+  // offsets 0..63 cover every store alignment, each against each.
+  alignas(64) std::array<std::byte, 64 + 700> src_buf{};
+  const std::vector<std::byte> src = randomBytes(src_buf.size(), 33);
+  std::memcpy(src_buf.data(), src.data(), src_buf.size());
+  Rng rng(34);
+  for (std::size_t s = 0; s < 64; ++s) {
+    for (std::size_t d = 0; d < 64; ++d) {
+      for (const std::size_t n :
+           {std::size_t{15}, std::size_t{80}, std::size_t{300},
+            std::size_t{700 - 64 + 63}}) {
+        const std::size_t len = std::min(n, src_buf.size() - s);
+        expectCopy({src_buf.data() + s, len}, d,
+                   static_cast<std::uint32_t>(rng.next()));
+      }
+    }
+  }
+}
+
+TEST_P(Crc32CopyTest, ChainedRandomSeedsMatchOneShot) {
+  const std::vector<std::byte> buf = randomBytes(4096, 35);
+  const std::span<const std::byte> all(buf);
+  Rng rng(36);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    const std::size_t cut = rng.next() % buf.size();
+    std::vector<std::byte> out(buf.size());
+    const std::uint32_t chained =
+        copy(out.data() + cut, all.subspan(cut),
+             copy(out.data(), all.first(cut), seed));
+    ASSERT_EQ(chained, oracle(all, seed)) << "trial " << trial;
+    ASSERT_EQ(out, buf) << "trial " << trial;
+  }
+}
+
 /// crc32Combine over pieces whose CRCs the kernel under test computed.
 class Crc32CombineTest : public Crc32KernelTest {};
 
@@ -180,16 +267,19 @@ TEST_P(Crc32CombineTest, LargeSecondPiece) {
 bool always() { return true; }
 
 const auto kKernels = ::testing::Values(
-    KernelCase{"portable", &detail::crc32Portable, &always},
+    KernelCase{"portable", &detail::crc32Portable, &detail::crc32CopyPortable,
+               &always},
     KernelCase{"hardware", &detail::crc32Hardware,
-               &detail::crc32HardwareAvailable},
-    KernelCase{"wide", &detail::crc32Wide, &detail::crc32WideAvailable});
+               &detail::crc32CopyHardware, &detail::crc32HardwareAvailable},
+    KernelCase{"wide", &detail::crc32Wide, &detail::crc32CopyWide,
+               &detail::crc32WideAvailable});
 
 std::string kernelName(const ::testing::TestParamInfo<KernelCase>& info) {
   return info.param.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, Crc32KernelTest, kKernels, kernelName);
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32CopyTest, kKernels, kernelName);
 INSTANTIATE_TEST_SUITE_P(Kernels, Crc32CombineTest, kKernels, kernelName);
 
 TEST(Crc32Test, KnownVectors) {
@@ -207,6 +297,14 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::uint32_t chained = crc32(
       std::span<const std::byte>(all.data() + 5, all.size() - 5), part1);
   EXPECT_EQ(chained, one_shot);
+}
+
+TEST(Crc32Test, CopyMatchesCrc32OnTheDispatchedKernel) {
+  const std::vector<std::byte> src = randomBytes(5000, 37);
+  std::vector<std::byte> dst(src.size());
+  EXPECT_EQ(crc32Copy(dst.data(), src, 0xBEEFu), crc32(src, 0xBEEFu));
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(crc32Copy(nullptr, {}), 0u);
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {

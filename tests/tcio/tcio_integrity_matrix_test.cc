@@ -51,9 +51,19 @@ std::vector<std::byte> referenceFile() {
 
 enum class Mode { kOneSided, kTwoSided, kNodeAgg };
 
+/// Integrity counters summed over the ranks of one run.
+struct Counts {
+  std::int64_t crc_checks = 0;
+  std::int64_t crc_mismatches = 0;
+  std::int64_t repaired = 0;
+  std::int64_t unrepairable = 0;
+};
+
 struct IntegrityParam {
   CorruptSite site;
   Mode mode;
+  Counts corrupt{};  // pinned at the default fault seed
+  Counts clean{};
 };
 
 const char* modeSuffix(Mode mode) {
@@ -156,17 +166,30 @@ RunResult runWrite(const TcioConfig& cfg, std::uint64_t seed,
 
 // -- In-memory sites (staging frame, window) across every exchange mode -------
 
+constexpr std::uint64_t kPinnedSeed = 29;
+
+void expectCounts(const TcioIntegrityStats& got, const Counts& want,
+                  const char* run) {
+  EXPECT_EQ(got.crc_checks, want.crc_checks) << run;
+  EXPECT_EQ(got.crc_mismatches, want.crc_mismatches) << run;
+  EXPECT_EQ(got.repaired, want.repaired) << run;
+  EXPECT_EQ(got.unrepairable, want.unrepairable) << run;
+}
+
 /// Flips `site` on rank `victim`, then checks detection, repair and byte
 /// parity against a clean run of the same job. `mid_job_flush` false leaves
 /// no flush (and no fetch) before close, so the close-time scrub is the first
 /// check that can see the flip, and its repair must still find every writer's
-/// journal.
-void expectDetectsRepairsAndMatchesCleanRun(CorruptSite site, Mode mode,
-                                            Rank victim, bool mid_job_flush) {
+/// journal. With `pinned`, the counters of both runs at the default seed must
+/// equal it exactly: which hop first sees a flip, and how many checks run,
+/// do not depend on where each CRC is taken.
+void expectDetectsRepairsAndMatchesCleanRun(
+    CorruptSite site, Mode mode, Rank victim, bool mid_job_flush,
+    const IntegrityParam* pinned = nullptr) {
   // Seed is sweepable so scripts/ci_fault_soak.sh's corruption leg covers a
   // fresh flip target (offset, bit) every iteration.
-  const auto seed =
-      static_cast<std::uint64_t>(envInt64("TCIO_FAULT_SEED", 29));
+  const auto seed = static_cast<std::uint64_t>(
+      envInt64("TCIO_FAULT_SEED", static_cast<std::int64_t>(kPinnedSeed)));
 
   TcioConfig corrupt_cfg = integrityCfg(mode, seed);
   corrupt_cfg.faults.corruptions.push_back({victim, site, /*after=*/0});
@@ -191,6 +214,10 @@ void expectDetectsRepairsAndMatchesCleanRun(CorruptSite site, Mode mode,
   const std::vector<std::byte> ref = referenceFile();
   EXPECT_EQ(corrupt.contents, ref);
   EXPECT_EQ(clean.contents, ref);
+  if (pinned != nullptr && seed == kPinnedSeed) {
+    expectCounts(corrupt.integrity, pinned->corrupt, "corrupt run");
+    expectCounts(clean.integrity, pinned->clean, "clean run");
+  }
 }
 
 class TcioIntegrityMatrixTest
@@ -199,18 +226,28 @@ class TcioIntegrityMatrixTest
 INSTANTIATE_TEST_SUITE_P(
     Matrix, TcioIntegrityMatrixTest,
     ::testing::Values(
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg},
-        IntegrityParam{CorruptSite::kWindow, Mode::kOneSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg}),
+        // {crc_checks, crc_mismatches, repaired, unrepairable}: corrupt run,
+        // then clean run. Only the owner ledger sees either flip: the hop
+        // digests are taken after the staging-frame flip, and the window
+        // flip lands after every hop.
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided,
+                       {30, 1, 1, 0}, {30, 0, 0, 0}},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided,
+                       {54, 1, 1, 0}, {54, 0, 0, 0}},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg,
+                       {78, 1, 1, 0}, {78, 0, 0, 0}},
+        IntegrityParam{CorruptSite::kWindow, Mode::kOneSided,
+                       {30, 1, 1, 0}, {30, 0, 0, 0}},
+        IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided,
+                       {54, 1, 1, 0}, {54, 0, 0, 0}},
+        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg,
+                       {78, 1, 1, 0}, {78, 0, 0, 0}}),
     paramName);
 
 TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
   const IntegrityParam p = GetParam();
   expectDetectsRepairsAndMatchesCleanRun(p.site, p.mode, kVictim,
-                                         /*mid_job_flush=*/true);
+                                         /*mid_job_flush=*/true, &p);
 }
 
 // -- Close-only repair: the close-time scrub is the first check -------------

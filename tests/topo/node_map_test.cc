@@ -55,9 +55,12 @@ std::vector<std::byte> bytesOf(std::span<const std::byte> s) {
 /// node-rank order.
 const NodeAggregator::Rewrite kConcat =
     [](int, const std::vector<NodeAggregator::RankBlob>& blobs) {
-      std::vector<std::byte> out;
+      std::size_t n = 0;
+      for (const auto& b : blobs) n += b.data.size();
+      mpi::RawBytes out(n);
+      std::byte* at = out.data();
       for (const auto& b : blobs) {
-        out.insert(out.end(), b.data.begin(), b.data.end());
+        at = std::copy(b.data.begin(), b.data.end(), at);
       }
       return out;
     };
@@ -295,10 +298,13 @@ TEST(NodeAggregatorTest, RewriteShipsOneLeaderAttributedBlob) {
   // drops everything headed to node 1.
   const NodeAggregator::Rewrite reverse =
       [](int dst, const std::vector<NodeAggregator::RankBlob>& blobs) {
-        std::vector<std::byte> out;
-        if (dst == 1) return out;
+        if (dst == 1) return mpi::RawBytes();
+        std::size_t n = 0;
+        for (const auto& b : blobs) n += b.data.size();
+        mpi::RawBytes out(n);
+        std::byte* at = out.data();
         for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
-          out.insert(out.end(), it->data.begin(), it->data.end());
+          at = std::copy(it->data.begin(), it->data.end(), at);
         }
         return out;
       };

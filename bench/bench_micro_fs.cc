@@ -153,17 +153,22 @@ BENCHMARK(BM_Crc32)
 void BM_Crc32Copy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> src(n);
-  std::vector<std::byte> dst(n);
+  // range(2) puts the destination that many bytes past a cache line, as
+  // a payload behind a 32-byte record header lands.
+  const auto off = static_cast<std::size_t>(state.range(2));
+  std::vector<std::byte> dst_buf(n + 64 + off);
+  const auto line = -reinterpret_cast<std::uintptr_t>(dst_buf.data()) & 63u;
+  std::byte* const dst = dst_buf.data() + line + off;
   for (std::size_t i = 0; i < n; ++i) {
     src[i] = static_cast<std::byte>(i * 131 + 7);
   }
   std::uint32_t crc = 0;
   for (auto _ : state) {
     if (state.range(1) == 0) {
-      std::memcpy(dst.data(), src.data(), n);
+      std::memcpy(dst, src.data(), n);
       crc = crc32(src, crc);
     } else {
-      crc = crc32Copy(dst.data(), src, crc);
+      crc = crc32Copy(dst, src, crc);
     }
     benchmark::DoNotOptimize(crc);
     benchmark::ClobberMemory();
@@ -171,8 +176,8 @@ void BM_Crc32Copy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32Copy)
-    ->ArgsProduct({{4 << 10, 64 << 10, 1 << 20, 16 << 20}, {0, 1}})
-    ->ArgNames({"bytes", "fused"})
+    ->ArgsProduct({{4 << 10, 64 << 10, 1 << 20, 16 << 20}, {0, 1}, {0, 32}})
+    ->ArgNames({"bytes", "fused", "dst_off"})
     ->UseRealTime();
 
 }  // namespace

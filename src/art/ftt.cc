@@ -1,7 +1,6 @@
 #include "art/ftt.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/crc32.h"
@@ -139,14 +138,11 @@ void forEachArray(const FttTree& tree,
   }
 }
 
-namespace {
-
-/// Parses a serialized tree front to back. With `crc`, every byte of the
-/// blob is folded into *crc: the arrays inside the parser's copies, the
-/// bytes past the last array after it. Every length is checked against the
-/// bytes left before anything is allocated from it, so an unverified blob
-/// cannot ask for more memory than it could fill.
-FttTree parse(const std::byte* data, Bytes size, std::uint32_t* crc) {
+FttTree parseTree(const std::byte* data, Bytes size, std::uint32_t& crc) {
+  // Every byte of the blob is folded into the CRC: the arrays inside the
+  // parser's copies, the bytes past the last array after it. Every length is
+  // checked against the bytes left before anything is allocated from it, so
+  // an unverified blob cannot ask for more memory than it could fill.
   const std::byte* p = data;
   const std::byte* const end = data + size;
   std::uint32_t c = 0;
@@ -154,11 +150,7 @@ FttTree parse(const std::byte* data, Bytes size, std::uint32_t* crc) {
   const auto take = [&](void* dst, Bytes n) {
     TCIO_CHECK_MSG(n <= left(), "truncated FTT record");
     const std::span<const std::byte> src{p, static_cast<std::size_t>(n)};
-    if (crc != nullptr) {
-      c = crc32Copy(static_cast<std::byte*>(dst), src, c);
-    } else if (n > 0) {
-      std::memcpy(dst, src.data(), src.size());
-    }
+    c = crc32Copy(static_cast<std::byte*>(dst), src, c);
     p += n;
   };
   TreeHeader hdr;
@@ -193,20 +185,8 @@ FttTree parse(const std::byte* data, Bytes size, std::uint32_t* crc) {
     }
     tree.levels.push_back(std::move(lvl));
   }
-  if (crc != nullptr) {
-    *crc = crc32({p, static_cast<std::size_t>(left())}, c);
-  }
+  crc = crc32({p, static_cast<std::size_t>(left())}, c);
   return tree;
-}
-
-}  // namespace
-
-FttTree parseTree(const std::byte* data, Bytes size) {
-  return parse(data, size, nullptr);
-}
-
-FttTree parseTree(const std::byte* data, Bytes size, std::uint32_t& crc) {
-  return parse(data, size, &crc);
 }
 
 std::string validateTree(const FttTree& tree) {

@@ -85,15 +85,11 @@ Bytes treeSerializedSize(const FttTree& tree);
 void forEachArray(const FttTree& tree,
                   const std::function<void(const void*, Bytes)>& fn);
 
-/// Parses a serialized tree (inverse of forEachArray's concatenation). A
-/// blob that does not hold a tree, including one whose cell count, depth or
-/// variable count overruns its bytes, throws Error before allocating from
-/// that field.
-FttTree parseTree(const std::byte* data, Bytes size);
-
-/// parseTree() that also sets `crc` to the CRC-32 of all `size` bytes,
-/// trailing bytes included, taken inside the parser's own copies: the blob
-/// is read once.
+/// Parses a serialized tree (inverse of forEachArray's concatenation) and
+/// sets `crc` to the CRC-32 of all `size` bytes, trailing bytes included,
+/// taken inside the parser's own copies: the blob is read once. A blob that
+/// does not hold a tree, including one whose cell count, depth or variable
+/// count overruns its bytes, throws Error before allocating from that field.
 FttTree parseTree(const std::byte* data, Bytes size, std::uint32_t& crc);
 
 /// Total number of on-disk arrays:

@@ -24,7 +24,8 @@
 // crc32Copy() runs the same kernels with a destination: every block the fold
 // loads is also stored to the destination from the register it was loaded
 // into, so the bytes are read from memory once for both the copy and the
-// checksum. Each kernel body is a template on kCopy, and the checksum-only
+// checksum. The blocks are aligned on the destination, whole cache lines,
+// rather than on the source. Each kernel body is a template on kCopy, and the checksum-only
 // instantiation compiles to the code it replaces.
 //
 // crc32Combine needs no data: with init and xorout both ~0, their
@@ -178,23 +179,26 @@ TCIO_CRC_TARGET inline __m128i load128(const unsigned char* p) {
 // The block kernels index the source and the destination with one offset
 // `at`; the destination is only touched with kCopy (it is null without).
 
-/// Loads the aligned block at p + at; with kCopy also stores it at d + at,
-/// which may be unaligned.
+/// Loads the block at p + at, which is aligned; with kCopy the block at
+/// d + at is aligned instead, and the load is stored there.
 template <bool kCopy>
 TCIO_CRC_TARGET inline __attribute__((always_inline)) __m128i
 load128(const unsigned char* p, unsigned char* d, std::size_t at) {
-  const __m128i v = load128(p + at);
   if constexpr (kCopy) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + at), v);
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + at));
+    _mm_store_si128(reinterpret_cast<__m128i*>(d + at), v);
+    return v;
+  } else {
+    return load128(p + at);
   }
-  return v;
 }
 
 /// Folds the 16-byte blocks of [p + at, p + n) into `x` (copying them with
-/// kCopy), then reduces it to the 32-bit register. Requires `p` 16-byte
-/// aligned and `n - at` a multiple of 16. Always inlined, so the wide kernel
-/// runs it VEX-encoded: legacy SSE code after 512-bit code pays the AVX-SSE
-/// transition.
+/// kCopy), then reduces it to the 32-bit register. Requires `p` (with kCopy,
+/// `d`) 16-byte aligned and `n - at` a multiple of 16. Always inlined, so
+/// the wide kernel runs it VEX-encoded: legacy SSE code after 512-bit code
+/// pays the AVX-SSE transition.
 template <bool kCopy>
 TCIO_CRC_TARGET inline __attribute__((always_inline)) std::uint32_t
 finishBlocks(__m128i x, const unsigned char* p, unsigned char* d,
@@ -218,7 +222,8 @@ finishBlocks(__m128i x, const unsigned char* p, unsigned char* d,
       _mm_extract_epi32(_mm_xor_si128(x, t), 1));
 }
 
-/// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 64.
+/// Requires `p` (with kCopy, `d`) 16-byte aligned and `n` a multiple of 16,
+/// at least 64.
 template <bool kCopy>
 TCIO_CRC_TARGET std::uint32_t foldBlocks(const unsigned char* p,
                                          std::size_t n, std::uint32_t reg,
@@ -270,16 +275,18 @@ TCIO_CRC_WIDE_TARGET inline __m512i fold512(__m512i acc, __m512i k,
                                    next, 0x96);
 }
 
-/// Loads the 64 bytes at p + at; with kCopy also stores them at d + at.
+/// Loads the 64 bytes at p + at; with kCopy also stores them at d + at,
+/// which is a whole cache line.
 template <bool kCopy>
 TCIO_CRC_WIDE_TARGET inline __attribute__((always_inline)) __m512i
 load512(const unsigned char* p, unsigned char* d, std::size_t at) {
   const __m512i v = _mm512_loadu_si512(p + at);
-  if constexpr (kCopy) _mm512_storeu_si512(d + at, v);
+  if constexpr (kCopy) _mm512_store_si512(d + at, v);
   return v;
 }
 
-/// Requires `p` 16-byte aligned and `n` a multiple of 16, at least 256.
+/// Requires `p` 16-byte aligned (with kCopy, `d` 64-byte aligned) and `n` a
+/// multiple of 16, at least 256.
 template <bool kCopy>
 TCIO_CRC_WIDE_TARGET std::uint32_t foldBlocksWide(const unsigned char* p,
                                                   std::size_t n,
@@ -365,8 +372,13 @@ std::uint32_t crc32CopyPortable(std::byte* dst,
 
 namespace {
 
-/// Bytes before the first 16-byte boundary at or after `p`.
-std::size_t headOf(const unsigned char* p) {
+/// Bytes before the block kernels' first aligned block. Without kCopy that
+/// is the source's next 16-byte boundary. With kCopy it is the destination's
+/// next cache line, so no block store splits a line; the loads are then
+/// unaligned, which costs less than split stores into a cold destination.
+template <bool kCopy>
+std::size_t headOf(const unsigned char* p, const unsigned char* d) {
+  if constexpr (kCopy) return -reinterpret_cast<std::uintptr_t>(d) & 63u;
   return -reinterpret_cast<std::uintptr_t>(p) & 15u;
 }
 
@@ -380,7 +392,7 @@ std::uint32_t foldSpan(std::span<const std::byte> data, std::uint32_t seed,
   const unsigned char* p = bytesOf(data);
   std::size_t n = data.size();
   std::uint32_t reg = ~seed;
-  const std::size_t head = headOf(p);
+  const std::size_t head = headOf<kCopy>(p, d);
   if (n >= head + min_body) {
     reg = sliceBy16<kCopy>(p, head, reg, d);
     const std::size_t body = (n - head) & ~std::size_t{15};
@@ -403,7 +415,7 @@ std::uint32_t hardwareSpan(std::span<const std::byte> data,
 template <bool kCopy>
 std::uint32_t wideSpan(std::span<const std::byte> data, std::uint32_t seed,
                        unsigned char* d) {
-  if (data.size() < headOf(bytesOf(data)) + 256) {
+  if (data.size() < headOf<kCopy>(bytesOf(data), d) + 256) {
     return hardwareSpan<kCopy>(data, seed, d);
   }
   return foldSpan<kCopy>(data, seed, d, 256, foldBlocksWide<kCopy>);

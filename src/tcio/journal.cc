@@ -62,33 +62,23 @@ void Journal::append(std::int64_t seg, Offset disp,
   // frame or CRC mismatch) by design. Any batched records ahead of it still
   // make the device — they were logically appended first.
   const Bytes frame = kHeaderBytes + len;
-  const Bytes keep =
-      torn_prefix >= 0 ? std::min<Bytes>(frame, torn_prefix) : frame;
-  const Bytes keep_header = std::min<Bytes>(keep, kHeaderBytes);
-  std::byte* at = growBatch(static_cast<std::size_t>(keep));
-  std::uint32_t crc = fieldsCrc(seg, disp, len, gen);
-  if (keep == frame) {
-    // The payload's CRC is taken inside its copy into the batch.
-    crc = crc32Copy(at + kHeaderBytes, payload, crc);
-  } else {
-    crc = crc32(payload, crc);
-    if (keep > keep_header) {
-      std::memcpy(at + keep_header, payload.data(),
-                  static_cast<std::size_t>(keep - keep_header));
-    }
-  }
-  std::byte header[kHeaderBytes];
+  std::byte* at = growBatch(static_cast<std::size_t>(frame));
+  // The payload's CRC is taken inside its copy into the batch.
+  const std::uint32_t crc =
+      crc32Copy(at + kHeaderBytes, payload, fieldsCrc(seg, disp, len, gen));
   const std::uint32_t magic = kMagic;
   const std::uint32_t reserved = 0;
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &crc, 4);
-  std::memcpy(header + 8, &seg, 8);
-  std::memcpy(header + 16, &disp, 8);
-  std::memcpy(header + 24, &len, 8);
-  std::memcpy(header + 32, &gen, 4);
-  std::memcpy(header + 36, &reserved, 4);
-  if (keep_header > 0) {
-    std::memcpy(at, header, static_cast<std::size_t>(keep_header));
+  std::memcpy(at + 0, &magic, 4);
+  std::memcpy(at + 4, &crc, 4);
+  std::memcpy(at + 8, &seg, 8);
+  std::memcpy(at + 16, &disp, 8);
+  std::memcpy(at + 24, &len, 8);
+  std::memcpy(at + 32, &gen, 4);
+  std::memcpy(at + 36, &reserved, 4);
+  if (torn_prefix >= 0) {
+    // Only the torn prefix reaches the device.
+    batch_size_ -= static_cast<std::size_t>(
+        frame - std::min<Bytes>(frame, torn_prefix));
   }
   if (torn_prefix >= 0 || !batching_) flushBatch();
 }

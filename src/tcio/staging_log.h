@@ -46,9 +46,11 @@ void forEachBlock(std::span<const std::byte> stream, Fn&& fn) {
 /// written by its append.
 class StagingLog {
  public:
-  /// Measured on the ART checkpoint benchmark (DESIGN.md §11): one chunk
-  /// holds a rank's whole log there, and the process's peak RSS stayed
-  /// flat, below the doubling vector's, over 64 jobs on four seeds.
+  /// Measured on the ART checkpoint benchmark, whose ranks stage about
+  /// 410-460 KB each (DESIGN.md §11): one chunk holds a rank's whole log
+  /// there, and the process's peak RSS stayed flat, below the doubling
+  /// vector's, over 64 jobs on four seeds. The peak for ranks that stage
+  /// more has not been measured.
   static constexpr std::size_t kChunkBytes = std::size_t{640} << 10;
 
   /// Appends the record of `payload`, the bytes at file offset `off`. With
